@@ -55,11 +55,8 @@ from .sketch import (
     DepthTable,
     GridSketch,
     TreeSketch,
-    sketch_add,
     sketch_finalize_alpha,
     sketch_from_json,
-    sketch_move,
-    sketch_prune_smallest,
     sketch_to_json,
 )
 from .streaming import (
@@ -114,11 +111,8 @@ __all__ = [
     "rand_approx_bounded",
     "random_dag",
     "schedule_instance",
-    "sketch_add",
     "sketch_finalize_alpha",
     "sketch_from_json",
-    "sketch_move",
-    "sketch_prune_smallest",
     "sketch_to_json",
     "sketch_to_schedule",
     "stream_alpha_known",

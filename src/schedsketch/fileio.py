@@ -56,18 +56,6 @@ def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
             fh.write("\n")
 
 
-def serialize_instance(inst: Instance, with_depths: bool = True) -> str:
-    lines = [HEADER]
-    depths = inst.depth if with_depths else None
-    for i in range(inst.n):
-        if depths is not None:
-            lines.append(f"J {i + 1} {int(inst.p[i])} {int(depths[i])}")
-        else:
-            lines.append(f"J {i + 1} {int(inst.p[i])}")
-    lines.extend(f"A {int(a)} {int(b)}" for a, b in inst.arcs)
-    return "\n".join(lines) + "\n"
-
-
 def iter_stream(path: str) -> Iterator[StreamEvent]:
     """Yield events line by line, enforcing the stream contract as it goes."""
     jobs_done = False

@@ -35,11 +35,10 @@ from .core import (
     GeometricBuckets,
     buckets_for,
     derive_params,
-    snapped_floor,
 )
 from .errors import InputContractError
 from .model import Instance, RunReport, ScheduleSketch
-from .streaming import RoundedValues
+from .streaming import RoundedValues, totals
 
 _CHUNK = 1 << 20
 
@@ -221,20 +220,11 @@ def rand_approx_bounded(access: SampleAccess, params: AlgoParams, *, tight: bool
         loads[d - 1] += ehat * rp.value(u)
     loads /= pr.m
     pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * pr.c
-    a_total = 0
-    t_total = 0
-    times = []
-    for load in loads:
-        if tight and load == 0.0:
-            times.append(t_total)
-            continue
-        a_total += snapped_floor(load) + pr.c
-        t_total += snapped_floor(load / (1.0 - drv.delta)) + pr.c + pad_noise
-        times.append(t_total)
+    A, times = totals(loads, pr.c, tight, stretch=1.0 - drv.delta, slack=pad_noise)
     return RunReport(
         algorithm=SAMPLE_BOUNDED,
-        A=a_total,
-        schedule_sketch=ScheduleSketch(tuple(times), source=SAMPLE_BOUNDED),
+        A=A,
+        schedule_sketch=ScheduleSketch(times, source=SAMPLE_BOUNDED),
         sketch_node_count=len(kept),
         samples_drawn=draws,
         update_count=draws,
@@ -284,20 +274,11 @@ def rand_approx_alpha(access: SampleAccess, params: AlgoParams, *, tight: bool =
     loads /= pr.m
     top = pr.c * w0
     pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + math.floor(drv.delta * w0)
-    a_total = 0
-    t_total = 0
-    times = []
-    for load in loads:
-        if tight and load == 0.0:
-            times.append(t_total)
-            continue
-        a_total += snapped_floor(load) + top
-        t_total += snapped_floor(load / (1.0 - drv.delta)) + top + pad_noise
-        times.append(t_total)
+    A, times = totals(loads, top, tight, stretch=1.0 - drv.delta, slack=pad_noise)
     return RunReport(
         algorithm=SAMPLE_ALPHA,
-        A=a_total,
-        schedule_sketch=ScheduleSketch(tuple(times), source=SAMPLE_ALPHA),
+        A=A,
+        schedule_sketch=ScheduleSketch(times, source=SAMPLE_ALPHA),
         sketch_node_count=len(kept),
         samples_drawn=drv.n0 + draws,
         update_count=drv.n0 + draws,

@@ -135,12 +135,6 @@ class TreeSketch:
             return False, False
         return True, self.move(d, u, d_new)
 
-    def min_bucket(self) -> int | None:
-        """Smallest bucket index currently stored, or None when empty."""
-        if not self._map:
-            return None
-        return self._map.keys()[0][0]
-
     def prune_smallest(self, cutoff_u: int) -> bool:
         """Evict the minimum-key node iff its bucket is below ``cutoff_u``.
 
@@ -180,27 +174,6 @@ class TreeSketch:
 
 
 InputSketch = GridSketch | TreeSketch
-
-
-def sketch_add(sk, d: int, u: int):
-    """Increment the count at (d, u), creating the entry if absent."""
-    sk.add(d, u)
-    return sk
-
-
-def sketch_move(sk: TreeSketch, from_key: tuple[int, int], to_key: tuple[int, int]):
-    """Move one count from (d, u) to (d', u); d' must exceed d."""
-    (d, u), (d_new, u_new) = from_key, to_key
-    if u_new != u:
-        raise InvariantViolationError("moves never change a job's bucket")
-    sk.move(d, u, d_new)
-    return sk
-
-
-def sketch_prune_smallest(sk: TreeSketch, cutoff_u: int):
-    """Lazily evict the minimum-key entry when it falls below the cutoff."""
-    sk.prune_smallest(cutoff_u)
-    return sk
 
 
 def sketch_finalize_alpha(sk: TreeSketch, n: int, buckets) -> TreeSketch:

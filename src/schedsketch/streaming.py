@@ -1,20 +1,25 @@
 """One-pass streaming approximation schemes for the makespan.
 
-All four variants share the same skeleton: read the stream once,
-maintain per-(depth, bucket) counters, then turn rounded bucket loads
-into a per-depth interval budget.  The sum of the budgets is the
-approximate makespan A, and their prefix sums form a schedule sketch
-that a second pass can expand into a concrete schedule.
+All four variants are one scheme, run by one engine: read the stream
+once, count jobs per (depth, geometric bucket), round each bucket up,
+and turn the per-depth loads into padded interval budgets (`totals`).
+The sum of the budgets is the approximate makespan A, and their prefix
+sums form a schedule sketch that a second pass can expand into a
+concrete schedule.
 
-Variants:
+The variants differ in two policies, fixed by the mode before the
+stream is read:
 
-* `stream_known`        — c, h and every job's depth given up front.
-* `stream_unknown`      — jobs then arcs in topological order; depths,
-                          c and h discovered while reading.
-* `stream_alpha_known`  — only the largest alpha*n jobs are within a
-                          factor c; jobs smaller than p_max/n^2 are
-                          skipped and the sketch is size-capped.
-* `stream_alpha_unknown`— combines the previous two.
+* depths *given* on the job events (`stream_known`,
+  `stream_alpha_known`) or *discovered* from the arcs that follow the
+  jobs in topological order (`stream_unknown`, `stream_alpha_unknown`),
+  which also discovers c and h;
+* *uncapped* (`stream_known`, `stream_unknown`): every job is counted
+  and A pads each depth with the top value; or *capped* at p_max/n^2
+  (`stream_alpha_known`, `stream_alpha_unknown`), where only the
+  largest alpha*n jobs need be within a factor c: smaller jobs are
+  skipped, the smallest bucket is lazily evicted, and one
+  ceil(p_max/n) term pays for both.
 
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.
@@ -40,7 +45,7 @@ from .core import (
 )
 from .errors import CycleSuspicionError, InputContractError
 from .model import Job, RunReport, ScheduleSketch, StreamEvent
-from .sketch import DepthTable, GridSketch, TreeSketch
+from .sketch import DepthTable, GridSketch, TreeSketch, sketch_finalize_alpha
 
 
 class RoundedValues:
@@ -78,103 +83,80 @@ def condition_alpha(n: int, m: int, h: int, c: int, epsilon: float, alpha: float
     return 3.0 * m * (h + 1) * c <= 2.0 * n * alpha * epsilon
 
 
-def _bounded_totals(loads, pad: int, tight: bool) -> tuple[int, tuple[int, ...]]:
-    """A and sketch times when each depth budget is floor(A_d) + pad."""
-    total = 0
-    times = []
-    for load in loads:
-        inc = 0 if (tight and load == 0.0) else snapped_floor(load) + pad
-        total += inc
-        times.append(total)
-    return total, tuple(times)
+def totals(
+    loads, pad: int, tight: bool, *, tail: int = 0, stretch: float = 1.0, slack: int = 0
+) -> tuple[int, tuple[int, ...]]:
+    """Approximate makespan A and sketch times from per-depth loads L_d.
 
-
-def _alpha_totals(loads, pad: int, tail: int, tight: bool) -> tuple[int, tuple[int, ...]]:
-    """A adds ``tail`` once; each sketch interval is padded by it as well."""
-    a_total = 0
+    ``A = sum_d (floor(L_d) + pad) + tail`` and
+    ``t_d = sum_{d' <= d} (floor(L_d' / stretch) + pad + slack)``.  Under
+    ``tight``, depths with zero load add nothing to either sum.  The
+    streaming modes stretch by 1 (exact); the samplers stretch by
+    1 - delta and add their estimation slack.
+    """
+    a_total = tail
     t_total = 0
     times = []
     for load in loads:
-        if tight and load == 0.0:
-            times.append(t_total)
-            continue
-        base = snapped_floor(load) + pad
-        a_total += base
-        t_total += base + tail
+        if not (tight and load == 0.0):
+            a_total += snapped_floor(load) + pad
+            t_total += snapped_floor(load / stretch) + pad + slack
         times.append(t_total)
-    return a_total + tail, tuple(times)
+    return a_total, tuple(times)
 
 
-def _job_only(ev: StreamEvent) -> Job | None:
-    """Known-depth modes read jobs and pass over redundant arc events."""
-    return ev if isinstance(ev, Job) else None
-
-
-def stream_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
-    """Factor-c jobs with given depths: fixed-grid one-pass counting.
-
-    Precondition: 1 <= p_j <= c and 1 <= depth <= h for every job.
-    """
-    drv = derive_params(params, STREAM_KNOWN)
+def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight: bool) -> RunReport:
+    """The one-pass engine behind all four modes; see the module docstring."""
+    given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)  # depths on the job events
+    capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)  # skip/evict below p_max/n^2
+    check_c = mode == STREAM_KNOWN
+    drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
-    grid = GridSketch(params.h, drv.k)
-    updates = 0
-    for ev in iter(events):
-        updates += 1
-        job = _job_only(ev)
-        if job is None:
-            continue
-        if job.depth is None:
-            raise InputContractError(f"job {job.id} carries no depth; this mode requires depths")
-        if job.depth > params.h:
-            raise InputContractError(f"job {job.id} has depth {job.depth} > h={params.h}")
-        if job.p > params.c:
-            raise InputContractError(f"job {job.id} has p={job.p} > c={params.c}")
-        grid.add(job.depth, gb.index(job.p))
-        grid.note_processing_time(job.p)
-    n = grid.total_counted
-    if n == 0:
-        raise InputContractError("empty job stream")
-    rp = RoundedValues(gb, 0, drv.k, float(params.c))
-    loads = grid.depth_loads(rp, params.h) / params.m
-    A, times = _bounded_totals(loads, params.c, tight)
-    return RunReport(
-        algorithm=STREAM_KNOWN,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=STREAM_KNOWN),
-        sketch_node_count=grid.node_count,
-        samples_drawn=0,
-        update_count=updates,
-        params=params,
-        guarantee_condition_met=condition_bounded(n, params.m, params.h, params.c, params.epsilon),
-        extras={"n": n, "delta": drv.delta, "k": drv.k, "input_sketch": grid},
-    )
-
-
-def stream_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
-    """Jobs then topologically ordered arcs; c, h and depths discovered.
-
-    Per-job state (the depth table) makes this O(n) space; the sketch
-    itself stays at one node per occupied (depth, bucket) pair.
-    """
-    drv = derive_params(params, STREAM_UNKNOWN)
-    gb = buckets_for(drv.delta)
-    tree = TreeSketch()
+    sk = GridSketch(params.h, drv.k) if mode == STREAM_KNOWN else TreeSketch()
     table = DepthTable()
+    index, floor_log = gb.index, gb.floor_log
+    add, note = sk.add, sk.note_processing_time
+    insert, get, raise_depth = table.insert, table.get, table.raise_depth
     sources_seen: set[int] = set()
     in_arc_phase = False
-    height = 1
+    h, c = params.h, params.c
+    n_sq = params.n * params.n if capped else 1
+    p_max_run = 1
+    cutoff = floor_log(p_max_run, n_sq) if capped else 0
+    d = height = 1  # discovered depths start at 1
+    seen = 0
     updates = 0
     for ev in iter(events):
         updates += 1
         if isinstance(ev, Job):
-            if in_arc_phase:
-                raise InputContractError(f"job {ev.id} arrived after arc events began")
-            u = gb.index(ev.p)
-            table.insert(ev.id, u)
-            tree.add(1, u)
-            tree.note_processing_time(ev.p)
-        else:
+            p = ev.p
+            u = index(p)
+            if given:
+                d = ev.depth
+                if d is None:
+                    raise InputContractError(f"job {ev.id} carries no depth; this mode requires depths")
+                if d > h:
+                    raise InputContractError(f"job {ev.id} has depth {d} > h={h}")
+                if check_c and p > c:
+                    raise InputContractError(f"job {ev.id} has p={p} > c={c}")
+            else:
+                if in_arc_phase:
+                    raise InputContractError(f"job {ev.id} arrived after arc events began")
+                insert(ev.id, u)
+            note(p)
+            if not capped:
+                add(d, u)
+                continue
+            seen += 1  # the uncapped modes read n off the sketch, which counts every job
+            if p * n_sq < p_max_run:
+                continue
+            if p > p_max_run:
+                p_max_run = p
+                cutoff = floor_log(p_max_run, n_sq)
+            if add(d, u):
+                sk.prune_smallest(cutoff)
+            sk.note_peak()
+        elif not given:  # the known-depth modes pass over arc events
             in_arc_phase = True
             src, dst = ev
             if dst in sources_seen:
@@ -183,44 +165,77 @@ def stream_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: 
                     "arc stream is not in topological order"
                 )
             sources_seen.add(src)
-            d_src, _ = table.get(src)
-            d_dst, u_dst = table.get(dst)
+            d_src, _ = get(src)
+            d_dst, u_dst = get(dst)
             if d_src + 1 > d_dst:
                 new_depth = d_src + 1
                 if new_depth > len(table):
                     raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
-                tree.move(d_dst, u_dst, new_depth)
-                table.raise_depth(dst, new_depth)
+                if not capped:
+                    sk.move(d_dst, u_dst, new_depth)
+                else:
+                    # a skipped or evicted job has no count to move
+                    moved, created = sk.move_if_present(d_dst, u_dst, new_depth)
+                    if moved and created:
+                        sk.prune_smallest(cutoff)
+                        sk.note_peak()
+                raise_depth(dst, new_depth)
                 if new_depth > height:
                     height = new_depth
-    n = len(table)
+    n = seen if capped else sk.total_counted
     if n == 0:
         raise InputContractError("empty job stream")
-    p_min, p_max = tree.p_min, tree.p_max
-    c_disc = ceil_div(p_max, p_min)
-    rp = RoundedValues(gb, gb.index(p_min), gb.index(p_max), float(p_max))
-    loads = tree.depth_loads(rp, height) / params.m
-    A, times = _bounded_totals(loads, p_max, tight)
+    if capped and n != params.n:
+        raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
+
+    h_run = h if given else height
+    c_run = c if given else ceil_div(sk.p_max, sk.p_min)
+    if mode == STREAM_KNOWN:
+        top, u_lo, u_hi = c, 0, drv.k
+    else:  # sk.p_max == p_max_run: the largest job is never skipped
+        top = sk.p_max
+        u_lo, u_hi = (cutoff if capped else index(sk.p_min)), index(top)
+    final = sketch_finalize_alpha(sk, n, gb) if capped else sk
+    loads = final.depth_loads(RoundedValues(gb, u_lo, u_hi, float(top)), h_run) / params.m
+    tail = ceil_div(top, n) if capped else 0
+    A, times = totals(loads, top, tight, tail=tail, slack=tail)
+    if capped:
+        ok = condition_alpha(n, params.m, h_run, c_run, params.epsilon, params.alpha)
+    else:
+        ok = condition_bounded(n, params.m, h_run, c_run, params.epsilon)
+    extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
+    if not given:
+        extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=height, depth_table=table)
+    if capped:
+        extras.update(peak_node_count=sk.peak_node_count, counted=final.total_counted)
     return RunReport(
-        algorithm=STREAM_UNKNOWN,
+        algorithm=mode,
         A=A,
-        schedule_sketch=ScheduleSketch(times, source=STREAM_UNKNOWN),
-        sketch_node_count=tree.node_count,
+        schedule_sketch=ScheduleSketch(times, source=mode),
+        sketch_node_count=final.node_count,
         samples_drawn=0,
         update_count=updates,
         params=params,
-        guarantee_condition_met=condition_bounded(n, params.m, height, c_disc, params.epsilon),
-        extras={
-            "n": n,
-            "delta": drv.delta,
-            "p_min": p_min,
-            "p_max": p_max,
-            "c_discovered": c_disc,
-            "h_discovered": height,
-            "depth_table": table,
-            "input_sketch": tree,
-        },
+        guarantee_condition_met=ok,
+        extras=extras,
     )
+
+
+def stream_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
+    """Factor-c jobs with given depths: fixed-grid one-pass counting.
+
+    Precondition: 1 <= p_j <= c and 1 <= depth <= h for every job.
+    """
+    return _stream(events, params, STREAM_KNOWN, tight)
+
+
+def stream_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
+    """Jobs then topologically ordered arcs; c, h and depths discovered.
+
+    Per-job state (the depth table) makes this O(n) space; the sketch
+    itself stays at one node per occupied (depth, bucket) pair.
+    """
+    return _stream(events, params, STREAM_UNKNOWN, tight)
 
 
 def stream_alpha_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
@@ -232,65 +247,7 @@ def stream_alpha_known(events: Iterable[StreamEvent], params: AlgoParams, *, tig
     The final value pads each depth with p_max and adds a single
     ceil(p_max/n) term that pays for every skipped job.
     """
-    drv = derive_params(params, STREAM_ALPHA_KNOWN)
-    gb = buckets_for(drv.delta)
-    tree = TreeSketch()
-    n = params.n
-    n_sq = n * n
-    p_max_run = 1
-    cutoff = gb.floor_log(p_max_run, n_sq)
-    seen = 0
-    updates = 0
-    for ev in iter(events):
-        updates += 1
-        job = _job_only(ev)
-        if job is None:
-            continue
-        seen += 1
-        if job.depth is None:
-            raise InputContractError(f"job {job.id} carries no depth; this mode requires depths")
-        if job.depth > params.h:
-            raise InputContractError(f"job {job.id} has depth {job.depth} > h={params.h}")
-        tree.note_processing_time(job.p)
-        if job.p * n_sq < p_max_run:
-            continue
-        if job.p > p_max_run:
-            p_max_run = job.p
-            cutoff = gb.floor_log(p_max_run, n_sq)
-        if tree.add(job.depth, gb.index(job.p)):
-            tree.prune_smallest(cutoff)
-        tree.note_peak()
-    if seen == 0:
-        raise InputContractError("empty job stream")
-    if seen != n:
-        raise InputContractError(f"stream carried {seen} jobs but n={n} was declared")
-    u_lo = gb.floor_log(p_max_run, n_sq)
-    u_hi = gb.index(p_max_run)
-    final = tree.restrict(u_lo, u_hi)
-    rp = RoundedValues(gb, u_lo, u_hi, float(p_max_run))
-    loads = final.depth_loads(rp, params.h) / params.m
-    tail = ceil_div(p_max_run, n)
-    A, times = _alpha_totals(loads, p_max_run, tail, tight)
-    return RunReport(
-        algorithm=STREAM_ALPHA_KNOWN,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=STREAM_ALPHA_KNOWN),
-        sketch_node_count=final.node_count,
-        samples_drawn=0,
-        update_count=updates,
-        params=params,
-        guarantee_condition_met=condition_alpha(
-            n, params.m, params.h, params.c, params.epsilon, params.alpha
-        ),
-        extras={
-            "n": n,
-            "delta": drv.delta,
-            "p_max": p_max_run,
-            "peak_node_count": tree.peak_node_count,
-            "counted": final.total_counted,
-            "input_sketch": final,
-        },
-    )
+    return _stream(events, params, STREAM_ALPHA_KNOWN, tight)
 
 
 def stream_alpha_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
@@ -301,92 +258,7 @@ def stream_alpha_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, t
     simply not moved (they are below the smallness cutoff, which the
     final padding already pays for).
     """
-    drv = derive_params(params, STREAM_ALPHA_UNKNOWN)
-    gb = buckets_for(drv.delta)
-    tree = TreeSketch()
-    table = DepthTable()
-    sources_seen: set[int] = set()
-    in_arc_phase = False
-    n = params.n
-    n_sq = n * n
-    p_max_run = 1
-    cutoff = gb.floor_log(p_max_run, n_sq)
-    height = 1
-    seen = 0
-    updates = 0
-    for ev in iter(events):
-        updates += 1
-        if isinstance(ev, Job):
-            if in_arc_phase:
-                raise InputContractError(f"job {ev.id} arrived after arc events began")
-            seen += 1
-            u = gb.index(ev.p)
-            table.insert(ev.id, u)
-            tree.note_processing_time(ev.p)
-            if ev.p * n_sq < p_max_run:
-                continue
-            if ev.p > p_max_run:
-                p_max_run = ev.p
-                cutoff = gb.floor_log(p_max_run, n_sq)
-            if tree.add(1, u):
-                tree.prune_smallest(cutoff)
-            tree.note_peak()
-        else:
-            in_arc_phase = True
-            src, dst = ev
-            if dst in sources_seen:
-                raise CycleSuspicionError(
-                    f"arc ({src} -> {dst}) arrived after {dst} was already a source; "
-                    "arc stream is not in topological order"
-                )
-            sources_seen.add(src)
-            d_src, _ = table.get(src)
-            d_dst, u_dst = table.get(dst)
-            if d_src + 1 > d_dst:
-                new_depth = d_src + 1
-                if new_depth > len(table):
-                    raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
-                moved, created = tree.move_if_present(d_dst, u_dst, new_depth)
-                if moved and created:
-                    tree.prune_smallest(cutoff)
-                    tree.note_peak()
-                table.raise_depth(dst, new_depth)
-                if new_depth > height:
-                    height = new_depth
-    if seen == 0:
-        raise InputContractError("empty job stream")
-    if seen != n:
-        raise InputContractError(f"stream carried {seen} jobs but n={n} was declared")
-    u_lo = gb.floor_log(p_max_run, n_sq)
-    u_hi = gb.index(p_max_run)
-    final = tree.restrict(u_lo, u_hi)
-    rp = RoundedValues(gb, u_lo, u_hi, float(p_max_run))
-    loads = final.depth_loads(rp, height) / params.m
-    tail = ceil_div(p_max_run, n)
-    A, times = _alpha_totals(loads, p_max_run, tail, tight)
-    c_disc = ceil_div(tree.p_max, tree.p_min)
-    return RunReport(
-        algorithm=STREAM_ALPHA_UNKNOWN,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=STREAM_ALPHA_UNKNOWN),
-        sketch_node_count=final.node_count,
-        samples_drawn=0,
-        update_count=updates,
-        params=params,
-        guarantee_condition_met=condition_alpha(
-            n, params.m, height, c_disc, params.epsilon, params.alpha
-        ),
-        extras={
-            "n": n,
-            "delta": drv.delta,
-            "p_max": p_max_run,
-            "c_discovered": c_disc,
-            "h_discovered": height,
-            "peak_node_count": tree.peak_node_count,
-            "depth_table": table,
-            "input_sketch": final,
-        },
-    )
+    return _stream(events, params, STREAM_ALPHA_UNKNOWN, tight)
 
 
 STREAMING_ALGORITHMS = {

@@ -15,7 +15,9 @@ class TestInstanceFormat:
         fileio.write_instance(inst, str(path))
         first = path.read_text()
         back = fileio.read_instance(str(path))
-        assert fileio.serialize_instance(back) == first
+        again = tmp_path / "again.txt"
+        fileio.write_instance(back, str(again))
+        assert again.read_text() == first
         assert back.p.tolist() == inst.p.tolist()
         assert back.depth.tolist() == inst.depth.tolist()
         assert back.arcs.tolist() == inst.arcs.tolist()

@@ -5,10 +5,7 @@ import pytest
 import schedsketch as ss
 from schedsketch.sketch import (
     TreeSketch,
-    sketch_add,
     sketch_finalize_alpha,
-    sketch_move,
-    sketch_prune_smallest,
     sketch_from_json,
     sketch_to_json,
 )
@@ -21,21 +18,21 @@ def entries(sk):
 class TestAdd:
     def test_insert_into_empty(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, 0)
+        sk.add(1, 0)
         assert entries(sk) == [(1, 0, 1)]
 
     def test_increment(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, 0)
-        sketch_add(sk, 1, 0)
+        sk.add(1, 0)
+        sk.add(1, 0)
         assert entries(sk) == [(1, 0, 2)]
 
     def test_ordering_is_bucket_major(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, 0)
-        sketch_add(sk, 2, 3)
+        sk.add(1, 0)
+        sk.add(2, 3)
         assert entries(sk) == [(1, 0, 1), (2, 3, 1)]
-        sketch_add(sk, 1, 3)
+        sk.add(1, 3)
         # same bucket: depth breaks the tie
         assert entries(sk) == [(1, 0, 1), (1, 3, 1), (2, 3, 1)]
 
@@ -43,34 +40,28 @@ class TestAdd:
 class TestMove:
     def test_count_conservation_single(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, 2)
-        sketch_move(sk, (1, 2), (2, 2))
+        sk.add(1, 2)
+        sk.move(1, 2, 2)
         assert entries(sk) == [(2, 2, 1)]
         assert sk.total_counted == 1
 
     def test_partial_move(self):
         sk = TreeSketch()
         for _ in range(3):
-            sketch_add(sk, 1, 2)
-        sketch_move(sk, (1, 2), (3, 2))
+            sk.add(1, 2)
+        sk.move(1, 2, 3)
         assert entries(sk) == [(1, 2, 2), (3, 2, 1)]
 
     def test_missing_source_is_invariant_violation(self):
         sk = TreeSketch()
         with pytest.raises(ss.InvariantViolationError):
-            sketch_move(sk, (1, 0), (2, 0))
+            sk.move(1, 0, 2)
 
     def test_move_must_raise_depth(self):
         sk = TreeSketch()
-        sketch_add(sk, 2, 0)
+        sk.add(2, 0)
         with pytest.raises(ss.InvariantViolationError):
-            sketch_move(sk, (2, 0), (1, 0))
-
-    def test_move_never_changes_bucket(self):
-        sk = TreeSketch()
-        sketch_add(sk, 1, 0)
-        with pytest.raises(ss.InvariantViolationError):
-            sketch_move(sk, (1, 0), (2, 1))
+            sk.move(2, 0, 1)
 
     def test_move_if_present_tolerates_missing(self):
         sk = TreeSketch()
@@ -80,31 +71,31 @@ class TestMove:
 class TestPrune:
     def test_removes_minimum_below_cutoff(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, -5)
-        sketch_add(sk, 1, -5)
-        sketch_add(sk, 1, 3)
-        sketch_prune_smallest(sk, 0)
+        sk.add(1, -5)
+        sk.add(1, -5)
+        sk.add(1, 3)
+        sk.prune_smallest(0)
         assert entries(sk) == [(1, 3, 1)]
 
     def test_keeps_minimum_at_or_above_cutoff(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, 3)
-        sketch_prune_smallest(sk, 0)
+        sk.add(1, 3)
+        sk.prune_smallest(0)
         assert entries(sk) == [(1, 3, 1)]
-        sketch_prune_smallest(sk, 3)
+        sk.prune_smallest(3)
         assert entries(sk) == [(1, 3, 1)]
 
     def test_noop_on_empty(self):
         sk = TreeSketch()
-        sketch_prune_smallest(sk, 0)
+        sk.prune_smallest(0)
         assert entries(sk) == []
 
     def test_at_most_one_eviction_per_call(self):
         sk = TreeSketch()
-        sketch_add(sk, 1, -3)
-        sketch_add(sk, 1, -2)
-        sketch_add(sk, 1, 5)
-        sketch_prune_smallest(sk, 0)
+        sk.add(1, -3)
+        sk.add(1, -2)
+        sk.add(1, 5)
+        sk.prune_smallest(0)
         assert len(entries(sk)) == 2  # one stale node survives until the next call
 
 
@@ -113,10 +104,10 @@ class TestFinalize:
         gb = ss.buckets_for(0.1)
         sk = TreeSketch()
         sk.note_processing_time(100)
-        sketch_add(sk, 1, 0)    # u_lo boundary (p_max/n^2 = 1 -> u_lo = 0)
-        sketch_add(sk, 1, 48)   # u_hi = floor_log(100) = 48
-        sketch_add(sk, 1, -1)   # below the window
-        sketch_add(sk, 2, 49)   # above the window
+        sk.add(1, 0)    # u_lo boundary (p_max/n^2 = 1 -> u_lo = 0)
+        sk.add(1, 48)   # u_hi = floor_log(100) = 48
+        sk.add(1, -1)   # below the window
+        sk.add(2, 49)   # above the window
         out = sketch_finalize_alpha(sk, 10, gb)
         assert entries(out) == [(1, 0, 1), (1, 48, 1)]
 
@@ -124,7 +115,7 @@ class TestFinalize:
         gb = ss.buckets_for(0.1)
         sk = TreeSketch()
         sk.note_processing_time(100)
-        sketch_add(sk, 1, 10)
+        sk.add(1, 10)
         out = sketch_finalize_alpha(sk, 10, gb)
         assert entries(out) == [(1, 10, 1)]
 
@@ -132,7 +123,7 @@ class TestFinalize:
         gb = ss.buckets_for(0.1)
         sk = TreeSketch()
         sk.note_processing_time(100)
-        sketch_add(sk, 1, -1)  # u_lo - 1
+        sk.add(1, -1)  # u_lo - 1
         out = sketch_finalize_alpha(sk, 10, gb)
         assert entries(out) == []
 
@@ -153,8 +144,8 @@ class TestSerialization:
         sk = TreeSketch()
         sk.note_processing_time(7)
         sk.note_processing_time(2)
-        sketch_add(sk, 1, 0)
-        sketch_add(sk, 3, 5)
+        sk.add(1, 0)
+        sk.add(3, 5)
         text = sketch_to_json(sk)
         back = sketch_from_json(text)
         assert entries(back) == entries(sk)
