@@ -45,7 +45,7 @@ def main():
     drv = ss.derive_params(params, "sample2")
     print(f"  at full confidence: n0 = {drv.n0} scale draws, n' = {drv.n_prime:,}")
     scale = 200_000 / drv.n_prime
-    print(f"  scaled down to n' ~ 200k (which also shrinks n0 to 1):")
+    print(f"  scaled down to n' ~ 200k (n0 is never scaled):")
     for seed in range(3):
         counted = ss.CountingAccess(two)
         rep = ss.rand_approx_alpha(
@@ -59,9 +59,9 @@ def main():
             f"(off by {100 * (rep.A - cstar) / cstar:+.3f}%), "
             f"w0 = {rep.extras['w0']}, ids touched = {counted.ids_fetched:,}"
         )
-    print("  a single scale draw can land on a small job (w0 = 1), and the")
-    print("  answer survives: the top bucket is pinned to c*w0, which still")
-    print("  covers p_max because the factor-c spread is exactly what the")
+    print(f"  the {drv.n0} scale draws hit the p=10 half with probability 1 - 2^-{drv.n0},")
+    print("  so w0 = 10 and the top bucket, pinned to c*w0, covers p_max; even")
+    print("  w0 = 1 would do here, because c = 10 is exactly the spread the")
     print("  instance promises about its largest jobs.")
 
 

@@ -59,9 +59,10 @@ def ceil_div(a: int, b: int) -> int:
 class AlgoParams:
     """User-facing knobs shared by every algorithm.
 
-    ``confidence_scale`` multiplies the derived sample sizes of the
-    randomized algorithms; 1.0 keeps the full worst-case constants, and
-    tests use smaller values to trade success probability for runtime.
+    ``confidence_scale`` multiplies the main sample size n' of the
+    randomized algorithms (not the few n0 draws that estimate w0); 1.0
+    keeps the full worst-case constants, and tests use smaller values
+    to trade success probability for runtime.
     """
 
     epsilon: float
@@ -221,10 +222,6 @@ def bucket_index(p: int, delta: float) -> int:
     return u
 
 
-def _scaled_ceil(raw: float, scale: float) -> int:
-    return max(1, math.ceil(raw * scale))
-
-
 def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
     """Compute every derived constant an algorithm mode needs.
 
@@ -268,12 +265,10 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
         prob = 5.0 * params.alpha * delta / (2.0 * params.c**2 * params.h * k_eff * params.m)
         beta = delta * prob
         n_raw = (3.0 / (params.alpha * beta**2)) * math.log(2.0 / gamma)
-        if params.alpha == 1.0:
-            n0 = max(1, math.ceil(params.confidence_scale))
-        else:
-            n0_raw = math.log(gamma) / math.log1p(-params.alpha)
-            n0 = _scaled_ceil(n0_raw, params.confidence_scale)
-    n_prime = _scaled_ceil(n_raw, params.confidence_scale)
+        # n0 stays unscaled: it is a few dozen draws, and fewer can miss the
+        # top alpha*n jobs, which then fall above c*w0 and are dropped
+        n0 = 1 if params.alpha == 1.0 else math.ceil(math.log(gamma) / math.log1p(-params.alpha))
+    n_prime = max(1, math.ceil(n_raw * params.confidence_scale))
     tau = None if params.n is None else params.n * prob
     return DerivedParams(
         mode=mode,

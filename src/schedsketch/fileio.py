@@ -68,34 +68,38 @@ def iter_stream(path: str) -> Iterator[StreamEvent]:
                 continue
             parts = line.split()
             tag = parts[0]
-            if tag == "J":
-                if jobs_done:
-                    raise InputContractError(f"{path}:{lineno}: job line after arc lines")
-                if len(parts) not in (3, 4):
-                    raise InputContractError(f"{path}:{lineno}: expected 'J <id> <p> [<depth>]'")
-                has_depth = len(parts) == 4
-                if depth_convention is None:
-                    depth_convention = has_depth
-                elif depth_convention != has_depth:
-                    raise InputContractError(
-                        f"{path}:{lineno}: either all job lines carry a depth or none does"
-                    )
-                jid, p = int(parts[1]), int(parts[2])
-                depth = int(parts[3]) if has_depth else None
-                yield Job(id=jid, p=p, depth=depth)
-            elif tag == "A":
-                if len(parts) != 3:
-                    raise InputContractError(f"{path}:{lineno}: expected 'A <src> <dst>'")
-                jobs_done = True
-                src, dst = int(parts[1]), int(parts[2])
-                if dst in sources_seen:
-                    raise CycleSuspicionError(
-                        f"{path}:{lineno}: arc ({src}, {dst}) is not in topological order"
-                    )
-                sources_seen.add(src)
-                yield Arc(src, dst)
-            else:
-                raise InputContractError(f"{path}:{lineno}: unknown line tag {tag!r}")
+            try:  # zero-cost on a valid line
+                if tag == "J":
+                    if jobs_done:
+                        raise InputContractError(f"{path}:{lineno}: job line after arc lines")
+                    if len(parts) not in (3, 4):
+                        raise InputContractError(f"{path}:{lineno}: expected 'J <id> <p> [<depth>]'")
+                    has_depth = len(parts) == 4
+                    if depth_convention is None:
+                        depth_convention = has_depth
+                    elif depth_convention != has_depth:
+                        raise InputContractError(
+                            f"{path}:{lineno}: either all job lines carry a depth or none does"
+                        )
+                    ev = Job(int(parts[1]), int(parts[2]), int(parts[3]) if has_depth else None)
+                elif tag == "A":
+                    if len(parts) != 3:
+                        raise InputContractError(f"{path}:{lineno}: expected 'A <src> <dst>'")
+                    jobs_done = True
+                    src, dst = int(parts[1]), int(parts[2])
+                    if dst in sources_seen:
+                        raise CycleSuspicionError(
+                            f"{path}:{lineno}: arc ({src}, {dst}) is not in topological order"
+                        )
+                    sources_seen.add(src)
+                    ev = Arc(src, dst)
+                else:
+                    raise InputContractError(f"{path}:{lineno}: unknown line tag {tag!r}")
+            except InputContractError:
+                raise
+            except ValueError as exc:  # a field that is no integer, or a value Job rejects
+                raise InputContractError(f"{path}:{lineno}: {exc}") from None
+            yield ev
 
 
 def read_instance(path: str, m: int = 1) -> Instance:
@@ -209,6 +213,8 @@ def parse_gen_spec(text: str) -> tuple[str, dict]:
 def instance_from_spec(text: str) -> Instance:
     family, kwargs = parse_gen_spec(text)
     seed = kwargs.pop("seed", 0)
+    if "pbig" in kwargs:  # the key `access_from_spec` reads, so one spec serves both
+        kwargs["p_big"] = kwargs.pop("pbig")
     return generate(family, seed=seed, **kwargs)
 
 

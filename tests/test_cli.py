@@ -50,6 +50,12 @@ class TestGenAndStream:
         d3, d4 = json.loads(out3.read_text()), json.loads(out4.read_text())
         assert d3["A"] == d4["A"] == 18 + 1  # + ceil(p_max/n)
 
+    def test_alpha_mixed_spec_for_stream3(self, capsys):
+        rc = main(["stream3", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1",
+                   "--n", "1000", "--in", "alpha-mixed:n=1000,alpha=0.5,c=2,pbig=10"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "stream3"
+
     def test_empty_instance_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# sched-stream v1\n")
@@ -145,6 +151,17 @@ class TestSample:
         assert len(doc["trials"]) == 3
         seeds = [t["seed"] for t in doc["trials"]]
         assert seeds == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample2_scaled_down_stays_accurate(self, capsys, seed):
+        # confidence_scale shrinks n' only; the ~30 w0 draws must find a p=1000 job
+        cstar = 250_000 * 1000 + 750_000 * 1  # m = 1, depth 1: the total processing time
+        rc = main(["sample2", "--epsilon", "0.5", "--m", "1", "--c", "2", "--h", "1",
+                   "--alpha", "0.25", "--confidence-scale", "0.0625", "--seed", str(seed),
+                   "--in", "alpha-mixed:n=1000000,alpha=0.25,c=2,pbig=1000,small=1"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["A"] - cstar) <= 0.5 * cstar
 
     def test_sample_on_materialized_file(self, chain_files):
         tmp, inst_path = chain_files

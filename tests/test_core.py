@@ -1,6 +1,7 @@
 """Parameter derivation and geometric bucketing."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -42,6 +43,13 @@ class TestDeriveParams:
         params = ss.AlgoParams(epsilon=0.5, m=1, c=1, h=1, n=10**7, confidence_scale=1 / 16)
         d = ss.derive_params(params, SAMPLE_BOUNDED)
         assert d.n_prime == 230073
+
+    def test_confidence_scale_leaves_n0(self):
+        base = ss.AlgoParams(epsilon=0.5, m=1, c=2, h=1, alpha=0.25, n=10**6)
+        full = ss.derive_params(base, SAMPLE_ALPHA)
+        scaled = ss.derive_params(replace(base, confidence_scale=1 / 16), SAMPLE_ALPHA)
+        assert scaled.n0 == full.n0 == math.ceil(math.log(full.gamma) / math.log(1 - 0.25))
+        assert scaled.n_prime < full.n_prime
 
     def test_alpha_one_needs_single_scale_draw(self):
         d = ss.derive_params(ss.AlgoParams(epsilon=0.5, m=1, c=2, h=1, alpha=1.0, n=100), SAMPLE_ALPHA)

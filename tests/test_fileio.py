@@ -55,6 +55,27 @@ class TestInstanceFormat:
         with pytest.raises(exc):
             fileio.read_instance(str(path))
 
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("J a 3\n", 1),  # id is no integer
+            ("J 1 1\nJ 2 x\n", 2),  # p is no integer
+            ("J 1 2 1\nJ 2 3 1.5\n", 2),  # depth is no integer
+            ("J 1 1\nJ 2 1\nA 1 b\n", 3),  # arc end is no integer
+            ("J 1 0\n", 1),  # p below 1
+            ("J 0 4\n", 1),  # id below 1
+            ("J 1 4 0\n", 1),  # depth below 1
+        ],
+    )
+    def test_bad_field_exits_3_with_location(self, tmp_path, capsys, text, lineno):
+        from schedsketch.cli import main
+
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        rc = main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)])
+        assert rc == 3
+        assert f"error: {path}:{lineno}: " in capsys.readouterr().err
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "inst.txt"
         path.write_text("# sched-stream v1\n\n# a comment\nJ 1 2 1\n\nJ 2 1 1\n")
@@ -97,6 +118,13 @@ class TestGenSpecs:
     def test_instance_from_spec(self):
         inst = fileio.instance_from_spec("chain:m=2,q=3,h=2")
         assert inst.n == 12
+
+    def test_alpha_mixed_spec_serves_both_routes(self):
+        spec = "alpha-mixed:n=100,alpha=0.5,c=2,pbig=10,small=1"
+        inst = fileio.instance_from_spec(spec)
+        acc = fileio.access_from_spec(spec)
+        assert inst.n == acc.n == 100
+        assert int(inst.p.max()) == acc.p_big == 10
 
     def test_implicit_access(self):
         acc = fileio.access_from_spec("chain:m=1,q=100,h=2")
