@@ -109,7 +109,6 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
     """The one-pass engine behind all four modes; see the module docstring."""
     given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)  # depths on the job events
     capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)  # skip/evict below p_max/n^2
-    check_c = mode == STREAM_KNOWN
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
     sk = GridSketch(params.h, drv.k) if mode == STREAM_KNOWN else TreeSketch()
@@ -137,7 +136,7 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
                     raise InputContractError(f"job {ev.id} carries no depth; this mode requires depths")
                 if d > h:
                     raise InputContractError(f"job {ev.id} has depth {d} > h={h}")
-                if check_c and p > c:
+                if not capped and p > c:
                     raise InputContractError(f"job {ev.id} has p={p} > c={c}")
             else:
                 if in_arc_phase:
