@@ -8,11 +8,12 @@ algorithms to ``epsilon/20``.
 
 Powers of ``1+delta`` are irrational for the deltas we care about, so
 bucket membership is never decided with floating point alone.  The
-value ``1+delta`` (for the IEEE double ``delta``) is an exact rational;
-`GeometricBuckets` keeps a table of exact integer bucket boundaries and
-answers lookups by bisection, while `bucket_index` follows the
-float-estimate-then-verify route.  Both give the bit-exact answer and
-are cross-checked in the test suite.
+value ``1+delta`` (for the IEEE double ``delta``) is an exact rational
+whose denominator is a power of two; `GeometricBuckets` keeps a table
+of exact integer bucket boundaries, built with shifts, and answers
+lookups by bisection, while `GeometricBuckets.floor_log` trusts a float
+logarithm only where its error provably cannot change the floor and
+decides the rest with exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -128,11 +129,15 @@ class GeometricBuckets:
         self.delta = delta
         self.base = float(base)
         self._bnum = base.numerator
-        self._bden = base.denominator
-        # _pnum/_pden == base ** (len(_bounds) - 1), kept for cheap extension
+        # a double is an integer times a power of two, so base == _bnum / 2**_shift
+        self._shift = base.denominator.bit_length() - 1
+        assert base.denominator == 1 << self._shift
+        # 1+delta is exact, so log1p(delta) is its log to about 1 ulp;
+        # log(self.base) would carry the rounding of self.base as well
+        self._ln_base = math.log1p(delta)
+        # _pnum == _bnum ** (len(_bounds) - 1), kept for cheap extension
         self._bounds: list[int] = [1]
         self._pnum = 1
-        self._pden = 1
         self._np_cache: np.ndarray | None = None
 
     def _extend_past(self, p: int) -> None:
@@ -140,8 +145,8 @@ class GeometricBuckets:
             return
         while self._bounds[-1] <= p:
             self._pnum *= self._bnum
-            self._pden *= self._bden
-            self._bounds.append(ceil_div(self._pnum, self._pden))
+            # ceil(_pnum / 2**(shift*u)) for the new boundary u
+            self._bounds.append(-((-self._pnum) >> (self._shift * len(self._bounds))))
         self._np_cache = None
 
     def index(self, p: int) -> int:
@@ -167,9 +172,9 @@ class GeometricBuckets:
             raise ParamError("comparison target must be a positive rational")
         if u >= 0:
             lhs = self._bnum**u * den
-            rhs = num * self._bden**u
+            rhs = num << (self._shift * u)
         else:
-            lhs = self._bden ** (-u) * den
+            lhs = den << (self._shift * -u)
             rhs = num * self._bnum ** (-u)
         return (lhs > rhs) - (lhs < rhs)
 
@@ -177,8 +182,24 @@ class GeometricBuckets:
         """Largest integer u with base**u <= num/den (u may be negative)."""
         if num <= 0 or den <= 0:
             raise ParamError("floor_log argument must be a positive rational")
-        est = (math.log(num) - math.log(den)) / math.log(self.base)
+        # Error of est against t = ln(num/den) / ln(base), with eps = 2**-53
+        # (1 ulp is at most 2*eps relative) and S = |ln num| + |ln den|:
+        # - math.log rounds an int to 53 bits (eps absolute in the log), and
+        #   past the float range sums log(mantissa) + e*log(2); with libm's
+        #   log within 2 ulp, each log is off by at most 4*eps + 8*eps*|ln x|;
+        # - the subtraction adds eps*S, so the numerator is off by 9*eps*(1+S);
+        # - log1p of the exact 1+delta is off by 4*eps relative, the division
+        #   by eps relative, which adds 5*eps*S / ln_base.
+        # So |est - t| <= 15*eps*(1+S) / ln_base < 2**-49 * (1+S) / ln_base,
+        # and the band is 2**11 times that.  When est - floor(est) (exact in
+        # floats) keeps a band away from 0 and 1, t lies strictly between the
+        # same two integers and floor(est) is the answer; else compare exactly.
+        ln_num, ln_den = math.log(num), math.log(den)
+        est = (ln_num - ln_den) / self._ln_base
         u = math.floor(est)
+        band = 2.0**-38 * (1.0 + abs(ln_num) + abs(ln_den)) / self._ln_base
+        if band < est - u < 1.0 - band:
+            return u
         while self.pow_cmp(u, num, den) > 0:
             u -= 1
         while self.pow_cmp(u + 1, num, den) <= 0:
