@@ -19,7 +19,6 @@ from .core import (
     AlgoParams,
     DerivedParams,
     GeometricBuckets,
-    bucket_index,
     buckets_for,
     derive_params,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "TwoValueAccess",
     "Violation",
     "alpha_mixed",
-    "bucket_index",
     "buckets_for",
     "chain",
     "compute_depths",

@@ -157,6 +157,12 @@ class GeometricBuckets:
         self._extend_past(p)
         return bisect_right(self._bounds, p) - 1
 
+    def bound(self, u: int) -> int:
+        """ceil(base**u) for u >= 0: every integer in bucket u is at least this."""
+        while len(self._bounds) <= u:
+            self._extend_past(self._bounds[-1])
+        return self._bounds[u]
+
     def index_array(self, p: np.ndarray) -> np.ndarray:
         """Vectorized `index` for an integer array with entries >= 1."""
         if p.size == 0:
@@ -222,25 +228,6 @@ def _buckets_for(delta: float) -> GeometricBuckets:
 def buckets_for(delta: float) -> GeometricBuckets:
     """Shared per-delta bucket table (bucket tables are append-only caches)."""
     return _buckets_for(float(delta))
-
-
-def bucket_index(p: int, delta: float) -> int:
-    """Bucket of integer ``p`` for parameter ``delta``.
-
-    A float logarithm gives the estimate; the defining inequality is
-    then verified with exact rational arithmetic and the estimate is
-    corrected until it holds.
-    """
-    p = int(p)
-    if p < 1:
-        raise ParamError(f"processing time must be >= 1, got {p}")
-    gb = buckets_for(delta)
-    u = math.floor(math.log(p) / math.log(gb.base))
-    while gb.pow_cmp(u, p) > 0:
-        u -= 1
-    while gb.pow_cmp(u + 1, p) <= 0:
-        u += 1
-    return u
 
 
 def derive_params(params: AlgoParams, mode: str) -> DerivedParams:

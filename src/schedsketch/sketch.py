@@ -149,6 +149,15 @@ class TreeSketch:
             return True
         return False
 
+    def top_bucket(self, count: int) -> int | None:
+        """Highest bucket u whose nodes and those above hold >= count jobs; None if none does."""
+        held = 0
+        for (u, _), cnt in reversed(self._map.items()):
+            held += cnt
+            if held >= count:
+                return u
+        return None
+
     def restrict(self, u_lo: int, u_hi: int) -> "TreeSketch":
         """New sketch keeping only entries with u_lo <= u <= u_hi."""
         out = TreeSketch()
@@ -239,6 +248,13 @@ class DepthTable:
         if new_depth < d:
             raise InvariantViolationError(f"depth of job {job_id} would decrease ({d} -> {new_depth})")
         self._rec[job_id] = (new_depth, u)
+
+    def held_depths(self, h: int) -> list[bool]:
+        """Flags for depths 0..h: entry d is True iff some job has depth d."""
+        held = [False] * (h + 1)
+        for d, _ in self._rec.values():
+            held[d] = True
+        return held
 
     def depths_array(self, n: int) -> np.ndarray:
         """Depths for contiguous ids 1..n, for handing to the second pass."""

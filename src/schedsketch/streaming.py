@@ -29,6 +29,7 @@ rounded/padded upper bound regardless of that condition.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .core import (
@@ -84,23 +85,27 @@ def condition_alpha(n: int, m: int, h: int, c: int, epsilon: float, alpha: float
 
 
 def totals(
-    loads, pad: int, tight: bool, *, tail: int = 0, stretch: float = 1.0, slack: int = 0
+    loads, pad: int, tight: bool, *, tail: int = 0, stretch: float = 1.0, slack: int = 0, held=None
 ) -> tuple[int, tuple[int, ...]]:
     """Approximate makespan A and sketch times from per-depth loads L_d.
 
     ``A = sum_d (floor(L_d) + pad) + tail`` and
     ``t_d = sum_{d' <= d} (floor(L_d' / stretch) + pad + slack)``.  Under
-    ``tight``, depths with zero load add nothing to either sum.  The
-    streaming modes stretch by 1 (exact); the samplers stretch by
-    1 - delta and add their estimation slack.
+    ``tight``, depths with zero load add nothing to either sum, except
+    that a depth ``d`` with ``held[d]`` true (it holds jobs, all below
+    the capped modes' cutoff, which ``slack`` covers) gets width
+    ``slack``.  The streaming modes stretch by 1 (exact); the samplers
+    stretch by 1 - delta and add their estimation slack.
     """
     a_total = tail
     t_total = 0
     times = []
-    for load in loads:
+    for d, load in enumerate(loads, 1):
         if not (tight and load == 0.0):
             a_total += snapped_floor(load) + pad
             t_total += snapped_floor(load / stretch) + pad + slack
+        elif held is not None and held[d]:
+            t_total += slack
         times.append(t_total)
     return a_total, tuple(times)
 
@@ -119,6 +124,7 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
     sources_seen: set[int] = set()
     in_arc_phase = False
     h, c = params.h, params.c
+    held = [False] * (h + 1) if given else None  # held[d]: some job has depth d
     n_sq = params.n * params.n if capped else 1
     p_max_run = 1
     cutoff = floor_log(p_max_run, n_sq) if capped else 0
@@ -138,6 +144,7 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
                     raise InputContractError(f"job {ev.id} has depth {d} > h={h}")
                 if not capped and p > c:
                     raise InputContractError(f"job {ev.id} has p={p} > c={c}")
+                held[d] = True
             else:
                 if in_arc_phase:
                     raise InputContractError(f"job {ev.id} arrived after arc events began")
@@ -188,16 +195,24 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
 
     h_run = h if given else height
-    c_run = c if given else ceil_div(sk.p_max, sk.p_min)
     if mode == STREAM_KNOWN:
         top, u_lo, u_hi = c, 0, drv.k
     else:  # sk.p_max == p_max_run: the largest job is never skipped
         top = sk.p_max
         u_lo, u_hi = (cutoff if capped else index(sk.p_min)), index(top)
     final = sketch_finalize_alpha(sk, n, gb) if capped else sk
+    if given:
+        c_run = c
+    else:
+        # the capped mode bounds only the top alpha*n jobs, which all lie in
+        # bucket u_top or above; without such a bucket, fall back to p_min
+        u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
+        c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
     loads = final.depth_loads(RoundedValues(gb, u_lo, u_hi, float(top)), h_run) / params.m
     tail = ceil_div(top, n) if capped else 0
-    A, times = totals(loads, top, tight, tail=tail, slack=tail)
+    if capped and tight and not given:
+        held = table.held_depths(h_run)
+    A, times = totals(loads, top, tight, tail=tail, slack=tail, held=held)
     if capped:
         ok = condition_alpha(n, params.m, h_run, c_run, params.epsilon, params.alpha)
     else:

@@ -110,20 +110,20 @@ class TestDeriveParams:
 class TestBucketIndex:
     def test_p_one_is_bucket_zero(self):
         for delta in (0.5, 0.1, 0.025, 0.2):
-            assert ss.bucket_index(1, delta) == 0
+            assert ss.buckets_for(delta).index(1) == 0
 
     def test_examples_verified_by_multiplication(self):
-        assert ss.bucket_index(2, 0.5) == 1
+        assert ss.buckets_for(0.5).index(2) == 1
         b = exact_base(0.5)
         assert b**1 <= 2 < b**2
 
-        assert ss.bucket_index(2, 0.1) == 7
+        assert ss.buckets_for(0.1).index(2) == 7
         b = exact_base(0.1)
         assert b**7 <= 2 < b**8
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ss.ParamError):
-            ss.bucket_index(0, 0.1)
+            ss.buckets_for(0.1).index(0)
         with pytest.raises(ss.ParamError):
             ss.GeometricBuckets(0.0)
 
@@ -133,7 +133,7 @@ class TestBucketIndex:
         delta=st.sampled_from([0.5, 0.1, 0.025]),
     )
     def test_defining_inequality_exact(self, p, delta):
-        u = ss.bucket_index(p, delta)
+        u = ss.buckets_for(delta).index(p)
         b = exact_base(delta)
         assert b**u <= p < b ** (u + 1)
 
@@ -146,8 +146,10 @@ class TestBucketIndex:
         import numpy as np
 
         gb = ss.buckets_for(delta)
-        assert ss.bucket_index(p, delta) == gb.index(p)
-        assert gb.index_array(np.array([p, p, 1]))[0] == gb.index(p)
+        u = gb.index(p)
+        b = exact_base(delta)
+        assert b**u <= p < b ** (u + 1)
+        assert gb.index_array(np.array([p, p, 1]))[0] == u
 
     def test_dense_range_small(self):
         # every integer up to 2048, all three deltas, exact check
@@ -182,6 +184,59 @@ class TestFloorLog:
         u = gb.floor_log_frac(x)
         b = exact_base(0.025)
         assert b**u <= x < b ** (u + 1)
+
+
+    # the stream (epsilon/3) and sampling (epsilon/20) deltas of three epsilons
+    DELTAS = [eps / div for eps in (0.3, 0.1, 0.05) for div in (3.0, 20.0)]
+
+    @staticmethod
+    def check_against_fraction(num, den, delta):
+        u = ss.GeometricBuckets(delta).floor_log(num, den)
+        b = exact_base(delta)
+        assert b**u <= Fraction(num, den) < b ** (u + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.integers(min_value=1, max_value=10**15),
+        den=st.integers(min_value=1, max_value=10**15),
+        delta=st.sampled_from(DELTAS),
+    )
+    def test_matches_fraction_reference(self, num, den, delta):
+        self.check_against_fraction(num, den, delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num=st.integers(min_value=2**53, max_value=2**64),
+        den=st.integers(min_value=1, max_value=1000),
+        delta=st.sampled_from(DELTAS),
+    )
+    def test_quotients_past_float_precision(self, num, den, delta):
+        self.check_against_fraction(num, den, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=st.integers(min_value=-300, max_value=3000),
+        den=st.integers(min_value=1, max_value=10**15),
+        offset=st.integers(min_value=-1, max_value=1),
+        delta=st.sampled_from(DELTAS),
+    )
+    def test_integers_next_to_a_power(self, u, den, offset, delta):
+        # num straddles base**u * den, where the float estimate is least sure
+        edge = math.ceil(exact_base(delta) ** u * den)
+        self.check_against_fraction(max(1, edge + offset), den, delta)
+
+    def test_table_bounds_are_ceilings_of_powers(self):
+        # boundary u of the shift-built table is ceil(base**u), the smallest
+        # integer p with base**u <= p (bucket u is empty when two agree)
+        gb = ss.GeometricBuckets(0.005)
+        b = exact_base(0.005)
+        want = []
+        power = Fraction(1)
+        for _ in range(2001):
+            want.append(math.ceil(power))
+            power *= b
+        gb.index(want[-1])
+        assert gb._bounds[:2001] == want
 
 
 def test_snapped_floor():

@@ -171,6 +171,51 @@ class TestStreamAlphaUnknown:
         r4 = ss.stream_alpha_unknown(evs(), P(epsilon=0.3, m=1, n=3))
         assert r4.A == r2.A + 1  # ceil(1/3)
 
+    def test_c_discovered_from_top_alpha_jobs(self):
+        # the bottom 75% of jobs lie far below the top 25%, which are within
+        # a factor 4; c comes from the top alpha*n jobs, not from p_max/p_min
+        inst = ss.alpha_mixed(n=20000, alpha=0.25, c=4, p_big=10**9, m=4, h=3, seed=3)
+        rep = ss.stream_alpha_unknown(inst.events(with_depth=False), P(epsilon=0.05, m=4, n=20000, alpha=0.25))
+        assert rep.extras["c_discovered"] == 5
+        assert rep.guarantee_condition_met
+
+
+@pytest.mark.parametrize("mode", ["stream3", "stream4"])
+def test_tight_keeps_room_for_depths_of_skipped_jobs(mode):
+    # depth 1 holds only jobs below p_max/n^2, so the capped sketch gives it
+    # zero load; under tight it still needs ceil(p_max/n), which covers them
+    p, depth = [1, 1, 10**6], [1, 1, 2]
+    if mode == "stream3":
+        events = [ss.Job(j + 1, p[j], depth[j]) for j in range(3)]
+        rep = ss.stream_alpha_known(events, P(epsilon=0.3, m=1, c=1, h=2, n=3), tight=True)
+    else:
+        events = [ss.Job(j + 1, p[j]) for j in range(3)] + [ss.Arc(1, 3), ss.Arc(2, 3)]
+        rep = ss.stream_alpha_unknown(events, P(epsilon=0.3, m=1, n=3), tight=True)
+    assert rep.schedule_sketch.times[0] == 333334
+    sched = ss.sketch_to_schedule(rep.schedule_sketch, p, depth, 1)
+    assert sched.makespan <= rep.schedule_sketch.times[-1]
+
+
+@pytest.mark.parametrize("mode", ["stream3", "stream4"])
+def test_new_maxima_rarely_need_exact_powers(mode, monkeypatch):
+    # every job of an ascending-p stream is a new running maximum and moves
+    # the cutoff floor_log(p_max, n^2); the float estimate should settle
+    # nearly all of them without exact power comparisons
+    calls = []
+    pow_cmp = ss.GeometricBuckets.pow_cmp
+    monkeypatch.setattr(ss.GeometricBuckets, "pow_cmp", lambda *a: calls.append(a) or pow_cmp(*a))
+    n = 2000
+    p = [int(1000 * 1.01**j) for j in range(n)]
+    assert all(a < b for a, b in zip(p, p[1:]))
+    if mode == "stream3":
+        jobs = [ss.Job(j + 1, p[j], 1) for j in range(n)]
+        rep = ss.stream_alpha_known(jobs, P(epsilon=0.05, m=1, c=p[-1], h=1, n=n))
+    else:
+        jobs = [ss.Job(j + 1, p[j]) for j in range(n)]
+        rep = ss.stream_alpha_unknown(jobs, P(epsilon=0.05, m=1, n=n))
+    assert rep.extras["p_max"] == p[-1]
+    assert len(calls) <= 5
+
 
 class TestRoundedValues:
     @settings(max_examples=200, deadline=None)
