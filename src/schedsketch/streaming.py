@@ -85,7 +85,14 @@ def condition_alpha(n: int, m: int, h: int, c: int, epsilon: float, alpha: float
 
 
 def totals(
-    loads, pad: int, tight: bool, *, tail: int = 0, stretch: float = 1.0, slack: int = 0, held=None
+    loads,
+    pad: int,
+    tight: bool,
+    *,
+    tail: int = 0,
+    stretch: float = 1.0,
+    slack: int = 0,
+    held: list[bool] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Approximate makespan A and sketch times from per-depth loads L_d.
 

@@ -203,7 +203,12 @@ def test_new_maxima_rarely_need_exact_powers(mode, monkeypatch):
     # nearly all of them without exact power comparisons
     calls = []
     pow_cmp = ss.GeometricBuckets.pow_cmp
-    monkeypatch.setattr(ss.GeometricBuckets, "pow_cmp", lambda *a: calls.append(a) or pow_cmp(*a))
+
+    def counted(*args):
+        calls.append(args)
+        return pow_cmp(*args)
+
+    monkeypatch.setattr(ss.GeometricBuckets, "pow_cmp", counted)
     n = 2000
     p = [int(1000 * 1.01**j) for j in range(n)]
     assert all(a < b for a, b in zip(p, p[1:]))
