@@ -52,7 +52,6 @@ from .schedule import (
 )
 from .sketch import (
     DepthTable,
-    GridSketch,
     TreeSketch,
     sketch_finalize_alpha,
     sketch_from_json,
@@ -79,7 +78,6 @@ __all__ = [
     "DepthTable",
     "DerivedParams",
     "GeometricBuckets",
-    "GridSketch",
     "InputContractError",
     "Instance",
     "InvariantViolationError",

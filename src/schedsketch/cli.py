@@ -23,10 +23,11 @@ from . import fileio
 from .core import AlgoParams, ceil_div
 from .errors import InputContractError, ParamError, SketchInfeasibleError
 from .generators import generate
-from .model import Job
-from .oracles import critical_path_length, exact_makespan, list_schedule
+from .model import Instance, Job
+from .oracles import compute_depths, critical_path_length, exact_makespan, list_schedule
 from .sampling import SAMPLING_ALGORITHMS, ArrayAccess, ChainAccess, TwoValueAccess
 from .schedule import schedule_instance, validate_schedule
+from .sketch import sketch_to_json
 from .streaming import STREAMING_ALGORITHMS
 
 STREAM_CMDS = ("stream1", "stream2", "stream3", "stream4")
@@ -145,23 +146,26 @@ def _run_stream(args) -> int:
         events = fileio.iter_stream(args.infile)
     report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
     if args.sketch_out:
-        from .sketch import sketch_to_json
-
         with open(args.sketch_out, "w") as fh:
             fh.write(sketch_to_json(report.extras["input_sketch"]) + "\n")
     _emit_result(report, args)
     return 0
 
 
+def _load_instance(path: str, m: int | None = None) -> Instance:
+    """Read an instance file, set its machine count when ``m`` is given, fill in missing depths."""
+    inst = fileio.read_instance(path, m=1 if m is None else m)
+    if m is not None:
+        inst.m = m
+    if inst.depth is None:
+        inst.depth = compute_depths(inst.arcs, inst.n)
+    return inst
+
+
 def _access_for(args):
     if fileio.looks_like_gen_spec(args.infile):
         return fileio.access_from_spec(args.infile)
-    inst = fileio.read_instance(args.infile)
-    if inst.depth is None:
-        from .oracles import compute_depths
-
-        inst.depth = compute_depths(inst.arcs, inst.n)
-    return ArrayAccess(inst)
+    return ArrayAccess(_load_instance(args.infile))
 
 
 def _run_sample(args) -> int:
@@ -204,12 +208,7 @@ def _run_trials(fn, access, base_params: AlgoParams, trials: int):
 def _run_schedule(args) -> int:
     doc = fileio.read_result(args.sks)
     sks = fileio.sketch_from_result(doc)
-    inst = fileio.read_instance(args.infile, m=args.m)
-    inst.m = args.m
-    if inst.depth is None:
-        from .oracles import compute_depths
-
-        inst.depth = compute_depths(inst.arcs, inst.n)
+    inst = _load_instance(args.infile, m=args.m)
     sched = schedule_instance(sks, inst)
     fileio.write_schedule_csv(sched, args.out)
     violations = validate_schedule(sched, inst)
@@ -222,13 +221,7 @@ def _run_schedule(args) -> int:
 
 
 def _run_oracle(args) -> int:
-    inst = fileio.read_instance(args.infile, m=args.m or 1)
-    if args.m:
-        inst.m = args.m
-    if inst.depth is None:
-        from .oracles import compute_depths
-
-        inst.depth = compute_depths(inst.arcs, inst.n)
+    inst = _load_instance(args.infile, m=args.m or None)
     if args.which == "exact":
         print(exact_makespan(inst))
     else:

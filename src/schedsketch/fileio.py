@@ -36,6 +36,7 @@ from .sampling import ChainAccess, SampleAccess, TwoValueAccess
 from .schedule import ConcreteSchedule, Violation
 
 HEADER = "# sched-stream v1"
+P_LIMIT = 2**63 - 1  # processing times are held as int64
 
 
 def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
@@ -82,6 +83,10 @@ def iter_stream(path: str) -> Iterator[StreamEvent]:
                             f"{path}:{lineno}: either all job lines carry a depth or none does"
                         )
                     ev = Job(int(parts[1]), int(parts[2]), int(parts[3]) if has_depth else None)
+                    if ev.p > P_LIMIT:
+                        raise InputContractError(
+                            f"{path}:{lineno}: processing time {ev.p} exceeds 2**63 - 1"
+                        )
                 elif tag == "A":
                     if len(parts) != 3:
                         raise InputContractError(f"{path}:{lineno}: expected 'A <src> <dst>'")

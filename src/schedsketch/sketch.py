@@ -1,70 +1,30 @@
-"""Input sketches: per-(depth, bucket) job counters maintained in one pass.
+"""Input sketch: per-(depth, bucket) job counters maintained in one pass.
 
-Two realizations of the same counter multiset:
+`TreeSketch` keeps the counter multiset as a plain dict from
+(bucket u, depth d) to a count, for all four stream modes.  Zero-count
+entries are never stored, and every reader (`entries`, `depth_loads`,
+`top_bucket`) walks the keys in increasing (u, d) order.
 
-* `GridSketch` — a dense h x (k+1) array for the known-parameter modes,
-  where the bucket range is fixed up front.
-* `TreeSketch` — an ordered map keyed by (bucket, depth) for the modes
-  that discover parameters on the fly and for the size-capped variants
-  that lazily evict the smallest bucket.  Any balanced ordered map with
-  O(log size) insert/delete/min satisfies the contract; we use
-  ``sortedcontainers.SortedDict``.
-
-Entries iterate in increasing (u, d) order.  Zero-count entries are
-never stored.
+The size-capped modes lazily evict the smallest bucket: each call of
+`prune_smallest` drops at most the minimum key.  A min-heap of keys
+finds it; the heap is built from the dict at the first prune, so the
+uncapped modes never hold one, and it keeps keys deleted since then
+until they reach the top, where they are skipped.
 """
 
 from __future__ import annotations
 
 import json
+from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 import numpy as np
-from sortedcontainers import SortedDict
 
 from .errors import InputContractError, InvariantViolationError
 
 
-class GridSketch:
-    """Dense per-(depth, bucket) counters for depths 1..h, buckets 0..k."""
-
-    def __init__(self, h: int, k: int):
-        self.h = h
-        self.k = k
-        self.counts = np.zeros((h, k + 1), dtype=np.int64)
-        self.total_counted = 0
-        self.p_min: int | None = None
-        self.p_max: int | None = None
-
-    def note_processing_time(self, p: int) -> None:
-        if self.p_min is None or p < self.p_min:
-            self.p_min = p
-        if self.p_max is None or p > self.p_max:
-            self.p_max = p
-
-    def add(self, d: int, u: int) -> None:
-        self.counts[d - 1, u] += 1
-        self.total_counted += 1
-
-    @property
-    def node_count(self) -> int:
-        return int(np.count_nonzero(self.counts))
-
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (d, u, count) sorted by (u, d), counts >= 1 only."""
-        for u in range(self.k + 1):
-            col = self.counts[:, u]
-            for d in np.nonzero(col)[0]:
-                yield int(d) + 1, u, int(col[d])
-
-    def depth_loads(self, rp: "RoundedValues", h: int) -> np.ndarray:
-        """Sum of count * rounded-value per depth 1..h, as a float array."""
-        values = np.array([rp.value(u) for u in range(self.k + 1)])
-        return self.counts[:h] @ values
-
-
 class TreeSketch:
-    """Ordered-map sketch with optional lazy eviction of the smallest bucket.
+    """Dict-backed sketch with optional lazy eviction of the smallest bucket.
 
     ``peak_node_count`` is updated by `note_peak`, which the streaming
     loops call once per event after any lazy prune has run; the size
@@ -72,7 +32,8 @@ class TreeSketch:
     """
 
     def __init__(self):
-        self._map: SortedDict = SortedDict()  # (u, d) -> count
+        self._map: dict[tuple[int, int], int] = {}  # (u, d) -> count
+        self._heap: list[tuple[int, int]] | None = None  # keys, from the first prune on
         self.total_counted = 0
         self.p_min: int | None = None
         self.p_max: int | None = None
@@ -92,15 +53,28 @@ class TreeSketch:
         if len(self._map) > self.peak_node_count:
             self.peak_node_count = len(self._map)
 
+    def _bump(self, key: tuple[int, int]) -> bool:
+        """Add one to the count at ``key``; return True if the node is new."""
+        cnt = self._map.get(key)
+        if cnt is not None:
+            self._map[key] = cnt + 1
+            return False
+        self._map[key] = 1
+        heap = self._heap
+        if heap is not None:
+            if len(heap) >= 2 * len(self._map):  # mostly deleted keys: start over
+                heap = self._heap = list(self._map)
+                heapify(heap)
+            else:
+                heappush(heap, key)
+        return True
+
     def add(self, d: int, u: int) -> bool:
         """Count one job at (d, u); return True if the node is new."""
         if d < 1:
             raise InputContractError(f"depth must be >= 1, got {d}")
-        key = (u, d)
-        created = key not in self._map
-        self._map[key] = self._map.get(key, 0) + 1
         self.total_counted += 1
-        return created
+        return self._bump((u, d))
 
     def move(self, d: int, u: int, d_new: int) -> bool:
         """Move one unit of count from (d, u) to (d_new, u).
@@ -119,10 +93,7 @@ class TreeSketch:
             del self._map[key]
         else:
             self._map[key] = cnt - 1
-        dest = (u, d_new)
-        created = dest not in self._map
-        self._map[dest] = self._map.get(dest, 0) + 1
-        return created
+        return self._bump((u, d_new))
 
     def move_if_present(self, d: int, u: int, d_new: int) -> tuple[bool, bool]:
         """`move`, but a missing source is tolerated: returns (moved, created).
@@ -141,30 +112,31 @@ class TreeSketch:
         At most one node is removed per call (lazy pruning); returns
         True when a node was evicted.
         """
-        if not self._map:
-            return False
-        key = self._map.keys()[0]
-        if key[0] < cutoff_u:
-            del self._map[key]
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = list(self._map)
+            heapify(heap)
+        while heap and heap[0] not in self._map:
+            heappop(heap)
+        if heap and heap[0][0] < cutoff_u:
+            del self._map[heappop(heap)]
             return True
         return False
 
     def top_bucket(self, count: int) -> int | None:
         """Highest bucket u whose nodes and those above hold >= count jobs; None if none does."""
         held = 0
-        for (u, _), cnt in reversed(self._map.items()):
-            held += cnt
+        for key in sorted(self._map, reverse=True):
+            held += self._map[key]
             if held >= count:
-                return u
+                return key[0]
         return None
 
     def restrict(self, u_lo: int, u_hi: int) -> "TreeSketch":
         """New sketch keeping only entries with u_lo <= u <= u_hi."""
         out = TreeSketch()
-        for (u, d), cnt in self._map.items():
-            if u_lo <= u <= u_hi:
-                out._map[(u, d)] = cnt
-                out.total_counted += cnt
+        out._map = {key: cnt for key, cnt in self._map.items() if u_lo <= key[0] <= u_hi}
+        out.total_counted = sum(out._map.values())
         out.p_min = self.p_min
         out.p_max = self.p_max
         out.peak_node_count = max(self.peak_node_count, len(out._map))
@@ -172,17 +144,20 @@ class TreeSketch:
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         """Yield (d, u, count) sorted by (u, d)."""
-        for (u, d), cnt in self._map.items():
-            yield d, u, cnt
+        for key in sorted(self._map):
+            yield key[1], key[0], self._map[key]
 
     def depth_loads(self, rp: "RoundedValues", h: int) -> np.ndarray:
-        loads = np.zeros(h)
-        for d, u, cnt in self.entries():
-            loads[d - 1] += cnt * rp.value(u)
-        return loads
+        """Sum of count * rounded value per depth 1..h, each summed in increasing u."""
+        loads = [0.0] * h
+        for u, d in sorted(self._map):
+            loads[d - 1] += self._map[(u, d)] * rp.value(u)
+        return np.array(loads)
 
 
-InputSketch = GridSketch | TreeSketch
+# perfbench/tracer.py still patches the old dense sketch class by name;
+# drop this alias with that name at the next change to the benchmark.
+GridSketch = TreeSketch
 
 
 def sketch_finalize_alpha(sk: TreeSketch, n: int, buckets) -> TreeSketch:
@@ -194,7 +169,7 @@ def sketch_finalize_alpha(sk: TreeSketch, n: int, buckets) -> TreeSketch:
     return sk.restrict(u_lo, u_hi)
 
 
-def sketch_to_json(sk: InputSketch) -> str:
+def sketch_to_json(sk: TreeSketch) -> str:
     """Serialize a sketch for pass-2 use: sorted entries plus extremes."""
     doc = {
         "entries": [{"d": d, "u": u, "n": cnt} for d, u, cnt in sk.entries()],

@@ -46,7 +46,7 @@ from .core import (
 )
 from .errors import CycleSuspicionError, InputContractError
 from .model import Job, RunReport, ScheduleSketch, StreamEvent
-from .sketch import DepthTable, GridSketch, TreeSketch, sketch_finalize_alpha
+from .sketch import DepthTable, TreeSketch, sketch_finalize_alpha
 
 
 class RoundedValues:
@@ -123,7 +123,7 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
     capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)  # skip/evict below p_max/n^2
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
-    sk = GridSketch(params.h, drv.k) if mode == STREAM_KNOWN else TreeSketch()
+    sk = TreeSketch()
     table = DepthTable()
     index, floor_log = gb.index, gb.floor_log
     add, note = sk.add, sk.note_processing_time
@@ -243,7 +243,7 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
 
 
 def stream_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
-    """Factor-c jobs with given depths: fixed-grid one-pass counting.
+    """Factor-c jobs with given depths: one-pass counting over buckets 0..k.
 
     Precondition: 1 <= p_j <= c and 1 <= depth <= h for every job.
     """

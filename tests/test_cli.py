@@ -112,6 +112,16 @@ class TestSchedule:
                    "--m", "1", "--out", str(tmp_path / "s.csv")])
         assert rc == 4
 
+    def test_p_past_int64_exits_3(self, tmp_path, capsys):
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 100000000000000000000000\nJ 2 3\nA 1 2\n")
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps({"algorithm": "stream2", "sks": [1, 2]}))
+        rc = main(["schedule", "--sks", str(res), "--in", str(inst),
+                   "--m", "1", "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert f"error: {inst}:1: " in capsys.readouterr().err
+
 
 class TestOracle:
     def test_exact_and_list(self, tmp_path, capsys):

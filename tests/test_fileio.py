@@ -65,6 +65,7 @@ class TestInstanceFormat:
             ("J 1 0\n", 1),  # p below 1
             ("J 0 4\n", 1),  # id below 1
             ("J 1 4 0\n", 1),  # depth below 1
+            ("J 1 100000000000000000000000\nJ 2 3\nA 1 2\n", 1),  # p past int64
         ],
     )
     def test_bad_field_exits_3_with_location(self, tmp_path, capsys, text, lineno):
@@ -75,6 +76,14 @@ class TestInstanceFormat:
         rc = main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)])
         assert rc == 3
         assert f"error: {path}:{lineno}: " in capsys.readouterr().err
+
+    def test_p_limit_is_int64(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"J 1 {2**63 - 1}\nJ 2 3\n")
+        assert fileio.read_instance(str(path)).p.tolist() == [2**63 - 1, 3]
+        path.write_text(f"J 1 3\nJ 2 {2**63}\n")
+        with pytest.raises(ss.InputContractError, match=f"{path}:2: "):
+            fileio.read_instance(str(path))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "inst.txt"

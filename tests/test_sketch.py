@@ -1,6 +1,8 @@
 """Input sketch operations: add, move, prune, finalize, serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schedsketch as ss
 from schedsketch.sketch import (
@@ -35,6 +37,15 @@ class TestAdd:
         sk.add(1, 3)
         # same bucket: depth breaks the tie
         assert entries(sk) == [(1, 0, 1), (1, 3, 1), (2, 3, 1)]
+
+    def test_counts_and_order(self):
+        sk = TreeSketch()
+        sk.add(2, 0)
+        sk.add(1, 1)
+        sk.add(2, 0)
+        assert entries(sk) == [(2, 0, 2), (1, 1, 1)]
+        assert sk.node_count == 2
+        assert sk.total_counted == 3
 
 
 class TestMove:
@@ -98,6 +109,105 @@ class TestPrune:
         sk.prune_smallest(0)
         assert len(entries(sk)) == 2  # one stale node survives until the next call
 
+    def test_deleted_key_recreated_after_heap_built(self):
+        sk = TreeSketch()
+        sk.add(1, 0)
+        assert not sk.prune_smallest(-10)  # builds the heap, evicts nothing
+        sk.move(1, 0, 2)  # deletes (0, 1)
+        sk.add(1, 0)  # and creates it again
+        assert sk.prune_smallest(1)
+        assert entries(sk) == [(2, 0, 1)]
+        assert sk.prune_smallest(1)
+        assert not sk.prune_smallest(1)
+        assert entries(sk) == []
+
+    @pytest.mark.parametrize("copy", ["restrict", "json"])
+    def test_copies_prune_from_their_own_entries(self, copy):
+        sk = TreeSketch()
+        for u in (-2, -1, 3):
+            sk.add(1, u)
+        assert sk.prune_smallest(0)  # the original's heap holds -2, -1, 3
+        out = sk.restrict(-1, 3) if copy == "restrict" else sketch_from_json(sketch_to_json(sk))
+        out.add(2, -5)
+        assert out.prune_smallest(0)
+        assert entries(out) == [(1, -1, 1), (1, 3, 1)]
+
+
+class RefSketch:
+    """Reference for lazy eviction: a plain dict, pruned at ``min(keys)``."""
+
+    def __init__(self, counts=None):
+        self.counts = dict(counts or {})  # (u, d) -> count
+
+    def bump(self, key):
+        created = key not in self.counts
+        self.counts[key] = self.counts.get(key, 0) + 1
+        return created
+
+    def move_if_present(self, d, u, d_new):
+        if (u, d) not in self.counts:
+            return False, False
+        self.counts[(u, d)] -= 1
+        if self.counts[(u, d)] == 0:
+            del self.counts[(u, d)]
+        return True, self.bump((u, d_new))
+
+    def prune_smallest(self, cutoff_u):
+        if self.counts and min(self.counts)[0] < cutoff_u:
+            del self.counts[min(self.counts)]
+            return True
+        return False
+
+    def entries(self):
+        return [(d, u, self.counts[(u, d)]) for u, d in sorted(self.counts)]
+
+    def top_bucket(self, count):
+        held = 0
+        for u, d in sorted(self.counts, reverse=True):
+            held += self.counts[(u, d)]
+            if held >= count:
+                return u
+        return None
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4), st.integers(-3, 5)),
+        st.tuples(st.just("move"), st.integers(1, 4), st.integers(-3, 5), st.integers(1, 3)),
+        st.tuples(st.just("prune"), st.integers(-4, 6)),
+    ),
+    max_size=60,
+)
+
+
+def _run_ops(sk, ref, ops):
+    for op in ops:
+        if op[0] == "add":
+            _, d, u = op
+            assert sk.add(d, u) == ref.bump((u, d))
+        elif op[0] == "move":
+            _, d, u, step = op
+            assert sk.move_if_present(d, u, d + step) == ref.move_if_present(d, u, d + step)
+        else:
+            assert sk.prune_smallest(op[1]) == ref.prune_smallest(op[1])
+    assert entries(sk) == ref.entries()
+    assert sk.node_count == len(ref.counts)
+    for count in range(1, 8):
+        assert sk.top_bucket(count) == ref.top_bucket(count)
+
+
+class TestLazyEvictionMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_ops, more=_ops, u_lo=st.integers(-3, 5), width=st.integers(0, 8))
+    def test_random_operation_sequences(self, ops, more, u_lo, width):
+        sk, ref = TreeSketch(), RefSketch()
+        _run_ops(sk, ref, ops)
+        # copies start without a heap: their first prune must build it from their own dict
+        kept = {k: v for k, v in ref.counts.items() if u_lo <= k[0] <= u_lo + width}
+        _run_ops(sk.restrict(u_lo, u_lo + width), RefSketch(kept), more)
+        _run_ops(sketch_from_json(sketch_to_json(sk)), RefSketch(ref.counts), more)
+        _run_ops(sk, ref, more)
+
 
 class TestFinalize:
     def test_window_from_running_max(self):
@@ -126,17 +236,6 @@ class TestFinalize:
         sk.add(1, -1)  # u_lo - 1
         out = sketch_finalize_alpha(sk, 10, gb)
         assert entries(out) == []
-
-
-class TestGridSketch:
-    def test_counts_and_order(self):
-        g = ss.GridSketch(h=2, k=1)
-        g.add(2, 0)
-        g.add(1, 1)
-        g.add(2, 0)
-        assert list(g.entries()) == [(2, 0, 2), (1, 1, 1)]
-        assert g.node_count == 2
-        assert g.total_counted == 3
 
 
 class TestSerialization:
