@@ -23,7 +23,7 @@ from . import fileio
 from .core import AlgoParams, ceil_div
 from .errors import InputContractError, ParamError, SketchInfeasibleError
 from .generators import generate
-from .model import Instance, Job
+from .model import Instance, JobChunk
 from .oracles import compute_depths, critical_path_length, exact_makespan, list_schedule
 from .sampling import SAMPLING_ALGORITHMS, ArrayAccess, ChainAccess, TwoValueAccess
 from .schedule import schedule_instance, validate_schedule
@@ -110,7 +110,7 @@ def _params(args, n: int | None = None) -> AlgoParams:
 
 
 def _count_jobs(path: str) -> int:
-    return sum(1 for ev in fileio.iter_stream(path) if isinstance(ev, Job))
+    return sum(len(chunk.ids) for chunk in fileio.iter_chunks(path) if isinstance(chunk, JobChunk))
 
 
 def _emit_result(report, args) -> None:
@@ -143,7 +143,7 @@ def _run_stream(args) -> int:
             n = _count_jobs(args.infile)  # convenience pre-scan; pass --n to stay one-pass
         else:
             n = args.n
-        events = fileio.iter_stream(args.infile)
+        events = fileio.iter_chunks(args.infile)
     report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
     if args.sketch_out:
         with open(args.sketch_out, "w") as fh:

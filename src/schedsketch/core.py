@@ -19,7 +19,7 @@ decides the rest with exact integer comparisons.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,7 +169,8 @@ class GeometricBuckets:
             return np.empty(0, dtype=np.int64)
         self._extend_past(int(p.max()))
         if self._np_cache is None:
-            self._np_cache = np.array(self._bounds, dtype=np.int64)
+            # a bound past int64 exceeds every entry, so leaving it out changes no index
+            self._np_cache = np.array(self._bounds[: bisect_left(self._bounds, 2**63)], dtype=np.int64)
         return np.searchsorted(self._np_cache, p, side="right") - 1
 
     def pow_cmp(self, u: int, num: int, den: int = 1) -> int:

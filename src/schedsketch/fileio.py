@@ -1,17 +1,25 @@
 """Instance file format, result files, and generator specs.
 
 Instance files are line oriented so the streaming algorithms can read
-them one event at a time:
+them in one pass:
 
     # sched-stream v1
     J <id> <p> [<depth>]     one line per job, ids contiguous from 1
     A <src> <dst>            arcs after all jobs, topologically ordered
 
 Blank lines and ``#`` comments are ignored.  Either every job line
-carries a depth or none does.  "Topologically ordered" concretely
-means: once an id has appeared as an arc source, it may not appear as
-a destination again — exactly the property the one-pass depth updates
-need.
+carries a depth or none does.  Every field is held as an int64.
+"Topologically ordered" concretely means: once an id has appeared as
+an arc source, it may not appear as a destination again — exactly the
+property the one-pass depth updates need.
+
+`iter_chunks` reads a file in blocks of about 1 MiB and yields its
+events as int64 column chunks (`JobChunk`, `ArcChunk`).  A block in the
+canonical form `write_instance` emits is checked by one regular
+expression and parsed in bulk; every other block goes through the line
+parser, which is the reference for what the format accepts and names
+the ``file:line`` of the first violation.  `iter_stream` is a per-event
+view of the same chunks, and `read_instance` concatenates them.
 
 A generator spec like ``chain:m=200,q=5,h=3,seed=1`` can stand in for
 a file name anywhere an instance is read; the sampling commands can
@@ -23,20 +31,33 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
 from .core import ceil_div
-from .errors import CycleSuspicionError, InputContractError, ParamError
-from .model import Arc, Instance, Job, RunReport, ScheduleSketch, StreamEvent
+from .errors import CycleSuspicionError, InputContractError, InvariantViolationError, ParamError
+from .model import Arc, ArcChunk, Chunk, Instance, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
 from .generators import generate
 from .sampling import ChainAccess, SampleAccess, TwoValueAccess
 from .schedule import ConcreteSchedule, Violation
 
 HEADER = "# sched-stream v1"
-P_LIMIT = 2**63 - 1  # processing times are held as int64
+P_LIMIT = 2**63 - 1  # every field is held as int64
+BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this many characters
+
+# The canonical form, parsed in bulk: numbers of 1 to 18 ASCII digits
+# with no sign and no leading zero (so below 2**63, and read the same by
+# int()), single spaces, "\n" line ends, job lines before arc lines.  A
+# number is always followed by a space or "\n", so the possessive repeats
+# give up no match; they make the match several times faster.
+_NUM = "[1-9][0-9]{0,17}+"
+_CANONICAL = re.compile(rf"(?P<jobs>(?:J {_NUM} {_NUM}(?: {_NUM})?+\n)*+)(?:A {_NUM} {_NUM}\n)*+")
+_LEADING = re.compile(r"(?:(?:#[^\n]*+)?\n)*+")  # comment and empty lines at the top of a block
+_COMMENTS = re.compile(r"^(?:#[^\n]*+)?\n", re.MULTILINE)
 
 
 def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
@@ -57,90 +78,215 @@ def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
             fh.write("\n")
 
 
+class _Reader:
+    """The stream contract's state, carried from one block of a file to the next."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.lineno = 0  # lines before the current block
+        self.jobs_done = False  # an arc line has been read
+        self.has_depth: bool | None = None  # the depth convention, once a job line fixed it
+        self.sources: set[int] = set()  # arc sources so far; no later arc may end at one
+
+    def bulk(self, block: str) -> list[Chunk] | None:
+        """A block's chunks when it is in the canonical form, else None.
+
+        The state moves past the block only when every check passes;
+        on None the caller replays the block line by line instead.
+        """
+        text = block[_LEADING.match(block).end():]
+        if "#" in text or "\n\n" in text:
+            text = _COMMENTS.sub("", text)
+        match = _CANONICAL.fullmatch(text)
+        if match is None:
+            return None
+        chunks: list[Chunk] = []
+        has_depth = self.has_depth
+        split = match.end("jobs")
+        if split:
+            rows = text.count("\n", 0, split)
+            vals = np.fromstring(text[:split].replace("J", ""), dtype=np.int64, sep=" ")
+            if self.jobs_done or vals.size not in (2 * rows, 3 * rows):
+                return None
+            has_depth = vals.size == 3 * rows
+            if self.has_depth not in (None, has_depth):
+                return None
+            cols = vals.reshape(rows, -1).T
+            chunks.append(JobChunk(cols[0], cols[1], cols[2] if has_depth else None))
+        if split < len(text):
+            src, dst = np.fromstring(text[split:].replace("A", ""), dtype=np.int64, sep=" ").reshape(-1, 2).T
+            if not self.sources.isdisjoint(dst.tolist()) or _ends_at_earlier_source(src, dst):
+                return None
+            chunks.append(ArcChunk(src, dst))
+            self.sources.update(src.tolist())
+            self.jobs_done = True
+        self.has_depth = has_depth
+        self.lineno += block.count("\n")
+        return chunks
+
+    def replay(self, block: str) -> Iterator[Chunk]:
+        """Parse a block line by line: its valid rows as chunks, then its first error, if any."""
+        jobs: list[tuple[int, ...]] = []
+        arcs: list[tuple[int, int]] = []
+        error = None
+        try:
+            for raw in block.split("\n")[:-1]:
+                self.lineno += 1
+                self._line(raw, jobs, arcs)
+        except InputContractError as exc:
+            error = exc
+        if jobs:
+            cols = np.array(jobs, dtype=np.int64).T
+            yield JobChunk(cols[0], cols[1], cols[2] if self.has_depth else None)
+        if arcs:
+            src, dst = np.array(arcs, dtype=np.int64).T
+            yield ArcChunk(src, dst)
+        if error is not None:
+            raise error
+
+    def _line(self, raw: str, jobs: list, arcs: list) -> None:
+        """The reference parser for one line: append its row, or raise with ``file:line``."""
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            return
+        where = f"{self.path}:{self.lineno}"
+        parts = line.split()
+        tag = parts[0]
+        try:  # zero-cost on a valid line
+            if tag == "J":
+                if self.jobs_done:
+                    raise InputContractError(f"{where}: job line after arc lines")
+                if len(parts) not in (3, 4):
+                    raise InputContractError(f"{where}: expected 'J <id> <p> [<depth>]'")
+                has_depth = len(parts) == 4
+                if self.has_depth is None:
+                    self.has_depth = has_depth
+                elif self.has_depth != has_depth:
+                    raise InputContractError(f"{where}: either all job lines carry a depth or none does")
+                job = Job(int(parts[1]), int(parts[2]), int(parts[3]) if has_depth else None)
+                row = (job.id, job.p, job.depth) if has_depth else (job.id, job.p)
+                for name, value in zip(("job id", "processing time", "depth"), row):
+                    if value > P_LIMIT:
+                        raise InputContractError(f"{where}: {name} {value} exceeds 2**63 - 1")
+                jobs.append(row)
+            elif tag == "A":
+                if len(parts) != 3:
+                    raise InputContractError(f"{where}: expected 'A <src> <dst>'")
+                self.jobs_done = True
+                src, dst = int(parts[1]), int(parts[2])
+                for value in (src, dst):
+                    if not -P_LIMIT - 1 <= value <= P_LIMIT:
+                        raise InputContractError(f"{where}: arc end {value} is outside the int64 range")
+                if dst in self.sources:
+                    raise CycleSuspicionError(f"{where}: arc ({src}, {dst}) is not in topological order")
+                self.sources.add(src)
+                arcs.append((src, dst))
+            else:
+                raise InputContractError(f"{where}: unknown line tag {tag!r}")
+        except InputContractError:
+            raise
+        except ValueError as exc:  # a field that is no integer, or a value Job rejects
+            raise InputContractError(f"{where}: {exc}") from None
+
+
+def _ends_at_earlier_source(src: np.ndarray, dst: np.ndarray) -> bool:
+    """True when some arc of the run ends at the source of an earlier arc of the same run."""
+    starts, first = np.unique(src, return_index=True)
+    pos = np.minimum(np.searchsorted(starts, dst), starts.size - 1)
+    return bool(((starts[pos] == dst) & (first[pos] < np.arange(dst.size))).any())
+
+
+def iter_chunks(path: str) -> Iterator[Chunk]:
+    """Yield the file's events as int64 column chunks, enforcing the stream contract.
+
+    The file is read in blocks of about `BLOCK_CHARS` characters, cut
+    at line ends.  A block in the canonical form is checked and parsed
+    in bulk; any other block is replayed by the line parser, which
+    yields the valid rows before a bad line as chunks and then raises
+    with the bad line's ``file:line``.  Line numbers count lines as
+    text-mode ``open()`` does.
+    """
+    reader = _Reader(path)
+    rest = ""
+    with open(path) as fh:
+        while True:
+            data = fh.read(BLOCK_CHARS)
+            if not data:
+                block = rest + "\n" if rest else ""  # a last line without its line end
+            else:
+                cut = data.rfind("\n") + 1
+                if cut == 0:  # no line end yet: a line longer than a block
+                    rest += data
+                    continue
+                block, rest = rest + data[:cut], data[cut:]
+            if block:
+                chunks = reader.bulk(block)
+                if chunks is None:
+                    yield from reader.replay(block)
+                else:
+                    yield from chunks
+            if not data:
+                return
+
+
 def iter_stream(path: str) -> Iterator[StreamEvent]:
-    """Yield events line by line, enforcing the stream contract as it goes."""
-    jobs_done = False
-    depth_convention: bool | None = None
-    sources_seen: set[int] = set()
+    """Yield the file's events one at a time: a per-event view of `iter_chunks`."""
+    for chunk in iter_chunks(path):
+        if isinstance(chunk, JobChunk):
+            depths = repeat(None) if chunk.depth is None else chunk.depth.tolist()
+            for job_id, p, d in zip(chunk.ids.tolist(), chunk.p.tolist(), depths):
+                yield Job(job_id, p, d)
+        else:
+            for src, dst in zip(chunk.src.tolist(), chunk.dst.tolist()):
+                yield Arc(src, dst)
+
+
+def _arc_line(path: str, k: int) -> int:
+    """Line number of the arc at 0-based position ``k`` of a file that parsed."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            try:  # zero-cost on a valid line
-                if tag == "J":
-                    if jobs_done:
-                        raise InputContractError(f"{path}:{lineno}: job line after arc lines")
-                    if len(parts) not in (3, 4):
-                        raise InputContractError(f"{path}:{lineno}: expected 'J <id> <p> [<depth>]'")
-                    has_depth = len(parts) == 4
-                    if depth_convention is None:
-                        depth_convention = has_depth
-                    elif depth_convention != has_depth:
-                        raise InputContractError(
-                            f"{path}:{lineno}: either all job lines carry a depth or none does"
-                        )
-                    ev = Job(int(parts[1]), int(parts[2]), int(parts[3]) if has_depth else None)
-                    if ev.p > P_LIMIT:
-                        raise InputContractError(
-                            f"{path}:{lineno}: processing time {ev.p} exceeds 2**63 - 1"
-                        )
-                elif tag == "A":
-                    if len(parts) != 3:
-                        raise InputContractError(f"{path}:{lineno}: expected 'A <src> <dst>'")
-                    jobs_done = True
-                    src, dst = int(parts[1]), int(parts[2])
-                    if dst in sources_seen:
-                        raise CycleSuspicionError(
-                            f"{path}:{lineno}: arc ({src}, {dst}) is not in topological order"
-                        )
-                    sources_seen.add(src)
-                    ev = Arc(src, dst)
-                else:
-                    raise InputContractError(f"{path}:{lineno}: unknown line tag {tag!r}")
-            except InputContractError:
-                raise
-            except ValueError as exc:  # a field that is no integer, or a value Job rejects
-                raise InputContractError(f"{path}:{lineno}: {exc}") from None
-            yield ev
+            if raw.split()[:1] == ["A"]:
+                if k == 0:
+                    return lineno
+                k -= 1
+    raise InvariantViolationError(f"{path} has no arc at position {k}")
 
 
 def read_instance(path: str, m: int = 1) -> Instance:
-    """Materialize an instance file; ids must be exactly 1..n."""
-    ids: list[int] = []
-    ps: list[int] = []
-    depths: list[int] = []
-    have_depths = False
-    arcs: list[tuple[int, int]] = []
-    for ev in iter_stream(path):
-        if isinstance(ev, Job):
-            ids.append(ev.id)
-            ps.append(ev.p)
-            if ev.depth is not None:
-                have_depths = True
-                depths.append(ev.depth)
-        else:
-            arcs.append((ev.src, ev.dst))
-    n = len(ids)
-    if n == 0:
+    """Materialize an instance file; ids must be exactly 1..n and every arc must join two of them."""
+    jobs: list[JobChunk] = []
+    arcs: list[ArcChunk] = []
+    for chunk in iter_chunks(path):
+        (jobs if isinstance(chunk, JobChunk) else arcs).append(chunk)
+    if not jobs:
         raise InputContractError(f"{path}: no jobs")
-    if sorted(ids) != list(range(1, n + 1)):
+    ids = np.concatenate([c.ids for c in jobs])
+    n = ids.size
+    if not np.array_equal(np.sort(ids), np.arange(1, n + 1)):
         raise InputContractError(f"{path}: job ids must be exactly 1..{n}")
-    p = np.zeros(n, dtype=np.int64)
-    p[np.asarray(ids) - 1] = ps
+    p = np.empty(n, dtype=np.int64)
+    p[ids - 1] = np.concatenate([c.p for c in jobs])
     depth = None
-    if have_depths:
-        depth = np.zeros(n, dtype=np.int64)
-        depth[np.asarray(ids) - 1] = depths
+    if jobs[0].depth is not None:
+        depth = np.empty(n, dtype=np.int64)
+        depth[ids - 1] = np.concatenate([c.depth for c in jobs])
+    arc_arr = np.empty((0, 2), dtype=np.int64)
+    if arcs:
+        arc_arr = np.column_stack((np.concatenate([c.src for c in arcs]), np.concatenate([c.dst for c in arcs])))
+        outside = ((arc_arr < 1) | (arc_arr > n)).any(axis=1)
+        if outside.any():
+            k = int(outside.argmax())
+            src, dst = arc_arr[k].tolist()
+            raise InputContractError(
+                f"{path}:{_arc_line(path, k)}: arc ({src}, {dst}) references a job outside 1..{n}"
+            )
     meta = {}
     sidecar = path + ".meta.json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
             meta = json.load(fh)
         m = int(meta.get("m", m))
-    return Instance(p=p, depth=depth, arcs=np.asarray(arcs, dtype=np.int64).reshape(-1, 2), m=m, meta=meta)
+    return Instance(p=p, depth=depth, arcs=arc_arr, m=m, meta=meta)
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -173,11 +319,10 @@ def sketch_from_result(doc: dict) -> ScheduleSketch:
 
 
 def write_schedule_csv(sched: ConcreteSchedule, path: str) -> None:
-    comp = sched.completion
+    rows = np.column_stack((np.arange(1, sched.n + 1), sched.machine, sched.start, sched.completion))
     with open(path, "w") as fh:
         fh.write("job_id,machine,start,completion\n")
-        for i in range(sched.n):
-            fh.write(f"{i + 1},{int(sched.machine[i])},{int(sched.start[i])},{int(comp[i])}\n")
+        fh.write("%d,%d,%d,%d\n" * sched.n % tuple(rows.ravel().tolist()))
 
 
 def write_violations(violations: list[Violation], path: str) -> None:

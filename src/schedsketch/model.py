@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +43,30 @@ class Arc(NamedTuple):
 #: One element of an input stream: all jobs first, then (in the
 #: unknown-parameter modes) the arcs in topological order.
 StreamEvent = Union[Job, Arc]
+
+
+class JobChunk(NamedTuple):
+    """A run of consecutive job events as columns.
+
+    The file reader fills the columns with int64 arrays and sets
+    ``depth`` to None for a file without depths; the event adapter of
+    the streaming engine fills them with lists of the events' own
+    values, where single depths may be None.
+    """
+
+    ids: Sequence[int]
+    p: Sequence[int]
+    depth: Sequence[int | None] | None
+
+
+class ArcChunk(NamedTuple):
+    """A run of consecutive arc events as columns, in stream order."""
+
+    src: Sequence[int]
+    dst: Sequence[int]
+
+
+Chunk = Union[JobChunk, ArcChunk]
 
 
 @dataclass(frozen=True)

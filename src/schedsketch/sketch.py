@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,13 +53,13 @@ class TreeSketch:
         if len(self._map) > self.peak_node_count:
             self.peak_node_count = len(self._map)
 
-    def _bump(self, key: tuple[int, int]) -> bool:
-        """Add one to the count at ``key``; return True if the node is new."""
+    def _bump(self, key: tuple[int, int], n: int = 1) -> bool:
+        """Add ``n`` to the count at ``key``; return True if the node is new."""
         cnt = self._map.get(key)
         if cnt is not None:
-            self._map[key] = cnt + 1
+            self._map[key] = cnt + n
             return False
-        self._map[key] = 1
+        self._map[key] = n
         heap = self._heap
         if heap is not None:
             if len(heap) >= 2 * len(self._map):  # mostly deleted keys: start over
@@ -75,6 +75,14 @@ class TreeSketch:
             raise InputContractError(f"depth must be >= 1, got {d}")
         self.total_counted += 1
         return self._bump((u, d))
+
+    def add_counts(self, keys: Iterable[tuple[int, int]], counts: Iterable[int]) -> None:
+        """Count ``n`` jobs at each (u, d) key: the same sketch as ``n`` calls of `add`."""
+        for (u, d), n in zip(keys, counts):
+            if d < 1:
+                raise InputContractError(f"depth must be >= 1, got {d}")
+            self.total_counted += n
+            self._bump((u, d), n)
 
     def move(self, d: int, u: int, d_new: int) -> bool:
         """Move one unit of count from (d, u) to (d_new, u).

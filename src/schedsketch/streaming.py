@@ -21,6 +21,13 @@ stream is read:
   skipped, the smallest bucket is lazily evicted, and one
   ceil(p_max/n) term pays for both.
 
+The engine consumes its input as chunks of consecutive jobs or arcs:
+`fileio.iter_chunks` yields int64 column chunks, and any other iterable
+of events is batched into small list-backed chunks.  Every mode walks
+a chunk event by event with the same checks, errors and counts, except
+`stream_known` on the reader's int64 chunks, which buckets and counts
+a whole chunk at once; the per-event loop stays its reference.
+
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.
 The A value itself is always sandwiched between the optimum and a
@@ -30,7 +37,10 @@ rounded/padded upper bound regardless of that condition.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .core import (
     STREAM_ALPHA_KNOWN,
@@ -45,7 +55,7 @@ from .core import (
     snapped_floor,
 )
 from .errors import CycleSuspicionError, InputContractError
-from .model import Job, RunReport, ScheduleSketch, StreamEvent
+from .model import ArcChunk, Chunk, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
 from .sketch import DepthTable, TreeSketch, sketch_finalize_alpha
 
 
@@ -117,7 +127,81 @@ def totals(
     return a_total, tuple(times)
 
 
-def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight: bool) -> RunReport:
+EVENT_BATCH = 256  # events per chunk that `_chunks` builds from single events
+
+
+def _chunks(items: Iterable[StreamEvent | Chunk]) -> Iterator[Chunk]:
+    """The engine's input as chunks: chunks pass through, runs of single events are batched.
+
+    A batch holds at most `EVENT_BATCH` events, as lists of the events'
+    own values.  When the input raises, the events read before it are
+    yielded first, so an engine error on them still comes first.
+    """
+    cols: tuple[list, ...] = ()
+    kind = None
+    try:
+        for ev in items:
+            if isinstance(ev, Job):
+                if kind is not JobChunk or len(cols[0]) == EVENT_BATCH:
+                    if cols:
+                        yield kind(*cols)
+                    kind, cols = JobChunk, ([], [], [])
+                cols[0].append(ev.id)
+                cols[1].append(ev.p)
+                cols[2].append(ev.depth)
+            elif isinstance(ev, (JobChunk, ArcChunk)):
+                if cols:
+                    yield kind(*cols)
+                kind, cols = None, ()
+                yield ev
+            else:
+                if kind is not ArcChunk or len(cols[0]) == EVENT_BATCH:
+                    if cols:
+                        yield kind(*cols)
+                    kind, cols = ArcChunk, ([], [])
+                src, dst = ev
+                cols[0].append(src)
+                cols[1].append(dst)
+    except Exception:
+        if cols:
+            yield kind(*cols)
+        raise
+    if cols:
+        yield kind(*cols)
+
+
+def _columns(chunk: Chunk) -> list:
+    """A chunk's columns as lists of Python ints (None stays None)."""
+    return [col.tolist() if isinstance(col, np.ndarray) else col for col in chunk]
+
+
+def _count_known(chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, h: int, c: int) -> None:
+    """`stream_known` on a chunk of int64 columns: what the per-job loop does, a chunk at a time.
+
+    Raises the per-job loop's error for the first job that breaks
+    ``depth <= h`` or ``p <= c``; otherwise counts every (bucket, depth)
+    pair of the chunk with one `TreeSketch.add_counts` call.  The
+    loop's ``held`` flags only widen depths in the capped modes, so
+    they are not kept here.
+    """
+    ids, p, depth = chunk
+    bad = (depth > h) | (p > c)
+    if bad.any():
+        i = int(bad.argmax())
+        if depth[i] > h:
+            raise InputContractError(f"job {ids[i]} has depth {depth[i]} > h={h}")
+        raise InputContractError(f"job {ids[i]} has p={p[i]} > c={c}")
+    # u indexes the bucket table and d <= h sizes the engine's `held`
+    # list, both held in memory, so the packed key stays far below 2**63
+    width = int(depth.max()) + 1
+    keys, counts = np.unique(gb.index_array(p) * width + depth, return_counts=True)
+    us, ds = np.divmod(keys, width)
+    sk.note_processing_time(int(p.min()))
+    sk.note_processing_time(int(p.max()))
+    sk.add_counts(zip(us.tolist(), ds.tolist()), counts.tolist())
+
+
+def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str, tight: bool) -> RunReport:
     """The one-pass engine behind all four modes; see the module docstring."""
     given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)  # depths on the job events
     capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)  # skip/evict below p_max/n^2
@@ -138,24 +222,59 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
     d = height = 1  # discovered depths start at 1
     seen = 0
     updates = 0
-    for ev in iter(events):
-        updates += 1
-        if isinstance(ev, Job):
-            p = ev.p
+    for chunk in _chunks(events):
+        if isinstance(chunk, ArcChunk):
+            updates += len(chunk.src)
+            if given:  # the known-depth modes pass over arc events
+                continue
+            in_arc_phase = True
+            for src, dst in zip(*_columns(chunk)):
+                if dst in sources_seen:
+                    raise CycleSuspicionError(
+                        f"arc ({src} -> {dst}) arrived after {dst} was already a source; "
+                        "arc stream is not in topological order"
+                    )
+                sources_seen.add(src)
+                d_src, _ = get(src)
+                d_dst, u_dst = get(dst)
+                if d_src + 1 > d_dst:
+                    new_depth = d_src + 1
+                    if new_depth > len(table):
+                        raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
+                    if not capped:
+                        sk.move(d_dst, u_dst, new_depth)
+                    else:
+                        # a skipped or evicted job has no count to move
+                        moved, created = sk.move_if_present(d_dst, u_dst, new_depth)
+                        if moved and created:
+                            sk.prune_smallest(cutoff)
+                            sk.note_peak()
+                    raise_depth(dst, new_depth)
+                    if new_depth > height:
+                        height = new_depth
+            continue
+        updates += len(chunk.ids)
+        if given and chunk.depth is None:  # a file without depths
+            raise InputContractError(f"job {chunk.ids[0]} carries no depth; this mode requires depths")
+        if mode == STREAM_KNOWN and isinstance(chunk.p, np.ndarray):
+            _count_known(chunk, sk, gb, h, c)
+            continue
+        ids, ps, depths = _columns(chunk)
+        for job_id, p, job_depth in zip(ids, ps, repeat(None) if depths is None else depths):
             u = index(p)
             if given:
-                d = ev.depth
+                d = job_depth
                 if d is None:
-                    raise InputContractError(f"job {ev.id} carries no depth; this mode requires depths")
+                    raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
                 if d > h:
-                    raise InputContractError(f"job {ev.id} has depth {d} > h={h}")
+                    raise InputContractError(f"job {job_id} has depth {d} > h={h}")
                 if not capped and p > c:
-                    raise InputContractError(f"job {ev.id} has p={p} > c={c}")
+                    raise InputContractError(f"job {job_id} has p={p} > c={c}")
                 held[d] = True
             else:
                 if in_arc_phase:
-                    raise InputContractError(f"job {ev.id} arrived after arc events began")
-                insert(ev.id, u)
+                    raise InputContractError(f"job {job_id} arrived after arc events began")
+                insert(job_id, u)
             note(p)
             if not capped:
                 add(d, u)
@@ -169,32 +288,6 @@ def _stream(events: Iterable[StreamEvent], params: AlgoParams, mode: str, tight:
             if add(d, u):
                 sk.prune_smallest(cutoff)
             sk.note_peak()
-        elif not given:  # the known-depth modes pass over arc events
-            in_arc_phase = True
-            src, dst = ev
-            if dst in sources_seen:
-                raise CycleSuspicionError(
-                    f"arc ({src} -> {dst}) arrived after {dst} was already a source; "
-                    "arc stream is not in topological order"
-                )
-            sources_seen.add(src)
-            d_src, _ = get(src)
-            d_dst, u_dst = get(dst)
-            if d_src + 1 > d_dst:
-                new_depth = d_src + 1
-                if new_depth > len(table):
-                    raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
-                if not capped:
-                    sk.move(d_dst, u_dst, new_depth)
-                else:
-                    # a skipped or evicted job has no count to move
-                    moved, created = sk.move_if_present(d_dst, u_dst, new_depth)
-                    if moved and created:
-                        sk.prune_smallest(cutoff)
-                        sk.note_peak()
-                raise_depth(dst, new_depth)
-                if new_depth > height:
-                    height = new_depth
     n = seen if capped else sk.total_counted
     if n == 0:
         raise InputContractError("empty job stream")

@@ -122,6 +122,28 @@ class TestSchedule:
         assert rc == 3
         assert f"error: {inst}:1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("J 1 3 100000000000000000000000\nJ 2 3 1\n", 1),  # depth past int64
+            ("J 1 3\nJ 2 3\nA 1 100000000000000000000000\n", 3),  # arc end past int64
+            ("J 1 3\nJ 2 3\nA 1 2\nA 1 3\n", 4),  # arc end outside 1..n
+        ],
+    )
+    @pytest.mark.parametrize("cmd", ["schedule", "oracle"])
+    def test_bad_field_or_arc_end_exits_3_with_location(self, tmp_path, capsys, text, lineno, cmd):
+        inst = tmp_path / "i.txt"
+        inst.write_text(text)
+        if cmd == "schedule":
+            res = tmp_path / "r.json"
+            res.write_text(json.dumps({"algorithm": "stream2", "sks": [6, 9]}))
+            argv = ["schedule", "--sks", str(res), "--out", str(tmp_path / "s.csv")]
+        else:
+            argv = ["oracle", "list"]
+        rc = main([*argv, "--in", str(inst), "--m", "1"])
+        assert rc == 3
+        assert f"error: {inst}:{lineno}: " in capsys.readouterr().err
+
 
 class TestOracle:
     def test_exact_and_list(self, tmp_path, capsys):
@@ -181,6 +203,19 @@ class TestSample:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["samples"] == 3000  # cap fallback scans everything once
+
+
+    @pytest.mark.parametrize("argv", [
+        ["sample1", "--c", "9223372036854775807", "--h", "1"],
+        ["sample2", "--c", "2", "--h", "1", "--alpha", "1"],
+    ])
+    def test_p_next_to_int64_limit(self, tmp_path, argv):
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 9223372036854775807 1\nJ 2 9223372036854775000 1\n")
+        out = tmp_path / "r.json"
+        rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["A"] >= 2 * 9223372036854775000
 
 
 class TestBench:

@@ -151,6 +151,16 @@ class TestBucketIndex:
         assert b**u <= p < b ** (u + 1)
         assert gb.index_array(np.array([p, p, 1]))[0] == u
 
+    @pytest.mark.parametrize("delta", [0.1, 0.3 / 3, 0.05 / 20])
+    def test_routes_agree_next_to_int64_limit(self, delta):
+        import numpy as np
+
+        lo = 2**63 - 2**20
+        rng = np.random.default_rng(0)
+        p = np.concatenate([[lo, 2**63 - 1], lo + rng.integers(0, 2**20, size=500)])
+        gb = ss.GeometricBuckets(delta)  # the table's last bound lies past 2**63 - 1
+        assert gb.index_array(p).tolist() == [gb.index(int(x)) for x in p]
+
     def test_dense_range_small(self):
         # every integer up to 2048, all three deltas, exact check
         for delta in (0.5, 0.1, 0.025):

@@ -2,10 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import schedsketch as ss
 from schedsketch import fileio
+from schedsketch.cli import main
+from schedsketch.model import ArcChunk, JobChunk
 
 
 class TestInstanceFormat:
@@ -69,8 +74,6 @@ class TestInstanceFormat:
         ],
     )
     def test_bad_field_exits_3_with_location(self, tmp_path, capsys, text, lineno):
-        from schedsketch.cli import main
-
         path = tmp_path / "bad.txt"
         path.write_text(text)
         rc = main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)])
@@ -90,6 +93,140 @@ class TestInstanceFormat:
         path.write_text("# sched-stream v1\n\n# a comment\nJ 1 2 1\n\nJ 2 1 1\n")
         back = fileio.read_instance(str(path))
         assert back.p.tolist() == [2, 1]
+
+
+def _line_reference(path: str):
+    """Job rows, arc rows and first error of the line parser run over the whole file."""
+    reader = fileio._Reader(path)
+    jobs, arcs = [], []
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                reader.lineno += 1
+                reader._line(raw, jobs, arcs)
+    except ss.InputContractError as exc:
+        return jobs, arcs, exc
+    return jobs, arcs, None
+
+
+def _chunk_rows(path: str):
+    """The same rows and error from `iter_chunks`, checking the chunks' shape on the way."""
+    jobs, arcs = [], []
+    try:
+        for chunk in fileio.iter_chunks(path):
+            cols = [col for col in chunk if col is not None]
+            assert all(isinstance(col, np.ndarray) and col.dtype == np.int64 for col in cols)
+            assert len({col.size for col in cols}) == 1 and cols[0].size > 0
+            if isinstance(chunk, JobChunk):
+                assert not arcs, "a job chunk after an arc chunk"
+                jobs.extend(zip(*(col.tolist() for col in cols)))
+            else:
+                assert isinstance(chunk, ArcChunk)
+                arcs.extend(zip(*(col.tolist() for col in cols)))
+    except ss.InputContractError as exc:
+        return jobs, arcs, exc
+    return jobs, arcs, None
+
+
+# Field values the line parser treats differently from the canonical form.
+ODD_NUMBERS = ["0{}", "+{}", "-{}", "{}_0", "\u0663", "0", "x", "1.5",
+               str(10**18), str(2**63 - 1), str(2**63), str(-(2**63) - 1)]
+
+
+@st.composite
+def instance_text(draw):
+    """A valid instance file, then a few mutations, rendered with mixed line ends."""
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.integers(1, 9), st.integers(1, 2**63 - 1))
+    with_depth = draw(st.booleans())
+    lines = [["#", "sched-stream", "v1"]]
+    for j in range(1, n + 1):
+        depth = [str(draw(st.integers(1, 4)))] if with_depth else []
+        lines.append(["J", str(j), str(draw(value)), *depth])
+    arcs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1]),
+                         max_size=10, unique=True))
+    lines += [["A", str(s), str(d)] for s, d in sorted(arcs, key=lambda e: (e[1], e[0]))]
+    seps = [" "] * len(lines)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["number", "comment", "blank", "sep", "job_after_arc",
+                                     "depth", "swap", "indent", "back_arc", "self_loop"]))
+        tokens = lines[i]
+        if kind in ("comment", "blank"):
+            lines.insert(i, ["#", "note"] if kind == "comment" else [draw(st.sampled_from(["", "  "]))])
+            seps.insert(i, " ")
+        elif kind == "sep":
+            seps[i] = draw(st.sampled_from(["\t", "  ", " \t"]))
+        elif kind == "number" and tokens[:1] in (["J"], ["A"]):
+            k = draw(st.integers(1, len(tokens) - 1))
+            tokens[k] = draw(st.sampled_from(ODD_NUMBERS)).format(tokens[k])
+        elif kind == "job_after_arc" and tokens[:1] == ["J"]:
+            lines.append(lines.pop(i))
+            seps.append(seps.pop(i))
+        elif kind == "depth" and tokens[:1] == ["J"]:
+            lines[i] = tokens[:3] if len(tokens) == 4 else tokens + ["2"]
+        elif kind == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        elif kind == "indent":
+            tokens[0] = " " + tokens[0]
+        elif kind == "back_arc" and tokens[:1] == ["A"]:  # ends at a job that was a source
+            k = draw(st.integers(i + 1, len(lines)))
+            lines.insert(k, ["A", str(draw(st.integers(1, n))), tokens[1]])
+            seps.insert(k, " ")
+        elif kind == "self_loop":  # in order: its end was no source before it
+            k = draw(st.integers(n + 1, len(lines)))
+            lines.insert(k, ["A", *[str(draw(st.integers(1, n)))] * 2])
+            seps.insert(k, " ")
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(sep.join(tokens) + end for tokens, sep, end in zip(lines, seps, ends))
+
+
+class TestChunkedReader:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=instance_text(), block=st.integers(4, 64))
+    def test_matches_line_parser(self, tmp_path, text, block):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode())
+        saved = fileio.BLOCK_CHARS
+        fileio.BLOCK_CHARS = block  # blocks end inside lines, comments and runs of arcs
+        try:
+            jobs, arcs, exc = _chunk_rows(str(path))
+        finally:
+            fileio.BLOCK_CHARS = saved
+        ref_jobs, ref_arcs, ref_exc = _line_reference(str(path))
+        assert (jobs, arcs) == (ref_jobs, ref_arcs)
+        assert type(exc) is type(ref_exc)
+        assert str(exc) == str(ref_exc)
+
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("odd", ODD_NUMBERS)
+    def test_odd_number_in_a_clean_file_matches_line_parser(self, tmp_path, odd, field):
+        rows = [["J", "1", "5", "1"], ["J", "2", "7", "2"], ["J", "3", "9", "2"], ["A", "1", "2"], ["A", "1", "3"]]
+        row, k = [(1, 1), (1, 2), (1, 3), (4, 1), (4, 2)][field]  # job id, p, depth, arc ends
+        rows[row][k] = odd.format(rows[row][k])
+        path = tmp_path / "inst.txt"
+        path.write_text("".join(" ".join(r) + "\n" for r in rows))
+        jobs, arcs, exc = _chunk_rows(str(path))
+        ref_jobs, ref_arcs, ref_exc = _line_reference(str(path))
+        assert (jobs, arcs, type(exc), str(exc)) == (ref_jobs, ref_arcs, type(ref_exc), str(ref_exc))
+
+    def test_large_ids_allocate_nothing_by_id(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"J 1 1\nA 1 {2**63 - 1}\n")
+        chunks = list(fileio.iter_chunks(str(path)))
+        assert [chunk.dst.tolist() for chunk in chunks if isinstance(chunk, ArcChunk)] == [[2**63 - 1]]
+        rc = main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)])
+        assert rc == 3
+
+    def test_iter_stream_is_a_view_of_the_chunks(self, tmp_path):
+        inst = ss.random_dag(n=40, h=3, density=0.3, m=2, c=6, seed=1)
+        path = tmp_path / "inst.txt"
+        fileio.write_instance(inst, str(path))
+        assert list(fileio.iter_stream(str(path))) == list(inst.events())
 
 
 class TestResultFiles:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import SingleUse, random_instance
+from schedsketch import fileio
+from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
 def P(**kw):
@@ -289,3 +291,78 @@ class TestSketchPersistence:
         text = sketch_to_json(rep.extras["input_sketch"])
         back = sketch_from_json(text)
         assert list(back.entries()) == list(rep.extras["input_sketch"].entries())
+
+
+def _ascending_instance() -> ss.Instance:
+    """40 jobs with ascending p; job j's one parent is j // 2."""
+    n = 40
+    p = np.array([int(1.6**j) + j for j in range(1, n + 1)], dtype=np.int64)
+    arcs = [(j // 2, j) for j in range(2, n + 1)]
+    return ss.Instance(p=p, depth=ss.compute_depths(arcs, n), arcs=arcs, m=2)
+
+
+CHUNK_INSTANCES = {
+    "layered": lambda: ss.layered([30, 25, 20], c=9, m=3, seed=4),
+    "random_dag": lambda: ss.random_dag(n=60, h=4, density=0.2, m=2, c=50, seed=5),
+    "alpha_mixed": lambda: ss.alpha_mixed(n=80, alpha=0.25, c=3, p_big=10**6, m=2, h=3, seed=6),
+    "ascending": _ascending_instance,
+}
+
+
+def _run_summary(rep: ss.RunReport) -> dict:
+    """Every field a stream run reports, with the final sketch and depth table in plain form."""
+    ex = rep.extras
+    out = {
+        "A": rep.A,
+        "times": rep.schedule_sketch.times,
+        "sketch_nodes": rep.sketch_node_count,
+        "update_count": rep.update_count,
+        "guarantee": rep.guarantee_condition_met,
+        "sketch_json": ss.sketch_to_json(ex["input_sketch"]),
+    }
+    for key in ("n", "p_max", "p_min", "c_discovered", "h_discovered", "peak_node_count", "counted"):
+        out[key] = ex.get(key)
+    if "depth_table" in ex:
+        out["depths"] = ex["depth_table"].depths_array(ex["n"]).tolist()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_INSTANCES))
+def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
+    """All four modes on the reader's int64 chunks and on single events report the same run."""
+    monkeypatch.setattr(fileio, "BLOCK_CHARS", 100)  # many chunks, cut inside lines
+    inst = CHUNK_INSTANCES[name]()
+    c, h, n = int(inst.p.max()), inst.height, inst.n
+    for mode, fn in STREAMING_ALGORITHMS.items():
+        given = mode in ("stream1", "stream3")
+        path = str(tmp_path / f"{name}-{given}.txt")
+        fileio.write_instance(inst, path, with_depths=given)
+        kwargs = {"stream1": dict(c=c, h=h), "stream2": {},
+                  "stream3": dict(c=c, h=h, n=n, alpha=0.25), "stream4": dict(n=n, alpha=0.25)}[mode]
+        for eps in (0.3, 0.05):
+            params = P(epsilon=eps, m=inst.m, **kwargs)
+            for tight in (False, True):
+                want = _run_summary(fn(inst.events(with_depth=given), params, tight=tight))
+                assert _run_summary(fn(fileio.iter_chunks(path), params, tight=tight)) == want
+                assert _run_summary(fn(fileio.iter_stream(path), params, tight=tight)) == want
+
+
+@pytest.mark.parametrize("block", [8, 1 << 20])
+@pytest.mark.parametrize(
+    "mode,text,message",
+    [
+        ("stream1", "J 1 1 1\nJ 2 1 5\nJ 3 x 1\n", "job 2 has depth 5 > h=1"),
+        ("stream2", "J 1 1\nJ 1 2\nJ 2 x\n", "duplicate job id 1 in stream"),
+        ("stream2", "J 1 1\nJ 2 1\nA 1 7\nA 2 x\n", "arc references unseen job id 7"),
+    ],
+)
+def test_engine_error_on_an_earlier_line_wins(mode, text, message, block, tmp_path, monkeypatch):
+    """Rows before a bad line reach the engine first, through both input routes."""
+    monkeypatch.setattr(fileio, "BLOCK_CHARS", block)
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    params = P(epsilon=0.3, m=1, c=1, h=1) if mode == "stream1" else P(epsilon=0.3, m=1)
+    for source in (fileio.iter_chunks, fileio.iter_stream):
+        with pytest.raises(ss.InputContractError) as err:
+            STREAMING_ALGORITHMS[mode](source(str(path)), params)
+        assert str(err.value) == message
