@@ -272,7 +272,7 @@ def read_instance(path: str, m: int = 1) -> Instance:
         depth[ids - 1] = np.concatenate([c.depth for c in jobs])
     arc_arr = np.empty((0, 2), dtype=np.int64)
     if arcs:
-        arc_arr = np.column_stack((np.concatenate([c.src for c in arcs]), np.concatenate([c.dst for c in arcs])))
+        arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)])
         outside = ((arc_arr < 1) | (arc_arr > n)).any(axis=1)
         if outside.any():
             k = int(outside.argmax())

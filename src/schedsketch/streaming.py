@@ -335,7 +335,9 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     )
 
 
-def stream_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
+def stream_known(
+    events: Iterable[StreamEvent | Chunk], params: AlgoParams, *, tight: bool = False
+) -> RunReport:
     """Factor-c jobs with given depths: one-pass counting over buckets 0..k.
 
     Precondition: 1 <= p_j <= c and 1 <= depth <= h for every job.
@@ -343,7 +345,9 @@ def stream_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bo
     return _stream(events, params, STREAM_KNOWN, tight)
 
 
-def stream_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
+def stream_unknown(
+    events: Iterable[StreamEvent | Chunk], params: AlgoParams, *, tight: bool = False
+) -> RunReport:
     """Jobs then topologically ordered arcs; c, h and depths discovered.
 
     Per-job state (the depth table) makes this O(n) space; the sketch
@@ -352,7 +356,9 @@ def stream_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: 
     return _stream(events, params, STREAM_UNKNOWN, tight)
 
 
-def stream_alpha_known(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
+def stream_alpha_known(
+    events: Iterable[StreamEvent | Chunk], params: AlgoParams, *, tight: bool = False
+) -> RunReport:
     """Capped-sketch variant: skip tiny jobs, lazily evict tiny buckets.
 
     A job is skipped when its processing time is below p_max/n^2 for
@@ -364,7 +370,9 @@ def stream_alpha_known(events: Iterable[StreamEvent], params: AlgoParams, *, tig
     return _stream(events, params, STREAM_ALPHA_KNOWN, tight)
 
 
-def stream_alpha_unknown(events: Iterable[StreamEvent], params: AlgoParams, *, tight: bool = False) -> RunReport:
+def stream_alpha_unknown(
+    events: Iterable[StreamEvent | Chunk], params: AlgoParams, *, tight: bool = False
+) -> RunReport:
     """Capped sketch with depths discovered from the arc stream.
 
     Skipped and evicted jobs keep their depth-table records so later
