@@ -136,7 +136,7 @@ def _emit_result(report, args) -> None:
 def _run_stream(args) -> int:
     if fileio.looks_like_gen_spec(args.infile):
         inst = fileio.instance_from_spec(args.infile)
-        events = inst.events(with_depth=args.cmd in ("stream1", "stream3"))
+        events = inst.chunks(with_depth=args.cmd in ("stream1", "stream3"))
         n = inst.n
     else:
         if args.cmd in ("stream3", "stream4") and args.n is None:
@@ -296,7 +296,7 @@ def _run_bench(args) -> int:
         fn = STREAMING_ALGORITHMS[args.algo]
         reports = []
         for i in range(args.trials):
-            events = inst.events(with_depth=args.algo in ("stream1", "stream3"))
+            events = inst.chunks(with_depth=args.algo in ("stream1", "stream3"))
             reports.append(fn(events, replace(_params(args, n=inst.n), seed=args.seed + i)))
     for i, rep in enumerate(reports):
         ratio = rep.A / ref if ref else float("nan")

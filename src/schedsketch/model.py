@@ -48,10 +48,10 @@ StreamEvent = Union[Job, Arc]
 class JobChunk(NamedTuple):
     """A run of consecutive job events as columns.
 
-    The file reader fills the columns with int64 arrays and sets
-    ``depth`` to None for a file without depths; the event adapter of
-    the streaming engine fills them with lists of the events' own
-    values, where single depths may be None.
+    The file reader and `Instance.chunks` fill the columns with int64
+    arrays and set ``depth`` to None when there are no depths; the
+    event adapter of the streaming engine fills them with lists of the
+    events' own values, where single depths may be None.
     """
 
     ids: Sequence[int]
@@ -170,3 +170,14 @@ class Instance:
         yield from self.jobs(with_depth=with_depth)
         for src, dst in self.arcs:
             yield Arc(int(src), int(dst))
+
+    def chunks(self, with_depth: bool = True, rows: int = 1 << 16) -> Iterator[Chunk]:
+        """The same stream as `events`, as int64 column chunks of at most ``rows`` events."""
+        ids = np.arange(1, self.n + 1, dtype=np.int64)
+        depth = self.depth if with_depth else None
+        for lo in range(0, self.n, rows):
+            part = slice(lo, lo + rows)
+            yield JobChunk(ids[part], self.p[part], None if depth is None else depth[part])
+        for lo in range(0, len(self.arcs), rows):
+            part = slice(lo, lo + rows)
+            yield ArcChunk(self.arcs[part, 0], self.arcs[part, 1])

@@ -22,11 +22,12 @@ stream is read:
   ceil(p_max/n) term pays for both.
 
 The engine consumes its input as chunks of consecutive jobs or arcs:
-`fileio.iter_chunks` yields int64 column chunks, and any other iterable
-of events is batched into small list-backed chunks.  Every mode walks
-a chunk event by event with the same checks, errors and counts, except
-`stream_known` on the reader's int64 chunks, which buckets and counts
-a whole chunk at once; the per-event loop stays its reference.
+`fileio.iter_chunks` and `Instance.chunks` yield int64 column chunks,
+and any other iterable of events (a list of `Job` and `Arc` values) is
+batched into small list-backed chunks.  Every mode walks a chunk event
+by event with the same checks, errors and counts, except `stream_known`
+on int64 chunks, which buckets and counts a whole chunk at once; the
+per-event loop stays its reference.
 
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.

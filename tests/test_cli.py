@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import schedsketch as ss
+from schedsketch import fileio
 from schedsketch.cli import main
 
 
@@ -78,6 +80,25 @@ class TestGenAndStream:
         assert rc == 0
         assert json.loads(out.read_text())["A"] == 18
 
+    @pytest.mark.parametrize("cmd", ["stream1", "stream2", "stream3", "stream4"])
+    def test_gen_spec_and_its_file_agree(self, tmp_path, cmd):
+        """A generator spec streams as int64 chunks of the instance, a file through the reader."""
+        spec = "random-dag:n=300,h=4,density=0.2,m=2,c=40,seed=3"
+        given = cmd in ("stream1", "stream3")
+        path = tmp_path / "i.txt"
+        gen = ["gen", "--family", "random-dag", "--n", "300", "--h", "4", "--density", "0.2",
+               "--m", "2", "--c", "40", "--seed", "3", "--out", str(path)]
+        assert main(gen if given else gen + ["--no-depths"]) == 0
+        argv = [cmd, "--epsilon", "0.05", "--m", "2", "--n", "300", "--alpha", "0.5"]
+        if given:
+            argv += ["--c", "40", "--h", "4"]
+        docs = []
+        for source in (spec, str(path)):
+            out = tmp_path / "r.json"
+            assert main(argv + ["--in", source, "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0] == docs[1]
+
     def test_csv_format(self, chain_files, capsys):
         tmp, inst_path = chain_files
         rc = main(["stream1", "--epsilon", "0.3", "--m", "200", "--c", "1", "--h", "3",
@@ -123,15 +144,16 @@ class TestSchedule:
         assert f"error: {inst}:1: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text,lineno",
+        "text,where",
         [
-            ("J 1 3 100000000000000000000000\nJ 2 3 1\n", 1),  # depth past int64
-            ("J 1 3\nJ 2 3\nA 1 100000000000000000000000\n", 3),  # arc end past int64
-            ("J 1 3\nJ 2 3\nA 1 2\nA 1 3\n", 4),  # arc end outside 1..n
+            ("J 1 3 100000000000000000000000\nJ 2 3 1\n", "1: depth 100000000000000000000000 exceeds 2**63 - 1"),
+            ("J 1 3\nJ 2 3\nA 1 100000000000000000000000\n",
+             "3: arc end 100000000000000000000000 is outside the int64 range"),
+            ("J 1 3\nJ 2 3\nA 1 2\nA 1 3\n", "4: arc (1, 3) references a job outside 1..2"),
         ],
     )
     @pytest.mark.parametrize("cmd", ["schedule", "oracle"])
-    def test_bad_field_or_arc_end_exits_3_with_location(self, tmp_path, capsys, text, lineno, cmd):
+    def test_bad_field_or_arc_end_exits_3_with_location(self, tmp_path, capsys, text, where, cmd):
         inst = tmp_path / "i.txt"
         inst.write_text(text)
         if cmd == "schedule":
@@ -142,7 +164,7 @@ class TestSchedule:
             argv = ["oracle", "list"]
         rc = main([*argv, "--in", str(inst), "--m", "1"])
         assert rc == 3
-        assert f"error: {inst}:{lineno}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {inst}:{where}\n"
 
 
 class TestOracle:
@@ -241,6 +263,18 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[1] == "18"
         assert lines[1].split(",")[3] == "1.200000"
+
+    def test_bench_streaming_matches_event_runs(self, tmp_path):
+        spec = "layered:shape=40/30/20,c=9,m=3,seed=2"
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--algo", "stream2", "--epsilon", "0.3", "--m", "3", "--in", spec,
+                   "--trials", "2", "--out", str(out)])
+        assert rc == 0
+        inst = fileio.instance_from_spec(spec)
+        want = ss.stream_unknown(inst.events(with_depth=False), ss.AlgoParams(epsilon=0.3, m=3, n=inst.n))
+        for row in out.read_text().splitlines()[1:]:
+            seed, a, ref, ratio, samples, nodes = row.split(",")
+            assert (int(a), int(nodes)) == (want.A, want.sketch_node_count)
 
 
 class TestGenFamilies:

@@ -1,6 +1,7 @@
 """Instance file format, result files, generator specs."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -96,14 +97,15 @@ class TestInstanceFormat:
 
 
 def _line_reference(path: str):
-    """Job rows, arc rows and first error of the line parser run over the whole file."""
+    """Job rows, arc rows and first error of the line parser run over the file a line at a time."""
     reader = fileio._Reader(path)
     jobs, arcs = [], []
     try:
         with open(path) as fh:
             for raw in fh:
-                reader.lineno += 1
-                reader._line(raw, jobs, arcs)
+                for chunk in reader.replay(raw if raw.endswith("\n") else raw + "\n"):
+                    rows = jobs if isinstance(chunk, JobChunk) else arcs
+                    rows.extend(zip(*(col.tolist() for col in chunk if col is not None)))
     except ss.InputContractError as exc:
         return jobs, arcs, exc
     return jobs, arcs, None
@@ -185,7 +187,19 @@ def instance_text(draw):
     return "".join(sep.join(tokens) + end for tokens, sep, end in zip(lines, seps, ends))
 
 
+@pytest.fixture(params=[
+    pytest.param(True, id="possessive",
+                 marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive repeats need 3.11")),
+    pytest.param(False, id="plain"),
+])
+def canonical_patterns(request, monkeypatch):
+    """Run a test with the canonical-form patterns of each Python version."""
+    for name, pattern in zip(("_CANONICAL", "_LEADING", "_COMMENTS"), fileio._canonical_patterns(request.param)):
+        monkeypatch.setattr(fileio, name, pattern)
+
+
 class TestChunkedReader:
+    @pytest.mark.usefixtures("canonical_patterns")
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=instance_text(), block=st.integers(4, 64))
     def test_matches_line_parser(self, tmp_path, text, block):
@@ -202,6 +216,7 @@ class TestChunkedReader:
         assert type(exc) is type(ref_exc)
         assert str(exc) == str(ref_exc)
 
+    @pytest.mark.usefixtures("canonical_patterns")
     @pytest.mark.parametrize("odd", ODD_NUMBERS)
     def test_odd_number_in_a_clean_file_matches_line_parser(self, tmp_path, odd):
         path = tmp_path / "inst.txt"
