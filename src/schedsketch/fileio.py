@@ -108,8 +108,6 @@ class _Reader:
         The state moves past the block only when every check passes;
         on None the caller replays the block line by line instead.
         """
-        if "\t" in block or "\n " in block:  # never canonical: skip the comment strip and the match
-            return None
         text = block[_LEADING.match(block).end():]
         if "#" in text or "\n\n" in text:
             text = _COMMENTS.sub("", text)

@@ -68,6 +68,8 @@ class ArcChunk(NamedTuple):
 
 Chunk = Union[JobChunk, ArcChunk]
 
+CHUNK_ROWS = 1 << 16  # events per chunk from `Instance.chunks`, about the rows of a file block
+
 
 @dataclass(frozen=True)
 class ScheduleSketch:
@@ -171,13 +173,13 @@ class Instance:
         for src, dst in self.arcs:
             yield Arc(int(src), int(dst))
 
-    def chunks(self, with_depth: bool = True, rows: int = 1 << 16) -> Iterator[Chunk]:
-        """The same stream as `events`, as int64 column chunks of at most ``rows`` events."""
+    def chunks(self, with_depth: bool = True) -> Iterator[Chunk]:
+        """The same stream as `events`, as int64 column chunks of at most `CHUNK_ROWS` events."""
         ids = np.arange(1, self.n + 1, dtype=np.int64)
         depth = self.depth if with_depth else None
-        for lo in range(0, self.n, rows):
-            part = slice(lo, lo + rows)
+        for lo in range(0, self.n, CHUNK_ROWS):
+            part = slice(lo, lo + CHUNK_ROWS)
             yield JobChunk(ids[part], self.p[part], None if depth is None else depth[part])
-        for lo in range(0, len(self.arcs), rows):
-            part = slice(lo, lo + rows)
+        for lo in range(0, len(self.arcs), CHUNK_ROWS):
+            part = slice(lo, lo + CHUNK_ROWS)
             yield ArcChunk(self.arcs[part, 0], self.arcs[part, 1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import SingleUse, random_instance
-from schedsketch import fileio
+from schedsketch import fileio, model
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
@@ -331,6 +331,7 @@ def _run_summary(rep: ss.RunReport) -> dict:
 def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
     """All four modes on int64 chunks and on single events report the same run."""
     monkeypatch.setattr(fileio, "BLOCK_CHARS", 100)  # many chunks, cut inside lines
+    monkeypatch.setattr(model, "CHUNK_ROWS", 7)  # and inside depths
     inst = CHUNK_INSTANCES[name]()
     c, h, n = int(inst.p.max()), inst.height, inst.n
     for mode, fn in STREAMING_ALGORITHMS.items():
@@ -345,8 +346,7 @@ def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
                 want = _run_summary(fn(inst.events(with_depth=given), params, tight=tight))
                 assert _run_summary(fn(fileio.iter_chunks(path), params, tight=tight)) == want
                 assert _run_summary(fn(fileio.iter_stream(path), params, tight=tight)) == want
-                chunks = inst.chunks(with_depth=given, rows=7)  # chunks cut inside depths
-                assert _run_summary(fn(chunks, params, tight=tight)) == want
+                assert _run_summary(fn(inst.chunks(with_depth=given), params, tight=tight)) == want
 
 
 @pytest.mark.parametrize("block", [8, 1 << 20])
