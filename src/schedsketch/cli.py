@@ -113,24 +113,29 @@ def _count_jobs(path: str) -> int:
     return sum(len(chunk.ids) for chunk in fileio.iter_chunks(path) if isinstance(chunk, JobChunk))
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _emit_result(report, args) -> None:
     if args.format == "csv":
-        line = "algorithm,A,t_h,sketch_nodes,samples,update_count,guarantee_condition_met\n" + (
+        text = "algorithm,A,t_h,sketch_nodes,samples,update_count,guarantee_condition_met\n" + (
             f"{report.algorithm},{report.A},{report.schedule_sketch.times[-1]},"
             f"{report.sketch_node_count},{report.samples_drawn},{report.update_count},"
             f"{report.guarantee_condition_met}\n"
         )
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(line)
-        else:
-            sys.stdout.write(line)
-        return
-    if args.out:
-        fileio.write_result(report, args.out)
     else:
-        json.dump(fileio.report_to_dict(report), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        text = _json(fileio.report_to_dict(report))
+    _write(text, args.out)
 
 
 def _run_stream(args) -> int:
@@ -178,14 +183,7 @@ def _run_sample(args) -> int:
     base = _params(args)
     reports = _run_trials(fn, access, base, args.trials)
     docs = [fileio.report_to_dict(r) for r in reports]
-    payload = {"algorithm": args.cmd, "trials": docs}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    _write(_json({"algorithm": args.cmd, "trials": docs}), args.out)
     return 0
 
 
@@ -303,12 +301,7 @@ def _run_bench(args) -> int:
         rows.append(
             f"{args.seed + i},{rep.A},{ref:g},{ratio:.6f},{rep.samples_drawn},{rep.sketch_node_count}"
         )
-    text = "seed,A,cstar_or_bound,ratio,samples,sketch_nodes\n" + "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("seed,A,cstar_or_bound,ratio,samples,sketch_nodes\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
 

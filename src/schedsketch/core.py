@@ -213,9 +213,6 @@ class GeometricBuckets:
             u += 1
         return u
 
-    def floor_log_frac(self, x: Fraction) -> int:
-        return self.floor_log(x.numerator, x.denominator)
-
     def rounded_value(self, u: int) -> float:
         """Upper representative base**(u+1) of bucket u, as a float."""
         return self.base ** (u + 1)
@@ -267,8 +264,8 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
         n0 = None
     else:
         params.require("c", "h", "n")
-        cn_over_delta = Fraction(params.c * params.n) / Fraction(delta)
-        k = gb.floor_log_frac(cn_over_delta)
+        num, den = delta.as_integer_ratio()
+        k = gb.floor_log(params.c * params.n * den, num)  # floor_log(c*n / delta)
         k_eff = max(k, 1)
         gamma = 1.0 / (10.0 * params.h * k_eff)
         prob = 5.0 * params.alpha * delta / (2.0 * params.c**2 * params.h * k_eff * params.m)

@@ -16,7 +16,7 @@ class InputContractError(ValueError):
 
 
 class CycleSuspicionError(InputContractError):
-    """Arc stream implies a cycle (depth overflow or non-topological order)."""
+    """Arc stream implies a cycle (depth overflow, non-topological order or a self-loop)."""
 
 
 class SketchInfeasibleError(RuntimeError):

@@ -316,12 +316,6 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-def write_result(report: RunReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_result(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)

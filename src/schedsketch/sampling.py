@@ -9,6 +9,18 @@ rounded-load arithmetic as the streaming side and additionally yields
 an estimated schedule sketch whose intervals are padded for the
 estimation error.
 
+Both schemes are one sampler (`_sample`) with one of two policies,
+fixed by the mode before any draw:
+
+* *bounded* (`rand_approx_bounded`, sample1): every job is within a
+  factor c, so a sampled job with p > c breaks the contract; buckets
+  run from 0 to k, with the top pinned to c;
+* *alpha* (`rand_approx_alpha`, sample2): only the largest alpha*n jobs
+  need be within a factor c.  n0 draws first estimate the scale w0 as
+  their largest p; the main sample is then filtered at delta*w0/n and
+  bucketed from there up to c*w0, with the top pinned to c*w0.  Groups
+  above c*w0, where w0 underestimated the top, are dropped and counted.
+
 Access to jobs goes through a `SampleAccess`: either materialized
 arrays or an implicit family whose ``fetch`` is a pure function of the
 job id, so a 10^7-job instance costs O(1) memory.  Everything is
@@ -23,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 from typing import Protocol
 
 import numpy as np
@@ -38,7 +49,7 @@ from .core import (
 )
 from .errors import InputContractError
 from .model import Instance, RunReport, ScheduleSketch
-from .streaming import RoundedValues, totals
+from .streaming import RoundedValues, pair_counts, totals
 
 _CHUNK = 1 << 20
 
@@ -155,8 +166,7 @@ def estimate_counts(
         p, depth = access.fetch(ids)
         done += take
         if p_cap is not None and p.size and int(p.max()) > p_cap:
-            bad = int(p.max())
-            raise InputContractError(f"sampled job has p={bad} > c={p_cap}")
+            raise InputContractError(f"sampled job has p={int(p.max())} > c={p_cap}")
         if h_cap is not None and depth.size and int(depth.max()) > h_cap:
             raise InputContractError(f"sampled job has depth {int(depth.max())} > h={h_cap}")
         if min_p is not None:
@@ -164,11 +174,8 @@ def estimate_counts(
             p, depth = p[keep], depth[keep]
         if p.size == 0:
             continue
-        u = buckets.index_array(p)
-        keys, cnts = np.unique(depth * (1 << 32) + u, return_counts=True)
-        for key, cnt in zip(keys.tolist(), cnts.tolist()):
-            du = (key >> 32, key & 0xFFFFFFFF)
-            counts[du] = counts.get(du, 0) + cnt
+        for u, d, cnt in zip(*pair_counts(buckets.index_array(p), depth)):
+            counts[d, u] = counts.get((d, u), 0) + cnt
     return counts, draws
 
 
@@ -179,16 +186,6 @@ def estimate_wmax(access: SampleAccess, n0: int, rng: np.random.Generator) -> in
     ids = rng.integers(1, access.n + 1, size=n0, dtype=np.int64)
     p, _ = access.fetch(ids)
     return int(p.max())
-
-
-def condition_sample_bounded(n: int, m: int, h: int, c: int, epsilon: float) -> bool:
-    """Machine bound m <= n*epsilon / (20*h*c)."""
-    return 20.0 * m * h * c <= n * epsilon
-
-
-def condition_sample_alpha(n: int, m: int, h: int, c: int, epsilon: float, alpha: float) -> bool:
-    """Machine bound m <= n*alpha*epsilon / (20*c^2*h)."""
-    return 20.0 * m * c * c * h <= n * alpha * epsilon
 
 
 def _scaled_estimates(
@@ -203,43 +200,73 @@ def _scaled_estimates(
     return out
 
 
-def rand_approx_bounded(access: SampleAccess, params: AlgoParams, *, tight: bool = False) -> RunReport:
-    """Sampling scheme for jobs within a factor c with known depths."""
+def _sample(access: SampleAccess, params: AlgoParams, mode: str, tight: bool) -> RunReport:
+    """The sampler behind both modes; see the module docstring.
+
+    The mode fixes the policy, *bounded* (sample1) or *alpha* (sample2),
+    before any draw.
+    """
     params.require("c", "h")
+    alpha = mode == SAMPLE_ALPHA
     pr = replace(params, n=access.n)
-    drv = derive_params(pr, SAMPLE_BOUNDED)
+    drv = derive_params(pr, mode)
     gb = buckets_for(drv.delta)
     rng = np.random.default_rng(pr.seed)
-    counts, draws = estimate_counts(
-        access, drv.n_prime, gb, rng, p_cap=pr.c, h_cap=pr.h
-    )
+    if alpha:
+        n0 = drv.n0
+        w0 = estimate_wmax(access, n0, rng)  # the n0 draws come before the main sample
+        top = pr.c * w0
+        counts, draws = estimate_counts(
+            access, drv.n_prime, gb, rng, min_p=drv.delta * w0 / pr.n, h_cap=pr.h
+        )
+        num, den = drv.delta.as_integer_ratio()
+        u_lo, u_hi = gb.floor_log(num * w0, den * pr.n), gb.floor_log(top)
+        pad_w0 = math.floor(drv.delta * w0)
+        # machine bound m <= n*alpha*eps / (20*c^2*h)
+        ok = 20.0 * pr.m * pr.c * pr.c * pr.h <= pr.n * pr.alpha * pr.epsilon
+    else:
+        n0, top, u_lo, u_hi, pad_w0 = 0, pr.c, 0, drv.k, 0
+        counts, draws = estimate_counts(access, drv.n_prime, gb, rng, p_cap=pr.c, h_cap=pr.h)
+        ok = 20.0 * pr.m * pr.h * pr.c <= pr.n * pr.epsilon  # machine bound m <= n*eps / (20*h*c)
     kept = _scaled_estimates(counts, pr.n, draws, drv.tau)
-    rp = RoundedValues(gb, 0, drv.k, float(pr.c))
+    rp = RoundedValues(gb, u_lo, u_hi, float(top))
     loads = np.zeros(pr.h)
+    dropped_high = 0
     for (d, u), ehat in kept.items():
+        if u > u_hi:  # w0 underestimated the top; groups above c*w0 fall outside
+            dropped_high += 1
+            continue
         loads[d - 1] += ehat * rp.value(u)
     loads /= pr.m
-    pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * pr.c
-    A, times = totals(loads, pr.c, tight, stretch=1.0 - drv.delta, slack=pad_noise)
+    pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + pad_w0
+    A, times = totals(loads, top, tight, stretch=1.0 - drv.delta, slack=pad_noise)
+    extras = {
+        "n": pr.n,
+        "delta": drv.delta,
+        "n_prime": drv.n_prime,
+        "n0": n0,
+        "tau": drv.tau,
+        "cap_triggered": drv.n_prime >= pr.n,
+        "estimates": kept,
+    }
+    if alpha:
+        extras.update(w0=w0, dropped_above_top=dropped_high)
     return RunReport(
-        algorithm=SAMPLE_BOUNDED,
+        algorithm=mode,
         A=A,
-        schedule_sketch=ScheduleSketch(times, source=SAMPLE_BOUNDED),
+        schedule_sketch=ScheduleSketch(times, source=mode),
         sketch_node_count=len(kept),
-        samples_drawn=draws,
-        update_count=draws,
+        samples_drawn=n0 + draws,
+        update_count=n0 + draws,
         params=pr,
-        guarantee_condition_met=condition_sample_bounded(pr.n, pr.m, pr.h, pr.c, pr.epsilon),
-        extras={
-            "n": pr.n,
-            "delta": drv.delta,
-            "n_prime": drv.n_prime,
-            "n0": 0,
-            "tau": drv.tau,
-            "cap_triggered": drv.n_prime >= pr.n,
-            "estimates": kept,
-        },
+        guarantee_condition_met=ok,
+        extras=extras,
     )
+
+
+def rand_approx_bounded(access: SampleAccess, params: AlgoParams, *, tight: bool = False) -> RunReport:
+    """Sampling scheme for jobs within a factor c with known depths."""
+    return _sample(access, params, SAMPLE_BOUNDED, tight)
 
 
 def rand_approx_alpha(access: SampleAccess, params: AlgoParams, *, tight: bool = False) -> RunReport:
@@ -250,54 +277,7 @@ def rand_approx_alpha(access: SampleAccess, params: AlgoParams, *, tight: bool =
     then filtered at delta*w0/n and bucketed between that filter and
     c*w0, with the top bucket pinned to c*w0.
     """
-    params.require("c", "h")
-    pr = replace(params, n=access.n)
-    drv = derive_params(pr, SAMPLE_ALPHA)
-    gb = buckets_for(drv.delta)
-    rng = np.random.default_rng(pr.seed)
-    w0 = estimate_wmax(access, drv.n0, rng)
-    thr = drv.delta * w0 / pr.n
-    counts, draws = estimate_counts(
-        access, drv.n_prime, gb, rng, min_p=thr, h_cap=pr.h
-    )
-    kept = _scaled_estimates(counts, pr.n, draws, drv.tau)
-    u_lo = gb.floor_log_frac(Fraction(drv.delta) * w0 / pr.n)
-    u_hi = gb.floor_log(pr.c * w0)
-    rp = RoundedValues(gb, u_lo, u_hi, float(pr.c * w0))
-    loads = np.zeros(pr.h)
-    dropped_high = 0
-    for (d, u), ehat in kept.items():
-        if u > u_hi:  # w0 underestimated the top; groups above c*w0 fall outside
-            dropped_high += 1
-            continue
-        loads[d - 1] += ehat * rp.value(u)
-    loads /= pr.m
-    top = pr.c * w0
-    pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + math.floor(drv.delta * w0)
-    A, times = totals(loads, top, tight, stretch=1.0 - drv.delta, slack=pad_noise)
-    return RunReport(
-        algorithm=SAMPLE_ALPHA,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=SAMPLE_ALPHA),
-        sketch_node_count=len(kept),
-        samples_drawn=drv.n0 + draws,
-        update_count=drv.n0 + draws,
-        params=pr,
-        guarantee_condition_met=condition_sample_alpha(
-            pr.n, pr.m, pr.h, pr.c, pr.epsilon, pr.alpha
-        ),
-        extras={
-            "n": pr.n,
-            "delta": drv.delta,
-            "n_prime": drv.n_prime,
-            "n0": drv.n0,
-            "tau": drv.tau,
-            "w0": w0,
-            "cap_triggered": drv.n_prime >= pr.n,
-            "dropped_above_top": dropped_high,
-            "estimates": kept,
-        },
-    )
+    return _sample(access, params, SAMPLE_ALPHA, tight)
 
 
 SAMPLING_ALGORITHMS = {

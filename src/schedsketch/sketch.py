@@ -209,9 +209,6 @@ class DepthTable:
     def __init__(self):
         self._rec: dict[int, tuple[int, int]] = {}
 
-    def __contains__(self, job_id: int) -> bool:
-        return job_id in self._rec
-
     def __len__(self) -> int:
         return len(self._rec)
 

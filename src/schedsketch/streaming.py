@@ -85,16 +85,6 @@ class RoundedValues:
         return self._buckets.rounded_value(u)
 
 
-def condition_bounded(n: int, m: int, h: int, c: int, epsilon: float) -> bool:
-    """Machine bound m <= 2*n*epsilon / (3*h*c) for the factor-c variants."""
-    return 3.0 * m * h * c <= 2.0 * n * epsilon
-
-
-def condition_alpha(n: int, m: int, h: int, c: int, epsilon: float, alpha: float) -> bool:
-    """Machine bound m <= 2*n*alpha*epsilon / (3*(h+1)*c) for the capped variants."""
-    return 3.0 * m * (h + 1) * c <= 2.0 * n * alpha * epsilon
-
-
 def totals(
     loads,
     pad: int,
@@ -176,6 +166,23 @@ def _columns(chunk: Chunk) -> list:
     return [col.tolist() if isinstance(col, np.ndarray) else col for col in chunk]
 
 
+def pair_counts(u: np.ndarray, d: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """The distinct pairs of two int64 columns ``u >= 0``, ``d >= 0``, with their counts.
+
+    Returns (us, ds, counts), sorted by (u, d), so each depth's pairs
+    come in increasing u.
+    """
+    width = int(d.max()) + 1
+    # the key u * width + d is exact in int64 while (max(u) + 1) * width <= 2**63
+    if (int(u.max()) + 1) * width <= 1 << 63:
+        keys, counts = np.unique(u * width + d, return_counts=True)
+        us, ds = np.divmod(keys, width)
+    else:
+        pairs, counts = np.unique(np.stack((u, d), axis=1), axis=0, return_counts=True)
+        us, ds = pairs[:, 0], pairs[:, 1]
+    return us.tolist(), ds.tolist(), counts.tolist()
+
+
 def _count_known(chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, h: int, c: int) -> None:
     """`stream_known` on a chunk of int64 columns: what the per-job loop does, a chunk at a time.
 
@@ -192,14 +199,10 @@ def _count_known(chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, h: int, 
         if depth[i] > h:
             raise InputContractError(f"job {ids[i]} has depth {depth[i]} > h={h}")
         raise InputContractError(f"job {ids[i]} has p={p[i]} > c={c}")
-    # u indexes the bucket table and d <= h sizes the engine's `held`
-    # list, both held in memory, so the packed key stays far below 2**63
-    width = int(depth.max()) + 1
-    keys, counts = np.unique(gb.index_array(p) * width + depth, return_counts=True)
-    us, ds = np.divmod(keys, width)
+    us, ds, counts = pair_counts(gb.index_array(p), depth)
     sk.note_processing_time(int(p.min()))
     sk.note_processing_time(int(p.max()))
-    sk.add_counts(zip(us.tolist(), ds.tolist()), counts.tolist())
+    sk.add_counts(zip(us, ds), counts)
 
 
 def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str, tight: bool) -> RunReport:
@@ -242,6 +245,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                     new_depth = d_src + 1
                     if new_depth > len(table):
                         raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
+                    if src == dst:  # the source check above cannot see an arc from a job to itself
+                        raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
                     if not capped:
                         sk.move(d_dst, u_dst, new_depth)
                     else:
@@ -314,10 +319,10 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     if capped and tight and not given:
         held = table.held_depths(h_run)
     A, times = totals(loads, top, tight, tail=tail, slack=tail, held=held)
-    if capped:
-        ok = condition_alpha(n, params.m, h_run, c_run, params.epsilon, params.alpha)
-    else:
-        ok = condition_bounded(n, params.m, h_run, c_run, params.epsilon)
+    if capped:  # machine bound m <= 2*n*alpha*eps / (3*(h+1)*c)
+        ok = 3.0 * params.m * (h_run + 1) * c_run <= 2.0 * n * params.alpha * params.epsilon
+    else:  # machine bound m <= 2*n*eps / (3*h*c)
+        ok = 3.0 * params.m * h_run * c_run <= 2.0 * n * params.epsilon
     extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
     if not given:
         extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=height, depth_table=table)

@@ -66,6 +66,14 @@ class TestGenAndStream:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "2"]])
+    def test_self_loop_exits_3(self, tmp_path, capsys, argv):
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 3\nJ 2 3\nA 1 1\n")
+        rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: self-loop arc (1 -> 1) forms a cycle\n"
+
     def test_bad_epsilon_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         inst.write_text("J 1 1 1\n")

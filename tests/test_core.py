@@ -190,10 +190,9 @@ class TestFloorLog:
 
     def test_fraction_form(self):
         gb = ss.buckets_for(0.025)
-        x = Fraction(10**7, 40)
-        u = gb.floor_log_frac(x)
+        u = gb.floor_log(10**7, 40)  # an unreduced fraction
         b = exact_base(0.025)
-        assert b**u <= x < b ** (u + 1)
+        assert b**u <= Fraction(10**7, 40) < b ** (u + 1)
 
 
     # the stream (epsilon/3) and sampling (epsilon/20) deltas of three epsilons

@@ -248,7 +248,8 @@ class TestResultFiles:
         inst = ss.chain(m=2, q=3, h=2)
         rep = ss.stream_known(inst.jobs(), ss.AlgoParams(epsilon=0.3, m=2, c=1, h=2))
         path = tmp_path / "r.json"
-        fileio.write_result(rep, str(path))
+        assert main(["stream1", "--epsilon", "0.3", "--m", "2", "--c", "1", "--h", "2",
+                     "--in", "chain:m=2,q=3,h=2", "--out", str(path)]) == 0
         doc = fileio.read_result(str(path))
         assert doc["A"] == rep.A
         assert doc["sks"] == list(rep.schedule_sketch.times)

@@ -36,9 +36,32 @@ class TestEstimateCounts:
         assert draws == inst.n == access.ids_fetched
         assert counts == {(1, 0): 15, (2, 0): 15}
 
+    @pytest.mark.parametrize("deep", [2**40, 2**62])
+    def test_depths_past_32_bits_are_kept(self, deep):
+        # 2**62 packs past int64 with p = 3's bucket 44, so it takes the unpacked route
+        inst = ss.Instance(p=[3, 3], depth=[deep, 1], arcs=np.empty((0, 2)), m=1)
+        counts, _ = ss.estimate_counts(
+            ss.ArrayAccess(inst), 10**9, ss.buckets_for(0.025), np.random.default_rng(0)
+        )
+        assert counts == {(deep, 44): 1, (1, 44): 1}
+
     def test_rejects_zero_draws(self):
         with pytest.raises(ss.InputContractError):
             ss.estimate_counts(ss.ChainAccess(1, 1, 1), 0, ss.buckets_for(0.025), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "fn,keys",
+    [
+        (ss.rand_approx_bounded, set()),
+        (ss.rand_approx_alpha, {"w0", "dropped_above_top"}),
+    ],
+)
+def test_extras_keys_per_mode(fn, keys):
+    rep = fn(ss.ChainAccess(m=1, q=100, h=2), P(epsilon=0.5, m=1, c=1, h=2, confidence_scale=1e-12))
+    common = {"n", "delta", "n_prime", "n0", "tau", "cap_triggered", "estimates"}
+    assert set(rep.extras) == common | keys
+    assert rep.samples_drawn == rep.update_count == rep.extras["n0"] + rep.extras["n_prime"]
 
 
 class TestScaling:

@@ -90,6 +90,15 @@ class TestStreamUnknown:
         with pytest.raises(ss.CycleSuspicionError):
             ss.stream_unknown(evs, P(epsilon=0.3, m=1))
 
+    @pytest.mark.parametrize("mode", ["stream2", "stream4"])
+    def test_self_loop_is_a_suspected_cycle(self, mode, tmp_path):
+        # a 2-job stream has room for depth 2, so only the self-loop check catches it
+        path = tmp_path / "inst.txt"
+        path.write_text("J 1 3\nJ 2 3\nA 1 1\n")
+        for source in ([ss.Job(1, 1), ss.Job(2, 1), ss.Arc(1, 1)], fileio.iter_chunks(str(path))):
+            with pytest.raises(ss.CycleSuspicionError, match=r"self-loop arc \(1 -> 1\) forms a cycle"):
+                STREAMING_ALGORITHMS[mode](source, P(epsilon=0.3, m=1, n=2))
+
     def test_unseen_job_id_in_arc(self):
         evs = [ss.Job(1, 1), ss.Arc(1, 9)]
         with pytest.raises(ss.InputContractError):
