@@ -6,7 +6,7 @@ result file), oracle (exact / list baseline), gen (instance files),
 and bench (seeded trial sweeps to CSV).
 
 Exit codes: 0 success, 2 bad arguments, 3 input-contract violation,
-4 sketch infeasible for the given instance.
+4 sketch infeasible for the given instance, 5 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import fileio
 from .core import AlgoParams, ceil_div
-from .errors import InputContractError, ParamError, SketchInfeasibleError
+from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
 from .generators import generate
 from .model import Instance, JobChunk
 from .oracles import compute_depths, critical_path_length, exact_makespan, list_schedule
@@ -181,7 +181,7 @@ def _run_sample(args) -> int:
         _emit_result(report, args)
         return 0
     base = _params(args)
-    reports = _run_trials(fn, access, base, args.trials)
+    reports = _run_trials(fn, access, base, args.trials, args.tight)
     docs = [fileio.report_to_dict(r) for r in reports]
     _write(_json({"algorithm": args.cmd, "trials": docs}), args.out)
     return 0
@@ -194,13 +194,16 @@ def _worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _run_trials(fn, access, base_params: AlgoParams, trials: int):
+def _run_trials(fn, access, base_params: AlgoParams, trials: int, tight: bool):
+    def run(seed: int):
+        return fn(access, replace(base_params, seed=seed), tight=tight)
+
     seeds = [base_params.seed + i for i in range(trials)]
     workers = _worker_count()
     if workers == 1:
-        return [fn(access, replace(base_params, seed=s)) for s in seeds]
+        return [run(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: fn(access, replace(base_params, seed=s)), seeds))
+        return list(pool.map(run, seeds))
 
 
 def _run_schedule(args) -> int:
@@ -284,7 +287,7 @@ def _run_bench(args) -> int:
         access = _access_for(args)
         kind, ref = _known_cstar(args, access.inst if isinstance(access, ArrayAccess) else access)
         fn = SAMPLING_ALGORITHMS[args.algo]
-        reports = _run_trials(fn, access, _params(args), args.trials)
+        reports = _run_trials(fn, access, _params(args), args.trials, args.tight)
     else:
         if fileio.looks_like_gen_spec(args.infile):
             inst = fileio.instance_from_spec(args.infile)
@@ -295,7 +298,7 @@ def _run_bench(args) -> int:
         reports = []
         for i in range(args.trials):
             events = inst.chunks(with_depth=args.algo in ("stream1", "stream3"))
-            reports.append(fn(events, replace(_params(args, n=inst.n), seed=args.seed + i)))
+            reports.append(fn(events, replace(_params(args, n=inst.n), seed=args.seed + i), tight=args.tight))
     for i, rep in enumerate(reports):
         ratio = rep.A / ref if ref else float("nan")
         rows.append(
@@ -333,6 +336,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolationError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

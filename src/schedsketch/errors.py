@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: bad parameters exit 2, violations of
 the input contract (malformed streams, out-of-range values, suspected
-cycles) exit 3, and a schedule sketch that cannot host its instance
-exits 4.
+cycles) exit 3, a schedule sketch that cannot host its instance exits
+4, and a broken internal invariant exits 5 (``error: internal: ...``).
 """
 
 

@@ -41,7 +41,18 @@ import numpy as np
 
 from .core import ceil_div
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError, ParamError
-from .model import Arc, ArcChunk, Chunk, Instance, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
+from .model import (
+    Arc,
+    ArcChunk,
+    Chunk,
+    Instance,
+    Job,
+    JobChunk,
+    RunReport,
+    ScheduleSketch,
+    StreamEvent,
+    ends_at_earlier_source,
+)
 from .generators import generate
 from .sampling import ChainAccess, SampleAccess, TwoValueAccess
 from .schedule import ConcreteSchedule, Violation
@@ -129,7 +140,7 @@ class _Reader:
             chunks.append(JobChunk(cols[0], cols[1], cols[2] if has_depth else None))
         if split < len(text):
             src, dst = np.fromstring(text[split:].replace("A", ""), dtype=np.int64, sep=" ").reshape(-1, 2).T
-            if not self.sources.isdisjoint(dst.tolist()) or _ends_at_earlier_source(src, dst):
+            if not self.sources.isdisjoint(dst.tolist()) or ends_at_earlier_source(src, dst).any():
                 return None
             chunks.append(ArcChunk(src, dst))
             self.sources.update(src.tolist())
@@ -200,13 +211,6 @@ class _Reader:
             yield ArcChunk(src, dst)
         if error is not None:
             raise error
-
-
-def _ends_at_earlier_source(src: np.ndarray, dst: np.ndarray) -> bool:
-    """True when some arc of the run ends at the source of an earlier arc of the same run."""
-    starts, first = np.unique(src, return_index=True)
-    pos = np.minimum(np.searchsorted(starts, dst), starts.size - 1)
-    return bool(((starts[pos] == dst) & (first[pos] < np.arange(dst.size))).any())
 
 
 def iter_chunks(path: str) -> Iterator[Chunk]:

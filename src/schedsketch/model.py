@@ -68,6 +68,13 @@ class ArcChunk(NamedTuple):
 
 Chunk = Union[JobChunk, ArcChunk]
 
+
+def ends_at_earlier_source(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Mask of the arcs of a run that end at the source of an earlier arc of the same run."""
+    starts, first = np.unique(src, return_index=True)
+    pos = np.minimum(np.searchsorted(starts, dst), starts.size - 1)
+    return (starts[pos] == dst) & (first[pos] < np.arange(dst.size))
+
 CHUNK_ROWS = 1 << 16  # events per chunk from `Instance.chunks`, about the rows of a file block
 
 
@@ -145,6 +152,8 @@ class Instance:
             self.depth = np.asarray(self.depth, dtype=np.int64)
             if self.depth.shape != self.p.shape:
                 raise ParamError("depth array must match p array")
+            if self.depth.size and self.depth.min() < 1:
+                raise ParamError("all depths must be >= 1")
         self.arcs = np.asarray(self.arcs, dtype=np.int64).reshape(-1, 2)
         if self.m < 1:
             raise ParamError(f"m must be >= 1, got {self.m}")

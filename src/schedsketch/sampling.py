@@ -49,7 +49,8 @@ from .core import (
 )
 from .errors import InputContractError
 from .model import Instance, RunReport, ScheduleSketch
-from .streaming import RoundedValues, pair_counts, totals
+from .sketch import pair_counts
+from .streaming import RoundedValues, totals
 
 _CHUNK = 1 << 20
 

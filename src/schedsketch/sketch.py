@@ -20,7 +20,25 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputContractError, InvariantViolationError
+from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
+from .model import ends_at_earlier_source
+
+
+def pair_counts(u: np.ndarray, d: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """The distinct pairs of two int64 columns ``u >= 0``, ``d >= 0``, with their counts.
+
+    Returns (us, ds, counts), sorted by (u, d), so each depth's pairs
+    come in increasing u.
+    """
+    width = int(d.max()) + 1
+    # the key u * width + d is exact in int64 while (max(u) + 1) * width <= 2**63
+    if (int(u.max()) + 1) * width <= 1 << 63:
+        keys, counts = np.unique(u * width + d, return_counts=True)
+        us, ds = np.divmod(keys, width)
+    else:
+        pairs, counts = np.unique(np.stack((u, d), axis=1), axis=0, return_counts=True)
+        us, ds = pairs[:, 0], pairs[:, 1]
+    return us.tolist(), ds.tolist(), counts.tolist()
 
 
 class TreeSketch:
@@ -242,3 +260,117 @@ class DepthTable:
         for j in range(1, n + 1):
             out[j - 1] = self.get(j)[0]
         return out
+
+
+def _find(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``x`` in the sorted array ``ids``, and where each was found."""
+    if ids.size == 0:
+        return np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, x), ids.size - 1)
+    return pos, ids[pos] == x
+
+
+class DepthColumns:
+    """`DepthTable` for int64 chunks: per-job id, bucket and depth columns.
+
+    Job chunks are appended by `insert_chunk`; the first `raise_chunk`
+    sorts the jobs by id, after which an arc's ends are found by one
+    ``searchsorted`` per chunk.  Both methods raise the error that
+    `DepthTable` and the per-event engine raise at the first bad event
+    of the chunk, after applying the events before it.
+    """
+
+    def __init__(self):
+        self._id_parts: list[np.ndarray] = []
+        self._u_parts: list[np.ndarray] = []
+        self._sorted: np.ndarray | None = None  # all ids so far, sorted, once they came out of order
+        self.ids: np.ndarray | None = None  # sorted job ids, from the first arc chunk on
+        self.u: np.ndarray | None = None  # bucket of each job, in `ids` order
+        self.depth: list[int] = []  # depth of each job, in `ids` order
+        self._source: np.ndarray | None = None  # job has been an arc source
+
+    def insert_chunk(self, ids: np.ndarray, u: np.ndarray) -> None:
+        """`DepthTable.insert` for a chunk of ids with their buckets."""
+        if ids.size == 0:
+            return
+        last = self._id_parts[-1][-1] if self._id_parts else 0
+        # ids ascending past every earlier id cannot repeat one (the usual case)
+        if self._sorted is not None or ids[0] <= last or (ids[1:] <= ids[:-1]).any():
+            if self._sorted is None:
+                self._sorted = np.concatenate(self._id_parts) if self._id_parts else ids[:0]
+            order = np.argsort(ids, kind="stable")
+            ranked = ids[order]
+            repeat = _find(self._sorted, ids)[1]
+            repeat[order[1:][ranked[1:] == ranked[:-1]]] = True  # equal to an earlier id of the chunk
+            if repeat.any():
+                raise InputContractError(f"duplicate job id {ids[repeat.argmax()]} in stream")
+            # two sorted runs, which the stable sort (timsort) merges in linear time
+            self._sorted = np.sort(np.concatenate((self._sorted, ranked)), kind="stable")
+        self._id_parts.append(ids)
+        self._u_parts.append(u)
+
+    def _freeze(self) -> None:
+        """Sort the jobs by id once all of them have arrived."""
+        ids = np.concatenate(self._id_parts) if self._id_parts else np.empty(0, dtype=np.int64)
+        u = np.concatenate(self._u_parts) if self._u_parts else ids
+        if self._sorted is not None:
+            order = np.argsort(ids)
+            ids, u = ids[order], u[order]
+        self.ids, self.u = ids, u
+        self.depth = [1] * ids.size
+        self._source = np.zeros(ids.size, dtype=bool)
+        self._id_parts = self._u_parts = []
+
+    def raise_chunk(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Raise depths along a chunk of arcs in stream order, as the per-event engine does.
+
+        Its checks at one arc, in order: ``dst`` was already a source,
+        ``src`` or ``dst`` is unseen, and a self-loop, which would raise
+        the job past the job count or else forms a cycle.  Arcs that
+        pass these checks form an acyclic graph, so no depth they raise
+        can pass the job count.
+        """
+        if self.ids is None:
+            self._freeze()
+        if src.size == 0:
+            return
+        s, s_known = _find(self.ids, src)
+        t, t_known = _find(self.ids, dst)
+        late = ends_at_earlier_source(src, dst) | (t_known & self._source[t])
+        bad = late | ~s_known | ~t_known | (src == dst)
+        stop = int(bad.argmax()) if bad.any() else src.size
+        depth = self.depth
+        for a, b in zip(s[:stop].tolist(), t[:stop].tolist()):
+            d = depth[a] + 1
+            if d > depth[b]:
+                depth[b] = d
+        self._source[s[:stop]] = True
+        if stop == src.size:
+            return
+        a, b = int(src[stop]), int(dst[stop])
+        if late[stop]:
+            raise CycleSuspicionError(
+                f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
+            )
+        for job_id, known in ((a, s_known[stop]), (b, t_known[stop])):
+            if not known:
+                raise InputContractError(f"arc references unseen job id {job_id}")
+        new_depth = depth[s[stop]] + 1
+        if new_depth > len(depth):
+            raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(depth)}")
+        raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
+
+    def count_into(self, sk: TreeSketch) -> None:
+        """Count every job at its final (bucket, depth) in ``sk``."""
+        if self.ids is None:
+            self._freeze()
+        if self.depth:
+            us, ds, counts = pair_counts(self.u, np.array(self.depth, dtype=np.int64))
+            sk.add_counts(zip(us, ds), counts)
+
+    def depths_array(self, n: int) -> np.ndarray:
+        """Depths for contiguous ids 1..n, for handing to the second pass."""
+        pos, known = _find(self.ids, np.arange(1, n + 1, dtype=np.int64))
+        if not known.all():
+            raise InputContractError(f"arc references unseen job id {known.argmin() + 1}")
+        return np.array(self.depth, dtype=np.int64)[pos]

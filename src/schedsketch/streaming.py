@@ -25,9 +25,16 @@ The engine consumes its input as chunks of consecutive jobs or arcs:
 `fileio.iter_chunks` and `Instance.chunks` yield int64 column chunks,
 and any other iterable of events (a list of `Job` and `Arc` values) is
 batched into small list-backed chunks.  Every mode walks a chunk event
-by event with the same checks, errors and counts, except `stream_known`
-on int64 chunks, which buckets and counts a whole chunk at once; the
-per-event loop stays its reference.
+by event with the same checks, errors and counts, except on two
+columnar routes, for which the per-event loop stays the reference:
+
+* `stream_known` on an int64 job chunk buckets and counts the whole
+  chunk at once;
+* `stream_unknown` on an input whose first chunk is int64 keeps
+  per-job id, bucket and depth columns (`sketch.DepthColumns`): one
+  `index_array` per job chunk, one ``searchsorted`` and vectorized
+  checks per arc chunk, a plain sequential pass that raises the depths,
+  and one count of the sketch at the end of the stream.
 
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.
@@ -38,7 +45,7 @@ rounded/padded upper bound regardless of that condition.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -57,7 +64,7 @@ from .core import (
 )
 from .errors import CycleSuspicionError, InputContractError
 from .model import ArcChunk, Chunk, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
-from .sketch import DepthTable, TreeSketch, sketch_finalize_alpha
+from .sketch import DepthColumns, DepthTable, TreeSketch, pair_counts, sketch_finalize_alpha
 
 
 class RoundedValues:
@@ -161,26 +168,14 @@ def _chunks(items: Iterable[StreamEvent | Chunk]) -> Iterator[Chunk]:
         yield kind(*cols)
 
 
+def _arrays(chunk: Chunk) -> list:
+    """A chunk's columns as int64 arrays (None stays None)."""
+    return [col if col is None else np.asarray(col, dtype=np.int64) for col in chunk]
+
+
 def _columns(chunk: Chunk) -> list:
     """A chunk's columns as lists of Python ints (None stays None)."""
     return [col.tolist() if isinstance(col, np.ndarray) else col for col in chunk]
-
-
-def pair_counts(u: np.ndarray, d: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """The distinct pairs of two int64 columns ``u >= 0``, ``d >= 0``, with their counts.
-
-    Returns (us, ds, counts), sorted by (u, d), so each depth's pairs
-    come in increasing u.
-    """
-    width = int(d.max()) + 1
-    # the key u * width + d is exact in int64 while (max(u) + 1) * width <= 2**63
-    if (int(u.max()) + 1) * width <= 1 << 63:
-        keys, counts = np.unique(u * width + d, return_counts=True)
-        us, ds = np.divmod(keys, width)
-    else:
-        pairs, counts = np.unique(np.stack((u, d), axis=1), axis=0, return_counts=True)
-        us, ds = pairs[:, 0], pairs[:, 1]
-    return us.tolist(), ds.tolist(), counts.tolist()
 
 
 def _count_known(chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, h: int, c: int) -> None:
@@ -212,6 +207,13 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
     sk = TreeSketch()
+    chunks = _chunks(events)
+    first = next(chunks, None)
+    if first is not None:
+        chunks = chain((first,), chunks)
+    # stream_unknown on int64 chunks keeps columns and counts the sketch at the end
+    columnar = mode == STREAM_UNKNOWN and first is not None and isinstance(first[0], np.ndarray)
+    columns = DepthColumns() if columnar else None
     table = DepthTable()
     index, floor_log = gb.index, gb.floor_log
     add, note = sk.add, sk.note_processing_time
@@ -226,12 +228,15 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     d = height = 1  # discovered depths start at 1
     seen = 0
     updates = 0
-    for chunk in _chunks(events):
+    for chunk in chunks:
         if isinstance(chunk, ArcChunk):
             updates += len(chunk.src)
             if given:  # the known-depth modes pass over arc events
                 continue
             in_arc_phase = True
+            if columns is not None:
+                columns.raise_chunk(*_arrays(chunk))
+                continue
             for src, dst in zip(*_columns(chunk)):
                 if dst in sources_seen:
                     raise CycleSuspicionError(
@@ -265,6 +270,15 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         if mode == STREAM_KNOWN and isinstance(chunk.p, np.ndarray):
             _count_known(chunk, sk, gb, h, c)
             continue
+        if columns is not None:
+            ids, ps, _ = _arrays(chunk)
+            if ids.size:
+                if in_arc_phase:
+                    raise InputContractError(f"job {ids[0]} arrived after arc events began")
+                columns.insert_chunk(ids, gb.index_array(ps))
+                note(int(ps.min()))
+                note(int(ps.max()))
+            continue
         ids, ps, depths = _columns(chunk)
         for job_id, p, job_depth in zip(ids, ps, repeat(None) if depths is None else depths):
             u = index(p)
@@ -294,6 +308,10 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             if add(d, u):
                 sk.prune_smallest(cutoff)
             sk.note_peak()
+    if columns is not None:
+        columns.count_into(sk)
+        height = max(columns.depth, default=1)
+        table = columns
     n = seen if capped else sk.total_counted
     if n == 0:
         raise InputContractError("empty job stream")
@@ -356,8 +374,9 @@ def stream_unknown(
 ) -> RunReport:
     """Jobs then topologically ordered arcs; c, h and depths discovered.
 
-    Per-job state (the depth table) makes this O(n) space; the sketch
-    itself stays at one node per occupied (depth, bucket) pair.
+    Per-job state (the depth table, or its columns on int64 chunks)
+    makes this O(n) space; the sketch itself stays at one node per
+    occupied (depth, bucket) pair.
     """
     return _stream(events, params, STREAM_UNKNOWN, tight)
 

@@ -285,6 +285,51 @@ class TestBench:
             assert (int(a), int(nodes)) == (want.A, want.sketch_node_count)
 
 
+class TestTight:
+    """``--tight`` reaches every run: single, batched trials and bench rows."""
+
+    @pytest.fixture()
+    def gapped(self, tmp_path):
+        path = tmp_path / "gap.txt"
+        path.write_text("J 1 1 1\nJ 2 1 3\n")  # depth 2 holds no job
+        return str(path)
+
+    def test_sample_trials_keep_tight(self, gapped, capsys):
+        argv = ["sample1", "--epsilon", "0.5", "--m", "1", "--c", "1", "--h", "3", "--tight", "--in", gapped]
+        assert main(argv) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single["sks"] == [2, 2, 4]
+        assert main([*argv, "--trials", "2"]) == 0
+        trials = json.loads(capsys.readouterr().out)["trials"]
+        assert [t["sks"] for t in trials] == [[2, 2, 4], [2, 2, 4]]
+
+    @pytest.mark.parametrize("algo", ["sample1", "stream1"])
+    def test_bench_keeps_tight(self, gapped, algo, capsys):
+        argv = ["--epsilon", "0.5", "--m", "1", "--c", "1", "--h", "3", "--in", gapped]
+        assert main([algo, *argv, "--tight"]) == 0
+        tight_a = json.loads(capsys.readouterr().out)["A"]
+        assert main([algo, *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["A"] != tight_a  # the empty depth pays without --tight
+        assert main(["bench", "--algo", algo, *argv, "--tight", "--trials", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [tight_a, tight_a]
+
+
+class TestInternalError:
+    def test_invariant_violation_exits_5(self, chain_files, monkeypatch, capsys):
+        from schedsketch import cli
+
+        def broken(*args, **kwargs):
+            raise ss.InvariantViolationError("sketch and depth table disagree")
+
+        monkeypatch.setitem(cli.STREAMING_ALGORITHMS, "stream2", broken)
+        _, inst_path = chain_files
+        assert main(["stream2", "--epsilon", "0.3", "--m", "200", "--in", str(inst_path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "error: internal: sketch and depth table disagree\n"
+        assert captured.out == ""
+
+
 class TestGenFamilies:
     @pytest.mark.parametrize(
         "argv",

@@ -137,6 +137,12 @@ class TestBoundedSampling:
         with pytest.raises(ss.InputContractError):
             ss.rand_approx_bounded(ss.ArrayAccess(inst2), P(epsilon=0.5, m=1, c=1, h=2))
 
+    @pytest.mark.parametrize("depth", [[0, 1], [-2, 1]])
+    def test_depth_below_one_rejected(self, depth):
+        # such a job's load would land at loads[d - 1], the last depth
+        with pytest.raises(ss.ParamError, match="all depths must be >= 1"):
+            ss.Instance(p=[1, 1], depth=depth, arcs=np.empty((0, 2)), m=1)
+
     def test_estimated_sketch_times_monotone(self):
         inst = ss.chain(m=2, q=20, h=3)
         rep = ss.rand_approx_bounded(ss.ArrayAccess(inst), P(epsilon=0.5, m=2, c=1, h=3, seed=1))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import schedsketch as ss
 from conftest import SingleUse, random_instance
 from schedsketch import fileio, model
+from schedsketch.sketch import DepthColumns
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
@@ -377,3 +378,89 @@ def test_engine_error_on_an_earlier_line_wins(mode, text, message, block, tmp_pa
         with pytest.raises(ss.InputContractError) as err:
             STREAMING_ALGORITHMS[mode](source(str(path)), params)
         assert str(err.value) == message
+
+
+def _outcome(run) -> dict | tuple:
+    """A stream run's summary, or the class and message of the error it raised."""
+    try:
+        return _run_summary(run())
+    except Exception as exc:  # compared between the two routes, class and message alike
+        return type(exc), str(exc)
+
+
+def _int64_chunks(events: list, rows: int):
+    """``events`` as int64 column chunks of at most ``rows`` events."""
+    kinds = [type(ev) for ev in events]
+    lo = 0
+    while lo < len(events):
+        hi = lo + 1
+        while hi < len(events) and hi - lo < rows and kinds[hi] is kinds[lo]:
+            hi += 1
+        cols = np.array([tuple(ev)[:2] if kinds[lo] is ss.Arc else (ev.id, ev.p) for ev in events[lo:hi]])
+        yield model.ArcChunk(*cols.T) if kinds[lo] is ss.Arc else model.JobChunk(*cols.T, None)
+        lo = hi
+
+
+def _jobs(*ids):
+    return [ss.Job(i, i % 5 + 1) for i in ids]
+
+
+A = ss.Arc
+COLUMNAR_CASES = {
+    "repeat in one chunk": (_jobs(1, 2, 1), "duplicate job id 1 in stream"),
+    "repeat across chunks": (_jobs(1, 2, 3, 2), "duplicate job id 2 in stream"),
+    "repeat across ascending chunks": (_jobs(1, 3, 3, 4), "duplicate job id 3 in stream"),
+    "repeat after unsorted ids": (_jobs(4, 1, 3, 2, 4), "duplicate job id 4 in stream"),
+    "unseen src": (_jobs(1, 2, 3) + [A(1, 2), A(7, 3)], "arc references unseen job id 7"),
+    "unseen dst": (_jobs(1, 2, 3) + [A(1, 2), A(2, 9)], "arc references unseen job id 9"),
+    "self-loop past job count": (_jobs(1) + [A(1, 1)], "depth 2 exceeds job count 1"),
+    "self-loop": (_jobs(1, 2) + [A(1, 1)], "self-loop arc (1 -> 1) forms a cycle"),
+    "self-loop past raised depth": (_jobs(1, 2) + [A(1, 2), A(2, 2)], "depth 3 exceeds job count 2"),
+    "self-loop on a source": (
+        _jobs(1, 2) + [A(1, 2), A(1, 1)],
+        "arc (1 -> 1) arrived after 1 was already a source; arc stream is not in topological order",
+    ),
+    "job after arcs": (_jobs(1, 2) + [A(1, 2)] + _jobs(3), "job 3 arrived after arc events began"),
+    "gapped ids": (_jobs(10, 3, 7, 1) + [A(1, 3), A(3, 10), A(7, 10)], "arc references unseen job id 2"),
+    "unsorted ids": (_jobs(5, 2, 4, 1, 3) + [A(1, 2), A(2, 3), A(4, 3), A(3, 5)], None),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 256])
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
+def test_columnar_stream2_matches_per_event(case, rows):
+    """stream2 on int64 chunks keeps the per-event route's results and errors."""
+    events, message = COLUMNAR_CASES[case]
+    params = P(epsilon=0.3, m=1)
+    want = _outcome(lambda: ss.stream_unknown(events, params))
+    assert _outcome(lambda: ss.stream_unknown(_int64_chunks(events, rows), params)) == want
+    if message is None:
+        rep = ss.stream_unknown(_int64_chunks(events, rows), params)
+        assert isinstance(rep.extras["depth_table"], DepthColumns)
+    else:  # depths_array(n) names the first missing id of a gapped stream
+        assert want[1] == message
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_columnar_stream2_rejects_out_of_order_arcs(rows, monkeypatch):
+    """A back arc within one chunk (7 rows) or across chunks (1 row), through `Instance.chunks`."""
+    monkeypatch.setattr(model, "CHUNK_ROWS", rows)
+    inst = ss.Instance(p=[1, 2, 3], depth=None, arcs=[(1, 2), (2, 3), (3, 1)], m=1)
+    params = P(epsilon=0.3, m=1)
+    want = _outcome(lambda: ss.stream_unknown(inst.events(with_depth=False), params))
+    assert want == (
+        ss.CycleSuspicionError,
+        "arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order",
+    )
+    assert _outcome(lambda: ss.stream_unknown(inst.chunks(with_depth=False), params)) == want
+
+
+def test_columnar_stream2_long_chain(monkeypatch):
+    """A 5,000-job chain in 7-row chunks: one depth per job, every arc raising its end."""
+    monkeypatch.setattr(model, "CHUNK_ROWS", 7)
+    inst = ss.chain(m=1, q=1, h=5_000)
+    params = P(epsilon=0.3, m=1)
+    rep = ss.stream_unknown(inst.chunks(with_depth=False), params)
+    assert isinstance(rep.extras["depth_table"], DepthColumns)
+    assert _run_summary(rep) == _run_summary(ss.stream_unknown(inst.events(with_depth=False), params))
+    assert rep.extras["h_discovered"] == 5_000
