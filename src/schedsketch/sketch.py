@@ -149,6 +149,10 @@ class TreeSketch:
             return True
         return False
 
+    def smallest_bucket(self) -> int | None:
+        """Bucket of the minimum key, the node `prune_smallest` would evict; None when empty."""
+        return min(self._map)[0] if self._map else None
+
     def top_bucket(self, count: int) -> int | None:
         """Highest bucket u whose nodes and those above hold >= count jobs; None if none does."""
         held = 0

@@ -25,16 +25,25 @@ The engine consumes its input as chunks of consecutive jobs or arcs:
 `fileio.iter_chunks` and `Instance.chunks` yield int64 column chunks,
 and any other iterable of events (a list of `Job` and `Arc` values) is
 batched into small list-backed chunks.  Every mode walks a chunk event
-by event with the same checks, errors and counts, except on two
+by event with the same checks, errors and counts, except on three
 columnar routes, for which the per-event loop stays the reference:
 
 * `stream_known` on an int64 job chunk buckets and counts the whole
   chunk at once;
+* `stream_alpha_known` on an int64 job chunk finds the skipped jobs
+  from the running maximum before each job (a prefix maximum), and
+  buckets and counts the kept ones at once, with one cutoff per chunk.
+  This holds only when no eviction can fall inside the chunk: the
+  cutoff only rises, so the chunk's final cutoff must be at most the
+  smallest bucket of both the sketch and the kept jobs.  Otherwise the
+  chunk is walked event by event;
 * `stream_unknown` on an input whose first chunk is int64 keeps
   per-job id, bucket and depth columns (`sketch.DepthColumns`): one
   `index_array` per job chunk, one ``searchsorted`` and vectorized
   checks per arc chunk, a plain sequential pass that raises the depths,
   and one count of the sketch at the end of the stream.
+
+A zero-row job chunk is passed over in every mode.
 
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.
@@ -200,6 +209,51 @@ def _count_known(chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, h: int, 
     sk.add_counts(zip(us, ds), counts)
 
 
+def _count_alpha_known(
+    chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, held: list[bool], n_sq: int, p_max_run: int, cutoff: int
+) -> tuple[int, int] | None:
+    """`stream_alpha_known` on a chunk of int64 columns, when no eviction can fall inside it.
+
+    Skips each job below the running maximum before it over ``n_sq``,
+    as the per-job loop does, and counts the kept jobs with one
+    `TreeSketch.add_counts` call; returns the new running maximum and
+    cutoff.  The cutoff only rises, so when the chunk's final cutoff is
+    at most the smallest bucket of both the sketch and the kept jobs, no
+    lazy prune inside the chunk would evict, and the node count, hence
+    ``peak_node_count``, only grows.  Otherwise, and when a depth lies
+    outside 1..h or a ``p`` below 1 (the loop's errors, or a depth-0
+    job that the loop skips) or the running maximum is past int64 (an
+    earlier event), returns None and changes nothing, so the caller
+    walks the chunk event by event.
+    """
+    _, p, depth = chunk
+    p_lo, top = int(p.min()), int(p.max())
+    if p_lo < 1 or depth.min() < 1 or depth.max() >= len(held) or p_max_run >> 63:
+        return None
+    keep = slice(None)  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
+    if n_sq >> 63 == 0:
+        # the maximum before each job; a skipped job lies below it, so kept jobs alone set it
+        run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p[:-1])))
+        keep = p > (run_max - 1) // n_sq  # not p * n_sq < run_max, exactly and within int64
+    if top > p_max_run:
+        p_max_run, cutoff = top, gb.floor_log(top, n_sq)
+    kept_p, kept_depth = p[keep], depth[keep]
+    if kept_p.size:
+        low = gb.index(int(kept_p.min()))
+        if sk.node_count:
+            low = min(low, sk.smallest_bucket())
+        if cutoff > low:  # the eviction guard
+            return None
+        us, ds, counts = pair_counts(gb.index_array(kept_p), kept_depth)
+        sk.add_counts(zip(us, ds), counts)
+        sk.note_peak()
+    for d in np.unique(depth).tolist():
+        held[d] = True
+    sk.note_processing_time(p_lo)
+    sk.note_processing_time(top)
+    return p_max_run, cutoff
+
+
 def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str, tight: bool) -> RunReport:
     """The one-pass engine behind all four modes; see the module docstring."""
     given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)  # depths on the job events
@@ -265,19 +319,26 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                         height = new_depth
             continue
         updates += len(chunk.ids)
+        if len(chunk.ids) == 0:
+            continue
         if given and chunk.depth is None:  # a file without depths
             raise InputContractError(f"job {chunk.ids[0]} carries no depth; this mode requires depths")
         if mode == STREAM_KNOWN and isinstance(chunk.p, np.ndarray):
             _count_known(chunk, sk, gb, h, c)
             continue
+        if mode == STREAM_ALPHA_KNOWN and isinstance(chunk.p, np.ndarray):
+            state = _count_alpha_known(chunk, sk, gb, held, n_sq, p_max_run, cutoff)
+            if state is not None:
+                p_max_run, cutoff = state
+                seen += len(chunk.ids)
+                continue
         if columns is not None:
             ids, ps, _ = _arrays(chunk)
-            if ids.size:
-                if in_arc_phase:
-                    raise InputContractError(f"job {ids[0]} arrived after arc events began")
-                columns.insert_chunk(ids, gb.index_array(ps))
-                note(int(ps.min()))
-                note(int(ps.max()))
+            if in_arc_phase:
+                raise InputContractError(f"job {ids[0]} arrived after arc events began")
+            columns.insert_chunk(ids, gb.index_array(ps))
+            note(int(ps.min()))
+            note(int(ps.max()))
             continue
         ids, ps, depths = _columns(chunk)
         for job_id, p, job_depth in zip(ids, ps, repeat(None) if depths is None else depths):

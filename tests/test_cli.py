@@ -74,6 +74,15 @@ class TestGenAndStream:
         assert rc == 3
         assert capsys.readouterr().err == "error: self-loop arc (1 -> 1) forms a cycle\n"
 
+    def test_stream3_n_squared_past_int64_exits_3(self, tmp_path, capsys):
+        # n^2 = 1.6e19 is past int64; --n is checked only at the end of the stream
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 3 1\nJ 2 5 2\nA 1 2\n")
+        rc = main(["stream3", "--epsilon", "0.3", "--m", "1", "--c", "5", "--h", "2",
+                   "--n", "4000000000", "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: stream carried 2 jobs but n=4000000000 was declared\n"
+
     def test_bad_epsilon_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         inst.write_text("J 1 1 1\n")

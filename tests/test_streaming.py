@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import SingleUse, random_instance
-from schedsketch import fileio, model
+from schedsketch import fileio, model, streaming
 from schedsketch.sketch import DepthColumns
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
@@ -464,3 +464,144 @@ def test_columnar_stream2_long_chain(monkeypatch):
     assert isinstance(rep.extras["depth_table"], DepthColumns)
     assert _run_summary(rep) == _run_summary(ss.stream_unknown(inst.events(with_depth=False), params))
     assert rep.extras["h_discovered"] == 5_000
+
+
+@pytest.mark.parametrize("mode", sorted(STREAMING_ALGORITHMS))
+def test_empty_job_chunk_is_skipped(mode, monkeypatch):
+    """A zero-row int64 job chunk, first, between job chunks or after the arcs, changes no report."""
+    monkeypatch.setattr(model, "CHUNK_ROWS", 7)
+    inst = CHUNK_INSTANCES["layered"]()
+    given = mode in ("stream1", "stream3")
+    kwargs = {"stream1": dict(c=9, h=3), "stream2": {}, "stream3": dict(c=9, h=3, n=inst.n), "stream4": dict(n=inst.n)}
+    params = P(epsilon=0.3, m=inst.m, **kwargs[mode])
+    fn = STREAMING_ALGORITHMS[mode]
+    e = np.empty(0, dtype=np.int64)
+    chunks = list(inst.chunks(with_depth=given))
+    want = _run_summary(fn(chunks, params))
+    for at in (0, 1, len(chunks)):
+        with_empty = chunks[:at] + [model.JobChunk(e, e, e if given else None)] + chunks[at:]
+        assert _run_summary(fn(with_empty, params)) == want
+
+
+def _job_chunks(p: list, depth: list, rows: int):
+    """Jobs 1..n with these times and depths, as int64 column chunks of at most ``rows`` jobs."""
+    ids = np.arange(1, len(p) + 1, dtype=np.int64)
+    p, depth = np.array(p, dtype=np.int64), np.array(depth, dtype=np.int64)
+    for lo in range(0, len(p), rows):
+        yield model.JobChunk(ids[lo:lo + rows], p[lo:lo + rows], depth[lo:lo + rows])
+
+
+def _spy_alpha_known(monkeypatch) -> list:
+    """What each call of stream3's columnar count returns from now on (None: walked event by event)."""
+    taken = []
+    count = streaming._count_alpha_known
+
+    def spy(*args):
+        taken.append(count(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(streaming, "_count_alpha_known", spy)
+    return taken
+
+
+def _stream3_routes(
+    p: list, depth: list, rows: int, monkeypatch, *, h: int | None = None, epsilon: float = 0.3, tight: bool = False
+) -> tuple[list, dict | tuple, dict | tuple]:
+    """stream3 on int64 chunks and on events, with what each columnar chunk call returned."""
+    taken = _spy_alpha_known(monkeypatch)
+    params = P(epsilon=epsilon, m=1, c=max(p), h=h or max(depth), n=len(p), alpha=0.25)
+    monkeypatch.setattr(model, "CHUNK_ROWS", rows)
+    if min(depth) >= 1:
+        inst = ss.Instance(p=p, depth=depth, arcs=[], m=1)
+        chunks, events = inst.chunks(), inst.events()
+    else:  # `Instance` and `Job` reject depth 0; list columns take the per-event loop too
+        chunks, events = _job_chunks(p, depth, rows), [model.JobChunk(list(range(1, len(p) + 1)), p, depth)]
+    want = _outcome(lambda: ss.stream_alpha_known(events, params, tight=tight))
+    got = _outcome(lambda: ss.stream_alpha_known(chunks, params, tight=tight))
+    return taken, got, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 2**40), st.integers(1, 4)), min_size=1, max_size=120
+    ),
+    ascending=st.booleans(),
+    rows=st.integers(1, 64),
+    tight=st.booleans(),
+    epsilon=st.sampled_from([0.3, 0.05]),
+)
+def test_columnar_stream3_matches_per_event(jobs, ascending, rows, tight, epsilon):
+    """stream3 on int64 chunks of 1..64 rows reports what the per-event route does."""
+    p = [(1 << k) + r % (1 << k) for k, r, _ in jobs]  # log-spread, so jobs are skipped and evicted
+    depth = [d for _, _, d in jobs]
+    if ascending:
+        p.sort()
+    with pytest.MonkeyPatch.context() as mp:
+        _, got, want = _stream3_routes(p, depth, rows, mp, tight=tight, epsilon=epsilon)
+    assert got == want
+
+
+@pytest.mark.parametrize("order", ["equal first", "below first"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_columnar_stream3_skip_boundary(rows, order, monkeypatch):
+    """With n = 4: p * n^2 equal to the running maximum keeps the job, one below it skips it."""
+    p = [1600, 100, 99, 1600] if order == "equal first" else [1600, 99, 100, 1600]
+    taken, got, want = _stream3_routes(p, [1, 1, 2, 2], rows, monkeypatch)
+    assert got == want
+    assert got["counted"] == 3
+    assert None not in taken  # every chunk took the columnar count
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_columnar_stream3_evicting_chunk_takes_the_loop(rows, monkeypatch):
+    """A new maximum lifts the cutoff above a sketch node, or a kept job of its own chunk."""
+    # n = 3: after 1000 the cutoff is floor_log(1000 / 9), above the bucket of 10
+    taken, got, want = _stream3_routes([10, 1000, 5], [1, 2, 1], rows, monkeypatch)
+    assert got == want
+    assert got["peak_node_count"] == 1  # the node of 10 goes as the one of 1000 comes
+    assert None in taken
+
+
+def test_columnar_stream3_depth_past_h_mid_chunk(monkeypatch):
+    taken, got, want = _stream3_routes([5, 6, 7, 8], [1, 2, 3, 1], 4, monkeypatch, h=2)
+    assert got == want == (ss.InputContractError, "job 3 has depth 3 > h=2")
+    assert taken == [None]
+
+
+@pytest.mark.parametrize("depth,error", [([1, 0, 1], None), ([0, 1, 1], "depth must be >= 1, got 0")])
+def test_columnar_stream3_depth_zero(depth, error, monkeypatch):
+    """A depth-0 job is skipped, before any check of its depth, unless it is kept."""
+    taken, got, want = _stream3_routes([10**6, 1, 10**6], depth, 3, monkeypatch)
+    assert got == want
+    if error is not None:
+        assert got == (ss.InputContractError, error)
+    assert taken == [None]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize(
+    "p",
+    [
+        [2**63 - 1],
+        # n = 3: (2**63 - 1) // 9 * 9 is below the maximum, one more times 9 is past it
+        [2**63 - 2, 2**63 - 1, (2**63 - 1) // 9],
+        [2**63 - 2, 2**63 - 1, (2**63 - 1) // 9 + 1],
+    ],
+)
+def test_columnar_stream3_near_int64_max(p, rows, monkeypatch):
+    taken, got, want = _stream3_routes(p, [1] * len(p), rows, monkeypatch)
+    assert got == want
+    assert got["p_max"] == 2**63 - 1
+    assert None not in taken
+
+
+def test_columnar_stream3_after_a_maximum_past_int64(monkeypatch):
+    """A `Job` event may carry p >= 2**63; an int64 chunk after it takes the per-event loop."""
+    taken = _spy_alpha_known(monkeypatch)
+    params = P(epsilon=0.3, m=1, c=1, h=1, n=3)
+    chunk = model.JobChunk(np.array([2, 3]), np.array([2**62, 2**63 - 1]), np.array([1, 1]))
+    got = _run_summary(ss.stream_alpha_known([ss.Job(1, 2**63, 1), chunk], params))
+    events = [ss.Job(1, 2**63, 1), ss.Job(2, 2**62, 1), ss.Job(3, 2**63 - 1, 1)]
+    assert got == _run_summary(ss.stream_alpha_known(events, params))
+    assert taken == [None]
