@@ -22,7 +22,7 @@ from dataclasses import replace
 from . import fileio
 from .core import AlgoParams, ceil_div
 from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
-from .generators import generate
+from .generators import FAMILIES, generate
 from .model import Instance, JobChunk
 from .oracles import compute_depths, critical_path_length, exact_makespan, list_schedule
 from .sampling import SAMPLING_ALGORITHMS, ArrayAccess, ChainAccess, TwoValueAccess
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
 
     p = sub.add_parser("gen", help="write an instance file")
-    p.add_argument("--family", required=True, choices=("chain", "layered", "alpha-mixed", "random-dag"))
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=1)
@@ -294,11 +294,11 @@ def _run_bench(args) -> int:
         else:
             inst = fileio.read_instance(args.infile)
         kind, ref = _known_cstar(args, inst)
-        fn = STREAMING_ALGORITHMS[args.algo]
         reports = []
-        for i in range(args.trials):
+        if args.trials > 0:  # a stream mode ignores the seed, so one run serves every seed's row
+            fn = STREAMING_ALGORITHMS[args.algo]
             events = inst.chunks(with_depth=args.algo in ("stream1", "stream3"))
-            reports.append(fn(events, replace(_params(args, n=inst.n), seed=args.seed + i), tight=args.tight))
+            reports = [fn(events, _params(args, n=inst.n), tight=args.tight)] * args.trials
     for i, rep in enumerate(reports):
         ratio = rep.A / ref if ref else float("nan")
         rows.append(

@@ -53,7 +53,7 @@ from .model import (
     StreamEvent,
     ends_at_earlier_source,
 )
-from .generators import generate
+from .generators import FAMILIES, generate
 from .sampling import ChainAccess, SampleAccess, TwoValueAccess
 from .schedule import ConcreteSchedule, Violation
 
@@ -344,12 +344,7 @@ def write_violations(violations: list[Violation], path: str) -> None:
 
 
 def looks_like_gen_spec(text: str) -> bool:
-    return ":" in text and not os.path.exists(text) and text.split(":", 1)[0] in (
-        "chain",
-        "layered",
-        "alpha-mixed",
-        "random-dag",
-    )
+    return ":" in text and not os.path.exists(text) and text.split(":", 1)[0] in FAMILIES
 
 
 def parse_gen_spec(text: str) -> tuple[str, dict]:

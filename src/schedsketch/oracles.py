@@ -83,6 +83,8 @@ def list_schedule(inst: Instance, order=None) -> ConcreteSchedule:
     ``order`` is a job-id list; earlier ids get priority among ready
     jobs.  Default order is non-increasing processing time, ties by id.
     The result is always feasible and at most (2 - 1/m) times optimal.
+    Arcs that starve it (a cycle, such as a self-loop that given depths
+    let through) raise `CycleSuspicionError`.
     """
     n = inst.n
     if order is None:
@@ -119,7 +121,7 @@ def list_schedule(inst: Instance, order=None) -> ConcreteSchedule:
         if scheduled == n:
             break
         if not completions:
-            raise ParamError("precedence graph starves list scheduling; cycle in arcs?")
+            raise CycleSuspicionError("precedence graph starves list scheduling; cycle in arcs?")
         now = completions[0][0]
         while completions and completions[0][0] == now:
             _, j = heapq.heappop(completions)

@@ -25,23 +25,25 @@ The engine consumes its input as chunks of consecutive jobs or arcs:
 `fileio.iter_chunks` and `Instance.chunks` yield int64 column chunks,
 and any other iterable of events (a list of `Job` and `Arc` values) is
 batched into small list-backed chunks.  Every mode walks a chunk event
-by event with the same checks, errors and counts, except on three
-columnar routes, for which the per-event loop stays the reference:
+by event with the same checks, errors and counts, except on two
+columnar job routes, for which the per-event loop stays the reference:
 
-* `stream_known` on an int64 job chunk buckets and counts the whole
-  chunk at once;
-* `stream_alpha_known` on an int64 job chunk finds the skipped jobs
-  from the running maximum before each job (a prefix maximum), and
-  buckets and counts the kept ones at once, with one cutoff per chunk.
-  This holds only when no eviction can fall inside the chunk: the
-  cutoff only rises, so the chunk's final cutoff must be at most the
-  smallest bucket of both the sketch and the kept jobs.  Otherwise the
-  chunk is walked event by event;
+* `stream_known` and `stream_alpha_known` on an int64 job chunk with
+  depths share one counter.  It finds the skipped jobs from the running
+  maximum before each job (a prefix maximum; the uncapped mode skips
+  none), and buckets and counts the kept ones at once, with one cutoff
+  per chunk.  It takes the whole chunk or declines it and changes
+  nothing: it declines a chunk that holds a job the loop would reject,
+  and one inside which an eviction could fall (the cutoff only rises,
+  so the chunk's final cutoff must be at most the smallest bucket of
+  both the sketch and the kept jobs).  A declined chunk is walked event
+  by event, so the loop raises every per-job error;
 * `stream_unknown` on an input whose first chunk is int64 keeps
   per-job id, bucket and depth columns (`sketch.DepthColumns`): one
-  `index_array` per job chunk, one ``searchsorted`` and vectorized
-  checks per arc chunk, a plain sequential pass that raises the depths,
-  and one count of the sketch at the end of the stream.
+  `index_array` per job chunk that comes before the arcs, one
+  ``searchsorted`` and vectorized checks per arc chunk, a plain
+  sequential pass that raises the depths, and one count of the sketch
+  at the end of the stream.
 
 A zero-row job chunk is passed over in every mode.
 
@@ -187,48 +189,35 @@ def _columns(chunk: Chunk) -> list:
     return [col.tolist() if isinstance(col, np.ndarray) else col for col in chunk]
 
 
-def _count_known(chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, h: int, c: int) -> None:
-    """`stream_known` on a chunk of int64 columns: what the per-job loop does, a chunk at a time.
-
-    Raises the per-job loop's error for the first job that breaks
-    ``depth <= h`` or ``p <= c``; otherwise counts every (bucket, depth)
-    pair of the chunk with one `TreeSketch.add_counts` call.  The
-    loop's ``held`` flags only widen depths in the capped modes, so
-    they are not kept here.
-    """
-    ids, p, depth = chunk
-    bad = (depth > h) | (p > c)
-    if bad.any():
-        i = int(bad.argmax())
-        if depth[i] > h:
-            raise InputContractError(f"job {ids[i]} has depth {depth[i]} > h={h}")
-        raise InputContractError(f"job {ids[i]} has p={p[i]} > c={c}")
-    us, ds, counts = pair_counts(gb.index_array(p), depth)
-    sk.note_processing_time(int(p.min()))
-    sk.note_processing_time(int(p.max()))
-    sk.add_counts(zip(us, ds), counts)
-
-
-def _count_alpha_known(
-    chunk: JobChunk, sk: TreeSketch, gb: GeometricBuckets, held: list[bool], n_sq: int, p_max_run: int, cutoff: int
+def _count_given(
+    chunk: JobChunk,
+    sk: TreeSketch,
+    gb: GeometricBuckets,
+    held: list[bool],
+    n_sq: int,
+    p_cap: float,
+    p_max_run: int,
+    cutoff: int,
 ) -> tuple[int, int] | None:
-    """`stream_alpha_known` on a chunk of int64 columns, when no eviction can fall inside it.
+    """A given-depth mode on a chunk of int64 columns: the whole chunk, or nothing.
 
     Skips each job below the running maximum before it over ``n_sq``,
     as the per-job loop does, and counts the kept jobs with one
     `TreeSketch.add_counts` call; returns the new running maximum and
-    cutoff.  The cutoff only rises, so when the chunk's final cutoff is
-    at most the smallest bucket of both the sketch and the kept jobs, no
-    lazy prune inside the chunk would evict, and the node count, hence
-    ``peak_node_count``, only grows.  Otherwise, and when a depth lies
-    outside 1..h or a ``p`` below 1 (the loop's errors, or a depth-0
-    job that the loop skips) or the running maximum is past int64 (an
-    earlier event), returns None and changes nothing, so the caller
-    walks the chunk event by event.
+    cutoff.  The uncapped mode passes an ``n_sq`` past int64, which
+    skips no job and keeps the cutoff below every bucket, and its
+    ``p_cap`` c.  The cutoff only rises, so when the chunk's final
+    cutoff is at most the smallest bucket of both the sketch and the
+    kept jobs, no lazy prune inside the chunk would evict, and the node
+    count, hence ``peak_node_count``, only grows.  Otherwise, and when a
+    ``p`` lies outside 1..p_cap or a depth outside 1..h (the loop's
+    errors, or a depth-0 job that the capped loop skips) or the running
+    maximum is past int64 (an earlier event), returns None and changes
+    nothing, so the caller walks the chunk event by event.
     """
     _, p, depth = chunk
     p_lo, top = int(p.min()), int(p.max())
-    if p_lo < 1 or depth.min() < 1 or depth.max() >= len(held) or p_max_run >> 63:
+    if p_lo < 1 or top > p_cap or depth.min() < 1 or depth.max() >= len(held) or p_max_run >> 63:
         return None
     keep = slice(None)  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
     if n_sq >> 63 == 0:
@@ -247,7 +236,7 @@ def _count_alpha_known(
         us, ds, counts = pair_counts(gb.index_array(kept_p), kept_depth)
         sk.add_counts(zip(us, ds), counts)
         sk.note_peak()
-    for d in np.unique(depth).tolist():
+    for d in np.flatnonzero(np.bincount(depth)).tolist():
         held[d] = True
     sk.note_processing_time(p_lo)
     sk.note_processing_time(top)
@@ -276,9 +265,11 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     in_arc_phase = False
     h, c = params.h, params.c
     held = [False] * (h + 1) if given else None  # held[d]: some job has depth d
-    n_sq = params.n * params.n if capped else 1
+    # the uncapped modes skip no job: an n^2 past int64, and a cutoff below every bucket
+    n_sq = params.n * params.n if capped else 1 << 63
+    p_cap = math.inf if capped else c  # only the uncapped modes bound p by c
     p_max_run = 1
-    cutoff = floor_log(p_max_run, n_sq) if capped else 0
+    cutoff = floor_log(p_max_run, n_sq)
     d = height = 1  # discovered depths start at 1
     seen = 0
     updates = 0
@@ -321,21 +312,14 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         updates += len(chunk.ids)
         if len(chunk.ids) == 0:
             continue
-        if given and chunk.depth is None:  # a file without depths
-            raise InputContractError(f"job {chunk.ids[0]} carries no depth; this mode requires depths")
-        if mode == STREAM_KNOWN and isinstance(chunk.p, np.ndarray):
-            _count_known(chunk, sk, gb, h, c)
-            continue
-        if mode == STREAM_ALPHA_KNOWN and isinstance(chunk.p, np.ndarray):
-            state = _count_alpha_known(chunk, sk, gb, held, n_sq, p_max_run, cutoff)
+        if given and isinstance(chunk.depth, np.ndarray):
+            state = _count_given(chunk, sk, gb, held, n_sq, p_cap, p_max_run, cutoff)
             if state is not None:
                 p_max_run, cutoff = state
                 seen += len(chunk.ids)
                 continue
-        if columns is not None:
+        if columns is not None and not in_arc_phase:
             ids, ps, _ = _arrays(chunk)
-            if in_arc_phase:
-                raise InputContractError(f"job {ids[0]} arrived after arc events began")
             columns.insert_chunk(ids, gb.index_array(ps))
             note(int(ps.min()))
             note(int(ps.max()))
@@ -349,7 +333,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                     raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
                 if d > h:
                     raise InputContractError(f"job {job_id} has depth {d} > h={h}")
-                if not capped and p > c:
+                if p > p_cap:
                     raise InputContractError(f"job {job_id} has p={p} > c={c}")
                 held[d] = True
             else:

@@ -9,6 +9,7 @@ import pytest
 import schedsketch as ss
 from schedsketch import fileio
 from schedsketch.cli import main
+from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
 @pytest.fixture()
@@ -193,6 +194,14 @@ class TestOracle:
         assert main(["oracle", "list", "--in", str(inst), "--m", "2"]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    @pytest.mark.parametrize("which", ["exact", "list"])
+    def test_self_loop_with_given_depths_exits_3(self, tmp_path, capsys, which):
+        """Given depths skip `compute_depths`, so list scheduling is what meets the self-loop."""
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 1 1\nJ 2 1 2\nA 1 2\nA 2 2\n")
+        assert main(["oracle", which, "--in", str(inst), "--m", "1"]) == 3
+        assert capsys.readouterr().err == "error: precedence graph starves list scheduling; cycle in arcs?\n"
+
     def test_guard_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
         inst.write_text("".join(f"J {j} 1 1\n" for j in range(1, 14)))
@@ -280,6 +289,19 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[1] == "18"
         assert lines[1].split(",")[3] == "1.200000"
+
+    def test_bench_streaming_runs_once(self, chain_files, monkeypatch):
+        """A stream mode ignores the seed: one run, its report on every seed's row."""
+        tmp, inst_path = chain_files
+        calls = []
+        run = STREAMING_ALGORITHMS["stream1"]
+        monkeypatch.setitem(STREAMING_ALGORITHMS, "stream1", lambda *a, **kw: calls.append(1) or run(*a, **kw))
+        out = tmp / "b.csv"
+        rc = main(["bench", "--algo", "stream1", "--epsilon", "0.3", "--m", "200", "--c", "1", "--h", "3",
+                   "--in", str(inst_path), "--trials", "3", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        assert out.read_text().splitlines()[1:] == [f"{seed},18,15,1.200000,0,3" for seed in (5, 6, 7)]
 
     def test_bench_streaming_matches_event_runs(self, tmp_path):
         spec = "layered:shape=40/30/20,c=9,m=3,seed=2"

@@ -491,33 +491,43 @@ def _job_chunks(p: list, depth: list, rows: int):
         yield model.JobChunk(ids[lo:lo + rows], p[lo:lo + rows], depth[lo:lo + rows])
 
 
-def _spy_alpha_known(monkeypatch) -> list:
-    """What each call of stream3's columnar count returns from now on (None: walked event by event)."""
+def _spy_given(monkeypatch) -> list:
+    """What each call of the given-depth columnar count returns from now on (None: walked event by event)."""
     taken = []
-    count = streaming._count_alpha_known
+    count = streaming._count_given
 
     def spy(*args):
         taken.append(count(*args))
         return taken[-1]
 
-    monkeypatch.setattr(streaming, "_count_alpha_known", spy)
+    monkeypatch.setattr(streaming, "_count_given", spy)
     return taken
 
 
-def _stream3_routes(
-    p: list, depth: list, rows: int, monkeypatch, *, h: int | None = None, epsilon: float = 0.3, tight: bool = False
+def _given_routes(
+    p: list,
+    depth: list,
+    rows: int,
+    monkeypatch,
+    *,
+    mode: str = "stream3",
+    c: int | None = None,
+    h: int | None = None,
+    epsilon: float = 0.3,
+    tight: bool = False,
 ) -> tuple[list, dict | tuple, dict | tuple]:
-    """stream3 on int64 chunks and on events, with what each columnar chunk call returned."""
-    taken = _spy_alpha_known(monkeypatch)
-    params = P(epsilon=epsilon, m=1, c=max(p), h=h or max(depth), n=len(p), alpha=0.25)
+    """stream1 or stream3 on int64 chunks and on events, with what each columnar chunk call returned."""
+    taken = _spy_given(monkeypatch)
+    fn = STREAMING_ALGORITHMS[mode]
+    params = P(epsilon=epsilon, m=1, c=c or max(p), h=h or max(depth), n=len(p), alpha=0.25)
     monkeypatch.setattr(model, "CHUNK_ROWS", rows)
-    if min(depth) >= 1:
+    if min(depth) >= 1 and min(p) >= 1:
         inst = ss.Instance(p=p, depth=depth, arcs=[], m=1)
         chunks, events = inst.chunks(), inst.events()
-    else:  # `Instance` and `Job` reject depth 0; list columns take the per-event loop too
+    else:  # `Instance` and `Job` reject p and depth 0; list columns take the per-event loop too
         chunks, events = _job_chunks(p, depth, rows), [model.JobChunk(list(range(1, len(p) + 1)), p, depth)]
-    want = _outcome(lambda: ss.stream_alpha_known(events, params, tight=tight))
-    got = _outcome(lambda: ss.stream_alpha_known(chunks, params, tight=tight))
+    want = _outcome(lambda: fn(events, params, tight=tight))
+    got = _outcome(lambda: fn(chunks, params, tight=tight))
     return taken, got, want
 
 
@@ -532,14 +542,17 @@ def _stream3_routes(
     epsilon=st.sampled_from([0.3, 0.05]),
 )
 def test_columnar_stream3_matches_per_event(jobs, ascending, rows, tight, epsilon):
-    """stream3 on int64 chunks of 1..64 rows reports what the per-event route does."""
+    """stream3, and stream1 with c = max(p), on int64 chunks of 1..64 rows report what the per-event route does."""
     p = [(1 << k) + r % (1 << k) for k, r, _ in jobs]  # log-spread, so jobs are skipped and evicted
     depth = [d for _, _, d in jobs]
     if ascending:
         p.sort()
-    with pytest.MonkeyPatch.context() as mp:
-        _, got, want = _stream3_routes(p, depth, rows, mp, tight=tight, epsilon=epsilon)
-    assert got == want
+    for mode in ("stream1", "stream3"):
+        with pytest.MonkeyPatch.context() as mp:
+            taken, got, want = _given_routes(p, depth, rows, mp, mode=mode, tight=tight, epsilon=epsilon)
+        assert got == want
+        if mode == "stream1":
+            assert None not in taken  # the uncapped mode neither skips nor evicts
 
 
 @pytest.mark.parametrize("order", ["equal first", "below first"])
@@ -547,7 +560,7 @@ def test_columnar_stream3_matches_per_event(jobs, ascending, rows, tight, epsilo
 def test_columnar_stream3_skip_boundary(rows, order, monkeypatch):
     """With n = 4: p * n^2 equal to the running maximum keeps the job, one below it skips it."""
     p = [1600, 100, 99, 1600] if order == "equal first" else [1600, 99, 100, 1600]
-    taken, got, want = _stream3_routes(p, [1, 1, 2, 2], rows, monkeypatch)
+    taken, got, want = _given_routes(p, [1, 1, 2, 2], rows, monkeypatch)
     assert got == want
     assert got["counted"] == 3
     assert None not in taken  # every chunk took the columnar count
@@ -557,14 +570,14 @@ def test_columnar_stream3_skip_boundary(rows, order, monkeypatch):
 def test_columnar_stream3_evicting_chunk_takes_the_loop(rows, monkeypatch):
     """A new maximum lifts the cutoff above a sketch node, or a kept job of its own chunk."""
     # n = 3: after 1000 the cutoff is floor_log(1000 / 9), above the bucket of 10
-    taken, got, want = _stream3_routes([10, 1000, 5], [1, 2, 1], rows, monkeypatch)
+    taken, got, want = _given_routes([10, 1000, 5], [1, 2, 1], rows, monkeypatch)
     assert got == want
     assert got["peak_node_count"] == 1  # the node of 10 goes as the one of 1000 comes
     assert None in taken
 
 
 def test_columnar_stream3_depth_past_h_mid_chunk(monkeypatch):
-    taken, got, want = _stream3_routes([5, 6, 7, 8], [1, 2, 3, 1], 4, monkeypatch, h=2)
+    taken, got, want = _given_routes([5, 6, 7, 8], [1, 2, 3, 1], 4, monkeypatch, h=2)
     assert got == want == (ss.InputContractError, "job 3 has depth 3 > h=2")
     assert taken == [None]
 
@@ -572,7 +585,7 @@ def test_columnar_stream3_depth_past_h_mid_chunk(monkeypatch):
 @pytest.mark.parametrize("depth,error", [([1, 0, 1], None), ([0, 1, 1], "depth must be >= 1, got 0")])
 def test_columnar_stream3_depth_zero(depth, error, monkeypatch):
     """A depth-0 job is skipped, before any check of its depth, unless it is kept."""
-    taken, got, want = _stream3_routes([10**6, 1, 10**6], depth, 3, monkeypatch)
+    taken, got, want = _given_routes([10**6, 1, 10**6], depth, 3, monkeypatch)
     assert got == want
     if error is not None:
         assert got == (ss.InputContractError, error)
@@ -590,7 +603,7 @@ def test_columnar_stream3_depth_zero(depth, error, monkeypatch):
     ],
 )
 def test_columnar_stream3_near_int64_max(p, rows, monkeypatch):
-    taken, got, want = _stream3_routes(p, [1] * len(p), rows, monkeypatch)
+    taken, got, want = _given_routes(p, [1] * len(p), rows, monkeypatch)
     assert got == want
     assert got["p_max"] == 2**63 - 1
     assert None not in taken
@@ -598,10 +611,27 @@ def test_columnar_stream3_near_int64_max(p, rows, monkeypatch):
 
 def test_columnar_stream3_after_a_maximum_past_int64(monkeypatch):
     """A `Job` event may carry p >= 2**63; an int64 chunk after it takes the per-event loop."""
-    taken = _spy_alpha_known(monkeypatch)
+    taken = _spy_given(monkeypatch)
     params = P(epsilon=0.3, m=1, c=1, h=1, n=3)
     chunk = model.JobChunk(np.array([2, 3]), np.array([2**62, 2**63 - 1]), np.array([1, 1]))
     got = _run_summary(ss.stream_alpha_known([ss.Job(1, 2**63, 1), chunk], params))
     events = [ss.Job(1, 2**63, 1), ss.Job(2, 2**62, 1), ss.Job(3, 2**63 - 1, 1)]
     assert got == _run_summary(ss.stream_alpha_known(events, params))
+    assert taken == [None]
+
+
+@pytest.mark.parametrize(
+    "p,depth,error",
+    [
+        ([5, 0, 7], [1, 1, 1], (ss.ParamError, "processing time must be >= 1, got 0")),
+        ([5, 6, 7], [1, 0, 1], (ss.InputContractError, "depth must be >= 1, got 0")),
+        ([5, 6, 7], [1, -2, 1], (ss.InputContractError, "depth must be >= 1, got -2")),
+        ([5, 9, 7], [1, 1, 1], (ss.InputContractError, "job 2 has p=9 > c=8")),
+        ([5, 6, 7], [1, 3, 1], (ss.InputContractError, "job 2 has depth 3 > h=2")),
+    ],
+)
+def test_columnar_stream1_rejects_what_the_loop_rejects(p, depth, error, monkeypatch):
+    """A hand-built int64 chunk with one bad job mid-chunk: declined, and the loop's error at that job."""
+    taken, got, want = _given_routes(p, depth, 3, monkeypatch, mode="stream1", c=8, h=2)
+    assert got == want == error
     assert taken == [None]
