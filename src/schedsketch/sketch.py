@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -221,8 +221,11 @@ def sketch_from_json(text: str) -> TreeSketch:
     return sk
 
 
+# The engine keeps per-job depths in `DepthColumns`.  This dict form stays:
+# the tests' per-event reference walks arcs with it, and perfbench/tracer.py
+# still patches its methods by name.
 class DepthTable:
-    """Per-job (current depth, bucket) records for the arc-driven modes.
+    """Per-job (current depth, bucket) records, one dict entry per job.
 
     Depths only ever increase; an arc that would lower one is a
     corrupted stream.
@@ -251,20 +254,6 @@ class DepthTable:
             raise InvariantViolationError(f"depth of job {job_id} would decrease ({d} -> {new_depth})")
         self._rec[job_id] = (new_depth, u)
 
-    def held_depths(self, h: int) -> list[bool]:
-        """Flags for depths 0..h: entry d is True iff some job has depth d."""
-        held = [False] * (h + 1)
-        for d, _ in self._rec.values():
-            held[d] = True
-        return held
-
-    def depths_array(self, n: int) -> np.ndarray:
-        """Depths for contiguous ids 1..n, for handing to the second pass."""
-        out = np.empty(n, dtype=np.int64)
-        for j in range(1, n + 1):
-            out[j - 1] = self.get(j)[0]
-        return out
-
 
 def _find(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of ``x`` in the sorted array ``ids``, and where each was found."""
@@ -275,20 +264,20 @@ def _find(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DepthColumns:
-    """`DepthTable` for int64 chunks: per-job id, bucket and depth columns.
+    """Per-job id, bucket and depth columns for the arc-driven modes.
 
     Job chunks are appended by `insert_chunk`; the first `raise_chunk`
     sorts the jobs by id, after which an arc's ends are found by one
     ``searchsorted`` per chunk.  Both methods raise the error that
-    `DepthTable` and the per-event engine raise at the first bad event
-    of the chunk, after applying the events before it.
+    `DepthTable` and a per-event walk raise at the first bad event of
+    the chunk, after applying the events before it.
     """
 
     def __init__(self):
         self._id_parts: list[np.ndarray] = []
         self._u_parts: list[np.ndarray] = []
         self._sorted: np.ndarray | None = None  # all ids so far, sorted, once they came out of order
-        self.ids: np.ndarray | None = None  # sorted job ids, from the first arc chunk on
+        self.ids: np.ndarray | None = None  # sorted job ids, from `freeze` on
         self.u: np.ndarray | None = None  # bucket of each job, in `ids` order
         self.depth: list[int] = []  # depth of each job, in `ids` order
         self._source: np.ndarray | None = None  # job has been an arc source
@@ -313,8 +302,10 @@ class DepthColumns:
         self._id_parts.append(ids)
         self._u_parts.append(u)
 
-    def _freeze(self) -> None:
-        """Sort the jobs by id once all of them have arrived."""
+    def freeze(self) -> None:
+        """Sort the jobs by id once all of them have arrived; later calls do nothing."""
+        if self.ids is not None:
+            return
         ids = np.concatenate(self._id_parts) if self._id_parts else np.empty(0, dtype=np.int64)
         u = np.concatenate(self._u_parts) if self._u_parts else ids
         if self._sorted is not None:
@@ -325,17 +316,15 @@ class DepthColumns:
         self._source = np.zeros(ids.size, dtype=bool)
         self._id_parts = self._u_parts = []
 
-    def raise_chunk(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Raise depths along a chunk of arcs in stream order, as the per-event engine does.
+    def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: list | None = None) -> None:
+        """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
 
-        Its checks at one arc, in order: ``dst`` was already a source,
-        ``src`` or ``dst`` is unseen, and a self-loop, which would raise
-        the job past the job count or else forms a cycle.  Arcs that
-        pass these checks form an acyclic graph, so no depth they raise
-        can pass the job count.
+        Appends ``(job position, old depth, new depth)`` to ``raises``,
+        when given, for each depth raised, in order.  The checks at one
+        arc are those of `reject`.  Arcs that pass them form an acyclic
+        graph, so no depth they raise can pass the job count.
         """
-        if self.ids is None:
-            self._freeze()
+        self.freeze()
         if src.size == 0:
             return
         s, s_known = _find(self.ids, src)
@@ -347,30 +336,47 @@ class DepthColumns:
         for a, b in zip(s[:stop].tolist(), t[:stop].tolist()):
             d = depth[a] + 1
             if d > depth[b]:
+                if raises is not None:
+                    raises.append((b, depth[b], d))
                 depth[b] = d
         self._source[s[:stop]] = True
-        if stop == src.size:
-            return
-        a, b = int(src[stop]), int(dst[stop])
-        if late[stop]:
+        if stop < src.size:
+            self.reject(int(src[stop]), int(dst[stop]))
+
+    def _position(self, job_id: int) -> int | None:
+        """Position of ``job_id`` (any int) in `ids`; None when no job has it."""
+        pos = int(np.searchsorted(self.ids, min(max(job_id, -(1 << 63)), (1 << 63) - 1)))
+        return pos if pos < self.ids.size and int(self.ids[pos]) == job_id else None
+
+    def reject(self, a: int, b: int) -> NoReturn:
+        """Raise the error of the bad arc ``a -> b``, given the arcs before it.
+
+        Its checks, in order: ``b`` was already a source, ``a`` or ``b``
+        is unseen, and a self-loop, which would raise the job past the
+        job count or else forms a cycle.
+        """
+        s, t = self._position(a), self._position(b)
+        if t is not None and self._source[t]:
             raise CycleSuspicionError(
                 f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
             )
-        for job_id, known in ((a, s_known[stop]), (b, t_known[stop])):
-            if not known:
+        for job_id, pos in ((a, s), (b, t)):
+            if pos is None:
                 raise InputContractError(f"arc references unseen job id {job_id}")
-        new_depth = depth[s[stop]] + 1
-        if new_depth > len(depth):
-            raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(depth)}")
+        new_depth = self.depth[s] + 1
+        if new_depth > len(self.depth):
+            raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(self.depth)}")
         raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
 
     def count_into(self, sk: TreeSketch) -> None:
-        """Count every job at its final (bucket, depth) in ``sk``."""
-        if self.ids is None:
-            self._freeze()
+        """Count every frozen job at its final (bucket, depth) in ``sk``."""
         if self.depth:
             us, ds, counts = pair_counts(self.u, np.array(self.depth, dtype=np.int64))
             sk.add_counts(zip(us, ds), counts)
+
+    def held_depths(self, h: int) -> list[bool]:
+        """Flags for depths 0..h: entry d is True iff some job has depth d."""
+        return (np.bincount(self.depth, minlength=h + 1) > 0).tolist()
 
     def depths_array(self, n: int) -> np.ndarray:
         """Depths for contiguous ids 1..n, for handing to the second pass."""

@@ -24,26 +24,20 @@ stream is read:
 The engine consumes its input as chunks of consecutive jobs or arcs:
 `fileio.iter_chunks` and `Instance.chunks` yield int64 column chunks,
 and any other iterable of events (a list of `Job` and `Arc` values) is
-batched into small list-backed chunks.  Every mode walks a chunk event
-by event with the same checks, errors and counts, except on two
-columnar job routes, for which the per-event loop stays the reference:
+batched into small list-backed chunks.
 
-* `stream_known` and `stream_alpha_known` on an int64 job chunk with
-  depths share one counter.  It finds the skipped jobs from the running
-  maximum before each job (a prefix maximum; the uncapped mode skips
-  none), and buckets and counts the kept ones at once, with one cutoff
-  per chunk.  It takes the whole chunk or declines it and changes
-  nothing: it declines a chunk that holds a job the loop would reject,
-  and one inside which an eviction could fall (the cutoff only rises,
-  so the chunk's final cutoff must be at most the smallest bucket of
-  both the sketch and the kept jobs).  A declined chunk is walked event
-  by event, so the loop raises every per-job error;
-* `stream_unknown` on an input whose first chunk is int64 keeps
-  per-job id, bucket and depth columns (`sketch.DepthColumns`): one
-  `index_array` per job chunk that comes before the arcs, one
-  ``searchsorted`` and vectorized checks per arc chunk, a plain
-  sequential pass that raises the depths, and one count of the sketch
-  at the end of the stream.
+The arc-driven modes keep per-job id, bucket and depth columns
+(`sketch.DepthColumns`) on every input, and raise the depths one arc
+chunk at a time.  `stream_unknown` counts the sketch once, at the end
+of the stream; `stream_alpha_unknown` counts each job as it comes, as
+its cutoff needs, and replays each arc chunk's depth raises in order
+against the sketch, so its prunes and peak are those of a walk that
+moves a count as each arc arrives.
+
+The given-depth modes walk a chunk job by job, except that an int64
+job chunk with depths goes to one counter (`_count_given`), which takes
+it whole or declines it and changes nothing; the walk of a declined
+chunk raises every per-job error.
 
 A zero-row job chunk is passed over in every mode.
 
@@ -56,7 +50,7 @@ rounded/padded upper bound regardless of that condition.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -73,9 +67,9 @@ from .core import (
     derive_params,
     snapped_floor,
 )
-from .errors import CycleSuspicionError, InputContractError
+from .errors import InputContractError
 from .model import ArcChunk, Chunk, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
-from .sketch import DepthColumns, DepthTable, TreeSketch, pair_counts, sketch_finalize_alpha
+from .sketch import DepthColumns, TreeSketch, pair_counts, sketch_finalize_alpha
 
 
 class RoundedValues:
@@ -179,14 +173,49 @@ def _chunks(items: Iterable[StreamEvent | Chunk]) -> Iterator[Chunk]:
         yield kind(*cols)
 
 
-def _arrays(chunk: Chunk) -> list:
-    """A chunk's columns as int64 arrays (None stays None)."""
-    return [col if col is None else np.asarray(col, dtype=np.int64) for col in chunk]
-
-
 def _columns(chunk: Chunk) -> list:
     """A chunk's columns as lists of Python ints (None stays None)."""
     return [col.tolist() if isinstance(col, np.ndarray) else col for col in chunk]
+
+
+def _insert_jobs(columns: DepthColumns, gb: GeometricBuckets, sk: TreeSketch, chunk: JobChunk) -> np.ndarray:
+    """Insert a chunk of jobs into ``columns``; returns their buckets.
+
+    List columns (a ``p`` may pass int64) and a ``p`` below 1 go row by
+    row: the first bad row raises after the rows before it, ``p`` first.
+    """
+    if isinstance(chunk.p, np.ndarray) and chunk.p.min() >= 1:
+        us = gb.index_array(chunk.p)
+        columns.insert_chunk(chunk.ids, us)
+        p_lo, p_hi = int(chunk.p.min()), int(chunk.p.max())
+    else:
+        ids, ps = _columns(chunk)[:2]
+        us = []
+        try:
+            for job_id, p in zip(ids, ps):
+                u = gb.index(p)
+                if not -(1 << 63) <= job_id < 1 << 63:
+                    raise InputContractError(f"job id {job_id} exceeds 2**63 - 1")
+                us.append(u)
+        finally:  # a duplicate among the rows before a bad one is the earlier error
+            us = np.array(us, dtype=np.int64)
+            columns.insert_chunk(np.array(ids[: us.size], dtype=np.int64), us)
+        p_lo, p_hi = min(ps), max(ps)
+    sk.note_processing_time(p_lo)
+    sk.note_processing_time(p_hi)
+    return us
+
+
+def _raise_depths(columns: DepthColumns, chunk: ArcChunk, raises: list | None) -> None:
+    """`DepthColumns.raise_chunk` on a chunk of arcs; an end past int64 (list columns) is an unseen id."""
+    try:
+        src, dst = (np.asarray(col, dtype=np.int64) for col in chunk)
+    except OverflowError:
+        k = next(i for i, arc in enumerate(zip(*chunk)) if not all(-(1 << 63) <= end < 1 << 63 for end in arc))
+        columns.raise_chunk(*(np.array(col[:k], dtype=np.int64) for col in chunk))
+        columns.reject(chunk.src[k], chunk.dst[k])
+    else:
+        columns.raise_chunk(src, dst, raises)
 
 
 def _count_given(
@@ -250,19 +279,9 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
     sk = TreeSketch()
-    chunks = _chunks(events)
-    first = next(chunks, None)
-    if first is not None:
-        chunks = chain((first,), chunks)
-    # stream_unknown on int64 chunks keeps columns and counts the sketch at the end
-    columnar = mode == STREAM_UNKNOWN and first is not None and isinstance(first[0], np.ndarray)
-    columns = DepthColumns() if columnar else None
-    table = DepthTable()
+    columns = None if given else DepthColumns()
     index, floor_log = gb.index, gb.floor_log
     add, note = sk.add, sk.note_processing_time
-    insert, get, raise_depth = table.insert, table.get, table.raise_depth
-    sources_seen: set[int] = set()
-    in_arc_phase = False
     h, c = params.h, params.c
     held = [False] * (h + 1) if given else None  # held[d]: some job has depth d
     # the uncapped modes skip no job: an n^2 past int64, and a cutoff below every bucket
@@ -270,65 +289,42 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     p_cap = math.inf if capped else c  # only the uncapped modes bound p by c
     p_max_run = 1
     cutoff = floor_log(p_max_run, n_sq)
-    d = height = 1  # discovered depths start at 1
-    seen = 0
-    updates = 0
-    for chunk in chunks:
+    seen = updates = 0
+    for chunk in _chunks(events):
         if isinstance(chunk, ArcChunk):
             updates += len(chunk.src)
             if given:  # the known-depth modes pass over arc events
                 continue
-            in_arc_phase = True
-            if columns is not None:
-                columns.raise_chunk(*_arrays(chunk))
-                continue
-            for src, dst in zip(*_columns(chunk)):
-                if dst in sources_seen:
-                    raise CycleSuspicionError(
-                        f"arc ({src} -> {dst}) arrived after {dst} was already a source; "
-                        "arc stream is not in topological order"
-                    )
-                sources_seen.add(src)
-                d_src, _ = get(src)
-                d_dst, u_dst = get(dst)
-                if d_src + 1 > d_dst:
-                    new_depth = d_src + 1
-                    if new_depth > len(table):
-                        raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
-                    if src == dst:  # the source check above cannot see an arc from a job to itself
-                        raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
-                    if not capped:
-                        sk.move(d_dst, u_dst, new_depth)
-                    else:
-                        # a skipped or evicted job has no count to move
-                        moved, created = sk.move_if_present(d_dst, u_dst, new_depth)
-                        if moved and created:
-                            sk.prune_smallest(cutoff)
-                            sk.note_peak()
-                    raise_depth(dst, new_depth)
-                    if new_depth > height:
-                        height = new_depth
+            raises = []
+            _raise_depths(columns, chunk, raises if capped else None)  # stream_unknown counts at the end
+            # replay the raises in order: a skipped or evicted job has no count to move
+            for u, (_, d, d_new) in zip(columns.u[[b for b, _, _ in raises]].tolist(), raises):
+                if sk.move_if_present(d, u, d_new)[1]:
+                    sk.prune_smallest(cutoff)
+                    sk.note_peak()
             continue
         updates += len(chunk.ids)
         if len(chunk.ids) == 0:
             continue
-        if given and isinstance(chunk.depth, np.ndarray):
-            state = _count_given(chunk, sk, gb, held, n_sq, p_cap, p_max_run, cutoff)
-            if state is not None:
-                p_max_run, cutoff = state
-                seen += len(chunk.ids)
+        if given:
+            if isinstance(chunk.depth, np.ndarray):
+                state = _count_given(chunk, sk, gb, held, n_sq, p_cap, p_max_run, cutoff)
+                if state is not None:
+                    p_max_run, cutoff = state
+                    seen += len(chunk.ids)
+                    continue
+            ids, ps, depths = _columns(chunk)
+            rows = zip(ids, ps, repeat(None) if depths is None else depths, map(index, ps))
+        else:
+            if columns.ids is not None:  # frozen by the first arc chunk
+                index(chunk.p[0])  # the job's p is checked before its place in the stream
+                raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
+            us = _insert_jobs(columns, gb, sk, chunk)
+            if not capped:
                 continue
-        if columns is not None and not in_arc_phase:
-            ids, ps, _ = _arrays(chunk)
-            columns.insert_chunk(ids, gb.index_array(ps))
-            note(int(ps.min()))
-            note(int(ps.max()))
-            continue
-        ids, ps, depths = _columns(chunk)
-        for job_id, p, job_depth in zip(ids, ps, repeat(None) if depths is None else depths):
-            u = index(p)
+            rows = zip(repeat(None), _columns(chunk)[1], repeat(1), us.tolist())  # depths start at 1
+        for job_id, p, d, u in rows:
             if given:
-                d = job_depth
                 if d is None:
                     raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
                 if d > h:
@@ -336,11 +332,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                 if p > p_cap:
                     raise InputContractError(f"job {job_id} has p={p} > c={c}")
                 held[d] = True
-            else:
-                if in_arc_phase:
-                    raise InputContractError(f"job {job_id} arrived after arc events began")
-                insert(job_id, u)
-            note(p)
+                note(p)
             if not capped:
                 add(d, u)
                 continue
@@ -353,17 +345,18 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             if add(d, u):
                 sk.prune_smallest(cutoff)
             sk.note_peak()
-    if columns is not None:
-        columns.count_into(sk)
-        height = max(columns.depth, default=1)
-        table = columns
+    h_run = h
+    if not given:
+        columns.freeze()
+        if not capped:
+            columns.count_into(sk)
+        h_run = max(columns.depth, default=1)
     n = seen if capped else sk.total_counted
     if n == 0:
         raise InputContractError("empty job stream")
     if capped and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
 
-    h_run = h if given else height
     if mode == STREAM_KNOWN:
         top, u_lo, u_hi = c, 0, drv.k
     else:  # sk.p_max == p_max_run: the largest job is never skipped
@@ -380,7 +373,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     loads = final.depth_loads(RoundedValues(gb, u_lo, u_hi, float(top)), h_run) / params.m
     tail = ceil_div(top, n) if capped else 0
     if capped and tight and not given:
-        held = table.held_depths(h_run)
+        held = columns.held_depths(h_run)
     A, times = totals(loads, top, tight, tail=tail, slack=tail, held=held)
     if capped:  # machine bound m <= 2*n*alpha*eps / (3*(h+1)*c)
         ok = 3.0 * params.m * (h_run + 1) * c_run <= 2.0 * n * params.alpha * params.epsilon
@@ -388,7 +381,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         ok = 3.0 * params.m * h_run * c_run <= 2.0 * n * params.epsilon
     extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
     if not given:
-        extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=height, depth_table=table)
+        extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=h_run, depth_table=columns)
     if capped:
         extras.update(peak_node_count=sk.peak_node_count, counted=final.total_counted)
     return RunReport(
@@ -419,9 +412,8 @@ def stream_unknown(
 ) -> RunReport:
     """Jobs then topologically ordered arcs; c, h and depths discovered.
 
-    Per-job state (the depth table, or its columns on int64 chunks)
-    makes this O(n) space; the sketch itself stays at one node per
-    occupied (depth, bucket) pair.
+    Per-job columns (id, bucket, depth) make this O(n) space; the
+    sketch itself stays at one node per occupied (depth, bucket) pair.
     """
     return _stream(events, params, STREAM_UNKNOWN, tight)
 
@@ -445,8 +437,8 @@ def stream_alpha_unknown(
 ) -> RunReport:
     """Capped sketch with depths discovered from the arc stream.
 
-    Skipped and evicted jobs keep their depth-table records so later
-    arcs still propagate depths; their sketch counts, when absent, are
+    Skipped and evicted jobs keep their per-job columns so later arcs
+    still propagate depths; their sketch counts, when absent, are
     simply not moved (they are below the smallness cutoff, which the
     final padding already pays for).
     """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import SingleUse, random_instance
+from per_event import stream_per_event
 from schedsketch import fileio, model, streaming
 from schedsketch.sketch import DepthColumns
 from schedsketch.streaming import STREAMING_ALGORITHMS
@@ -337,9 +338,16 @@ def _run_summary(rep: ss.RunReport) -> dict:
     return out
 
 
+def _reference(mode: str):
+    """The per-event route: the engine's own for stream1/stream3, `per_event` for stream2/stream4."""
+    if mode in ("stream2", "stream4"):
+        return lambda events, params, tight=False: stream_per_event(events, params, mode, tight)
+    return STREAMING_ALGORITHMS[mode]
+
+
 @pytest.mark.parametrize("name", sorted(CHUNK_INSTANCES))
 def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
-    """All four modes on int64 chunks and on single events report the same run."""
+    """All four modes on int64 chunks and on single events report what the per-event route does."""
     monkeypatch.setattr(fileio, "BLOCK_CHARS", 100)  # many chunks, cut inside lines
     monkeypatch.setattr(model, "CHUNK_ROWS", 7)  # and inside depths
     inst = CHUNK_INSTANCES[name]()
@@ -353,7 +361,7 @@ def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
         for eps in (0.3, 0.05):
             params = P(epsilon=eps, m=inst.m, **kwargs)
             for tight in (False, True):
-                want = _run_summary(fn(inst.events(with_depth=given), params, tight=tight))
+                want = _run_summary(_reference(mode)(inst.events(with_depth=given), params, tight=tight))
                 assert _run_summary(fn(fileio.iter_chunks(path), params, tight=tight)) == want
                 assert _run_summary(fn(fileio.iter_stream(path), params, tight=tight)) == want
                 assert _run_summary(fn(inst.chunks(with_depth=given), params, tight=tight)) == want
@@ -388,16 +396,17 @@ def _outcome(run) -> dict | tuple:
         return type(exc), str(exc)
 
 
-def _int64_chunks(events: list, rows: int):
-    """``events`` as int64 column chunks of at most ``rows`` events."""
+def _int64_chunks(events: list, rows: int, lists: bool = False):
+    """``events`` as int64 column chunks of at most ``rows`` events (list columns with ``lists``)."""
     kinds = [type(ev) for ev in events]
     lo = 0
     while lo < len(events):
         hi = lo + 1
         while hi < len(events) and hi - lo < rows and kinds[hi] is kinds[lo]:
             hi += 1
-        cols = np.array([tuple(ev)[:2] if kinds[lo] is ss.Arc else (ev.id, ev.p) for ev in events[lo:hi]])
-        yield model.ArcChunk(*cols.T) if kinds[lo] is ss.Arc else model.JobChunk(*cols.T, None)
+        cols = [tuple(ev)[:2] if kinds[lo] is ss.Arc else (ev.id, ev.p) for ev in events[lo:hi]]
+        cols = [list(col) for col in zip(*cols)] if lists else np.array(cols).T
+        yield model.ArcChunk(*cols) if kinds[lo] is ss.Arc else model.JobChunk(*cols, None)
         lo = hi
 
 
@@ -426,19 +435,33 @@ COLUMNAR_CASES = {
 }
 
 
-@pytest.mark.parametrize("rows", [1, 2, 256])
+def _arc_mode_params(n: int, epsilon: float = 0.3) -> tuple:
+    return ("stream2", P(epsilon=epsilon, m=1)), ("stream4", P(epsilon=epsilon, m=1, n=n))
+
+
+def _arc_mode_inputs(events: list, rows: int) -> dict:
+    """The input forms of one event list: the events, and list and int64 column chunks."""
+    return {
+        "events": lambda: iter(events),
+        "list chunks": lambda: _int64_chunks(events, rows, lists=True),
+        "int64 chunks": lambda: _int64_chunks(events, rows),
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64, 256, 65536])
 @pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
 def test_columnar_stream2_matches_per_event(case, rows):
-    """stream2 on int64 chunks keeps the per-event route's results and errors."""
+    """stream2 and stream4 on events and on list and int64 chunks keep the per-event route's results and errors."""
     events, message = COLUMNAR_CASES[case]
-    params = P(epsilon=0.3, m=1)
-    want = _outcome(lambda: ss.stream_unknown(events, params))
-    assert _outcome(lambda: ss.stream_unknown(_int64_chunks(events, rows), params)) == want
-    if message is None:
-        rep = ss.stream_unknown(_int64_chunks(events, rows), params)
-        assert isinstance(rep.extras["depth_table"], DepthColumns)
-    else:  # depths_array(n) names the first missing id of a gapped stream
-        assert want[1] == message
+    for mode, params in _arc_mode_params(sum(isinstance(ev, ss.Job) for ev in events)):
+        want = _outcome(lambda: stream_per_event(events, params, mode))
+        for form, source in _arc_mode_inputs(events, rows).items():
+            assert _outcome(lambda: STREAMING_ALGORITHMS[mode](source(), params)) == want, (mode, form)
+        if message is None:
+            rep = STREAMING_ALGORITHMS[mode](events, params)
+            assert isinstance(rep.extras["depth_table"], DepthColumns)
+        else:  # depths_array(n) names the first missing id of a gapped stream
+            assert want[1] == message
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -446,13 +469,107 @@ def test_columnar_stream2_rejects_out_of_order_arcs(rows, monkeypatch):
     """A back arc within one chunk (7 rows) or across chunks (1 row), through `Instance.chunks`."""
     monkeypatch.setattr(model, "CHUNK_ROWS", rows)
     inst = ss.Instance(p=[1, 2, 3], depth=None, arcs=[(1, 2), (2, 3), (3, 1)], m=1)
-    params = P(epsilon=0.3, m=1)
-    want = _outcome(lambda: ss.stream_unknown(inst.events(with_depth=False), params))
-    assert want == (
-        ss.CycleSuspicionError,
-        "arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order",
-    )
-    assert _outcome(lambda: ss.stream_unknown(inst.chunks(with_depth=False), params)) == want
+    for mode, params in _arc_mode_params(3):
+        want = _outcome(lambda: stream_per_event(inst.events(with_depth=False), params, mode))
+        assert want == (
+            ss.CycleSuspicionError,
+            "arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order",
+        )
+        assert _outcome(lambda: STREAMING_ALGORITHMS[mode](inst.chunks(with_depth=False), params)) == want
+
+
+@pytest.mark.parametrize("lists", [False, True])
+@pytest.mark.parametrize(
+    "ids,p,error",
+    [
+        ([1, 2], [1, 0], (ss.ParamError, "processing time must be >= 1, got 0")),
+        ([1, 2, 1, 3], [1, 1, 1, 0], (ss.InputContractError, "duplicate job id 1 in stream")),
+        ([1, 2, 2], [1, 1, 0], (ss.ParamError, "processing time must be >= 1, got 0")),
+    ],
+)
+def test_arc_modes_check_p_at_its_row(ids, p, error, lists):
+    """A p below 1 raises at its row: a repeated id before it wins, a repeat on its own row does not."""
+    wrap = list if lists else np.array
+    stream = [model.JobChunk(wrap(ids), wrap(p), None), model.ArcChunk(wrap([1]), wrap([1]))]
+    for mode, params in _arc_mode_params(len(ids)):
+        assert _outcome(lambda: stream_per_event(stream, params, mode)) == error
+        assert _outcome(lambda: STREAMING_ALGORITHMS[mode](stream, params)) == error
+
+
+def test_arc_modes_take_p_past_int64():
+    """An event's p past int64 is bucketed one job at a time, as the per-event route does."""
+    events = [ss.Job(1, 2**70), ss.Job(2, 1), ss.Job(3, 1), ss.Arc(1, 2)]
+    for mode, params in _arc_mode_params(3):
+        for rows in (1, 256):
+            got = _run_summary(STREAMING_ALGORITHMS[mode](_int64_chunks(events, rows, lists=True), params))
+            assert got == _run_summary(stream_per_event(events, params, mode))
+    assert ss.stream_unknown(events, P(epsilon=0.3, m=1)).A == 3541774862152233910273
+
+
+LATE = "arrived after {} was already a source; arc stream is not in topological order"
+
+
+@pytest.mark.parametrize(
+    "arcs,error",
+    [
+        ([A(1, 2), A(2, 2**70)], (ss.InputContractError, f"arc references unseen job id {2**70}")),
+        ([A(-(2**70), 2), A(1, 2)], (ss.InputContractError, f"arc references unseen job id {-(2**70)}")),
+        ([A(1, 2), A(2**64, 1)], (ss.CycleSuspicionError, f"arc ({2**64} -> 1) " + LATE.format(1))),
+        ([A(1, 2), A(1, 1), A(2**70, 2)], (ss.CycleSuspicionError, "arc (1 -> 1) " + LATE.format(1))),
+    ],
+)
+def test_arc_end_past_int64_is_an_unseen_id(arcs, error):
+    """An arc end past int64 raises the per-event route's error at its row, never `OverflowError`."""
+    events = _jobs(1, 2, 3) + arcs
+    for mode, params in _arc_mode_params(3):
+        assert _outcome(lambda: stream_per_event(events, params, mode)) == error
+        for rows in (1, 256):
+            assert _outcome(lambda: STREAMING_ALGORITHMS[mode](_int64_chunks(events, rows, lists=True), params)) == error
+
+
+@pytest.mark.parametrize(
+    "stream,error",
+    [
+        ([ss.Job(1, 1), ss.Job(2**63, 1)], (ss.InputContractError, f"job id {2**63} exceeds 2**63 - 1")),
+        ([ss.Job(1, 1), ss.Job(1, 1), ss.Job(2**70, 1)], (ss.InputContractError, "duplicate job id 1 in stream")),
+        ([model.JobChunk([1, 2**63], [1, 0], None)], (ss.ParamError, "processing time must be >= 1, got 0")),
+    ],
+)
+def test_job_id_past_int64_is_rejected(stream, error):
+    """Job ids are held as int64: one past it raises at its row, after the rows before it and its own p."""
+    for mode, params in _arc_mode_params(len(stream)):
+        assert _outcome(lambda: STREAMING_ALGORITHMS[mode](stream, params)) == error
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    jobs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2**40)), min_size=1, max_size=40),
+    ascending=st.booleans(),
+    scrambled=st.booleans(),
+    rows=st.integers(1, 64),
+    tight=st.booleans(),
+    epsilon=st.sampled_from([0.3, 0.05]),
+)
+def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight, epsilon):
+    """stream4 (and stream2) on events and on list and int64 chunks of 1..64 rows report what the per-event route does.
+
+    Log-spread p, drawn or ascending, so the capped mode skips and evicts; arcs in topological order,
+    or as drawn (back arcs, unseen ids and self-loops), so errors are compared too.
+    """
+    p = [(1 << k) + r % (1 << k) for k, r in jobs]
+    if ascending:
+        p.sort()
+    n = len(p)
+    ids = data.draw(st.permutations(range(1, n + 1)))
+    arcs = data.draw(st.lists(st.tuples(st.integers(1, n + 1), st.integers(1, n + 1)), max_size=3 * n))
+    if not scrambled:  # each job's in-arcs before its out-arcs
+        arcs = sorted({(a, b) for a, b in arcs if a < b <= n}, key=lambda arc: (arc[1], arc[0]))
+    events = [ss.Job(i, q) for i, q in zip(ids, p)] + [ss.Arc(a, b) for a, b in arcs]
+    for mode, params in _arc_mode_params(n, epsilon):
+        want = _outcome(lambda: stream_per_event(events, params, mode, tight))
+        for source in _arc_mode_inputs(events, rows).values():
+            assert _outcome(lambda: STREAMING_ALGORITHMS[mode](source(), params, tight=tight)) == want
 
 
 def test_columnar_stream2_long_chain(monkeypatch):
@@ -477,7 +594,7 @@ def test_empty_job_chunk_is_skipped(mode, monkeypatch):
     fn = STREAMING_ALGORITHMS[mode]
     e = np.empty(0, dtype=np.int64)
     chunks = list(inst.chunks(with_depth=given))
-    want = _run_summary(fn(chunks, params))
+    want = _run_summary(_reference(mode)(chunks, params))
     for at in (0, 1, len(chunks)):
         with_empty = chunks[:at] + [model.JobChunk(e, e, e if given else None)] + chunks[at:]
         assert _run_summary(fn(with_empty, params)) == want
