@@ -18,7 +18,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-
 from . import fileio
 from .core import AlgoParams, ceil_div
 from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
@@ -144,10 +143,9 @@ def _run_stream(args) -> int:
         events = inst.chunks(with_depth=args.cmd in ("stream1", "stream3"))
         n = inst.n
     else:
-        if args.cmd in ("stream3", "stream4") and args.n is None:
+        n = args.n
+        if n is None and args.cmd in ("stream3", "stream4"):
             n = _count_jobs(args.infile)  # convenience pre-scan; pass --n to stay one-pass
-        else:
-            n = args.n
         events = fileio.iter_chunks(args.infile)
     report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
     if args.sketch_out:
@@ -159,9 +157,9 @@ def _run_stream(args) -> int:
 
 def _load_instance(path: str, m: int | None = None) -> Instance:
     """Read an instance file, set its machine count when ``m`` is given, fill in missing depths."""
-    inst = fileio.read_instance(path, m=1 if m is None else m)
+    inst = fileio.read_instance(path)
     if m is not None:
-        inst.m = m
+        inst = replace(inst, m=m)  # checks m, which a sidecar's m would hide from `read_instance`
     if inst.depth is None:
         inst.depth = compute_depths(inst.arcs, inst.n)
     return inst
@@ -222,11 +220,8 @@ def _run_schedule(args) -> int:
 
 
 def _run_oracle(args) -> int:
-    inst = _load_instance(args.infile, m=args.m or None)
-    if args.which == "exact":
-        print(exact_makespan(inst))
-    else:
-        print(list_schedule(inst).makespan)
+    inst = _load_instance(args.infile, m=args.m)
+    print(exact_makespan(inst) if args.which == "exact" else list_schedule(inst).makespan)
     return 0
 
 
@@ -235,9 +230,11 @@ def _run_gen(args) -> int:
     if args.family == "chain":
         kwargs = {"m": args.m, "q": args.q, "h": args.h}
     elif args.family == "layered":
-        if not args.shape:
-            raise ParamError("layered needs --shape, e.g. 3/4/5")
-        kwargs = {"shape": [int(x) for x in args.shape.split("/")], "c": args.c or 3, "m": args.m}
+        try:
+            shape = [int(x) for x in args.shape.split("/")]
+        except (AttributeError, ValueError):  # no --shape, or a count that is no integer
+            raise ParamError(f"layered needs --shape counts like 3/4/5, got {args.shape!r}") from None
+        kwargs = {"shape": shape, "c": args.c or 3, "m": args.m}
     elif args.family == "alpha-mixed":
         kwargs = {
             "n": args.n,

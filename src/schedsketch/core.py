@@ -253,38 +253,24 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
 
     delta = params.epsilon / 20.0
     gb = buckets_for(delta)
-    if mode == SAMPLE_BOUNDED:
-        params.require("c", "h")
-        k = gb.index(params.c)
-        k_eff = max(k, 1)
-        gamma = 1.0 / (10.0 * params.h * k_eff)
-        prob = 5.0 * delta / (2.0 * params.c * params.h * k_eff * params.m)
-        beta = delta * prob
-        n_raw = (3.0 / beta**2) * math.log(2.0 / gamma)
-        n0 = None
+    bounded = mode == SAMPLE_BOUNDED  # the alpha scheme's sizes with alpha = 1 and c in place of c^2
+    params.require("c", "h", *(() if bounded else ("n",)))
+    if bounded:
+        k, alpha, c_pow = gb.index(params.c), 1.0, params.c
     else:
-        params.require("c", "h", "n")
         num, den = delta.as_integer_ratio()
         k = gb.floor_log(params.c * params.n * den, num)  # floor_log(c*n / delta)
-        k_eff = max(k, 1)
-        gamma = 1.0 / (10.0 * params.h * k_eff)
-        prob = 5.0 * params.alpha * delta / (2.0 * params.c**2 * params.h * k_eff * params.m)
-        beta = delta * prob
-        n_raw = (3.0 / (params.alpha * beta**2)) * math.log(2.0 / gamma)
-        # n0 stays unscaled: it is a few dozen draws, and fewer can miss the
-        # top alpha*n jobs, which then fall above c*w0 and are dropped
-        n0 = 1 if params.alpha == 1.0 else math.ceil(math.log(gamma) / math.log1p(-params.alpha))
+        alpha, c_pow = params.alpha, params.c**2
+    k_eff = max(k, 1)
+    gamma = 1.0 / (10.0 * params.h * k_eff)
+    prob = 5.0 * alpha * delta / (2.0 * c_pow * params.h * k_eff * params.m)
+    beta = delta * prob
+    n_raw = (3.0 / (alpha * beta**2)) * math.log(2.0 / gamma)
+    # n0 stays unscaled: it is a few dozen draws, and fewer can miss the
+    # top alpha*n jobs, which then fall above c*w0 and are dropped
+    n0 = None if bounded else 1 if alpha == 1.0 else math.ceil(math.log(gamma) / math.log1p(-alpha))
     n_prime = max(1, math.ceil(n_raw * params.confidence_scale))
     tau = None if params.n is None else params.n * prob
     return DerivedParams(
-        mode=mode,
-        delta=delta,
-        k=k,
-        k_eff=k_eff,
-        gamma=gamma,
-        p=prob,
-        beta=beta,
-        n_prime=n_prime,
-        n0=n0,
-        tau=tau,
+        mode=mode, delta=delta, k=k, k_eff=k_eff, gamma=gamma, p=prob, beta=beta, n_prime=n_prime, n0=n0, tau=tau
     )

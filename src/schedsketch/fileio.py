@@ -29,6 +29,7 @@ also serve the chain and constant alpha-mixed families implicitly, so
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import re
@@ -321,8 +322,16 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def read_result(path: str) -> dict:
+    """A result file's JSON object; InputContractError, naming the file, unless ``sks`` lists sketch times."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise InputContractError(f"{path}: {exc}") from None
+    sks = doc.get("sks") if isinstance(doc, dict) else None
+    if not isinstance(sks, list) or not all(type(t) is int and s <= t for s, t in zip([0] + sks, sks)):
+        raise InputContractError(f'{path}: expected a JSON object whose "sks" lists non-decreasing integers >= 0')
+    return doc
 
 
 def sketch_from_result(doc: dict) -> ScheduleSketch:
@@ -357,12 +366,13 @@ def parse_gen_spec(text: str) -> tuple[str, dict]:
             if not _:
                 raise ParamError(f"bad generator spec item {item!r}")
             key = key.strip()
-            if key == "shape":
-                kwargs[key] = [int(x) for x in val.split("/")]
-            elif key in ("alpha", "density"):
-                kwargs[key] = float(val)
-            else:
-                kwargs[key] = int(val)
+            try:
+                if key == "shape":
+                    kwargs[key] = [int(x) for x in val.split("/")]
+                else:
+                    kwargs[key] = float(val) if key in ("alpha", "density") else int(val)
+            except ValueError:
+                raise ParamError(f"bad generator spec item {item!r}") from None
     return family, kwargs
 
 
@@ -371,6 +381,11 @@ def instance_from_spec(text: str) -> Instance:
     seed = kwargs.pop("seed", 0)
     if "pbig" in kwargs:  # the key `access_from_spec` reads, so one spec serves both
         kwargs["p_big"] = kwargs.pop("pbig")
+    try:
+        if family in FAMILIES:  # else `generate` names the unknown family
+            inspect.signature(FAMILIES[family]).bind(**kwargs)
+    except TypeError as exc:  # a key missing, or one the family does not take
+        raise ParamError(f"generator spec {text!r}: {exc}") from None
     return generate(family, seed=seed, **kwargs)
 
 
@@ -378,12 +393,13 @@ def access_from_spec(text: str) -> SampleAccess:
     """Implicit sample access for the families that support it."""
     family, kwargs = parse_gen_spec(text)
     kwargs.pop("seed", None)
-    if family == "chain":
-        return ChainAccess(m=kwargs["m"], q=kwargs["q"], h=kwargs.get("h", 1))
-    if family == "alpha-mixed":
-        if "small" not in kwargs:
-            raise ParamError("implicit alpha-mixed needs a constant small= value")
-        n = kwargs["n"]
-        n_big = ceil_div(int(round(kwargs["alpha"] * n * 10**9)), 10**9)
-        return TwoValueAccess(n=n, n_big=n_big, p_big=kwargs["pbig"], p_small=kwargs["small"])
+    try:
+        if family == "chain":
+            return ChainAccess(m=kwargs["m"], q=kwargs["q"], h=kwargs.get("h", 1))
+        if family == "alpha-mixed":
+            n = kwargs["n"]
+            n_big = ceil_div(int(round(kwargs["alpha"] * n * 10**9)), 10**9)
+            return TwoValueAccess(n=n, n_big=n_big, p_big=kwargs["pbig"], p_small=kwargs["small"])
+    except KeyError as exc:
+        raise ParamError(f"generator spec {text!r} needs {exc.args[0]}= for implicit access") from None
     raise ParamError(f"family {family!r} has no implicit form; materialize it with gen")

@@ -44,9 +44,9 @@ def pair_counts(u: np.ndarray, d: np.ndarray) -> tuple[list[int], list[int], lis
 class TreeSketch:
     """Dict-backed sketch with optional lazy eviction of the smallest bucket.
 
-    ``peak_node_count`` is updated by `note_peak`, which the streaming
-    loops call once per event after any lazy prune has run; the size
-    bound of the capped mode is stated over exactly those instants.
+    ``peak_node_count`` is updated by `note_peak`, which the engine calls
+    after a walked job's or a moved count's lazy prune, and after a chunk
+    counted whole, inside which no prune evicts: the peak over all events.
     """
 
     def __init__(self):

@@ -29,15 +29,15 @@ batched into small list-backed chunks.
 The arc-driven modes keep per-job id, bucket and depth columns
 (`sketch.DepthColumns`) on every input, and raise the depths one arc
 chunk at a time.  `stream_unknown` counts the sketch once, at the end
-of the stream; `stream_alpha_unknown` counts each job as it comes, as
-its cutoff needs, and replays each arc chunk's depth raises in order
-against the sketch, so its prunes and peak are those of a walk that
-moves a count as each arc arrives.
+of the stream; `stream_alpha_unknown` counts its jobs at depth 1 as
+they come, as its cutoff needs, and replays each arc chunk's depth
+raises in order against the sketch, so its prunes and peak are those
+of a walk that moves a count as each arc arrives.
 
-The given-depth modes walk a chunk job by job, except that an int64
-job chunk with depths goes to one counter (`_count_given`), which takes
-it whole or declines it and changes nothing; the walk of a declined
-chunk raises every per-job error.
+The counted modes (all but `stream_unknown`) walk a chunk job by job,
+except that an int64 job chunk with depths goes to one counter
+(`_count_chunk`), which takes it whole or declines it and changes
+nothing; the walk of a declined chunk raises every per-job error.
 
 A zero-row job chunk is passed over in every mode.
 
@@ -218,7 +218,7 @@ def _raise_depths(columns: DepthColumns, chunk: ArcChunk, raises: list | None) -
         columns.raise_chunk(src, dst, raises)
 
 
-def _count_given(
+def _count_chunk(
     chunk: JobChunk,
     sk: TreeSketch,
     gb: GeometricBuckets,
@@ -228,21 +228,22 @@ def _count_given(
     p_max_run: int,
     cutoff: int,
 ) -> tuple[int, int] | None:
-    """A given-depth mode on a chunk of int64 columns: the whole chunk, or nothing.
+    """A counted mode on a job chunk of int64 columns: the whole chunk, or nothing.
 
     Skips each job below the running maximum before it over ``n_sq``,
     as the per-job loop does, and counts the kept jobs with one
     `TreeSketch.add_counts` call; returns the new running maximum and
     cutoff.  The uncapped mode passes an ``n_sq`` past int64, which
     skips no job and keeps the cutoff below every bucket, and its
-    ``p_cap`` c.  The cutoff only rises, so when the chunk's final
-    cutoff is at most the smallest bucket of both the sketch and the
-    kept jobs, no lazy prune inside the chunk would evict, and the node
-    count, hence ``peak_node_count``, only grows.  Otherwise, and when a
-    ``p`` lies outside 1..p_cap or a depth outside 1..h (the loop's
-    errors, or a depth-0 job that the capped loop skips) or the running
-    maximum is past int64 (an earlier event), returns None and changes
-    nothing, so the caller walks the chunk event by event.
+    ``p_cap`` c; the capped arc mode passes depths of 1.  The cutoff
+    only rises, so when the chunk's final cutoff is at most the
+    smallest bucket of both the sketch and the kept jobs, no lazy prune
+    inside the chunk would evict, and the node count, hence
+    ``peak_node_count``, only grows.  Otherwise, and when a ``p`` lies
+    outside 1..p_cap or a depth outside 1..h (the loop's errors, or a
+    depth-0 job that the capped loop skips) or the running maximum is
+    past int64 (an earlier event), returns None and changes nothing, so
+    the caller walks the chunk event by event.
     """
     _, p, depth = chunk
     p_lo, top = int(p.min()), int(p.max())
@@ -282,17 +283,17 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     columns = None if given else DepthColumns()
     index, floor_log = gb.index, gb.floor_log
     add, note = sk.add, sk.note_processing_time
-    h, c = params.h, params.c
-    held = [False] * (h + 1) if given else None  # held[d]: some job has depth d
+    h, c = params.h if given else 1, params.c  # the arc modes count every job at depth 1
+    held = [False] * (h + 1)  # held[d]: some job has depth d
     # the uncapped modes skip no job: an n^2 past int64, and a cutoff below every bucket
     n_sq = params.n * params.n if capped else 1 << 63
     p_cap = math.inf if capped else c  # only the uncapped modes bound p by c
     p_max_run = 1
     cutoff = floor_log(p_max_run, n_sq)
-    seen = updates = 0
+    n = arcs = 0  # job and arc events
     for chunk in _chunks(events):
         if isinstance(chunk, ArcChunk):
-            updates += len(chunk.src)
+            arcs += len(chunk.src)
             if given:  # the known-depth modes pass over arc events
                 continue
             raises = []
@@ -303,40 +304,37 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                     sk.prune_smallest(cutoff)
                     sk.note_peak()
             continue
-        updates += len(chunk.ids)
+        n += len(chunk.ids)  # each job is counted, skipped or evicted, or raises
         if len(chunk.ids) == 0:
             continue
-        if given:
-            if isinstance(chunk.depth, np.ndarray):
-                state = _count_given(chunk, sk, gb, held, n_sq, p_cap, p_max_run, cutoff)
-                if state is not None:
-                    p_max_run, cutoff = state
-                    seen += len(chunk.ids)
-                    continue
-            ids, ps, depths = _columns(chunk)
-            rows = zip(ids, ps, repeat(None) if depths is None else depths, map(index, ps))
-        else:
+        us = None  # the buckets, when the arc modes' columns have them
+        if not given:
             if columns.ids is not None:  # frozen by the first arc chunk
                 index(chunk.p[0])  # the job's p is checked before its place in the stream
                 raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
             us = _insert_jobs(columns, gb, sk, chunk)
             if not capped:
                 continue
-            rows = zip(repeat(None), _columns(chunk)[1], repeat(1), us.tolist())  # depths start at 1
-        for job_id, p, d, u in rows:
-            if given:
-                if d is None:
-                    raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
-                if d > h:
-                    raise InputContractError(f"job {job_id} has depth {d} > h={h}")
-                if p > p_cap:
-                    raise InputContractError(f"job {job_id} has p={p} > c={c}")
-                held[d] = True
-                note(p)
+            chunk = chunk._replace(depth=np.ones_like(us))
+        if isinstance(chunk.p, np.ndarray) and isinstance(chunk.depth, np.ndarray):
+            state = _count_chunk(chunk, sk, gb, held, n_sq, p_cap, p_max_run, cutoff)
+            if state is not None:
+                p_max_run, cutoff = state
+                continue
+        ids, ps, depths = _columns(chunk)
+        buckets = map(index, ps) if us is None else us.tolist()
+        for job_id, p, d, u in zip(ids, ps, repeat(None) if depths is None else depths, buckets):
+            if d is None:
+                raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
+            if d > h:
+                raise InputContractError(f"job {job_id} has depth {d} > h={h}")
+            if p > p_cap:
+                raise InputContractError(f"job {job_id} has p={p} > c={c}")
+            held[d] = True
+            note(p)
             if not capped:
                 add(d, u)
                 continue
-            seen += 1  # the uncapped modes read n off the sketch, which counts every job
             if p * n_sq < p_max_run:
                 continue
             if p > p_max_run:
@@ -351,7 +349,6 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         if not capped:
             columns.count_into(sk)
         h_run = max(columns.depth, default=1)
-    n = seen if capped else sk.total_counted
     if n == 0:
         raise InputContractError("empty job stream")
     if capped and n != params.n:
@@ -372,7 +369,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
     loads = final.depth_loads(RoundedValues(gb, u_lo, u_hi, float(top)), h_run) / params.m
     tail = ceil_div(top, n) if capped else 0
-    if capped and tight and not given:
+    if tight and not given:
         held = columns.held_depths(h_run)
     A, times = totals(loads, top, tight, tail=tail, slack=tail, held=held)
     if capped:  # machine bound m <= 2*n*alpha*eps / (3*(h+1)*c)
@@ -390,7 +387,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         schedule_sketch=ScheduleSketch(times, source=mode),
         sketch_node_count=final.node_count,
         samples_drawn=0,
-        update_count=updates,
+        update_count=n + arcs,
         params=params,
         guarantee_condition_met=ok,
         extras=extras,

@@ -424,3 +424,50 @@ class TestArgparse:
             text=True,
         )
         assert proc.returncode == 0
+
+
+_STREAM1 = ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in"]
+_SCHEDULE = ["schedule", "--sks", "{result}", "--in", "{inst}", "--m", "1", "--out", "{tmp}/s.csv"]
+# case -> (argv, exit code, text of the --sks result file)
+MALFORMED_INPUTS = {
+    "spec value not an integer": (_STREAM1 + ["chain:m=x,q=1,h=2"], 2, None),
+    "spec shape not integers": (_STREAM1 + ["layered:shape=3/x,c=3,m=1"], 2, None),
+    "spec value not a float": (_STREAM1 + ["chain:m=1,q=1,h=2,alpha=x"], 2, None),
+    "spec key missing": (_STREAM1 + ["chain:m=1,q=1"], 2, None),
+    "spec without keys": (_STREAM1 + ["chain:"], 2, None),
+    "spec key unknown": (_STREAM1 + ["chain:m=1,q=1,h=2,bogus=3"], 2, None),
+    "implicit chain key missing": (
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:q=1,h=2"], 2, None
+    ),
+    "implicit alpha-mixed key missing": (
+        ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
+         "--in", "alpha-mixed:n=100,alpha=0.5,small=1"], 2, None
+    ),
+    "gen shape not integers": (["gen", "--family", "layered", "--shape", "3/x", "--out", "{tmp}/g.txt"], 2, None),
+    "result not JSON": (_SCHEDULE, 3, "not json"),
+    "result a JSON list": (_SCHEDULE, 3, "[6, 12]"),
+    "result without sks": (_SCHEDULE, 3, '{"A": 12}'),
+    "result sks not a list": (_SCHEDULE, 3, '{"sks": 12}'),
+    "result time not an integer": (_SCHEDULE, 3, '{"sks": ["x"]}'),
+    "result times decreasing": (_SCHEDULE, 3, '{"sks": [5, 3]}'),
+    "result time negative": (_SCHEDULE, 3, '{"sks": [-5]}'),
+    "oracle m 0": (["oracle", "exact", "--m", "0", "--in", "{inst}"], 2, None),
+    "oracle m 0 with a sidecar m": (["oracle", "list", "--m", "0", "--in", "{tmp}/side.txt"], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys):
+    """A malformed generator spec, result file or machine count: exit 2 or 3, one error line, no traceback."""
+    argv, code, result_text = MALFORMED_INPUTS[case]
+    inst, result = tmp_path / "inst.txt", tmp_path / "r.json"
+    for path in (inst, tmp_path / "side.txt"):
+        path.write_text("# sched-stream v1\nJ 1 1 1\nJ 2 2 2\nA 1 2\n")
+    (tmp_path / "side.txt.meta.json").write_text('{"m": 2}')  # `read_instance` takes m from here
+    result.write_text(result_text or "{}")
+    assert main([arg.format(tmp=tmp_path, inst=inst, result=result) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if result_text is not None:
+        assert err.startswith(f"error: {result}: ")

@@ -608,16 +608,16 @@ def _job_chunks(p: list, depth: list, rows: int):
         yield model.JobChunk(ids[lo:lo + rows], p[lo:lo + rows], depth[lo:lo + rows])
 
 
-def _spy_given(monkeypatch) -> list:
-    """What each call of the given-depth columnar count returns from now on (None: walked event by event)."""
+def _spy_count(monkeypatch) -> list:
+    """What each call of the columnar job-chunk count returns from now on (None: walked event by event)."""
     taken = []
-    count = streaming._count_given
+    count = streaming._count_chunk
 
     def spy(*args):
         taken.append(count(*args))
         return taken[-1]
 
-    monkeypatch.setattr(streaming, "_count_given", spy)
+    monkeypatch.setattr(streaming, "_count_chunk", spy)
     return taken
 
 
@@ -634,7 +634,7 @@ def _given_routes(
     tight: bool = False,
 ) -> tuple[list, dict | tuple, dict | tuple]:
     """stream1 or stream3 on int64 chunks and on events, with what each columnar chunk call returned."""
-    taken = _spy_given(monkeypatch)
+    taken = _spy_count(monkeypatch)
     fn = STREAMING_ALGORITHMS[mode]
     params = P(epsilon=epsilon, m=1, c=c or max(p), h=h or max(depth), n=len(p), alpha=0.25)
     monkeypatch.setattr(model, "CHUNK_ROWS", rows)
@@ -728,7 +728,7 @@ def test_columnar_stream3_near_int64_max(p, rows, monkeypatch):
 
 def test_columnar_stream3_after_a_maximum_past_int64(monkeypatch):
     """A `Job` event may carry p >= 2**63; an int64 chunk after it takes the per-event loop."""
-    taken = _spy_given(monkeypatch)
+    taken = _spy_count(monkeypatch)
     params = P(epsilon=0.3, m=1, c=1, h=1, n=3)
     chunk = model.JobChunk(np.array([2, 3]), np.array([2**62, 2**63 - 1]), np.array([1, 1]))
     got = _run_summary(ss.stream_alpha_known([ss.Job(1, 2**63, 1), chunk], params))
@@ -752,3 +752,23 @@ def test_columnar_stream1_rejects_what_the_loop_rejects(p, depth, error, monkeyp
     taken, got, want = _given_routes(p, depth, 3, monkeypatch, mode="stream1", c=8, h=2)
     assert got == want == error
     assert taken == [None]
+
+
+@pytest.mark.parametrize("rows", [7, 1 << 16])
+def test_columnar_stream4_counts_job_chunks(rows, monkeypatch):
+    """stream4 hands each int64 job chunk to the counter; a chunk that could evict is declined and walked."""
+    taken = _spy_count(monkeypatch)
+    monkeypatch.setattr(model, "CHUNK_ROWS", rows)
+    inst = CHUNK_INSTANCES["layered"]()  # p <= 9 < n^2: no cutoff reaches a bucket, so every chunk is taken
+    params = P(epsilon=0.3, m=inst.m, n=inst.n)
+    got = _run_summary(ss.stream_alpha_unknown(inst.chunks(with_depth=False), params))
+    assert got == _run_summary(stream_per_event(inst.events(with_depth=False), params, "stream4"))
+    assert len(taken) == -(-inst.n // rows) and None not in taken
+
+    taken.clear()
+    inst = _ascending_instance()  # each new maximum lifts the cutoff past the buckets of earlier jobs
+    params = P(epsilon=0.3, m=inst.m, n=inst.n)
+    got = _run_summary(ss.stream_alpha_unknown(inst.chunks(with_depth=False), params))
+    assert got == _run_summary(stream_per_event(inst.events(with_depth=False), params, "stream4"))
+    assert got["counted"] < inst.n  # jobs were skipped or evicted
+    assert len(taken) == -(-inst.n // rows) and None in taken
