@@ -58,7 +58,7 @@ def main():
 
     big = ss.chain(m=50, q=40, h=3)  # 6000 chains, 18000 jobs
     rep = ss.stream_unknown(big.events(with_depth=False), ss.AlgoParams(epsilon=0.3, m=50))
-    depths = rep.extras["depth_table"].depths_array(big.n)
+    depths = rep.extras["depth_table"].depths_array()
     sched = ss.sketch_to_schedule(rep.schedule_sketch, big.p, depths, 50)
     print(f"chain instance with {big.n} jobs on 50 machines")
     print(f"  optimum {big.meta['cstar']}, sketch end {rep.schedule_sketch.times[-1]}, "

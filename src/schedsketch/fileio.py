@@ -389,9 +389,15 @@ def instance_from_spec(text: str) -> Instance:
     return generate(family, seed=seed, **kwargs)
 
 
+IMPLICIT_KEYS = {"chain": {"m", "q", "h", "seed"}, "alpha-mixed": {"n", "alpha", "pbig", "small", "c", "m", "h", "seed"}}
+
+
 def access_from_spec(text: str) -> SampleAccess:
     """Implicit sample access for the families that support it."""
     family, kwargs = parse_gen_spec(text)
+    unknown = sorted(set(kwargs) - IMPLICIT_KEYS.get(family, set(kwargs)))
+    if unknown:
+        raise ParamError(f"generator spec {text!r}: family {family!r} takes no key {unknown[0]!r}")
     kwargs.pop("seed", None)
     try:
         if family == "chain":

@@ -49,9 +49,10 @@ class JobChunk(NamedTuple):
     """A run of consecutive job events as columns.
 
     The file reader and `Instance.chunks` fill the columns with int64
-    arrays and set ``depth`` to None when there are no depths; the
-    event adapter of the streaming engine fills them with lists of the
-    events' own values, where single depths may be None.
+    arrays and set ``depth`` to None when there are no depths.  The
+    streaming engine holds no other kind: it packs events, and the rows
+    of a hand-built chunk with list columns, into int64 chunks as they
+    enter.
     """
 
     ids: Sequence[int]

@@ -343,11 +343,6 @@ class DepthColumns:
         if stop < src.size:
             self.reject(int(src[stop]), int(dst[stop]))
 
-    def _position(self, job_id: int) -> int | None:
-        """Position of ``job_id`` (any int) in `ids`; None when no job has it."""
-        pos = int(np.searchsorted(self.ids, min(max(job_id, -(1 << 63)), (1 << 63) - 1)))
-        return pos if pos < self.ids.size and int(self.ids[pos]) == job_id else None
-
     def reject(self, a: int, b: int) -> NoReturn:
         """Raise the error of the bad arc ``a -> b``, given the arcs before it.
 
@@ -355,13 +350,13 @@ class DepthColumns:
         is unseen, and a self-loop, which would raise the job past the
         job count or else forms a cycle.
         """
-        s, t = self._position(a), self._position(b)
-        if t is not None and self._source[t]:
+        (s, t), (s_known, t_known) = _find(self.ids, np.array([a, b], dtype=np.int64))
+        if t_known and self._source[t]:
             raise CycleSuspicionError(
                 f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
             )
-        for job_id, pos in ((a, s), (b, t)):
-            if pos is None:
+        for job_id, known in ((a, s_known), (b, t_known)):
+            if not known:
                 raise InputContractError(f"arc references unseen job id {job_id}")
         new_depth = self.depth[s] + 1
         if new_depth > len(self.depth):
@@ -374,13 +369,12 @@ class DepthColumns:
             us, ds, counts = pair_counts(self.u, np.array(self.depth, dtype=np.int64))
             sk.add_counts(zip(us, ds), counts)
 
-    def held_depths(self, h: int) -> list[bool]:
-        """Flags for depths 0..h: entry d is True iff some job has depth d."""
-        return (np.bincount(self.depth, minlength=h + 1) > 0).tolist()
+    def check_ids(self) -> None:
+        """Raise unless the frozen ids are exactly 1..n (distinct sorted ids are iff they run from 1 to n)."""
+        if self.ids.size and (self.ids[0], self.ids[-1]) != (1, self.ids.size):
+            missing = np.setdiff1d(np.arange(1, self.ids.size + 1), self.ids)[0]
+            raise InputContractError(f"job ids must be exactly 1..{self.ids.size}; no job has id {missing}")
 
-    def depths_array(self, n: int) -> np.ndarray:
-        """Depths for contiguous ids 1..n, for handing to the second pass."""
-        pos, known = _find(self.ids, np.arange(1, n + 1, dtype=np.int64))
-        if not known.all():
-            raise InputContractError(f"arc references unseen job id {known.argmin() + 1}")
-        return np.array(self.depth, dtype=np.int64)[pos]
+    def depths_array(self) -> np.ndarray:
+        """Depths for ids 1..n, which `check_ids` ensures, for handing to the second pass."""
+        return np.array(self.depth, dtype=np.int64)

@@ -21,10 +21,10 @@ stream is read:
   skipped, the smallest bucket is lazily evicted, and one
   ceil(p_max/n) term pays for both.
 
-The engine consumes its input as chunks of consecutive jobs or arcs:
-`fileio.iter_chunks` and `Instance.chunks` yield int64 column chunks,
-and any other iterable of events (a list of `Job` and `Arc` values) is
-batched into small list-backed chunks.
+The engine reads its input through one door, `_chunks`, as int64
+column chunks of consecutive jobs or arcs: `fileio.iter_chunks` and
+`Instance.chunks` yield them, and events (`Job`, `Arc`) and chunks with
+list columns are packed into them.  A value outside int64 raises there.
 
 The arc-driven modes keep per-job id, bucket and depth columns
 (`sketch.DepthColumns`) on every input, and raise the depths one arc
@@ -34,10 +34,11 @@ they come, as its cutoff needs, and replays each arc chunk's depth
 raises in order against the sketch, so its prunes and peak are those
 of a walk that moves a count as each arc arrives.
 
-The counted modes (all but `stream_unknown`) walk a chunk job by job,
-except that an int64 job chunk with depths goes to one counter
-(`_count_chunk`), which takes it whole or declines it and changes
-nothing; the walk of a declined chunk raises every per-job error.
+A job chunk with given depths is checked once, by vectorized masks,
+and raises the error of its first bad row.  The counted modes (all but
+`stream_unknown`) then hand each job chunk to one counter
+(`_count_chunk`), which takes it whole; only a chunk in which an
+eviction can fall is declined and walked job by job.
 
 A zero-row job chunk is passed over in every mode.
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def totals(
     tail: int = 0,
     stretch: float = 1.0,
     slack: int = 0,
-    held: list[bool] | None = None,
+    held: Sequence[bool] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Approximate makespan A and sketch times from per-depth loads L_d.
 
@@ -130,146 +131,132 @@ def totals(
     return a_total, tuple(times)
 
 
-EVENT_BATCH = 256  # events per chunk that `_chunks` builds from single events
+EVENT_BATCH = 256  # rows per int64 chunk that `_chunks` packs from events and list columns
+
+
+class _Row(Job):
+    """A row of a job chunk with list columns, packed as a `Job` event is; the engine checks it."""
+
+    def __post_init__(self):
+        pass
+
+
+def _packed(kind, rows: list) -> Iterator[Chunk]:
+    """Events of one kind as one int64 chunk: ArcChunk, or JobChunk with depths (True) or without (False).
+
+    A value outside int64 raises at its row, in the file reader's
+    words, after the rows before it are yielded.
+    """
+    if not rows:
+        return
+    if kind is ArcChunk:
+        cols = list(zip(*rows))
+    else:  # no tuple per job: freed tuples stay allocated on the interpreter's free list
+        cols = [[ev.id for ev in rows], [ev.p for ev in rows]] + ([[ev.depth for ev in rows]] if kind else [])
+    try:  # numpy casts numpy integers to int64 unchecked; a column it reads as another type goes through int()
+        arrays = [np.array(col) for col in cols]  # int64 when all are Python ints within it
+        arrays = [a if a.dtype == np.int64 else np.array([int(v) for v in c], np.int64) for a, c in zip(arrays, cols)]
+    except OverflowError:
+        names = ("arc end", "arc end") if kind is ArcChunk else ("job id", "processing time", "depth")
+        fields = [(k, name, int(v)) for k, row in enumerate(zip(*cols)) for name, v in zip(names, row)]
+        k, name, value = next(field for field in fields if not -(1 << 63) <= field[2] < 1 << 63)
+        yield from _packed(kind, rows[:k])
+        bound = "is outside the int64 range" if kind is ArcChunk or value < 0 else "exceeds 2**63 - 1"
+        raise InputContractError(f"{name} {value} {bound}") from None
+    yield ArcChunk(*arrays) if kind is ArcChunk else JobChunk(arrays[0], arrays[1], arrays[2] if kind else None)
 
 
 def _chunks(items: Iterable[StreamEvent | Chunk]) -> Iterator[Chunk]:
-    """The engine's input as chunks: chunks pass through, runs of single events are batched.
+    """The engine's one door: its input as int64 column chunks.
 
-    A batch holds at most `EVENT_BATCH` events, as lists of the events'
-    own values.  When the input raises, the events read before it are
-    yielded first, so an engine error on them still comes first.
+    int64 chunks pass through.  Events, and the rows of chunks with
+    list columns, are packed into chunks of at most `EVENT_BATCH` rows,
+    a new one where the kind changes or whether a job carries a depth.
+    When the input raises, the rows read before it are yielded first.
     """
-    cols: tuple[list, ...] = ()
-    kind = None
+    kind, rows = None, []  # the batch being packed: its kind (see `_packed`) and its events
     try:
         for ev in items:
             if isinstance(ev, Job):
-                if kind is not JobChunk or len(cols[0]) == EVENT_BATCH:
-                    if cols:
-                        yield kind(*cols)
-                    kind, cols = JobChunk, ([], [], [])
-                cols[0].append(ev.id)
-                cols[1].append(ev.p)
-                cols[2].append(ev.depth)
+                key = ev.depth is not None
             elif isinstance(ev, (JobChunk, ArcChunk)):
-                if cols:
-                    yield kind(*cols)
-                kind, cols = None, ()
-                yield ev
+                full, kind, rows = (kind, rows), None, []
+                yield from _packed(*full)
+                if all(getattr(col, "dtype", None) == np.int64 for col in ev if col is not None):
+                    yield ev
+                elif isinstance(ev, ArcChunk):  # other columns (lists): their rows, packed as events are
+                    yield from _chunks(zip(*ev))
+                else:
+                    yield from _chunks(map(_Row, ev.ids, ev.p, repeat(None) if ev.depth is None else ev.depth))
+                continue
             else:
-                if kind is not ArcChunk or len(cols[0]) == EVENT_BATCH:
-                    if cols:
-                        yield kind(*cols)
-                    kind, cols = ArcChunk, ([], [])
-                src, dst = ev
-                cols[0].append(src)
-                cols[1].append(dst)
-    except Exception:
-        if cols:
-            yield kind(*cols)
+                key = ArcChunk
+            if key is not kind or len(rows) == EVENT_BATCH:
+                full, kind, rows = (kind, rows), key, []
+                yield from _packed(*full)
+            rows.append(ev)
+    except Exception:  # a batch is cleared before it is packed, so none is yielded twice
+        yield from _packed(kind, rows)
         raise
-    if cols:
-        yield kind(*cols)
+    yield from _packed(kind, rows)
 
 
-def _columns(chunk: Chunk) -> list:
-    """A chunk's columns as lists of Python ints (None stays None)."""
-    return [col.tolist() if isinstance(col, np.ndarray) else col for col in chunk]
+def _reject_jobs(chunk: JobChunk, gb: GeometricBuckets, h: int, p_cap: float) -> NoReturn:
+    """Raise the error of the first bad row of a job chunk with given depths.
 
-
-def _insert_jobs(columns: DepthColumns, gb: GeometricBuckets, sk: TreeSketch, chunk: JobChunk) -> np.ndarray:
-    """Insert a chunk of jobs into ``columns``; returns their buckets.
-
-    List columns (a ``p`` may pass int64) and a ``p`` below 1 go row by
-    row: the first bad row raises after the rows before it, ``p`` first.
+    Its checks, in order: ``p >= 1``, a depth, ``depth <= h``,
+    ``p <= p_cap`` (c, in the uncapped mode) and ``depth >= 1``.
     """
-    if isinstance(chunk.p, np.ndarray) and chunk.p.min() >= 1:
-        us = gb.index_array(chunk.p)
-        columns.insert_chunk(chunk.ids, us)
-        p_lo, p_hi = int(chunk.p.min()), int(chunk.p.max())
-    else:
-        ids, ps = _columns(chunk)[:2]
-        us = []
-        try:
-            for job_id, p in zip(ids, ps):
-                u = gb.index(p)
-                if not -(1 << 63) <= job_id < 1 << 63:
-                    raise InputContractError(f"job id {job_id} exceeds 2**63 - 1")
-                us.append(u)
-        finally:  # a duplicate among the rows before a bad one is the earlier error
-            us = np.array(us, dtype=np.int64)
-            columns.insert_chunk(np.array(ids[: us.size], dtype=np.int64), us)
-        p_lo, p_hi = min(ps), max(ps)
-    sk.note_processing_time(p_lo)
-    sk.note_processing_time(p_hi)
-    return us
-
-
-def _raise_depths(columns: DepthColumns, chunk: ArcChunk, raises: list | None) -> None:
-    """`DepthColumns.raise_chunk` on a chunk of arcs; an end past int64 (list columns) is an unseen id."""
-    try:
-        src, dst = (np.asarray(col, dtype=np.int64) for col in chunk)
-    except OverflowError:
-        k = next(i for i, arc in enumerate(zip(*chunk)) if not all(-(1 << 63) <= end < 1 << 63 for end in arc))
-        columns.raise_chunk(*(np.array(col[:k], dtype=np.int64) for col in chunk))
-        columns.reject(chunk.src[k], chunk.dst[k])
-    else:
-        columns.raise_chunk(src, dst, raises)
+    ids, p, depth = chunk
+    k = 0 if depth is None else int(((p < 1) | (depth > h) | (p > p_cap) | (depth < 1)).argmax())
+    job_id, p_k, d = int(ids[k]), int(p[k]), None if depth is None else int(depth[k])
+    gb.index(p_k)  # raises for p < 1
+    if d is None:
+        raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
+    if d > h:
+        raise InputContractError(f"job {job_id} has depth {d} > h={h}")
+    if p_k > p_cap:
+        raise InputContractError(f"job {job_id} has p={p_k} > c={p_cap}")
+    raise InputContractError(f"depth must be >= 1, got {d}")
 
 
 def _count_chunk(
-    chunk: JobChunk,
+    p: np.ndarray,
+    depth: np.ndarray,
     sk: TreeSketch,
     gb: GeometricBuckets,
-    held: list[bool],
     n_sq: int,
-    p_cap: float,
+    p_hi: int,
     p_max_run: int,
     cutoff: int,
 ) -> tuple[int, int] | None:
-    """A counted mode on a job chunk of int64 columns: the whole chunk, or nothing.
+    """A counted mode on a checked job chunk: the whole chunk, or nothing.
 
-    Skips each job below the running maximum before it over ``n_sq``,
-    as the per-job loop does, and counts the kept jobs with one
-    `TreeSketch.add_counts` call; returns the new running maximum and
-    cutoff.  The uncapped mode passes an ``n_sq`` past int64, which
-    skips no job and keeps the cutoff below every bucket, and its
-    ``p_cap`` c; the capped arc mode passes depths of 1.  The cutoff
-    only rises, so when the chunk's final cutoff is at most the
-    smallest bucket of both the sketch and the kept jobs, no lazy prune
-    inside the chunk would evict, and the node count, hence
-    ``peak_node_count``, only grows.  Otherwise, and when a ``p`` lies
-    outside 1..p_cap or a depth outside 1..h (the loop's errors, or a
-    depth-0 job that the capped loop skips) or the running maximum is
-    past int64 (an earlier event), returns None and changes nothing, so
-    the caller walks the chunk event by event.
+    Skips each job below the running maximum before it over ``n_sq``
+    (none when ``n_sq`` is past int64, as in the uncapped mode), counts
+    the kept jobs with one `TreeSketch.add_counts` call, and returns the
+    new running maximum and cutoff.  The cutoff only rises, so when the
+    chunk's final cutoff is at most the smallest bucket of both the
+    sketch and the kept jobs, no lazy prune inside the chunk would
+    evict, and the node count, hence ``peak_node_count``, only grows.
+    Otherwise (the eviction guard) returns None and changes nothing.
     """
-    _, p, depth = chunk
-    p_lo, top = int(p.min()), int(p.max())
-    if p_lo < 1 or top > p_cap or depth.min() < 1 or depth.max() >= len(held) or p_max_run >> 63:
-        return None
-    keep = slice(None)  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
-    if n_sq >> 63 == 0:
+    if n_sq >> 63 == 0:  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
         # the maximum before each job; a skipped job lies below it, so kept jobs alone set it
         run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p[:-1])))
         keep = p > (run_max - 1) // n_sq  # not p * n_sq < run_max, exactly and within int64
-    if top > p_max_run:
-        p_max_run, cutoff = top, gb.floor_log(top, n_sq)
-    kept_p, kept_depth = p[keep], depth[keep]
-    if kept_p.size:
-        low = gb.index(int(kept_p.min()))
+        p, depth = p[keep], depth[keep]
+    if p_hi > p_max_run:
+        p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
+    if p.size:
+        low = gb.index(int(p.min()))
         if sk.node_count:
             low = min(low, sk.smallest_bucket())
         if cutoff > low:  # the eviction guard
             return None
-        us, ds, counts = pair_counts(gb.index_array(kept_p), kept_depth)
+        us, ds, counts = pair_counts(gb.index_array(p), depth)
         sk.add_counts(zip(us, ds), counts)
         sk.note_peak()
-    for d in np.flatnonzero(np.bincount(depth)).tolist():
-        held[d] = True
-    sk.note_processing_time(p_lo)
-    sk.note_processing_time(top)
     return p_max_run, cutoff
 
 
@@ -281,15 +268,13 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     gb = buckets_for(drv.delta)
     sk = TreeSketch()
     columns = None if given else DepthColumns()
-    index, floor_log = gb.index, gb.floor_log
-    add, note = sk.add, sk.note_processing_time
     h, c = params.h if given else 1, params.c  # the arc modes count every job at depth 1
-    held = [False] * (h + 1)  # held[d]: some job has depth d
+    held = np.zeros(h + 1, dtype=bool)  # held[d]: some job has depth d
     # the uncapped modes skip no job: an n^2 past int64, and a cutoff below every bucket
     n_sq = params.n * params.n if capped else 1 << 63
     p_cap = math.inf if capped else c  # only the uncapped modes bound p by c
     p_max_run = 1
-    cutoff = floor_log(p_max_run, n_sq)
+    cutoff = gb.floor_log(p_max_run, n_sq)
     n = arcs = 0  # job and arc events
     for chunk in _chunks(events):
         if isinstance(chunk, ArcChunk):
@@ -297,55 +282,56 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             if given:  # the known-depth modes pass over arc events
                 continue
             raises = []
-            _raise_depths(columns, chunk, raises if capped else None)  # stream_unknown counts at the end
+            columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts at the end
             # replay the raises in order: a skipped or evicted job has no count to move
             for u, (_, d, d_new) in zip(columns.u[[b for b, _, _ in raises]].tolist(), raises):
                 if sk.move_if_present(d, u, d_new)[1]:
                     sk.prune_smallest(cutoff)
                     sk.note_peak()
             continue
-        n += len(chunk.ids)  # each job is counted, skipped or evicted, or raises
-        if len(chunk.ids) == 0:
+        _, p, depth = chunk
+        n += p.size  # each job is counted, skipped or evicted, or raises
+        if p.size == 0:
             continue
-        us = None  # the buckets, when the arc modes' columns have them
-        if not given:
+        p_lo, p_hi = int(p.min()), int(p.max())
+        if given:
+            d_lo, d_hi = (0, 0) if depth is None else (int(depth.min()), int(depth.max()))  # no depths: rejected
+            if p_lo < 1 or d_lo < 1 or d_hi > h or p_hi > p_cap:
+                _reject_jobs(chunk, gb, h, p_cap)
+            held[depth] = True
+        else:
             if columns.ids is not None:  # frozen by the first arc chunk
-                index(chunk.p[0])  # the job's p is checked before its place in the stream
+                gb.index(p[0])  # the job's p is checked before its place in the stream
                 raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
-            us = _insert_jobs(columns, gb, sk, chunk)
-            if not capped:
+            if p_lo < 1:  # raises at its row, after inserting the rows before it: a repeated id there comes first
+                k = int((p < 1).argmax())
+                columns.insert_chunk(chunk.ids[:k], gb.index_array(p[:k]))
+                gb.index(p[k])
+            us = gb.index_array(p)
+            columns.insert_chunk(chunk.ids, us)
+            depth = np.ones_like(us)
+        sk.note_processing_time(p_lo)
+        sk.note_processing_time(p_hi)
+        if not (given or capped):
+            continue
+        state = _count_chunk(p, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
+        if state is not None:
+            p_max_run, cutoff = state
+            continue
+        # a chunk in which an eviction can fall, walked job by job (capped modes only)
+        for p_j, d, u in zip(p.tolist(), depth.tolist(), (gb.index_array(p) if given else us).tolist()):
+            if p_j * n_sq < p_max_run:
                 continue
-            chunk = chunk._replace(depth=np.ones_like(us))
-        if isinstance(chunk.p, np.ndarray) and isinstance(chunk.depth, np.ndarray):
-            state = _count_chunk(chunk, sk, gb, held, n_sq, p_cap, p_max_run, cutoff)
-            if state is not None:
-                p_max_run, cutoff = state
-                continue
-        ids, ps, depths = _columns(chunk)
-        buckets = map(index, ps) if us is None else us.tolist()
-        for job_id, p, d, u in zip(ids, ps, repeat(None) if depths is None else depths, buckets):
-            if d is None:
-                raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
-            if d > h:
-                raise InputContractError(f"job {job_id} has depth {d} > h={h}")
-            if p > p_cap:
-                raise InputContractError(f"job {job_id} has p={p} > c={c}")
-            held[d] = True
-            note(p)
-            if not capped:
-                add(d, u)
-                continue
-            if p * n_sq < p_max_run:
-                continue
-            if p > p_max_run:
-                p_max_run = p
-                cutoff = floor_log(p_max_run, n_sq)
-            if add(d, u):
+            if p_j > p_max_run:
+                p_max_run = p_j
+                cutoff = gb.floor_log(p_max_run, n_sq)
+            if sk.add(d, u):
                 sk.prune_smallest(cutoff)
             sk.note_peak()
     h_run = h
     if not given:
         columns.freeze()
+        columns.check_ids()
         if not capped:
             columns.count_into(sk)
         h_run = max(columns.depth, default=1)
@@ -358,7 +344,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         top, u_lo, u_hi = c, 0, drv.k
     else:  # sk.p_max == p_max_run: the largest job is never skipped
         top = sk.p_max
-        u_lo, u_hi = (cutoff if capped else index(sk.p_min)), index(top)
+        u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
     final = sketch_finalize_alpha(sk, n, gb) if capped else sk
     if given:
         c_run = c
@@ -370,7 +356,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     loads = final.depth_loads(RoundedValues(gb, u_lo, u_hi, float(top)), h_run) / params.m
     tail = ceil_div(top, n) if capped else 0
     if tight and not given:
-        held = columns.held_depths(h_run)
+        held = np.bincount(columns.depth, minlength=h_run + 1) > 0
     A, times = totals(loads, top, tight, tail=tail, slack=tail, held=held)
     if capped:  # machine bound m <= 2*n*alpha*eps / (3*(h+1)*c)
         ok = 3.0 * params.m * (h_run + 1) * c_run <= 2.0 * n * params.alpha * params.epsilon

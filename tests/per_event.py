@@ -1,24 +1,39 @@
-"""Per-event reference for the arc-driven stream modes (stream2, stream4).
+"""Per-event reference for the four stream modes.
 
-The engine keeps per-job depths as columns (`sketch.DepthColumns`) and
-raises them one arc chunk at a time.  This module walks the same input
-one event at a time instead: every job goes into a dict `DepthTable`,
+The engine checks each job chunk once by vectorized masks, counts it
+with one call when no eviction can fall in it, and keeps the arc modes'
+per-job depths as columns (`sketch.DepthColumns`) raised one arc chunk
+at a time.  This module walks the same input one event at a time
+instead.  A job with a given depth is checked at its row (``p >= 1``, a
+depth, ``depth <= h``, ``p <= c`` in `stream1`, ``depth >= 1``), then
+counted, or skipped below the running maximum over n^2 in the capped
+modes, with a lazy prune and a peak update whenever the count creates
+a node.  In the arc modes every job goes into a dict `DepthTable`,
 every arc is checked against the set of sources seen so far, and a
 raised depth moves its job's count in the sketch at once (`move`, or
 `move_if_present` in the capped mode, where the job may have been
-skipped or evicted), with a lazy prune and a peak update whenever the
-move creates a node.  The finish (`A`, sketch times, guarantee) is the
-engine's.  Tests hold the engine's results and errors to this walk.
+skipped or evicted); at the end of the stream the ids must be 1..n.
+The finish (`A`, sketch times, guarantee) is the engine's.
+Tests hold the engine's results and errors to this walk.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
 from schedsketch import streaming
-from schedsketch.core import STREAM_ALPHA_UNKNOWN, AlgoParams, buckets_for, ceil_div, derive_params
+from schedsketch.core import (
+    STREAM_ALPHA_KNOWN,
+    STREAM_ALPHA_UNKNOWN,
+    STREAM_KNOWN,
+    AlgoParams,
+    buckets_for,
+    ceil_div,
+    derive_params,
+)
 from schedsketch.errors import CycleSuspicionError, InputContractError
 from schedsketch.model import ArcChunk, RunReport, ScheduleSketch
 from schedsketch.sketch import DepthTable, TreeSketch, sketch_finalize_alpha
@@ -34,29 +49,42 @@ class _Table(DepthTable):
             held[d] = True
         return held
 
-    def depths_array(self, n: int) -> np.ndarray:
-        """Depths for contiguous ids 1..n."""
-        return np.array([self.get(j)[0] for j in range(1, n + 1)], dtype=np.int64)
+    def check_ids(self) -> None:
+        """Raise unless the job ids are exactly 1..n, naming the first missing one."""
+        n = len(self._rec)
+        missing = next((j for j in range(1, n + 1) if j not in self._rec), None)
+        if missing is not None:
+            raise InputContractError(f"job ids must be exactly 1..{n}; no job has id {missing}")
+
+    def depths_array(self) -> np.ndarray:
+        """Depths for ids 1..n, which `check_ids` ensures."""
+        return np.array([self.get(j)[0] for j in range(1, len(self) + 1)], dtype=np.int64)
 
 
 def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False) -> RunReport:
-    """``stream2`` or ``stream4`` on ``events`` (events or chunks), walked event by event."""
-    capped = mode == STREAM_ALPHA_UNKNOWN
+    """Any stream mode on ``events`` (events or chunks), walked event by event."""
+    given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)
+    capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
     sk = TreeSketch()
     table = _Table()
     sources_seen: set[int] = set()
     in_arc_phase = False
+    h, c = params.h if given else 1, params.c
+    p_cap = c if mode == STREAM_KNOWN else math.inf
+    held = [False] * (h + 1)
     n_sq = params.n * params.n if capped else 1 << 63
     p_max_run = 1
     cutoff = gb.floor_log(p_max_run, n_sq)
-    height = 1
-    seen = updates = 0
+    height = h
+    n = updates = 0
     for chunk in streaming._chunks(events):
-        cols = streaming._columns(chunk)
+        cols = [None if col is None else col.tolist() for col in chunk]
         updates += len(cols[0])
         if isinstance(chunk, ArcChunk):
+            if given:
+                continue
             in_arc_phase = True
             for src, dst in zip(*cols):
                 if dst in sources_seen:
@@ -81,44 +109,64 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
                     table.raise_depth(dst, new_depth)
                     height = max(height, new_depth)
             continue
-        for job_id, p in zip(cols[0], cols[1]):
+        for job_id, p, d in zip(cols[0], cols[1], repeat(None) if cols[2] is None else cols[2]):
             u = gb.index(p)
-            if in_arc_phase:
-                raise InputContractError(f"job {job_id} arrived after arc events began")
-            table.insert(job_id, u)
+            if not given:
+                if in_arc_phase:
+                    raise InputContractError(f"job {job_id} arrived after arc events began")
+                table.insert(job_id, u)
+                d = 1
+            elif d is None:
+                raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
+            elif d > h:
+                raise InputContractError(f"job {job_id} has depth {d} > h={h}")
+            elif p > p_cap:
+                raise InputContractError(f"job {job_id} has p={p} > c={p_cap}")
+            elif d < 1:
+                raise InputContractError(f"depth must be >= 1, got {d}")
+            held[d] = True
             sk.note_processing_time(p)
+            n += 1
             if not capped:
-                sk.add(1, u)
+                sk.add(d, u)
                 continue
-            seen += 1
             if p * n_sq < p_max_run:
                 continue
             if p > p_max_run:
                 p_max_run = p
                 cutoff = gb.floor_log(p_max_run, n_sq)
-            if sk.add(1, u):
+            if sk.add(d, u):
                 sk.prune_smallest(cutoff)
             sk.note_peak()
-    n = seen if capped else sk.total_counted
+    if not given:
+        table.check_ids()
     if n == 0:
         raise InputContractError("empty job stream")
     if capped and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
-    top = sk.p_max
-    u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
+    if mode == STREAM_KNOWN:
+        top, u_lo, u_hi = c, 0, drv.k
+    else:
+        top = sk.p_max
+        u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
     final = sketch_finalize_alpha(sk, n, gb) if capped else sk
-    u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
-    c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
+    if given:
+        c_run = c
+    else:
+        u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
+        c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
     loads = final.depth_loads(streaming.RoundedValues(gb, u_lo, u_hi, float(top)), height) / params.m
     tail = ceil_div(top, n) if capped else 0
-    held = table.held_depths(height) if capped and tight else None
+    if not given:
+        held = table.held_depths(height)
     A, times = streaming.totals(loads, top, tight, tail=tail, slack=tail, held=held)
     if capped:
         ok = 3.0 * params.m * (height + 1) * c_run <= 2.0 * n * params.alpha * params.epsilon
     else:
         ok = 3.0 * params.m * height * c_run <= 2.0 * n * params.epsilon
-    extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final,
-              "p_min": sk.p_min, "c_discovered": c_run, "h_discovered": height, "depth_table": table}
+    extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
+    if not given:
+        extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=height, depth_table=table)
     if capped:
         extras.update(peak_node_count=sk.peak_node_count, counted=final.total_counted)
     return RunReport(

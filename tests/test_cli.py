@@ -75,6 +75,22 @@ class TestGenAndStream:
         assert rc == 3
         assert capsys.readouterr().err == "error: self-loop arc (1 -> 1) forms a cycle\n"
 
+    @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "2"]])
+    def test_gapped_ids_exit_3(self, tmp_path, capsys, argv):
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 1\nJ 3 1\nA 1 3\n")
+        rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: job ids must be exactly 1..2; no job has id 2\n"
+
+    @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "3"]])
+    def test_job_after_arcs_wins_over_a_gap_before_it(self, tmp_path, capsys, argv):
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 1\nJ 3 1\nA 1 3\nJ 2 1\n")
+        rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {inst}:4: job line after arc lines\n"
+
     def test_stream3_n_squared_past_int64_exits_3(self, tmp_path, capsys):
         # n^2 = 1.6e19 is past int64; --n is checked only at the end of the stream
         inst = tmp_path / "i.txt"
@@ -438,6 +454,13 @@ MALFORMED_INPUTS = {
     "spec key unknown": (_STREAM1 + ["chain:m=1,q=1,h=2,bogus=3"], 2, None),
     "implicit chain key missing": (
         ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:q=1,h=2"], 2, None
+    ),
+    "implicit chain key unknown": (
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:m=1,q=1,h=2,bogus=3"], 2, None
+    ),
+    "implicit alpha-mixed key unknown": (
+        ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
+         "--in", "alpha-mixed:n=100,alpha=0.5,pbig=10,small=1,bogus=1"], 2, None
     ),
     "implicit alpha-mixed key missing": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",

@@ -145,7 +145,7 @@ class TestEndToEnd:
         # unknown-parameter pass 1 exposes discovered depths for pass 2
         evs = [ss.Job(1, 2), ss.Job(2, 1), ss.Job(3, 1), ss.Arc(1, 2), ss.Arc(2, 3)]
         rep = ss.stream_unknown(evs, ss.AlgoParams(epsilon=0.3, m=1))
-        depths = rep.extras["depth_table"].depths_array(3)
+        depths = rep.extras["depth_table"].depths_array()
         assert depths.tolist() == [1, 2, 3]
         sched = ss.sketch_to_schedule(rep.schedule_sketch, [2, 1, 1], depths, 1)
         inst = ss.Instance(p=[2, 1, 1], depth=depths, arcs=[(1, 2), (2, 3)], m=1)

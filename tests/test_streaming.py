@@ -334,20 +334,13 @@ def _run_summary(rep: ss.RunReport) -> dict:
     for key in ("n", "p_max", "p_min", "c_discovered", "h_discovered", "peak_node_count", "counted"):
         out[key] = ex.get(key)
     if "depth_table" in ex:
-        out["depths"] = ex["depth_table"].depths_array(ex["n"]).tolist()
+        out["depths"] = ex["depth_table"].depths_array().tolist()
     return out
-
-
-def _reference(mode: str):
-    """The per-event route: the engine's own for stream1/stream3, `per_event` for stream2/stream4."""
-    if mode in ("stream2", "stream4"):
-        return lambda events, params, tight=False: stream_per_event(events, params, mode, tight)
-    return STREAMING_ALGORITHMS[mode]
 
 
 @pytest.mark.parametrize("name", sorted(CHUNK_INSTANCES))
 def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
-    """All four modes on int64 chunks and on single events report what the per-event route does."""
+    """All four modes on int64 chunks and on single events report what the per-event reference does."""
     monkeypatch.setattr(fileio, "BLOCK_CHARS", 100)  # many chunks, cut inside lines
     monkeypatch.setattr(model, "CHUNK_ROWS", 7)  # and inside depths
     inst = CHUNK_INSTANCES[name]()
@@ -361,7 +354,7 @@ def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
         for eps in (0.3, 0.05):
             params = P(epsilon=eps, m=inst.m, **kwargs)
             for tight in (False, True):
-                want = _run_summary(_reference(mode)(inst.events(with_depth=given), params, tight=tight))
+                want = _run_summary(stream_per_event(inst.events(with_depth=given), params, mode, tight))
                 assert _run_summary(fn(fileio.iter_chunks(path), params, tight=tight)) == want
                 assert _run_summary(fn(fileio.iter_stream(path), params, tight=tight)) == want
                 assert _run_summary(fn(inst.chunks(with_depth=given), params, tight=tight)) == want
@@ -397,16 +390,22 @@ def _outcome(run) -> dict | tuple:
 
 
 def _int64_chunks(events: list, rows: int, lists: bool = False):
-    """``events`` as int64 column chunks of at most ``rows`` events (list columns with ``lists``)."""
-    kinds = [type(ev) for ev in events]
+    """``events`` as int64 column chunks of at most ``rows`` events (list columns with ``lists``).
+
+    A job chunk carries depths when its first job does.
+    """
+    wrap = list if lists else np.array
     lo = 0
     while lo < len(events):
         hi = lo + 1
-        while hi < len(events) and hi - lo < rows and kinds[hi] is kinds[lo]:
+        while hi < len(events) and hi - lo < rows and type(events[hi]) is type(events[lo]):
             hi += 1
-        cols = [tuple(ev)[:2] if kinds[lo] is ss.Arc else (ev.id, ev.p) for ev in events[lo:hi]]
-        cols = [list(col) for col in zip(*cols)] if lists else np.array(cols).T
-        yield model.ArcChunk(*cols) if kinds[lo] is ss.Arc else model.JobChunk(*cols, None)
+        part = events[lo:hi]
+        if isinstance(part[0], ss.Arc):
+            yield model.ArcChunk(*(wrap(col) for col in zip(*part)))
+        else:
+            depth = None if part[0].depth is None else wrap([ev.depth for ev in part])
+            yield model.JobChunk(wrap([ev.id for ev in part]), wrap([ev.p for ev in part]), depth)
         lo = hi
 
 
@@ -430,7 +429,8 @@ COLUMNAR_CASES = {
         "arc (1 -> 1) arrived after 1 was already a source; arc stream is not in topological order",
     ),
     "job after arcs": (_jobs(1, 2) + [A(1, 2)] + _jobs(3), "job 3 arrived after arc events began"),
-    "gapped ids": (_jobs(10, 3, 7, 1) + [A(1, 3), A(3, 10), A(7, 10)], "arc references unseen job id 2"),
+    "job after arcs fills a gap": (_jobs(1, 3) + [A(1, 3)] + _jobs(2), "job 2 arrived after arc events began"),
+    "gapped ids": (_jobs(10, 3, 7, 1) + [A(1, 3), A(3, 10), A(7, 10)], "job ids must be exactly 1..4; no job has id 2"),
     "unsorted ids": (_jobs(5, 2, 4, 1, 3) + [A(1, 2), A(2, 3), A(4, 3), A(3, 5)], None),
 }
 
@@ -460,7 +460,7 @@ def test_columnar_stream2_matches_per_event(case, rows):
         if message is None:
             rep = STREAMING_ALGORITHMS[mode](events, params)
             assert isinstance(rep.extras["depth_table"], DepthColumns)
-        else:  # depths_array(n) names the first missing id of a gapped stream
+        else:
             assert want[1] == message
 
 
@@ -496,14 +496,14 @@ def test_arc_modes_check_p_at_its_row(ids, p, error, lists):
         assert _outcome(lambda: STREAMING_ALGORITHMS[mode](stream, params)) == error
 
 
-def test_arc_modes_take_p_past_int64():
-    """An event's p past int64 is bucketed one job at a time, as the per-event route does."""
+def test_arc_modes_reject_p_past_int64():
+    """An event's p past int64 raises at its row, in the per-event route as well."""
     events = [ss.Job(1, 2**70), ss.Job(2, 1), ss.Job(3, 1), ss.Arc(1, 2)]
+    error = (ss.InputContractError, f"processing time {2**70} exceeds 2**63 - 1")
     for mode, params in _arc_mode_params(3):
+        assert _outcome(lambda: stream_per_event(events, params, mode)) == error
         for rows in (1, 256):
-            got = _run_summary(STREAMING_ALGORITHMS[mode](_int64_chunks(events, rows, lists=True), params))
-            assert got == _run_summary(stream_per_event(events, params, mode))
-    assert ss.stream_unknown(events, P(epsilon=0.3, m=1)).A == 3541774862152233910273
+            assert _outcome(lambda: STREAMING_ALGORITHMS[mode](_int64_chunks(events, rows, lists=True), params)) == error
 
 
 LATE = "arrived after {} was already a source; arc stream is not in topological order"
@@ -512,14 +512,14 @@ LATE = "arrived after {} was already a source; arc stream is not in topological 
 @pytest.mark.parametrize(
     "arcs,error",
     [
-        ([A(1, 2), A(2, 2**70)], (ss.InputContractError, f"arc references unseen job id {2**70}")),
-        ([A(-(2**70), 2), A(1, 2)], (ss.InputContractError, f"arc references unseen job id {-(2**70)}")),
-        ([A(1, 2), A(2**64, 1)], (ss.CycleSuspicionError, f"arc ({2**64} -> 1) " + LATE.format(1))),
+        ([A(1, 2), A(2, 2**70)], (ss.InputContractError, f"arc end {2**70} is outside the int64 range")),
+        ([A(-(2**70), 2), A(1, 2)], (ss.InputContractError, f"arc end {-(2**70)} is outside the int64 range")),
+        ([A(1, 2), A(2**64, 1)], (ss.InputContractError, f"arc end {2**64} is outside the int64 range")),
         ([A(1, 2), A(1, 1), A(2**70, 2)], (ss.CycleSuspicionError, "arc (1 -> 1) " + LATE.format(1))),
     ],
 )
-def test_arc_end_past_int64_is_an_unseen_id(arcs, error):
-    """An arc end past int64 raises the per-event route's error at its row, never `OverflowError`."""
+def test_arc_end_past_int64_is_rejected(arcs, error):
+    """An arc end past int64 raises at its row, before the engine checks that row, never `OverflowError`."""
     events = _jobs(1, 2, 3) + arcs
     for mode, params in _arc_mode_params(3):
         assert _outcome(lambda: stream_per_event(events, params, mode)) == error
@@ -532,13 +532,60 @@ def test_arc_end_past_int64_is_an_unseen_id(arcs, error):
     [
         ([ss.Job(1, 1), ss.Job(2**63, 1)], (ss.InputContractError, f"job id {2**63} exceeds 2**63 - 1")),
         ([ss.Job(1, 1), ss.Job(1, 1), ss.Job(2**70, 1)], (ss.InputContractError, "duplicate job id 1 in stream")),
-        ([model.JobChunk([1, 2**63], [1, 0], None)], (ss.ParamError, "processing time must be >= 1, got 0")),
+        ([model.JobChunk([1, 2**63], [1, 0], None)], (ss.InputContractError, f"job id {2**63} exceeds 2**63 - 1")),
     ],
 )
 def test_job_id_past_int64_is_rejected(stream, error):
-    """Job ids are held as int64: one past it raises at its row, after the rows before it and its own p."""
+    """Job ids are held as int64: one past it raises at its row, after the rows before it, before its own p."""
     for mode, params in _arc_mode_params(len(stream)):
         assert _outcome(lambda: STREAMING_ALGORITHMS[mode](stream, params)) == error
+
+
+BIG = 2**63
+PAST_INT64 = {  # field -> (event index, the event carrying a value just past int64, the door's error)
+    "job id": (2, ss.Job(BIG, 1, 1), f"job id {BIG} exceeds 2**63 - 1"),
+    "p": (2, ss.Job(3, BIG, 1), f"processing time {BIG} exceeds 2**63 - 1"),
+    "depth": (2, ss.Job(3, 1, BIG), f"depth {BIG} exceeds 2**63 - 1"),
+    "arc src": (4, A(BIG, 3), f"arc end {BIG} is outside the int64 range"),
+    "arc dst": (4, A(2, -BIG - 1), f"arc end {-BIG - 1} is outside the int64 range"),
+    "numpy job id": (2, ss.Job(np.uint64(BIG), 1, 1), f"job id {BIG} exceeds 2**63 - 1"),
+    "numpy p": (2, ss.Job(3, np.uint64(BIG), 1), f"processing time {BIG} exceeds 2**63 - 1"),
+}
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+@pytest.mark.parametrize("field", sorted(PAST_INT64))
+@pytest.mark.parametrize("mode", sorted(STREAMING_ALGORITHMS))
+def test_value_past_int64_raises_at_its_row(mode, field, earlier):
+    """Every field past int64 raises at its row in every mode, on events and on list chunks.
+
+    An engine error on an earlier row still wins.
+    """
+    k, bad, message = PAST_INT64[field]
+    events = [ss.Job(1, 1, 1), ss.Job(2, 1, 1), ss.Job(3, 1, 1), A(1, 2), A(2, 3)]
+    events[k] = bad
+    params = {"stream1": P(epsilon=0.3, m=1, c=1, h=1), "stream2": P(epsilon=0.3, m=1),
+              "stream3": P(epsilon=0.3, m=1, c=1, h=1, n=3), "stream4": P(epsilon=0.3, m=1, n=3)}[mode]
+    error = (ss.InputContractError, message)
+    if earlier and mode in ("stream1", "stream3"):  # a depth past h on the first job
+        events[0], error = ss.Job(1, 1, 2), (ss.InputContractError, "job 1 has depth 2 > h=1")
+    elif earlier and k == 2:  # a repeated id on the row before
+        events[1], error = ss.Job(1, 1, 1), (ss.InputContractError, "duplicate job id 1 in stream")
+    elif earlier:  # an unseen id on the arc before
+        events[3], error = A(1, 9), (ss.InputContractError, "arc references unseen job id 9")
+    for source in (events, _int64_chunks(events, 1, lists=True), _int64_chunks(events, 256, lists=True)):
+        assert _outcome(lambda: STREAMING_ALGORITHMS[mode](source, params)) == error
+
+
+@pytest.mark.parametrize("mode", ["stream1", "stream3"])
+def test_given_modes_count_event_lists_by_chunk(mode, monkeypatch):
+    """Events enter as int64 chunks of `EVENT_BATCH` jobs, and the counter takes each one whole."""
+    taken = _spy_count(monkeypatch)
+    inst = ss.layered([300, 250, 200], c=9, m=3, seed=4)  # p <= 9 < n^2: no cutoff reaches a bucket
+    params = P(epsilon=0.3, m=inst.m, c=int(inst.p.max()), h=inst.height, n=inst.n)
+    got = _run_summary(STREAMING_ALGORITHMS[mode](inst.events(), params))
+    assert len(taken) == -(-inst.n // streaming.EVENT_BATCH) and None not in taken
+    assert got == _run_summary(STREAMING_ALGORITHMS[mode](inst.chunks(), params))
 
 
 @settings(max_examples=120, deadline=None)
@@ -594,7 +641,7 @@ def test_empty_job_chunk_is_skipped(mode, monkeypatch):
     fn = STREAMING_ALGORITHMS[mode]
     e = np.empty(0, dtype=np.int64)
     chunks = list(inst.chunks(with_depth=given))
-    want = _run_summary(_reference(mode)(chunks, params))
+    want = _run_summary(stream_per_event(chunks, params, mode))
     for at in (0, 1, len(chunks)):
         with_empty = chunks[:at] + [model.JobChunk(e, e, e if given else None)] + chunks[at:]
         assert _run_summary(fn(with_empty, params)) == want
@@ -609,7 +656,7 @@ def _job_chunks(p: list, depth: list, rows: int):
 
 
 def _spy_count(monkeypatch) -> list:
-    """What each call of the columnar job-chunk count returns from now on (None: walked event by event)."""
+    """What each call of the job-chunk counter returns from now on (None: declined, walked job by job)."""
     taken = []
     count = streaming._count_chunk
 
@@ -633,7 +680,7 @@ def _given_routes(
     epsilon: float = 0.3,
     tight: bool = False,
 ) -> tuple[list, dict | tuple, dict | tuple]:
-    """stream1 or stream3 on int64 chunks and on events, with what each columnar chunk call returned."""
+    """stream1 or stream3 on int64 chunks, the per-event reference on events, and what each counter call returned."""
     taken = _spy_count(monkeypatch)
     fn = STREAMING_ALGORITHMS[mode]
     params = P(epsilon=epsilon, m=1, c=c or max(p), h=h or max(depth), n=len(p), alpha=0.25)
@@ -641,9 +688,9 @@ def _given_routes(
     if min(depth) >= 1 and min(p) >= 1:
         inst = ss.Instance(p=p, depth=depth, arcs=[], m=1)
         chunks, events = inst.chunks(), inst.events()
-    else:  # `Instance` and `Job` reject p and depth 0; list columns take the per-event loop too
+    else:  # `Instance` and `Job` reject p and depth 0; list columns are packed into int64 chunks at the door
         chunks, events = _job_chunks(p, depth, rows), [model.JobChunk(list(range(1, len(p) + 1)), p, depth)]
-    want = _outcome(lambda: fn(events, params, tight=tight))
+    want = _outcome(lambda: stream_per_event(events, params, mode, tight))
     got = _outcome(lambda: fn(chunks, params, tight=tight))
     return taken, got, want
 
@@ -683,6 +730,26 @@ def test_columnar_stream3_skip_boundary(rows, order, monkeypatch):
     assert None not in taken  # every chunk took the columnar count
 
 
+def test_columnar_stream3_skip_boundary_in_a_walked_chunk(monkeypatch):
+    """With n = 4, in a chunk the counter declines: p * n^2 equal to the running maximum keeps the job."""
+    taken, got, want = _given_routes([10, 1600, 100, 99], [1, 1, 2, 2], 4, monkeypatch)
+    assert got == want
+    assert taken == [None]  # the node of 10 is evicted when 1600 lifts the cutoff
+    assert got["counted"] == 2  # 1600 and 100; 99 is skipped
+
+
+@pytest.mark.parametrize("below", [1, 0])
+def test_columnar_stream3_eviction_guard_boundary(below, monkeypatch):
+    """n = 3: a new maximum's cutoff one bucket above a node declines its chunk; at the node's bucket it does not."""
+    big = 10**6
+    gb = ss.buckets_for(ss.derive_params(P(epsilon=0.3, m=1, c=big, h=1, n=3, alpha=0.25), "stream3").delta)
+    cutoff = gb.floor_log(big, 9)
+    taken, got, want = _given_routes([gb.bound(cutoff - below), big, big], [1, 1, 1], 1, monkeypatch)
+    assert got == want
+    assert taken[1] is None if below else None not in taken
+    assert got["counted"] == 3 - below  # the first job's node is evicted, or kept
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_columnar_stream3_evicting_chunk_takes_the_loop(rows, monkeypatch):
     """A new maximum lifts the cutoff above a sketch node, or a kept job of its own chunk."""
@@ -696,17 +763,15 @@ def test_columnar_stream3_evicting_chunk_takes_the_loop(rows, monkeypatch):
 def test_columnar_stream3_depth_past_h_mid_chunk(monkeypatch):
     taken, got, want = _given_routes([5, 6, 7, 8], [1, 2, 3, 1], 4, monkeypatch, h=2)
     assert got == want == (ss.InputContractError, "job 3 has depth 3 > h=2")
-    assert taken == [None]
+    assert taken == []  # the chunk check raises before the counter
 
 
-@pytest.mark.parametrize("depth,error", [([1, 0, 1], None), ([0, 1, 1], "depth must be >= 1, got 0")])
-def test_columnar_stream3_depth_zero(depth, error, monkeypatch):
-    """A depth-0 job is skipped, before any check of its depth, unless it is kept."""
+@pytest.mark.parametrize("depth", [[1, 0, 1], [0, 1, 1]])
+def test_columnar_stream3_depth_zero(depth, monkeypatch):
+    """A depth-0 job raises, whether the capped mode would skip it (first case) or keep it."""
     taken, got, want = _given_routes([10**6, 1, 10**6], depth, 3, monkeypatch)
-    assert got == want
-    if error is not None:
-        assert got == (ss.InputContractError, error)
-    assert taken == [None]
+    assert got == want == (ss.InputContractError, "depth must be >= 1, got 0")
+    assert taken == []
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -726,15 +791,14 @@ def test_columnar_stream3_near_int64_max(p, rows, monkeypatch):
     assert None not in taken
 
 
-def test_columnar_stream3_after_a_maximum_past_int64(monkeypatch):
-    """A `Job` event may carry p >= 2**63; an int64 chunk after it takes the per-event loop."""
+def test_columnar_stream3_rejects_a_maximum_past_int64(monkeypatch):
+    """A `Job` event may carry p >= 2**63; it raises at the door, before the int64 chunk after it."""
     taken = _spy_count(monkeypatch)
     params = P(epsilon=0.3, m=1, c=1, h=1, n=3)
     chunk = model.JobChunk(np.array([2, 3]), np.array([2**62, 2**63 - 1]), np.array([1, 1]))
-    got = _run_summary(ss.stream_alpha_known([ss.Job(1, 2**63, 1), chunk], params))
-    events = [ss.Job(1, 2**63, 1), ss.Job(2, 2**62, 1), ss.Job(3, 2**63 - 1, 1)]
-    assert got == _run_summary(ss.stream_alpha_known(events, params))
-    assert taken == [None]
+    with pytest.raises(ss.InputContractError, match=r"^processing time 9223372036854775808 exceeds 2\*\*63 - 1$"):
+        ss.stream_alpha_known([ss.Job(1, 2**63, 1), chunk], params)
+    assert taken == []
 
 
 @pytest.mark.parametrize(
@@ -745,13 +809,19 @@ def test_columnar_stream3_after_a_maximum_past_int64(monkeypatch):
         ([5, 6, 7], [1, -2, 1], (ss.InputContractError, "depth must be >= 1, got -2")),
         ([5, 9, 7], [1, 1, 1], (ss.InputContractError, "job 2 has p=9 > c=8")),
         ([5, 6, 7], [1, 3, 1], (ss.InputContractError, "job 2 has depth 3 > h=2")),
+        # one row with two errors raises the first in the walk's order; an earlier row's error wins
+        ([5, 0, 7], [1, 3, 1], (ss.ParamError, "processing time must be >= 1, got 0")),
+        ([5, 9, 7], [1, 3, 1], (ss.InputContractError, "job 2 has depth 3 > h=2")),
+        ([5, 9, 7], [1, 0, 1], (ss.InputContractError, "job 2 has p=9 > c=8")),
+        ([5, 9, 7], [1, 1, 3], (ss.InputContractError, "job 2 has p=9 > c=8")),
+        ([5, 6, 0], [1, 3, 1], (ss.InputContractError, "job 2 has depth 3 > h=2")),
     ],
 )
 def test_columnar_stream1_rejects_what_the_loop_rejects(p, depth, error, monkeypatch):
-    """A hand-built int64 chunk with one bad job mid-chunk: declined, and the loop's error at that job."""
+    """A hand-built int64 chunk with one bad job mid-chunk: the chunk check raises that job's error."""
     taken, got, want = _given_routes(p, depth, 3, monkeypatch, mode="stream1", c=8, h=2)
     assert got == want == error
-    assert taken == [None]
+    assert taken == []
 
 
 @pytest.mark.parametrize("rows", [7, 1 << 16])

@@ -1,4 +1,4 @@
-"""Every source and test file parses as Python 3.10, the oldest version pyproject.toml allows."""
+"""Every source, test, demo and benchmark file parses as Python 3.10, the oldest version pyproject.toml allows."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+FILES = [path for top in ("src", "tests", "demos", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
