@@ -11,7 +11,8 @@ Blank lines and ``#`` comments are ignored.  Either every job line
 carries a depth or none does.  Every field is held as an int64.
 "Topologically ordered" concretely means: once an id has appeared as
 an arc source, it may not appear as a destination again — exactly the
-property the one-pass depth updates need.
+property the one-pass depth updates need.  An arc from a job to itself
+is a cycle, rejected at its line.
 
 `iter_chunks` reads a file in blocks of about 1 MiB and yields its
 events as int64 column chunks (`JobChunk`, `ArcChunk`).  A block in the
@@ -64,7 +65,7 @@ BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this ma
 
 
 def _canonical_patterns(possessive: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The canonical block, comment lines at a block's top, and comment lines anywhere.
+    """The canonical block, comment lines at a block's top, and comment lines below it.
 
     The canonical form, parsed in bulk: numbers of 1 to 18 ASCII digits
     with no sign and no leading zero (so below 2**63, and read the same
@@ -73,13 +74,18 @@ def _canonical_patterns(possessive: bool) -> tuple[re.Pattern, re.Pattern, re.Pa
     possessive repeat gives up no match that a plain one would find; it
     only skips the backtracking state, which makes the canonical match
     two to four times faster.  Python has possessive repeats from 3.11.
+
+    Once the comment and blank lines at the top are cut, every other
+    one follows a "\\n": the third pattern matches that "\\n" with the
+    line's text, so removing the matches removes the lines, with no
+    line-start anchor to try at every line.
     """
     q = "+" if possessive else ""
     num = f"[1-9][0-9]{{0,17}}{q}"
     return (
         re.compile(rf"(?P<jobs>(?:J {num} {num}(?: {num})?{q}\n)*{q})(?:A {num} {num}\n)*{q}"),
         re.compile(rf"(?:(?:#[^\n]*{q})?\n)*{q}"),
-        re.compile(rf"^(?:#[^\n]*{q})?\n", re.MULTILINE),
+        re.compile(rf"\n(?:#[^\n]*{q})?(?=\n)"),
     )
 
 
@@ -141,7 +147,7 @@ class _Reader:
             chunks.append(JobChunk(cols[0], cols[1], cols[2] if has_depth else None))
         if split < len(text):
             src, dst = np.fromstring(text[split:].replace("A", ""), dtype=np.int64, sep=" ").reshape(-1, 2).T
-            if not self.sources.isdisjoint(dst.tolist()) or ends_at_earlier_source(src, dst).any():
+            if not self.sources.isdisjoint(dst.tolist()) or ends_at_earlier_source(src, dst).any() or (src == dst).any():
                 return None
             chunks.append(ArcChunk(src, dst))
             self.sources.update(src.tolist())
@@ -195,6 +201,8 @@ class _Reader:
                         raise InputContractError(f"arc end {value} is outside the int64 range")
                     if dst in sources:
                         raise CycleSuspicionError(f"arc ({src}, {dst}) is not in topological order")
+                    if src == dst:
+                        raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
                     sources.add(src)
                     arcs.append((src, dst))
                 else:

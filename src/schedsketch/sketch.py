@@ -45,8 +45,10 @@ class TreeSketch:
     """Dict-backed sketch with optional lazy eviction of the smallest bucket.
 
     ``peak_node_count`` is updated by `note_peak`, which the engine calls
-    after a walked job's or a moved count's lazy prune, and after a chunk
-    counted whole, inside which no prune evicts: the peak over all events.
+    after a walked job's or a walked move's lazy prune, and after a chunk
+    counted whole, inside which no prune evicts; `move_counts` updates it
+    itself for a batch of moves it takes.  So it is the peak over all
+    events.
     """
 
     def __init__(self):
@@ -131,6 +133,56 @@ class TreeSketch:
         if self._map.get((u, d), 0) < 1:
             return False, False
         return True, self.move(d, u, d_new)
+
+    def move_counts(self, u: np.ndarray, d: np.ndarray, d_new: np.ndarray, cutoff_u: int) -> bool:
+        """The walk ``move_if_present(d[i], u[i], d_new[i])`` over i in order, as one batch; or nothing.
+
+        In the walk, each move that creates a node is followed by
+        ``prune_smallest(cutoff_u)`` and `note_peak`.  The batch is taken
+        only when it is the same as that walk: ``cutoff_u`` is at most
+        the smallest bucket (a move keeps its bucket, so no prune
+        evicts), and every source holds a count when its move comes
+        (the moves, simulated as if each succeeds, never take a key
+        below zero; then each does succeed, by induction).  Otherwise
+        returns False and changes nothing.  Arrays are int64 with
+        ``d_new > d >= 1`` and ``u >= 0``.
+        """
+        k = u.size
+        if k == 0:
+            return True
+        if not self._map or cutoff_u > self.smallest_bucket():
+            return False
+        width = int(d_new.max()) + 1
+        if (int(u.max()) + 1) * width > 1 << 63:  # keys u * width + d past int64
+            return False
+        keys = np.empty(2 * k, dtype=np.int64)  # move i: -1 at its source (2i), then +1 at its destination
+        keys[0::2], keys[1::2] = u * width + d, u * width + d_new
+        order = np.argsort(keys, kind="stable")  # each key's events together, in stream order
+        ranked = keys[order]
+        steps = np.where(order % 2 == 0, -1, 1)
+        first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        last = np.append(first[1:], 2 * k) - 1
+        touched = list(zip(*(col.tolist() for col in np.divmod(ranked[first], width))))
+        start = np.array([self._map.get(key, 0) for key in touched], dtype=np.int64)
+        total = np.cumsum(steps)
+        # each key's count after each of its events: its count before the chunk plus its steps so far
+        after = total + np.repeat(start - (total[first] - steps[first]), last - first + 1)
+        if after.min() < 0:  # a move whose source holds no count
+            return False
+        # node count changes, put back in stream order: +1 where a key turns positive, -1 where it empties
+        change = np.empty(2 * k, dtype=np.int64)
+        change[order] = (after > 0).astype(np.int64) - (after - steps > 0)
+        created = change > 0
+        if created.any():
+            peak = len(self._map) + int((np.cumsum(change)[created]).max())
+            self.peak_node_count = max(self.peak_node_count, peak)
+        for key, cnt in zip(touched, after[last].tolist()):
+            if cnt:
+                self._map[key] = cnt
+            else:
+                self._map.pop(key, None)
+        self._heap = None  # rebuilt from the dict at the next prune
+        return True
 
     def prune_smallest(self, cutoff_u: int) -> bool:
         """Evict the minimum-key node iff its bucket is below ``cutoff_u``.
@@ -319,8 +371,8 @@ class DepthColumns:
     def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: list | None = None) -> None:
         """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
 
-        Appends ``(job position, old depth, new depth)`` to ``raises``,
-        when given, for each depth raised, in order.  The checks at one
+        Appends the job position, old depth and new depth of each depth
+        raised, in order, to ``raises`` when given: three ints a raise.  The checks at one
         arc are those of `reject`.  Arcs that pass them form an acyclic
         graph, so no depth they raise can pass the job count.
         """
@@ -337,7 +389,7 @@ class DepthColumns:
             d = depth[a] + 1
             if d > depth[b]:
                 if raises is not None:
-                    raises.append((b, depth[b], d))
+                    raises += (b, depth[b], d)
                 depth[b] = d
         self._source[s[:stop]] = True
         if stop < src.size:

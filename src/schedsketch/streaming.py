@@ -30,9 +30,12 @@ The arc-driven modes keep per-job id, bucket and depth columns
 (`sketch.DepthColumns`) on every input, and raise the depths one arc
 chunk at a time.  `stream_unknown` counts the sketch once, at the end
 of the stream; `stream_alpha_unknown` counts its jobs at depth 1 as
-they come, as its cutoff needs, and replays each arc chunk's depth
-raises in order against the sketch, so its prunes and peak are those
-of a walk that moves a count as each arc arrives.
+they come, as its cutoff needs, and moves the counts of each arc
+chunk's depth raises with one `TreeSketch.move_counts` call, which
+takes the chunk whole only when no prune inside it can evict and no
+raised job has lost its count (skipped or evicted).  A declined chunk's
+raises are replayed one by one, in order.  Either way its prunes and
+peak are those of a walk that moves a count as each arc arrives.
 
 A job chunk with given depths is checked once, by vectorized masks,
 and raises the error of its first bad row.  The counted modes (all but
@@ -283,9 +286,13 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                 continue
             raises = []
             columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts at the end
-            # replay the raises in order: a skipped or evicted job has no count to move
-            for u, (_, d, d_new) in zip(columns.u[[b for b, _, _ in raises]].tolist(), raises):
-                if sk.move_if_present(d, u, d_new)[1]:
+            b, d, d_new = np.array(raises, dtype=np.int64).reshape(-1, 3).T
+            u = columns.u[b]
+            if sk.move_counts(u, d, d_new, cutoff):
+                continue
+            # replay the raises one by one: a skipped or evicted job has no count to move
+            for u_k, d_k, d_new_k in zip(u.tolist(), d.tolist(), d_new.tolist()):
+                if sk.move_if_present(d_k, u_k, d_new_k)[1]:
                     sk.prune_smallest(cutoff)
                     sk.note_peak()
             continue

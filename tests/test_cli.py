@@ -73,7 +73,21 @@ class TestGenAndStream:
         inst.write_text("J 1 3\nJ 2 3\nA 1 1\n")
         rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
         assert rc == 3
-        assert capsys.readouterr().err == "error: self-loop arc (1 -> 1) forms a cycle\n"
+        assert capsys.readouterr().err == f"error: {inst}:3: self-loop arc (1 -> 1) forms a cycle\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["stream1", "--c", "3", "--h", "2"],
+        ["stream2"],
+        ["stream3", "--c", "3", "--h", "2", "--n", "2"],
+        ["stream4", "--n", "2"],
+    ])
+    def test_self_loop_exits_3_at_its_line_in_every_stream_mode(self, tmp_path, capsys, argv):
+        # the depth-given modes pass over arcs, and the raise to depth 3 passes the job count
+        inst = tmp_path / "i.txt"
+        inst.write_text("J 1 3 1\nJ 2 2 2\nA 1 2\nA 2 2\n")
+        rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {inst}:4: self-loop arc (2 -> 2) forms a cycle\n"
 
     @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "2"]])
     def test_gapped_ids_exit_3(self, tmp_path, capsys, argv):
@@ -212,11 +226,11 @@ class TestOracle:
 
     @pytest.mark.parametrize("which", ["exact", "list"])
     def test_self_loop_with_given_depths_exits_3(self, tmp_path, capsys, which):
-        """Given depths skip `compute_depths`, so list scheduling is what meets the self-loop."""
+        """Given depths skip `compute_depths`; the reader meets the self-loop at its line."""
         inst = tmp_path / "i.txt"
         inst.write_text("J 1 1 1\nJ 2 1 2\nA 1 2\nA 2 2\n")
         assert main(["oracle", which, "--in", str(inst), "--m", "1"]) == 3
-        assert capsys.readouterr().err == "error: precedence graph starves list scheduling; cycle in arcs?\n"
+        assert capsys.readouterr().err == f"error: {inst}:4: self-loop arc (2 -> 2) forms a cycle\n"
 
     def test_guard_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"

@@ -154,9 +154,10 @@ def instance_text(draw):
         kind = draw(st.sampled_from(["number", "comment", "blank", "sep", "job_after_arc",
                                      "depth", "swap", "indent", "back_arc", "self_loop"]))
         tokens = lines[i]
-        if kind in ("comment", "blank"):
-            lines.insert(i, ["#", "note"] if kind == "comment" else [draw(st.sampled_from(["", "  "]))])
-            seps.insert(i, " ")
+        if kind in ("comment", "blank"):  # anywhere, the end included
+            k = draw(st.integers(0, len(lines)))
+            lines.insert(k, ["#", "note"] if kind == "comment" else [draw(st.sampled_from(["", "  "]))])
+            seps.insert(k, " ")
         elif kind == "sep":
             seps[i] = draw(st.sampled_from(["\t", "  ", " \t"]))
         elif kind == "number" and tokens[:1] in (["J"], ["A"]):
@@ -215,6 +216,25 @@ class TestChunkedReader:
         assert (jobs, arcs) == (ref_jobs, ref_arcs)
         assert type(exc) is type(ref_exc)
         assert str(exc) == str(ref_exc)
+
+    @pytest.mark.usefixtures("canonical_patterns")
+    @pytest.mark.parametrize("at,inserted", [
+        (1, ["# between jobs"]),
+        (3, [""]),  # between the jobs and the arcs
+        (2, ["# a", "", "#", "# b", ""]),  # back to back
+        (5, ["# at the end"]),
+        (5, ["", "# a", ""]),
+        (0, ["# sched-stream v1", "", "# top"]),
+    ])
+    def test_comments_and_blanks_below_the_top_are_cut_in_bulk(self, tmp_path, monkeypatch, at, inserted):
+        lines = ["J 1 5 1", "J 2 7 2", "J 3 9 2", "A 1 2", "A 1 3"]
+        lines[at:at] = inserted
+        path = tmp_path / "inst.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        want = _line_reference(str(path))
+        monkeypatch.setattr(fileio._Reader, "replay", None)  # no block leaves the bulk route
+        assert _chunk_rows(str(path)) == want
+        assert want == ([(1, 5, 1), (2, 7, 2), (3, 9, 2)], [(1, 2), (1, 3)], None)
 
     @pytest.mark.usefixtures("canonical_patterns")
     @pytest.mark.parametrize("odd", ODD_NUMBERS)

@@ -1,5 +1,6 @@
 """Input sketch operations: add, move, prune, finalize, serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +208,87 @@ class TestLazyEvictionMatchesReference:
         _run_ops(sk.restrict(u_lo, u_lo + width), RefSketch(kept), more)
         _run_ops(sketch_from_json(sketch_to_json(sk)), RefSketch(ref.counts), more)
         _run_ops(sk, ref, more)
+
+
+def _sketch(counts: dict, peak: int, heap: bool) -> TreeSketch:
+    """A sketch holding ``counts`` ((u, d) -> count) with this peak, its heap built or not."""
+    sk = TreeSketch()
+    sk.add_counts(counts, counts.values())
+    sk.peak_node_count = peak
+    if heap:
+        sk.prune_smallest(-1)  # builds the heap; evicts nothing (every u >= 0)
+    return sk
+
+
+def _moves(moves: list) -> tuple:
+    """(u, d, step) triples as the int64 columns u, d, d + step."""
+    u, d, step = (np.array(col, dtype=np.int64) for col in zip(*moves)) if moves else [np.zeros(0, np.int64)] * 3
+    return u, d, d + step
+
+
+_counts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(1, 4)), st.integers(1, 3), min_size=1, max_size=8)
+
+
+@st.composite
+def _move_list(draw, counts: dict) -> list:
+    """Up to 30 (u, d, step) moves, most from a key that holds a count when the move comes."""
+    held, moves = dict(counts), []
+    for _ in range(draw(st.integers(0, 30))):
+        live = sorted(key for key, cnt in held.items() if cnt)
+        if live and draw(st.integers(0, 29)):
+            u, d = draw(st.sampled_from(live))
+        else:
+            u, d = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        step = draw(st.integers(1, 3))
+        if held.get((u, d)):
+            held[(u, d)] -= 1
+            held[(u, d + step)] = held.get((u, d + step), 0) + 1
+        moves.append((u, d, step))
+    return moves
+
+
+class TestMoveCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), counts=_counts, cutoff=st.integers(-1, 2), peak=st.integers(0, 10),
+           heap=st.booleans(), after=st.lists(st.integers(-1, 5), max_size=6))
+    def test_declines_or_equals_the_walk(self, data, counts, cutoff, peak, heap, after):
+        """Taken, a batch is the walk of `move_if_present`, each created node's prune and `note_peak`."""
+        moves = data.draw(_move_list(counts))
+        sk = _sketch(counts, peak, heap)
+        if not sk.move_counts(*_moves(moves), cutoff):
+            assert (entries(sk), sk.peak_node_count, sk.total_counted) == (
+                RefSketch(counts).entries(), peak, sum(counts.values()))
+            return
+        ref, ref_peak = RefSketch(counts), peak
+        for u, d, step in moves:
+            if ref.move_if_present(d, u, d + step)[1]:
+                ref.prune_smallest(cutoff)
+                ref_peak = max(ref_peak, len(ref.counts))
+        assert entries(sk) == ref.entries()
+        assert sk.node_count == len(ref.counts)
+        assert sk.peak_node_count == ref_peak
+        assert sk.total_counted == sum(counts.values())
+        for cut in after:  # later prunes see the moved keys
+            assert sk.prune_smallest(cut) == ref.prune_smallest(cut)
+        assert entries(sk) == ref.entries()
+
+    def test_peak_inside_the_batch(self):
+        """Two nodes exist only between the two moves: the peak is neither the start nor the end count."""
+        sk = _sketch({(0, 1): 2}, 1, heap=True)
+        assert sk.move_counts(*_moves([(0, 1, 1), (0, 1, 1)]), 0)
+        assert entries(sk) == [(2, 0, 2)]
+        assert (sk.node_count, sk.peak_node_count) == (1, 2)
+
+    def test_a_missed_move_declines(self):
+        sk = _sketch({(0, 1): 1, (1, 1): 1}, 2, heap=False)
+        assert not sk.move_counts(*_moves([(0, 1, 1), (0, 1, 2)]), 0)  # the second finds (0, 1) empty
+        assert entries(sk) == [(1, 0, 1), (1, 1, 1)]
+
+    def test_a_cutoff_above_the_smallest_bucket_declines(self):
+        sk = _sketch({(1, 1): 1, (2, 1): 1}, 2, heap=False)
+        assert not sk.move_counts(*_moves([(2, 1, 1)]), 2)
+        assert sk.move_counts(*_moves([(2, 1, 1)]), 1)
+        assert entries(sk) == [(1, 1, 1), (2, 2, 1)]
 
 
 class TestFinalize:

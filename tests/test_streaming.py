@@ -11,7 +11,7 @@ import schedsketch as ss
 from conftest import SingleUse, random_instance
 from per_event import stream_per_event
 from schedsketch import fileio, model, streaming
-from schedsketch.sketch import DepthColumns
+from schedsketch.sketch import DepthColumns, TreeSketch
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
@@ -586,6 +586,49 @@ def test_given_modes_count_event_lists_by_chunk(mode, monkeypatch):
     got = _run_summary(STREAMING_ALGORITHMS[mode](inst.events(), params))
     assert len(taken) == -(-inst.n // streaming.EVENT_BATCH) and None not in taken
     assert got == _run_summary(STREAMING_ALGORITHMS[mode](inst.chunks(), params))
+
+
+def _spy_moves(monkeypatch) -> list:
+    """What each call of `TreeSketch.move_counts` returns from now on (False: declined, walked raise by raise)."""
+    taken = []
+    move_counts = TreeSketch.move_counts
+
+    def spy(self, *args):
+        taken.append(move_counts(self, *args))
+        return taken[-1]
+
+    monkeypatch.setattr(TreeSketch, "move_counts", spy)
+    return taken
+
+
+def test_stream4_moves_each_arc_chunk_whole(tmp_path, monkeypatch):
+    """With no job skipped or evicted, every arc chunk's raises are moved as one batch, on a file and on events."""
+    inst = ss.layered([300, 250, 200], c=9, m=3, seed=4)  # p <= 9 < n^2: every job is counted and stays
+    params = P(epsilon=0.3, m=inst.m, n=inst.n, alpha=0.25)
+    path = str(tmp_path / "inst.txt")
+    fileio.write_instance(inst, path, with_depths=False)
+    want = _run_summary(stream_per_event(inst.events(with_depth=False), params, "stream4"))
+    arc_chunks = -(-len(inst.arcs) // streaming.EVENT_BATCH)
+    for source, calls in ((lambda: fileio.iter_chunks(path), 1), (lambda: inst.events(with_depth=False), arc_chunks)):
+        taken = _spy_moves(monkeypatch)
+        assert _run_summary(ss.stream_alpha_unknown(source(), params)) == want
+        assert taken == [True] * calls
+
+
+def test_stream4_walks_an_arc_chunk_that_moves_a_skipped_job(monkeypatch):
+    """A raise of a skipped job's depth has no count to move: its chunk is declined and walked."""
+    big = 10**6
+    chunks = [  # 1 * 5^2 < 10^6: jobs 2 and 3 are skipped
+        model.JobChunk(*(np.array(col, dtype=np.int64) for col in ([1, 2, 3, 4, 5], [big, 1, 1, big, big])), None),
+        model.ArcChunk(np.array([1]), np.array([4])),  # moves a counted job
+        model.ArcChunk(np.array([1, 2, 4]), np.array([2, 3, 5])),  # raises 2 and 3, which hold no count, then moves 5
+    ]
+    params = P(epsilon=0.3, m=1, n=5, alpha=0.25)
+    taken = _spy_moves(monkeypatch)
+    got = _run_summary(ss.stream_alpha_unknown(chunks, params))
+    assert taken == [True, False]
+    assert got == _run_summary(stream_per_event(chunks, params, "stream4"))
+    assert got["depths"] == [1, 2, 3, 2, 3]
 
 
 @settings(max_examples=120, deadline=None)
