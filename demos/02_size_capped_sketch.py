@@ -4,7 +4,7 @@
 When only the largest alpha*n jobs are within a factor c of each other,
 the naive bucket range grows with p_max/p_min and the sketch would no
 longer be small.  The capped mode drops jobs below p_max/n^2 on the
-fly and lazily evicts buckets that fall below that moving cutoff, so
+fly and evicts the buckets that fall below that moving cutoff, so
 the tree never holds more than ~ h * log_{1+delta}(n^2) nodes, while
 the answer only gains a +ceil(p_max/n) correction.
 

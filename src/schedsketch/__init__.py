@@ -53,7 +53,6 @@ from .schedule import (
 from .sketch import (
     DepthTable,
     TreeSketch,
-    sketch_finalize_alpha,
     sketch_from_json,
     sketch_to_json,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "rand_approx_bounded",
     "random_dag",
     "schedule_instance",
-    "sketch_finalize_alpha",
     "sketch_from_json",
     "sketch_to_json",
     "sketch_to_schedule",

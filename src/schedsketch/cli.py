@@ -188,7 +188,10 @@ def _run_sample(args) -> int:
 def _worker_count() -> int:
     env = os.environ.get("SCHEDSKETCH_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParamError(f"SCHEDSKETCH_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 

@@ -5,18 +5,22 @@
 entries are never stored, and every reader (`entries`, `depth_loads`,
 `top_bucket`) walks the keys in increasing (u, d) order.
 
-The size-capped modes lazily evict the smallest bucket: each call of
-`prune_smallest` drops at most the minimum key.  A min-heap of keys
-finds it; the heap is built from the dict at the first prune, so the
-uncapped modes never hold one, and it keeps keys deleted since then
-until they reach the top, where they are skipped.
+The size-capped modes evict eagerly: when their cutoff rises, every
+node whose bucket is below it goes at once (`prune_smallest`,
+`count_chunk`).  The paper evicts lazily, at most the smallest node
+each time a node is created.  Both keep the same nodes at or above the
+cutoff, since neither evicts such a node and no kept job falls below
+it; the lazy leftovers all lie below the final cutoff, where the finish
+drops them.  And both reach the same peak node count: a lazy leftover appears
+only when the cutoff rises, when the two sketches hold the same nodes,
+and while one remains every new node is paid for by an eviction, so
+the lazy count does not grow past a count the eager sketch held.
 """
 
 from __future__ import annotations
 
 import json
-from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -24,36 +28,34 @@ from .errors import CycleSuspicionError, InputContractError, InvariantViolationE
 from .model import ends_at_earlier_source
 
 
-def pair_counts(u: np.ndarray, d: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
     """The distinct pairs of two int64 columns ``u >= 0``, ``d >= 0``, with their counts.
 
     Returns (us, ds, counts), sorted by (u, d), so each depth's pairs
-    come in increasing u.
+    come in increasing u; with ``first``, also an array of the row at
+    which each pair first appears.
     """
     width = int(d.max()) + 1
     # the key u * width + d is exact in int64 while (max(u) + 1) * width <= 2**63
     if (int(u.max()) + 1) * width <= 1 << 63:
-        keys, counts = np.unique(u * width + d, return_counts=True)
-        us, ds = np.divmod(keys, width)
+        found = np.unique(u * width + d, return_index=first, return_counts=True)
+        us, ds = np.divmod(found[0], width)
     else:
-        pairs, counts = np.unique(np.stack((u, d), axis=1), axis=0, return_counts=True)
-        us, ds = pairs[:, 0], pairs[:, 1]
-    return us.tolist(), ds.tolist(), counts.tolist()
+        found = np.unique(np.stack((u, d), axis=1), axis=0, return_index=first, return_counts=True)
+        us, ds = found[0][:, 0], found[0][:, 1]
+    return (us.tolist(), ds.tolist(), found[-1].tolist()) + found[1:-1]
 
 
 class TreeSketch:
-    """Dict-backed sketch with optional lazy eviction of the smallest bucket.
+    """Dict-backed sketch with optional eager eviction of the buckets below a cutoff.
 
-    ``peak_node_count`` is updated by `note_peak`, which the engine calls
-    after a walked job's or a walked move's lazy prune, and after a chunk
-    counted whole, inside which no prune evicts; `move_counts` updates it
-    itself for a batch of moves it takes.  So it is the peak over all
-    events.
+    ``peak_node_count`` is updated by `count_chunk` and `move_counts`
+    for the events they take, and by `note_peak`, which the engine
+    calls after a walked move.  So it is the peak over all events.
     """
 
     def __init__(self):
         self._map: dict[tuple[int, int], int] = {}  # (u, d) -> count
-        self._heap: list[tuple[int, int]] | None = None  # keys, from the first prune on
         self.total_counted = 0
         self.p_min: int | None = None
         self.p_max: int | None = None
@@ -76,18 +78,8 @@ class TreeSketch:
     def _bump(self, key: tuple[int, int], n: int = 1) -> bool:
         """Add ``n`` to the count at ``key``; return True if the node is new."""
         cnt = self._map.get(key)
-        if cnt is not None:
-            self._map[key] = cnt + n
-            return False
-        self._map[key] = n
-        heap = self._heap
-        if heap is not None:
-            if len(heap) >= 2 * len(self._map):  # mostly deleted keys: start over
-                heap = self._heap = list(self._map)
-                heapify(heap)
-            else:
-                heappush(heap, key)
-        return True
+        self._map[key] = n if cnt is None else cnt + n
+        return cnt is None
 
     def add(self, d: int, u: int) -> bool:
         """Count one job at (d, u); return True if the node is new."""
@@ -103,6 +95,40 @@ class TreeSketch:
                 raise InputContractError(f"depth must be >= 1, got {d}")
             self.total_counted += n
             self._bump((u, d), n)
+
+    def count_chunk(self, u: np.ndarray, d: np.ndarray, cutoff: int, cutoff_at: Callable) -> None:
+        """Count job i at (d[i], u[i]) for i in order, evicting eagerly.
+
+        When job i comes, every node whose bucket is below the cutoff then
+        in force is evicted before the job is counted.  ``cutoff_at(i)``
+        gives those cutoffs for an ascending int array of job positions,
+        and ``cutoff`` is the last one; cutoffs never fall, and none is
+        above the bucket of its job.  ``u`` and ``d`` are int64 with
+        ``d >= 1``.
+
+        After the chunk's t-th new node the count is the count before the
+        chunk plus t, minus the nodes, old or new, below the cutoff in
+        force then: a node created later lies at or above it.  The order
+        in which nodes were created, and ``cutoff_at``, are needed only
+        when some node falls below a cutoff inside the chunk; otherwise
+        the peak is the final count.
+        """
+        if u.size == 0:
+            return
+        evicts = cutoff > min(int(u.min()), min(self._map)[0] if self._map else cutoff)
+        found = pair_counts(u, d, first=evicts)
+        if not evicts:
+            self.add_counts(zip(*found[:2]), found[2])
+            self.note_peak()
+            return
+        us, ds, counts, rows = found
+        keys, held = list(zip(us, ds)), len(self._map)
+        born = np.sort(rows[[key not in self._map for key in keys]])  # the job creating each new node, in order
+        self.add_counts(keys, counts)
+        gone = np.searchsorted(np.sort([key[0] for key in self._map]), cutoff_at(born))  # nodes below each one's cutoff
+        peak = held + int((np.arange(1, born.size + 1) - gone).max(initial=0))
+        self.peak_node_count = max(self.peak_node_count, peak)
+        self.prune_smallest(cutoff)
 
     def move(self, d: int, u: int, d_new: int) -> bool:
         """Move one unit of count from (d, u) to (d_new, u).
@@ -134,24 +160,21 @@ class TreeSketch:
             return False, False
         return True, self.move(d, u, d_new)
 
-    def move_counts(self, u: np.ndarray, d: np.ndarray, d_new: np.ndarray, cutoff_u: int) -> bool:
+    def move_counts(self, u: np.ndarray, d: np.ndarray, d_new: np.ndarray) -> bool:
         """The walk ``move_if_present(d[i], u[i], d_new[i])`` over i in order, as one batch; or nothing.
 
         In the walk, each move that creates a node is followed by
-        ``prune_smallest(cutoff_u)`` and `note_peak`.  The batch is taken
-        only when it is the same as that walk: ``cutoff_u`` is at most
-        the smallest bucket (a move keeps its bucket, so no prune
-        evicts), and every source holds a count when its move comes
-        (the moves, simulated as if each succeeds, never take a key
-        below zero; then each does succeed, by induction).  Otherwise
-        returns False and changes nothing.  Arrays are int64 with
-        ``d_new > d >= 1`` and ``u >= 0``.
+        `note_peak`.  A move keeps its bucket, so under eager eviction no
+        move needs a prune.  The batch is taken only when it is the same
+        as that walk: every source holds a count when its move comes (the
+        moves, simulated as if each succeeds, never take a key below zero;
+        then each does succeed, by induction).  Otherwise returns False
+        and changes nothing.  Arrays are int64 with ``d_new > d >= 1`` and
+        ``u >= 0``.
         """
         k = u.size
         if k == 0:
             return True
-        if not self._map or cutoff_u > self.smallest_bucket():
-            return False
         width = int(d_new.max()) + 1
         if (int(u.max()) + 1) * width > 1 << 63:  # keys u * width + d past int64
             return False
@@ -181,29 +204,14 @@ class TreeSketch:
                 self._map[key] = cnt
             else:
                 self._map.pop(key, None)
-        self._heap = None  # rebuilt from the dict at the next prune
         return True
 
     def prune_smallest(self, cutoff_u: int) -> bool:
-        """Evict the minimum-key node iff its bucket is below ``cutoff_u``.
-
-        At most one node is removed per call (lazy pruning); returns
-        True when a node was evicted.
-        """
-        heap = self._heap
-        if heap is None:
-            heap = self._heap = list(self._map)
-            heapify(heap)
-        while heap and heap[0] not in self._map:
-            heappop(heap)
-        if heap and heap[0][0] < cutoff_u:
-            del self._map[heappop(heap)]
-            return True
-        return False
-
-    def smallest_bucket(self) -> int | None:
-        """Bucket of the minimum key, the node `prune_smallest` would evict; None when empty."""
-        return min(self._map)[0] if self._map else None
+        """Evict every node whose bucket is below ``cutoff_u``; return True if one was."""
+        low = [key for key in self._map if key[0] < cutoff_u]
+        for key in low:
+            del self._map[key]
+        return bool(low)
 
     def top_bucket(self, count: int) -> int | None:
         """Highest bucket u whose nodes and those above hold >= count jobs; None if none does."""
@@ -240,15 +248,6 @@ class TreeSketch:
 # perfbench/tracer.py still patches the old dense sketch class by name;
 # drop this alias with that name at the next change to the benchmark.
 GridSketch = TreeSketch
-
-
-def sketch_finalize_alpha(sk: TreeSketch, n: int, buckets) -> TreeSketch:
-    """Restrict a capped sketch to buckets [floor_log(p_max/n^2), floor_log(p_max)]."""
-    if sk.p_max is None:
-        return sk.restrict(0, -1)
-    u_lo = buckets.floor_log(sk.p_max, n * n)
-    u_hi = buckets.floor_log(sk.p_max)
-    return sk.restrict(u_lo, u_hi)
 
 
 def sketch_to_json(sk: TreeSketch) -> str:

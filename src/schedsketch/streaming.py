@@ -18,8 +18,13 @@ stream is read:
   and A pads each depth with the top value; or *capped* at p_max/n^2
   (`stream_alpha_known`, `stream_alpha_unknown`), where only the
   largest alpha*n jobs need be within a factor c: smaller jobs are
-  skipped, the smallest bucket is lazily evicted, and one
+  skipped, the nodes below that cutoff are evicted, and one
   ceil(p_max/n) term pays for both.
+
+The capped modes evict eagerly: each rise of the cutoff drops every
+node below it.  The paper's lazy rule, at most the smallest node per
+new node, keeps the same nodes at or above the final cutoff and reaches
+the same peak node count (see `sketch`), so every result is the same.
 
 The engine reads its input through one door, `_chunks`, as int64
 column chunks of consecutive jobs or arcs: `fileio.iter_chunks` and
@@ -32,16 +37,16 @@ chunk at a time.  `stream_unknown` counts the sketch once, at the end
 of the stream; `stream_alpha_unknown` counts its jobs at depth 1 as
 they come, as its cutoff needs, and moves the counts of each arc
 chunk's depth raises with one `TreeSketch.move_counts` call, which
-takes the chunk whole only when no prune inside it can evict and no
-raised job has lost its count (skipped or evicted).  A declined chunk's
-raises are replayed one by one, in order.  Either way its prunes and
-peak are those of a walk that moves a count as each arc arrives.
+takes the chunk whole only when no raised job has lost its count
+(skipped or evicted).  A declined chunk's raises are replayed one by
+one, in order.  Either way its peak is that of a walk that moves a
+count as each arc arrives.  A move keeps its bucket, and the cutoff is
+final once the arcs begin, so no move evicts.
 
 A job chunk with given depths is checked once, by vectorized masks,
 and raises the error of its first bad row.  The counted modes (all but
 `stream_unknown`) then hand each job chunk to one counter
-(`_count_chunk`), which takes it whole; only a chunk in which an
-eviction can fall is declined and walked job by job.
+(`_count_chunk`), which takes it whole.
 
 A zero-row job chunk is passed over in every mode.
 
@@ -73,7 +78,7 @@ from .core import (
 )
 from .errors import InputContractError
 from .model import ArcChunk, Chunk, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
-from .sketch import DepthColumns, TreeSketch, pair_counts, sketch_finalize_alpha
+from .sketch import DepthColumns, TreeSketch
 
 
 class RoundedValues:
@@ -232,34 +237,24 @@ def _count_chunk(
     p_hi: int,
     p_max_run: int,
     cutoff: int,
-) -> tuple[int, int] | None:
-    """A counted mode on a checked job chunk: the whole chunk, or nothing.
+) -> tuple[int, int]:
+    """A counted mode on a checked job chunk; returns the new running maximum and cutoff.
 
     Skips each job below the running maximum before it over ``n_sq``
-    (none when ``n_sq`` is past int64, as in the uncapped mode), counts
-    the kept jobs with one `TreeSketch.add_counts` call, and returns the
-    new running maximum and cutoff.  The cutoff only rises, so when the
-    chunk's final cutoff is at most the smallest bucket of both the
-    sketch and the kept jobs, no lazy prune inside the chunk would
-    evict, and the node count, hence ``peak_node_count``, only grows.
-    Otherwise (the eviction guard) returns None and changes nothing.
+    (none when ``n_sq`` is past int64, as in the uncapped mode, whose
+    cutoff stays below every bucket) and counts the kept jobs with one
+    `TreeSketch.count_chunk` call.  The cutoff in force at a kept job is
+    floor_log of the maximum up to it over ``n_sq``.
     """
     if n_sq >> 63 == 0:  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
-        # the maximum before each job; a skipped job lies below it, so kept jobs alone set it
-        run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p[:-1])))
-        keep = p > (run_max - 1) // n_sq  # not p * n_sq < run_max, exactly and within int64
-        p, depth = p[keep], depth[keep]
-    if p_hi > p_max_run:
-        p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
-    if p.size:
-        low = gb.index(int(p.min()))
-        if sk.node_count:
-            low = min(low, sk.smallest_bucket())
-        if cutoff > low:  # the eviction guard
-            return None
-        us, ds, counts = pair_counts(gb.index_array(p), depth)
-        sk.add_counts(zip(us, ds), counts)
-        sk.note_peak()
+        # the maximum up to each job; a skipped job lies below the one before it, so kept jobs alone set it
+        run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p)))
+        keep = p > (run_max[:-1] - 1) // n_sq  # not p * n_sq < the maximum before, exactly and within int64
+        p, depth, run_max = p[keep], depth[keep], run_max[1:][keep]
+        if p_hi > p_max_run:
+            p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
+    # no node falls below the uncapped mode's cutoff, so it never asks for the cutoffs (nor needs run_max)
+    sk.count_chunk(gb.index_array(p), depth, cutoff, lambda i: [gb.floor_log(m, n_sq) for m in run_max[i].tolist()])
     return p_max_run, cutoff
 
 
@@ -288,12 +283,11 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts at the end
             b, d, d_new = np.array(raises, dtype=np.int64).reshape(-1, 3).T
             u = columns.u[b]
-            if sk.move_counts(u, d, d_new, cutoff):
+            if sk.move_counts(u, d, d_new):
                 continue
             # replay the raises one by one: a skipped or evicted job has no count to move
             for u_k, d_k, d_new_k in zip(u.tolist(), d.tolist(), d_new.tolist()):
                 if sk.move_if_present(d_k, u_k, d_new_k)[1]:
-                    sk.prune_smallest(cutoff)
                     sk.note_peak()
             continue
         _, p, depth = chunk
@@ -319,22 +313,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             depth = np.ones_like(us)
         sk.note_processing_time(p_lo)
         sk.note_processing_time(p_hi)
-        if not (given or capped):
-            continue
-        state = _count_chunk(p, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
-        if state is not None:
-            p_max_run, cutoff = state
-            continue
-        # a chunk in which an eviction can fall, walked job by job (capped modes only)
-        for p_j, d, u in zip(p.tolist(), depth.tolist(), (gb.index_array(p) if given else us).tolist()):
-            if p_j * n_sq < p_max_run:
-                continue
-            if p_j > p_max_run:
-                p_max_run = p_j
-                cutoff = gb.floor_log(p_max_run, n_sq)
-            if sk.add(d, u):
-                sk.prune_smallest(cutoff)
-            sk.note_peak()
+        if given or capped:
+            p_max_run, cutoff = _count_chunk(p, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
     h_run = h
     if not given:
         columns.freeze()
@@ -352,7 +332,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     else:  # sk.p_max == p_max_run: the largest job is never skipped
         top = sk.p_max
         u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
-    final = sketch_finalize_alpha(sk, n, gb) if capped else sk
+    final = sk.restrict(u_lo, u_hi) if capped else sk
     if given:
         c_run = c
     else:
@@ -411,13 +391,15 @@ def stream_unknown(
 def stream_alpha_known(
     events: Iterable[StreamEvent | Chunk], params: AlgoParams, *, tight: bool = False
 ) -> RunReport:
-    """Capped-sketch variant: skip tiny jobs, lazily evict tiny buckets.
+    """Capped-sketch variant: skip tiny jobs, evict tiny buckets.
 
     A job is skipped when its processing time is below p_max/n^2 for
-    the running maximum p_max; whenever a new sketch node is created,
-    the smallest-bucket node is evicted if it fell below that cutoff.
-    The final value pads each depth with p_max and adds a single
-    ceil(p_max/n) term that pays for every skipped job.
+    the running maximum p_max; whenever that cutoff rises, every sketch
+    node whose bucket falls below it is evicted.  (The paper evicts
+    lazily, at most the smallest such node per new node; the results,
+    peak node count included, are the same.)  The final value pads each
+    depth with p_max and adds a single ceil(p_max/n) term that pays for
+    every skipped job.
     """
     return _stream(events, params, STREAM_ALPHA_KNOWN, tight)
 

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import schedsketch as ss
+
+# A failing property prints its @reproduce_failure line, so a failure seen
+# only in a log (the example database under .hypothesis/ stays local) can be replayed.
+settings.register_profile("schedsketch", print_blob=True)
+settings.load_profile("schedsketch")
 
 
 class SingleUse:

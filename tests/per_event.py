@@ -1,19 +1,22 @@
 """Per-event reference for the four stream modes.
 
 The engine checks each job chunk once by vectorized masks, counts it
-with one call when no eviction can fall in it, and keeps the arc modes'
-per-job depths as columns (`sketch.DepthColumns`) raised one arc chunk
-at a time.  This module walks the same input one event at a time
-instead.  A job with a given depth is checked at its row (``p >= 1``, a
-depth, ``depth <= h``, ``p <= c`` in `stream1`, ``depth >= 1``), then
-counted, or skipped below the running maximum over n^2 in the capped
-modes, with a lazy prune and a peak update whenever the count creates
-a node.  In the arc modes every job goes into a dict `DepthTable`,
-every arc is checked against the set of sources seen so far, and a
-raised depth moves its job's count in the sketch at once (`move`, or
-`move_if_present` in the capped mode, where the job may have been
-skipped or evicted); at the end of the stream the ids must be 1..n.
-The finish (`A`, sketch times, guarantee) is the engine's.
+with one call that evicts eagerly, and keeps the arc modes' per-job
+depths as columns (`sketch.DepthColumns`) raised one arc chunk at a
+time.  This module walks the same input one event at a time instead,
+and evicts as the paper does, lazily, with code of its own
+(`LazySketch`).  A job with a given depth is checked at its row
+(``p >= 1``, a depth, ``depth <= h``, ``p <= c`` in `stream1`,
+``depth >= 1``), then counted, or skipped below the running maximum
+over n^2 in the capped modes, with a lazy prune whenever the count
+creates a node and a peak update after it.  In the arc modes every job
+goes into a dict `DepthTable`, every arc is checked against the set of
+sources seen so far, and a raised depth moves its job's count in the
+sketch at once (`move`, or `move_if_present` in the capped mode, where
+the job may have been skipped or evicted); at the end of the stream
+the ids must be 1..n.
+The finish (`A`, sketch times, guarantee) is the engine's, but the
+capped modes' bucket window is computed here.
 Tests hold the engine's results and errors to this walk.
 """
 
@@ -36,7 +39,17 @@ from schedsketch.core import (
 )
 from schedsketch.errors import CycleSuspicionError, InputContractError
 from schedsketch.model import ArcChunk, RunReport, ScheduleSketch
-from schedsketch.sketch import DepthTable, TreeSketch, sketch_finalize_alpha
+from schedsketch.sketch import DepthTable, TreeSketch
+
+
+class LazySketch(TreeSketch):
+    """`TreeSketch` with the paper's lazy eviction: each prune drops at most the smallest node."""
+
+    def prune_smallest(self, cutoff_u: int) -> bool:
+        if self._map and min(self._map)[0] < cutoff_u:
+            del self._map[min(self._map)]
+            return True
+        return False
 
 
 class _Table(DepthTable):
@@ -67,7 +80,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
-    sk = TreeSketch()
+    sk = LazySketch()
     table = _Table()
     sources_seen: set[int] = set()
     in_arc_phase = False
@@ -149,7 +162,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     else:
         top = sk.p_max
         u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
-    final = sketch_finalize_alpha(sk, n, gb) if capped else sk
+    final = sk.restrict(gb.floor_log(sk.p_max, n * n), gb.floor_log(sk.p_max)) if capped else sk
     if given:
         c_run = c
     else:

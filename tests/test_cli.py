@@ -490,13 +490,20 @@ MALFORMED_INPUTS = {
     "result time negative": (_SCHEDULE, 3, '{"sks": [-5]}'),
     "oracle m 0": (["oracle", "exact", "--m", "0", "--in", "{inst}"], 2, None),
     "oracle m 0 with a sidecar m": (["oracle", "list", "--m", "0", "--in", "{tmp}/side.txt"], 2, None),
+    "threads not an integer": (
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--trials", "2", "--in", "{inst}"], 2, None
+    ),
 }
+# case -> environment variables set for it
+MALFORMED_ENV = {"threads not an integer": {"SCHEDSKETCH_THREADS": "x"}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys):
-    """A malformed generator spec, result file or machine count: exit 2 or 3, one error line, no traceback."""
+def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    """A malformed generator spec, result file, machine or worker count: exit 2 or 3, one error line, no traceback."""
     argv, code, result_text = MALFORMED_INPUTS[case]
+    for name, value in MALFORMED_ENV.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     inst, result = tmp_path / "inst.txt", tmp_path / "r.json"
     for path in (inst, tmp_path / "side.txt"):
         path.write_text("# sched-stream v1\nJ 1 1 1\nJ 2 2 2\nA 1 2\n")

@@ -1,4 +1,4 @@
-"""Input sketch operations: add, move, prune, finalize, serialization."""
+"""Input sketch operations: add, move, prune, chunk counts, restrict, serialization."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import schedsketch as ss
 from schedsketch.sketch import (
     TreeSketch,
-    sketch_finalize_alpha,
     sketch_from_json,
     sketch_to_json,
 )
@@ -102,40 +101,29 @@ class TestPrune:
         sk.prune_smallest(0)
         assert entries(sk) == []
 
-    def test_at_most_one_eviction_per_call(self):
+    def test_evicts_every_node_below_the_cutoff(self):
         sk = TreeSketch()
         sk.add(1, -3)
-        sk.add(1, -2)
+        sk.add(2, -2)
         sk.add(1, 5)
-        sk.prune_smallest(0)
-        assert len(entries(sk)) == 2  # one stale node survives until the next call
-
-    def test_deleted_key_recreated_after_heap_built(self):
-        sk = TreeSketch()
-        sk.add(1, 0)
-        assert not sk.prune_smallest(-10)  # builds the heap, evicts nothing
-        sk.move(1, 0, 2)  # deletes (0, 1)
-        sk.add(1, 0)  # and creates it again
-        assert sk.prune_smallest(1)
-        assert entries(sk) == [(2, 0, 1)]
-        assert sk.prune_smallest(1)
-        assert not sk.prune_smallest(1)
-        assert entries(sk) == []
+        assert sk.prune_smallest(0)
+        assert entries(sk) == [(1, 5, 1)]
+        assert not sk.prune_smallest(5)
 
     @pytest.mark.parametrize("copy", ["restrict", "json"])
     def test_copies_prune_from_their_own_entries(self, copy):
         sk = TreeSketch()
         for u in (-2, -1, 3):
             sk.add(1, u)
-        assert sk.prune_smallest(0)  # the original's heap holds -2, -1, 3
         out = sk.restrict(-1, 3) if copy == "restrict" else sketch_from_json(sketch_to_json(sk))
         out.add(2, -5)
         assert out.prune_smallest(0)
-        assert entries(out) == [(1, -1, 1), (1, 3, 1)]
+        assert entries(out) == [(1, 3, 1)]
+        assert entries(sk) == [(1, -2, 1), (1, -1, 1), (1, 3, 1)]  # the original keeps its nodes
 
 
 class RefSketch:
-    """Reference for lazy eviction: a plain dict, pruned at ``min(keys)``."""
+    """Reference sketch: a plain dict, pruned lazily at ``min(keys)`` or eagerly below a cutoff."""
 
     def __init__(self, counts=None):
         self.counts = dict(counts or {})  # (u, d) -> count
@@ -154,10 +142,17 @@ class RefSketch:
         return True, self.bump((u, d_new))
 
     def prune_smallest(self, cutoff_u):
+        """The paper's lazy prune: at most the smallest node goes."""
         if self.counts and min(self.counts)[0] < cutoff_u:
             del self.counts[min(self.counts)]
             return True
         return False
+
+    def evict_below(self, cutoff_u):
+        low = [key for key in self.counts if key[0] < cutoff_u]
+        for key in low:
+            del self.counts[key]
+        return bool(low)
 
     def entries(self):
         return [(d, u, self.counts[(u, d)]) for u, d in sorted(self.counts)]
@@ -190,33 +185,31 @@ def _run_ops(sk, ref, ops):
             _, d, u, step = op
             assert sk.move_if_present(d, u, d + step) == ref.move_if_present(d, u, d + step)
         else:
-            assert sk.prune_smallest(op[1]) == ref.prune_smallest(op[1])
+            assert sk.prune_smallest(op[1]) == ref.evict_below(op[1])
     assert entries(sk) == ref.entries()
     assert sk.node_count == len(ref.counts)
     for count in range(1, 8):
         assert sk.top_bucket(count) == ref.top_bucket(count)
 
 
-class TestLazyEvictionMatchesReference:
+class TestEvictionMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(ops=_ops, more=_ops, u_lo=st.integers(-3, 5), width=st.integers(0, 8))
     def test_random_operation_sequences(self, ops, more, u_lo, width):
         sk, ref = TreeSketch(), RefSketch()
         _run_ops(sk, ref, ops)
-        # copies start without a heap: their first prune must build it from their own dict
+        # copies go on from their own dict
         kept = {k: v for k, v in ref.counts.items() if u_lo <= k[0] <= u_lo + width}
         _run_ops(sk.restrict(u_lo, u_lo + width), RefSketch(kept), more)
         _run_ops(sketch_from_json(sketch_to_json(sk)), RefSketch(ref.counts), more)
         _run_ops(sk, ref, more)
 
 
-def _sketch(counts: dict, peak: int, heap: bool) -> TreeSketch:
-    """A sketch holding ``counts`` ((u, d) -> count) with this peak, its heap built or not."""
+def _sketch(counts: dict, peak: int) -> TreeSketch:
+    """A sketch holding ``counts`` ((u, d) -> count) with this peak."""
     sk = TreeSketch()
     sk.add_counts(counts, counts.values())
     sk.peak_node_count = peak
-    if heap:
-        sk.prune_smallest(-1)  # builds the heap; evicts nothing (every u >= 0)
     return sk
 
 
@@ -249,74 +242,113 @@ def _move_list(draw, counts: dict) -> list:
 
 class TestMoveCounts:
     @settings(max_examples=400, deadline=None)
-    @given(data=st.data(), counts=_counts, cutoff=st.integers(-1, 2), peak=st.integers(0, 10),
-           heap=st.booleans(), after=st.lists(st.integers(-1, 5), max_size=6))
-    def test_declines_or_equals_the_walk(self, data, counts, cutoff, peak, heap, after):
-        """Taken, a batch is the walk of `move_if_present`, each created node's prune and `note_peak`."""
+    @given(data=st.data(), counts=_counts, peak=st.integers(0, 10), after=st.lists(st.integers(-1, 5), max_size=6))
+    def test_declines_or_equals_the_walk(self, data, counts, peak, after):
+        """Taken, a batch is the walk of `move_if_present` with `note_peak` after each created node."""
         moves = data.draw(_move_list(counts))
-        sk = _sketch(counts, peak, heap)
-        if not sk.move_counts(*_moves(moves), cutoff):
+        sk = _sketch(counts, peak)
+        if not sk.move_counts(*_moves(moves)):
             assert (entries(sk), sk.peak_node_count, sk.total_counted) == (
                 RefSketch(counts).entries(), peak, sum(counts.values()))
             return
         ref, ref_peak = RefSketch(counts), peak
         for u, d, step in moves:
             if ref.move_if_present(d, u, d + step)[1]:
-                ref.prune_smallest(cutoff)
                 ref_peak = max(ref_peak, len(ref.counts))
         assert entries(sk) == ref.entries()
         assert sk.node_count == len(ref.counts)
         assert sk.peak_node_count == ref_peak
         assert sk.total_counted == sum(counts.values())
         for cut in after:  # later prunes see the moved keys
-            assert sk.prune_smallest(cut) == ref.prune_smallest(cut)
+            assert sk.prune_smallest(cut) == ref.evict_below(cut)
         assert entries(sk) == ref.entries()
 
     def test_peak_inside_the_batch(self):
         """Two nodes exist only between the two moves: the peak is neither the start nor the end count."""
-        sk = _sketch({(0, 1): 2}, 1, heap=True)
-        assert sk.move_counts(*_moves([(0, 1, 1), (0, 1, 1)]), 0)
+        sk = _sketch({(0, 1): 2}, 1)
+        assert sk.move_counts(*_moves([(0, 1, 1), (0, 1, 1)]))
         assert entries(sk) == [(2, 0, 2)]
         assert (sk.node_count, sk.peak_node_count) == (1, 2)
 
     def test_a_missed_move_declines(self):
-        sk = _sketch({(0, 1): 1, (1, 1): 1}, 2, heap=False)
-        assert not sk.move_counts(*_moves([(0, 1, 1), (0, 1, 2)]), 0)  # the second finds (0, 1) empty
+        sk = _sketch({(0, 1): 1, (1, 1): 1}, 2)
+        assert not sk.move_counts(*_moves([(0, 1, 1), (0, 1, 2)]))  # the second finds (0, 1) empty
         assert entries(sk) == [(1, 0, 1), (1, 1, 1)]
 
-    def test_a_cutoff_above_the_smallest_bucket_declines(self):
-        sk = _sketch({(1, 1): 1, (2, 1): 1}, 2, heap=False)
-        assert not sk.move_counts(*_moves([(2, 1, 1)]), 2)
-        assert sk.move_counts(*_moves([(2, 1, 1)]), 1)
-        assert entries(sk) == [(1, 1, 1), (2, 2, 1)]
+
+@st.composite
+def _job_chunks(draw) -> tuple:
+    """Held counts, then chunks of (u, d) jobs with the cutoff in force at each: it never falls, nor passes its job's u."""
+    counts = draw(st.dictionaries(st.tuples(st.integers(-2, 6), st.integers(1, 3)), st.integers(1, 3), max_size=6))
+    cut, jobs = draw(st.integers(-3, 4)), []
+    for _ in range(draw(st.integers(1, 40))):
+        cut += draw(st.sampled_from([0, 0, 0, 1, 2]))
+        jobs.append((cut + draw(st.integers(0, 4)), draw(st.integers(1, 3)), cut))
+    ends = sorted(draw(st.sets(st.integers(1, len(jobs) - 1), max_size=4))) if len(jobs) > 1 else []
+    return counts, [jobs[lo:hi] for lo, hi in zip([0] + ends, ends + [len(jobs)])]
 
 
-class TestFinalize:
-    def test_window_from_running_max(self):
+class TestCountChunk:
+    @settings(max_examples=400, deadline=None)
+    @given(start=_job_chunks(), peak=st.integers(0, 8))
+    def test_equals_the_lazy_walk(self, start, peak):
+        """`count_chunk` keeps the lazy walk's nodes at or above the final cutoff, and its peak, and nothing below."""
+        counts, chunks = start
+        sk, ref, ref_peak = _sketch(counts, peak), RefSketch(counts), peak
+        for chunk in chunks:
+            u, d, cut = (np.array(col, dtype=np.int64) for col in zip(*chunk))
+            asked = []
+            low = min([int(u.min())] + [key[0] for key in sk._map])
+            sk.count_chunk(u, d, int(cut[-1]), lambda i: asked.append(i) or cut[i])
+            assert bool(asked) == (cut[-1] > low)  # the cutoffs are asked for only when a node falls below one
+            for u_j, d_j, cut_j in chunk:
+                if ref.bump((u_j, d_j)):
+                    ref.prune_smallest(cut_j)
+                ref_peak = max(ref_peak, len(ref.counts))
+            final = int(cut[-1])
+            assert entries(sk) == [e for e in ref.entries() if e[1] >= final]
+            assert sk.peak_node_count == ref_peak
+        assert sk.total_counted == sum(counts.values()) + sum(map(len, chunks))
+
+    def test_a_rise_past_an_old_node_without_a_new_one(self):
+        """The cutoff evicts the node at bucket 0, and the job lands on a node that exists: no node is created."""
+        sk = _sketch({(0, 1): 1, (5, 1): 1}, 2)
+        sk.count_chunk(np.array([5]), np.array([1]), 3, lambda i: [3] * len(i))
+        assert entries(sk) == [(1, 5, 2)]
+        assert (sk.node_count, sk.peak_node_count) == (1, 2)
+
+
+class TestRestrict:
+    """The capped modes' finish keeps buckets floor_log(p_max/n^2) .. floor_log(p_max)."""
+
+    def window(self):
         gb = ss.buckets_for(0.1)
+        return gb.floor_log(100, 10 * 10), gb.floor_log(100)  # p_max = 100, n = 10
+
+    def test_window_from_running_max(self):
+        assert self.window() == (0, 48)
         sk = TreeSketch()
         sk.note_processing_time(100)
-        sk.add(1, 0)    # u_lo boundary (p_max/n^2 = 1 -> u_lo = 0)
-        sk.add(1, 48)   # u_hi = floor_log(100) = 48
+        sk.add(1, 0)    # the window's low end
+        sk.add(1, 48)   # its high end
         sk.add(1, -1)   # below the window
         sk.add(2, 49)   # above the window
-        out = sketch_finalize_alpha(sk, 10, gb)
+        out = sk.restrict(*self.window())
         assert entries(out) == [(1, 0, 1), (1, 48, 1)]
+        assert (out.total_counted, out.p_max) == (2, 100)
 
     def test_identity_when_within_range(self):
-        gb = ss.buckets_for(0.1)
         sk = TreeSketch()
         sk.note_processing_time(100)
         sk.add(1, 10)
-        out = sketch_finalize_alpha(sk, 10, gb)
+        out = sk.restrict(*self.window())
         assert entries(out) == [(1, 10, 1)]
 
     def test_boundary_bucket_dropped(self):
-        gb = ss.buckets_for(0.1)
         sk = TreeSketch()
         sk.note_processing_time(100)
         sk.add(1, -1)  # u_lo - 1
-        out = sketch_finalize_alpha(sk, 10, gb)
+        out = sk.restrict(*self.window())
         assert entries(out) == []
 
 
