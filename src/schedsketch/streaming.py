@@ -35,13 +35,14 @@ The arc-driven modes keep per-job id, bucket and depth columns
 (`sketch.DepthColumns`) on every input, and raise the depths one arc
 chunk at a time.  `stream_unknown` counts the sketch once, at the end
 of the stream; `stream_alpha_unknown` counts its jobs at depth 1 as
-they come, as its cutoff needs, and moves the counts of each arc
-chunk's depth raises with one `TreeSketch.move_counts` call, which
-takes the chunk whole only when no raised job has lost its count
-(skipped or evicted).  A declined chunk's raises are replayed one by
-one, in order.  Either way its peak is that of a walk that moves a
-count as each arc arrives.  A move keeps its bucket, and the cutoff is
-final once the arcs begin, so no move evicts.
+they come, as its cutoff needs, marking a skipped job's bucket -1.
+The cutoff is final once the arcs begin, so a job holds a count
+exactly when its bucket is at or above it: a skipped job lies below
+(its mark), and an evicted one went as the cutoff rose past it.  Each
+arc chunk drops the depth raises of jobs without a count and moves the
+others' counts with one `TreeSketch.move_counts` call, whose peak is
+that of a walk that moves a count as each arc arrives.  A move keeps
+its bucket, so no move evicts.
 
 A job chunk with given depths is checked once, by vectorized masks,
 and raises the error of its first bad row.  The counted modes (all but
@@ -230,6 +231,7 @@ def _reject_jobs(chunk: JobChunk, gb: GeometricBuckets, h: int, p_cap: float) ->
 
 def _count_chunk(
     p: np.ndarray,
+    u: np.ndarray,
     depth: np.ndarray,
     sk: TreeSketch,
     gb: GeometricBuckets,
@@ -238,23 +240,26 @@ def _count_chunk(
     p_max_run: int,
     cutoff: int,
 ) -> tuple[int, int]:
-    """A counted mode on a checked job chunk; returns the new running maximum and cutoff.
+    """A counted mode on a checked job chunk with buckets ``u``; returns the new running maximum and cutoff.
 
     Skips each job below the running maximum before it over ``n_sq``
     (none when ``n_sq`` is past int64, as in the uncapped mode, whose
-    cutoff stays below every bucket) and counts the kept jobs with one
-    `TreeSketch.count_chunk` call.  The cutoff in force at a kept job is
-    floor_log of the maximum up to it over ``n_sq``.
+    cutoff stays below every bucket), sets its entry of ``u`` to -1 (no
+    count), and counts the kept jobs with one `TreeSketch.count_chunk`
+    call.  The cutoff in force at a kept job is floor_log of the maximum
+    up to it over ``n_sq``.  A skip needs a maximum above n^2, so every
+    cutoff from then on is at least 0, above the mark.
     """
     if n_sq >> 63 == 0:  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
         # the maximum up to each job; a skipped job lies below the one before it, so kept jobs alone set it
         run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p)))
         keep = p > (run_max[:-1] - 1) // n_sq  # not p * n_sq < the maximum before, exactly and within int64
-        p, depth, run_max = p[keep], depth[keep], run_max[1:][keep]
+        u[~keep] = -1
+        u, depth, run_max = u[keep], depth[keep], run_max[1:][keep]
         if p_hi > p_max_run:
             p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
     # no node falls below the uncapped mode's cutoff, so it never asks for the cutoffs (nor needs run_max)
-    sk.count_chunk(gb.index_array(p), depth, cutoff, lambda i: [gb.floor_log(m, n_sq) for m in run_max[i].tolist()])
+    sk.count_chunk(u, depth, cutoff, lambda i: [gb.floor_log(m, n_sq) for m in run_max[i].tolist()])
     return p_max_run, cutoff
 
 
@@ -283,12 +288,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts at the end
             b, d, d_new = np.array(raises, dtype=np.int64).reshape(-1, 3).T
             u = columns.u[b]
-            if sk.move_counts(u, d, d_new):
-                continue
-            # replay the raises one by one: a skipped or evicted job has no count to move
-            for u_k, d_k, d_new_k in zip(u.tolist(), d.tolist(), d_new.tolist()):
-                if sk.move_if_present(d_k, u_k, d_new_k)[1]:
-                    sk.note_peak()
+            counted = u >= cutoff  # kept and never evicted: the cutoff is final once the arcs begin
+            sk.move_counts(u[counted], d[counted], d_new[counted])
             continue
         _, p, depth = chunk
         n += p.size  # each job is counted, skipped or evicted, or raises
@@ -300,21 +301,22 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             if p_lo < 1 or d_lo < 1 or d_hi > h or p_hi > p_cap:
                 _reject_jobs(chunk, gb, h, p_cap)
             held[depth] = True
-        else:
-            if columns.ids is not None:  # frozen by the first arc chunk
-                gb.index(p[0])  # the job's p is checked before its place in the stream
-                raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
-            if p_lo < 1:  # raises at its row, after inserting the rows before it: a repeated id there comes first
-                k = int((p < 1).argmax())
-                columns.insert_chunk(chunk.ids[:k], gb.index_array(p[:k]))
-                gb.index(p[k])
-            us = gb.index_array(p)
-            columns.insert_chunk(chunk.ids, us)
+        elif columns.ids is not None:  # frozen by the first arc chunk
+            gb.index(p[0])  # the job's p is checked before its place in the stream
+            raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
+        elif p_lo < 1:  # raises at its row, after inserting the rows before it: a repeated id there comes first
+            k = int((p < 1).argmax())
+            columns.insert_chunk(chunk.ids[:k], gb.index_array(p[:k]))
+            gb.index(p[k])
+        us = gb.index_array(p)
+        if not given:
             depth = np.ones_like(us)
         sk.note_processing_time(p_lo)
         sk.note_processing_time(p_hi)
         if given or capped:
-            p_max_run, cutoff = _count_chunk(p, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
+            p_max_run, cutoff = _count_chunk(p, us, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
+        if not given:
+            columns.insert_chunk(chunk.ids, us)  # with the skips marked
     h_run = h
     if not given:
         columns.freeze()
@@ -324,7 +326,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         h_run = max(columns.depth, default=1)
     if n == 0:
         raise InputContractError("empty job stream")
-    if capped and n != params.n:
+    if params.n is not None and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
 
     if mode == STREAM_KNOWN:
@@ -410,9 +412,9 @@ def stream_alpha_unknown(
     """Capped sketch with depths discovered from the arc stream.
 
     Skipped and evicted jobs keep their per-job columns so later arcs
-    still propagate depths; their sketch counts, when absent, are
-    simply not moved (they are below the smallness cutoff, which the
-    final padding already pays for).
+    still propagate depths, but they hold no count, so an arc that
+    raises one moves nothing (they are below the smallness cutoff,
+    which the final padding already pays for).
     """
     return _stream(events, params, STREAM_ALPHA_UNKNOWN, tight)
 

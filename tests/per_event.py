@@ -3,8 +3,9 @@
 The engine checks each job chunk once by vectorized masks, counts it
 with one call that evicts eagerly, and keeps the arc modes' per-job
 depths as columns (`sketch.DepthColumns`) raised one arc chunk at a
-time.  This module walks the same input one event at a time instead,
-and evicts as the paper does, lazily, with code of its own
+time, moving the counts of each chunk's raised jobs that hold one in
+one batch.  This module walks the same input one event at a time
+instead, and evicts as the paper does, lazily, with code of its own
 (`LazySketch`).  A job with a given depth is checked at its row
 (``p >= 1``, a depth, ``depth <= h``, ``p <= c`` in `stream1`,
 ``depth >= 1``), then counted, or skipped below the running maximum
@@ -12,9 +13,10 @@ over n^2 in the capped modes, with a lazy prune whenever the count
 creates a node and a peak update after it.  In the arc modes every job
 goes into a dict `DepthTable`, every arc is checked against the set of
 sources seen so far, and a raised depth moves its job's count in the
-sketch at once (`move`, or `move_if_present` in the capped mode, where
-the job may have been skipped or evicted); at the end of the stream
-the ids must be 1..n.
+sketch at once (`move`; in the capped mode a skipped job has no count,
+and `LazySketch.move_if_present` finds out whether an evicted job's
+count is gone); at the end of the stream the ids must be 1..n, and a
+declared n must equal the job count.
 The finish (`A`, sketch times, guarantee) is the engine's, but the
 capped modes' bucket window is computed here.
 Tests hold the engine's results and errors to this walk.
@@ -51,6 +53,16 @@ class LazySketch(TreeSketch):
             return True
         return False
 
+    def move_if_present(self, d: int, u: int, d_new: int) -> tuple[bool, bool]:
+        """`move`, but a missing source is tolerated: returns (moved, created).
+
+        The capped arc mode's walk: a job's count may have been skipped
+        or evicted as too small before an arc raised its depth.
+        """
+        if self._map.get((u, d), 0) < 1:
+            return False, False
+        return True, self.move(d, u, d_new)
+
 
 class _Table(DepthTable):
     """`DepthTable` with the two views the engine's columns give of it."""
@@ -83,6 +95,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     sk = LazySketch()
     table = _Table()
     sources_seen: set[int] = set()
+    skipped: set[int] = set()  # capped modes: the jobs skipped as too small, which hold no count
     in_arc_phase = False
     h, c = params.h if given else 1, params.c
     p_cap = c if mode == STREAM_KNOWN else math.inf
@@ -116,7 +129,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
                         raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
                     if not capped:
                         sk.move(d_dst, u_dst, new_depth)
-                    elif sk.move_if_present(d_dst, u_dst, new_depth)[1]:
+                    elif dst not in skipped and sk.move_if_present(d_dst, u_dst, new_depth)[1]:
                         sk.prune_smallest(cutoff)
                         sk.note_peak()
                     table.raise_depth(dst, new_depth)
@@ -144,6 +157,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
                 sk.add(d, u)
                 continue
             if p * n_sq < p_max_run:
+                skipped.add(job_id)
                 continue
             if p > p_max_run:
                 p_max_run = p
@@ -155,7 +169,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
         table.check_ids()
     if n == 0:
         raise InputContractError("empty job stream")
-    if capped and n != params.n:
+    if params.n is not None and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
     if mode == STREAM_KNOWN:
         top, u_lo, u_hi = c, 0, drv.k

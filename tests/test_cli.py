@@ -490,6 +490,10 @@ MALFORMED_INPUTS = {
     "result time negative": (_SCHEDULE, 3, '{"sks": [-5]}'),
     "oracle m 0": (["oracle", "exact", "--m", "0", "--in", "{inst}"], 2, None),
     "oracle m 0 with a sidecar m": (["oracle", "list", "--m", "0", "--in", "{tmp}/side.txt"], 2, None),
+    "stream1 declared n differs": (
+        ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--n", "5", "--in", "{inst}"], 3, None
+    ),
+    "stream2 declared n differs": (["stream2", "--epsilon", "0.3", "--m", "1", "--n", "5", "--in", "{inst}"], 3, None),
     "threads not an integer": (
         ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--trials", "2", "--in", "{inst}"], 2, None
     ),
@@ -500,7 +504,7 @@ MALFORMED_ENV = {"threads not an integer": {"SCHEDSKETCH_THREADS": "x"}}
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys, monkeypatch):
-    """A malformed generator spec, result file, machine or worker count: exit 2 or 3, one error line, no traceback."""
+    """A malformed generator spec, result file, machine, worker or job count: exit 2 or 3, one error line, no traceback."""
     argv, code, result_text = MALFORMED_INPUTS[case]
     for name, value in MALFORMED_ENV.get(case, {}).items():
         monkeypatch.setenv(name, value)

@@ -74,10 +74,6 @@ class TestMove:
         with pytest.raises(ss.InvariantViolationError):
             sk.move(2, 0, 1)
 
-    def test_move_if_present_tolerates_missing(self):
-        sk = TreeSketch()
-        assert sk.move_if_present(1, 0, 2) == (False, False)
-
 
 class TestPrune:
     def test_removes_minimum_below_cutoff(self):
@@ -183,7 +179,11 @@ def _run_ops(sk, ref, ops):
             assert sk.add(d, u) == ref.bump((u, d))
         elif op[0] == "move":
             _, d, u, step = op
-            assert sk.move_if_present(d, u, d + step) == ref.move_if_present(d, u, d + step)
+            if (u, d) in ref.counts:
+                assert sk.move(d, u, d + step) == ref.move_if_present(d, u, d + step)[1]
+            else:
+                with pytest.raises(ss.InvariantViolationError):
+                    sk.move(d, u, d + step)
         else:
             assert sk.prune_smallest(op[1]) == ref.evict_below(op[1])
     assert entries(sk) == ref.entries()
@@ -224,33 +224,33 @@ _counts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(1, 4)), st.in
 
 @st.composite
 def _move_list(draw, counts: dict) -> list:
-    """Up to 30 (u, d, step) moves, most from a key that holds a count when the move comes."""
+    """Up to 30 (u, d, step) moves, each from a key that holds a count when the move comes."""
     held, moves = dict(counts), []
     for _ in range(draw(st.integers(0, 30))):
-        live = sorted(key for key, cnt in held.items() if cnt)
-        if live and draw(st.integers(0, 29)):
-            u, d = draw(st.sampled_from(live))
-        else:
-            u, d = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        u, d = draw(st.sampled_from(sorted(key for key, cnt in held.items() if cnt)))
         step = draw(st.integers(1, 3))
-        if held.get((u, d)):
-            held[(u, d)] -= 1
-            held[(u, d + step)] = held.get((u, d + step), 0) + 1
+        held[(u, d)] -= 1
+        held[(u, d + step)] = held.get((u, d + step), 0) + 1
         moves.append((u, d, step))
     return moves
 
 
 class TestMoveCounts:
     @settings(max_examples=400, deadline=None)
-    @given(data=st.data(), counts=_counts, peak=st.integers(0, 10), after=st.lists(st.integers(-1, 5), max_size=6))
-    def test_declines_or_equals_the_walk(self, data, counts, peak, after):
-        """Taken, a batch is the walk of `move_if_present` with `note_peak` after each created node."""
-        moves = data.draw(_move_list(counts))
+    @given(
+        data=st.data(),
+        counts=_counts,
+        peak=st.integers(0, 10),
+        after=st.lists(st.integers(-1, 5), max_size=6),
+        base=st.sampled_from([0, 0, 0, 2**62]),  # keys u * width + d past int64: the keys rank u instead
+    )
+    def test_equals_the_walk(self, data, counts, peak, after, base):
+        """A batch is the walk of `move` with `note_peak` after each created node."""
+        moves = [(u + base, d, step) for u, d, step in data.draw(_move_list(counts))]
+        counts = {(u + base, d): cnt for (u, d), cnt in counts.items()}
+        after = [cut + base for cut in after]
         sk = _sketch(counts, peak)
-        if not sk.move_counts(*_moves(moves)):
-            assert (entries(sk), sk.peak_node_count, sk.total_counted) == (
-                RefSketch(counts).entries(), peak, sum(counts.values()))
-            return
+        sk.move_counts(*_moves(moves))
         ref, ref_peak = RefSketch(counts), peak
         for u, d, step in moves:
             if ref.move_if_present(d, u, d + step)[1]:
@@ -266,14 +266,18 @@ class TestMoveCounts:
     def test_peak_inside_the_batch(self):
         """Two nodes exist only between the two moves: the peak is neither the start nor the end count."""
         sk = _sketch({(0, 1): 2}, 1)
-        assert sk.move_counts(*_moves([(0, 1, 1), (0, 1, 1)]))
+        sk.move_counts(*_moves([(0, 1, 1), (0, 1, 1)]))
         assert entries(sk) == [(2, 0, 2)]
         assert (sk.node_count, sk.peak_node_count) == (1, 2)
 
-    def test_a_missed_move_declines(self):
-        sk = _sketch({(0, 1): 1, (1, 1): 1}, 2)
-        assert not sk.move_counts(*_moves([(0, 1, 1), (0, 1, 2)]))  # the second finds (0, 1) empty
-        assert entries(sk) == [(1, 0, 1), (1, 1, 1)]
+    @pytest.mark.parametrize("base", [0, 2**62])
+    def test_a_missed_move_raises(self, base):
+        """The third move finds (base, 1) empty: the batch raises, naming it, and leaves the sketch as it was."""
+        sk = _sketch({(base, 1): 1, (base + 1, 1): 1}, 2)
+        with pytest.raises(ss.InvariantViolationError, match=rf"^no sketch node at \(d=1, u={base}\) to move from$"):
+            sk.move_counts(*_moves([(base + 1, 1, 1), (base, 1, 1), (base, 1, 2)]))
+        assert entries(sk) == [(1, base, 1), (1, base + 1, 1)]
+        assert (sk.node_count, sk.peak_node_count, sk.total_counted) == (2, 2, 2)
 
 
 @st.composite

@@ -589,13 +589,13 @@ def test_given_modes_count_event_lists_by_chunk(mode, monkeypatch):
 
 
 def _spy_moves(monkeypatch) -> list:
-    """What each call of `TreeSketch.move_counts` returns from now on (False: declined, walked raise by raise)."""
+    """The number of moves each call of `TreeSketch.move_counts` is given from now on."""
     taken = []
     move_counts = TreeSketch.move_counts
 
-    def spy(self, *args):
-        taken.append(move_counts(self, *args))
-        return taken[-1]
+    def spy(self, u, d, d_new):
+        taken.append(u.size)
+        move_counts(self, u, d, d_new)
 
     monkeypatch.setattr(TreeSketch, "move_counts", spy)
     return taken
@@ -612,23 +612,60 @@ def test_stream4_moves_each_arc_chunk_whole(tmp_path, monkeypatch):
     for source, calls in ((lambda: fileio.iter_chunks(path), 1), (lambda: inst.events(with_depth=False), arc_chunks)):
         taken = _spy_moves(monkeypatch)
         assert _run_summary(ss.stream_alpha_unknown(source(), params)) == want
-        assert taken == [True] * calls
+        assert len(taken) == calls
+        assert sum(taken) == len(inst.arcs)  # each arc raises its end, the job's one in-arc, and none is dropped
 
 
-def test_stream4_walks_an_arc_chunk_that_moves_a_skipped_job(monkeypatch):
-    """A raise of a skipped job's depth has no count to move: its chunk is declined and walked."""
-    big = 10**6
-    chunks = [  # 1 * 5^2 < 10^6: jobs 2 and 3 are skipped
-        model.JobChunk(*(np.array(col, dtype=np.int64) for col in ([1, 2, 3, 4, 5], [big, 1, 1, big, big])), None),
-        model.ArcChunk(np.array([1]), np.array([4])),  # moves a counted job
-        model.ArcChunk(np.array([1, 2, 4]), np.array([2, 3, 5])),  # raises 2 and 3, which hold no count, then moves 5
-    ]
-    params = P(epsilon=0.3, m=1, n=5, alpha=0.25)
+def _stream4_moves(chunks: list, params: ss.AlgoParams, monkeypatch) -> tuple[list, dict]:
+    """stream4's moves per arc chunk and run summary, checked against the per-event reference."""
     taken = _spy_moves(monkeypatch)
     got = _run_summary(ss.stream_alpha_unknown(chunks, params))
-    assert taken == [True, False]
     assert got == _run_summary(stream_per_event(chunks, params, "stream4"))
+    return taken, got
+
+
+def test_stream4_moves_only_the_counts_of_counted_jobs(monkeypatch):
+    """A raise of a skipped job's depth has no count to move: its arc chunk still goes to one batch, without it."""
+    big = 10**6
+    chunks = [  # 1 * 5^2 < 10^6: jobs 2 and 3 are skipped
+        *_int64_chunks([ss.Job(j, p) for j, p in enumerate([big, 1, 1, big, big], 1)], 5),
+        *_int64_chunks([A(1, 4)], 1),  # moves a counted job
+        *_int64_chunks([A(1, 2), A(2, 3), A(4, 5)], 3),  # raises 2 and 3, which hold no count, then moves 5
+    ]
+    taken, got = _stream4_moves(chunks, P(epsilon=0.3, m=1, n=5, alpha=0.25), monkeypatch)
+    assert taken == [1, 1]
     assert got["depths"] == [1, 2, 3, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [10**6, 111110, 10**6],  # n = 3: 111110 * 9 < 10^6; no node holds its bucket at depth 1
+        [62499, 10**6, 62499, 10**6],  # n = 4: 62499 * 16 < 10^6; the node of job 1, counted first, does
+    ],
+)
+def test_stream4_skipped_job_in_the_cutoffs_bucket(p, monkeypatch):
+    """A job skipped in the final cutoff's bucket holds no count: an arc that raises it moves nothing."""
+    n = len(p)
+    params = P(epsilon=0.3, m=1, n=n, alpha=0.25)
+    gb = ss.buckets_for(ss.derive_params(params, "stream4").delta)
+    assert gb.index(p[-2]) == gb.floor_log(10**6, n * n)  # the bucket alone does not tell it holds no count
+    chunks = list(_int64_chunks([ss.Job(j, q) for j, q in enumerate(p, 1)] + [A(n, n - 1)], n))
+    taken, got = _stream4_moves(chunks, params, monkeypatch)
+    assert taken == [0]
+    assert got["counted"] == n - 1
+    assert got["depths"] == [1] * (n - 2) + [2, 1]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_stream4_evicted_job_raised_by_an_arc(rows, monkeypatch):
+    """n = 3: job 1 is counted, evicted when 10^6 lifts the cutoff past its bucket, then raised: it moves nothing."""
+    jobs = [ss.Job(1, 1), ss.Job(2, 10**6), ss.Job(3, 10**6)]
+    chunks = [*_int64_chunks(jobs, rows), *_int64_chunks([A(2, 1), A(2, 3)], 2)]
+    taken, got = _stream4_moves(chunks, P(epsilon=0.3, m=1, n=3), monkeypatch)
+    assert taken == [1]  # job 3 alone
+    assert (got["counted"], got["peak_node_count"]) == (2, 2)
+    assert got["depths"] == [2, 1, 2]
 
 
 @settings(max_examples=120, deadline=None)
@@ -641,14 +678,17 @@ def test_stream4_walks_an_arc_chunk_that_moves_a_skipped_job(monkeypatch):
     tight=st.booleans(),
     epsilon=st.sampled_from([0.3, 0.05]),
     more=st.sampled_from([0, 0, 0, 100, 300]),
+    edge=st.sampled_from([None, None, "skipped", "evicted"]),
 )
-def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight, epsilon, more):
+def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight, epsilon, more, edge):
     """stream4 (and stream2) on events and on list and int64 chunks of 1..64 rows report what the per-event route does.
 
     Log-spread p, drawn or ascending, so the capped mode skips and evicts; arcs in topological order,
     or as drawn (back arcs, unseen ids and self-loops), so errors are compared too.  ``more`` adds
     that many seeded jobs, each with one arc from an earlier id: with ascending p, the per-event
-    route's lazy prunes then often leave nodes below the cutoff when the arcs begin.
+    route's lazy prunes then often leave nodes below the cutoff when the arcs begin.  ``edge`` adds
+    job n, which the last arc raises: last in the stream and one below the final maximum over n^2,
+    so skipped in the cutoff's own bucket, or first with p = 1, so counted and then evicted.
     """
     rng = np.random.default_rng(more + len(jobs))
     jobs = jobs + list(zip(rng.integers(0, 41, size=more).tolist(), rng.integers(0, 2**40, size=more).tolist()))
@@ -661,7 +701,12 @@ def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight
     arcs += [(int(rng.integers(1, b)), b) for b in range(n - more + 1, n + 1) if b > 1]
     if not scrambled:  # each job's in-arcs before its out-arcs
         arcs = sorted({(a, b) for a, b in arcs if a < b <= n}, key=lambda arc: (arc[1], arc[0]))
-    events = [ss.Job(i, q) for i, q in zip(ids, p)] + [ss.Arc(a, b) for a, b in arcs]
+    events = [ss.Job(i, q) for i, q in zip(ids, p)]
+    if edge:
+        n += 1
+        arcs.append((data.draw(st.integers(1, n - 1)), n))  # after every arc into or out of an earlier id
+        events = events + [ss.Job(n, max(1, (max(p) - 1) // n**2))] if edge == "skipped" else [ss.Job(n, 1)] + events
+    events += [ss.Arc(a, b) for a, b in arcs]
     for mode, params in _arc_mode_params(n, epsilon):
         want = _outcome(lambda: stream_per_event(events, params, mode, tight))
         for source in _arc_mode_inputs(events, rows).values():
