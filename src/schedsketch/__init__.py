@@ -57,7 +57,6 @@ from .sketch import (
     sketch_to_json,
 )
 from .streaming import (
-    RoundedValues,
     stream_alpha_known,
     stream_alpha_unknown,
     stream_known,
@@ -82,7 +81,6 @@ __all__ = [
     "InvariantViolationError",
     "Job",
     "ParamError",
-    "RoundedValues",
     "RunReport",
     "ScheduleSketch",
     "SketchInfeasibleError",

@@ -276,9 +276,9 @@ def _known_cstar(args, access_or_inst) -> tuple[str, float]:
             return "cstar", float(access_or_inst.total_p)
         return "bound", float(max(ceil_div(access_or_inst.total_p, args.m), access_or_inst.p_big))
     inst = access_or_inst
-    if "cstar" in inst.meta:
+    if "cstar" in inst.meta and inst.meta.get("m") == args.m:  # the constructed optimum holds for its own m
         return "cstar", float(inst.meta["cstar"])
-    return "bound", float(max(ceil_div(int(inst.p.sum()), inst.m), critical_path_length(inst)))
+    return "bound", float(max(ceil_div(sum(inst.p.tolist()), args.m), critical_path_length(inst)))
 
 
 def _run_bench(args) -> int:

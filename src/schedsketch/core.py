@@ -213,10 +213,6 @@ class GeometricBuckets:
             u += 1
         return u
 
-    def rounded_value(self, u: int) -> float:
-        """Upper representative base**(u+1) of bucket u, as a float."""
-        return self.base ** (u + 1)
-
 
 @lru_cache(maxsize=None)
 def _buckets_for(delta: float) -> GeometricBuckets:

@@ -339,6 +339,8 @@ def read_result(path: str) -> dict:
     sks = doc.get("sks") if isinstance(doc, dict) else None
     if not isinstance(sks, list) or not all(type(t) is int and s <= t for s, t in zip([0] + sks, sks)):
         raise InputContractError(f'{path}: expected a JSON object whose "sks" lists non-decreasing integers >= 0')
+    if sks and sks[-1] >> 63:  # the last time is the largest
+        raise InputContractError(f"{path}: sketch time {sks[-1]} exceeds 2**63 - 1")
     return doc
 
 

@@ -12,7 +12,6 @@ scale, not to schedule anything real.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 import numpy as np
 
@@ -25,56 +24,49 @@ EXACT_MAX_JOBS = 12
 EXACT_MAX_MACHINES = 3
 
 
-def compute_depths(arcs, n: int) -> np.ndarray:
-    """Depth of each job: 1 for sources, else 1 + max predecessor depth.
+def longest_paths(src, dst, n: int, weights=None) -> list[int]:
+    """Weight of the heaviest path ending at each job 1..n, over the arcs ``src[i] -> dst[i]``.
 
-    Runs Kahn's algorithm; a cycle raises `CycleSuspicionError` naming
-    one edge on it.
+    A path weighs the sum of its jobs' weights (1 each when ``weights``
+    is None), in exact integers.  Runs Kahn's algorithm; an arc end
+    outside 1..n raises `ParamError`, and a cycle raises
+    `CycleSuspicionError` naming one edge on it.
     """
-    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    bad = (src < 1) | (src > n) | (dst < 1) | (dst > n)
+    if bad.any():  # name the first such arc
+        raise ParamError(f"arc ({src[bad][0]}, {dst[bad][0]}) references a job outside 1..{n}")
     succs: list[list[int]] = [[] for _ in range(n + 1)]
-    indeg = np.zeros(n + 1, dtype=np.int64)
-    for src, dst in arcs:
-        if not (1 <= src <= n and 1 <= dst <= n):
-            raise ParamError(f"arc ({src}, {dst}) references a job outside 1..{n}")
-        succs[src].append(int(dst))
-        indeg[dst] += 1
-    depth = np.ones(n + 1, dtype=np.int64)
-    queue = deque(j for j in range(1, n + 1) if indeg[j] == 0)
-    done = 0
-    while queue:
-        j = queue.popleft()
-        done += 1
+    indeg = [0] * (n + 1)
+    for a, b in zip(src.tolist(), dst.tolist()):
+        succs[a].append(b)
+        indeg[b] += 1
+    w = [0] + ([1] * n if weights is None else np.asarray(weights).tolist())
+    best = w[:]
+    queue = [j for j in range(1, n + 1) if indeg[j] == 0]
+    for j in queue:  # the loop also visits the jobs it appends
         for s in succs[j]:
-            if depth[j] + 1 > depth[s]:
-                depth[s] = depth[j] + 1
+            if best[j] + w[s] > best[s]:
+                best[s] = best[j] + w[s]
             indeg[s] -= 1
             if indeg[s] == 0:
                 queue.append(s)
-    if done != n:
+    if len(queue) != n:
         stuck = next(j for j in range(1, n + 1) if indeg[j] > 0)
         back = next(s for s in range(1, n + 1) if stuck in succs[s] and indeg[s] > 0)
         raise CycleSuspicionError(f"cycle detected; edge ({back}, {stuck}) lies on a cycle")
-    return depth[1:]
+    return best[1:]
+
+
+def compute_depths(arcs, n: int) -> np.ndarray:
+    """Depth of each job: 1 for sources, else 1 + max predecessor depth."""
+    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+    return np.array(longest_paths(arcs[:, 0], arcs[:, 1], n), dtype=np.int64)
 
 
 def critical_path_length(inst: Instance) -> int:
     """Length of the heaviest precedence path (sum of processing times)."""
-    if inst.n == 0:
-        return 0
-    depth = inst.depth if inst.depth is not None else compute_depths(inst.arcs, inst.n)
-    order = np.argsort(depth, kind="stable")
-    tail = inst.p.astype(np.int64).copy()
-    preds: list[list[int]] = [[] for _ in range(inst.n + 1)]
-    for src, dst in inst.arcs:
-        preds[dst].append(int(src))
-    best = 0
-    for j in order:  # by non-decreasing depth: predecessors come first
-        jid = int(j) + 1
-        if preds[jid]:
-            tail[j] += max(tail[q - 1] for q in preds[jid])
-        best = max(best, int(tail[j]))
-    return best
+    return max(longest_paths(inst.arcs[:, 0], inst.arcs[:, 1], inst.n, inst.p), default=0)
 
 
 def list_schedule(inst: Instance, order=None) -> ConcreteSchedule:
@@ -159,16 +151,12 @@ def exact_makespan(inst: Instance) -> int:
         succs_mask[src - 1] |= 1 << (dst - 1)
         preds[dst - 1].append(int(src) - 1)
     total_p = sum(p)
-    lower = max(ceil_div(total_p, m), critical_path_length(inst))
+    lower = max(ceil_div(total_p, m), critical_path_length(inst))  # raises on a cycle
     best = list_schedule(inst).makespan
     if best == lower:
         return best
     # tails[j]: heaviest path starting at j, for per-job lower bounds
-    depth = inst.depth if inst.depth is not None else compute_depths(inst.arcs, n)
-    tails = [0] * n
-    for j in sorted(range(n), key=lambda q: -int(depth[q])):
-        succ_tails = (tails[s] for s in range(n) if (succs_mask[j] >> s) & 1)
-        tails[j] = p[j] + max(succ_tails, default=0)
+    tails = longest_paths(inst.arcs[:, 1], inst.arcs[:, 0], n, p)
     full = (1 << n) - 1
     seen: dict[tuple, int] = {}
     order_hint = sorted(range(n), key=lambda j: (-p[j], j))

@@ -5,9 +5,9 @@ replacement), bucket them exactly like the streaming algorithms, scale
 the counts by n/n', and drop groups whose estimate is too small to be
 statistically reliable (at most 2*tau, where tau = n * sampling-mass
 threshold).  The surviving estimated sketch feeds the same
-rounded-load arithmetic as the streaming side and additionally yields
-an estimated schedule sketch whose intervals are padded for the
-estimation error.
+rounded-load arithmetic (`sketch.bucket_loads`) as the streaming side
+and additionally yields an estimated schedule sketch whose intervals
+are padded for the estimation error.
 
 Both schemes are one sampler (`_sample`) with one of two policies,
 fixed by the mode before any draw:
@@ -49,8 +49,8 @@ from .core import (
 )
 from .errors import InputContractError
 from .model import Instance, RunReport, ScheduleSketch
-from .sketch import pair_counts
-from .streaming import RoundedValues, totals
+from .sketch import bucket_loads, pair_counts
+from .streaming import totals
 
 _CHUNK = 1 << 20
 
@@ -230,15 +230,9 @@ def _sample(access: SampleAccess, params: AlgoParams, mode: str, tight: bool) ->
         counts, draws = estimate_counts(access, drv.n_prime, gb, rng, p_cap=pr.c, h_cap=pr.h)
         ok = 20.0 * pr.m * pr.h * pr.c <= pr.n * pr.epsilon  # machine bound m <= n*eps / (20*h*c)
     kept = _scaled_estimates(counts, pr.n, draws, drv.tau)
-    rp = RoundedValues(gb, u_lo, u_hi, float(top))
-    loads = np.zeros(pr.h)
-    dropped_high = 0
-    for (d, u), ehat in kept.items():
-        if u > u_hi:  # w0 underestimated the top; groups above c*w0 fall outside
-            dropped_high += 1
-            continue
-        loads[d - 1] += ehat * rp.value(u)
-    loads /= pr.m
+    inside = [(u, d, ehat) for (d, u), ehat in kept.items() if u <= u_hi]  # w0 can underestimate the top
+    dropped_high = len(kept) - len(inside)  # groups above c*w0 fall outside
+    loads = bucket_loads(inside, gb, u_lo, u_hi, top, pr.h) / pr.m
     pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + pad_w0
     A, times = totals(loads, top, tight, stretch=1.0 - drv.delta, slack=pad_noise)
     extras = {

@@ -84,7 +84,7 @@ def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedul
         base, t_d = sks.interval(d)
         cap = t_d - base
         pp = p[idx]
-        csum = np.cumsum(pp)
+        csum = np.cumsum(pp if int(pp.max()) * pp.size >> 63 == 0 else pp.astype(object))  # exact past int64
         pos = 0
         prev = 0
         lane = 0  # 1-based after increment

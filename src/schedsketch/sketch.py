@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
+from .core import GeometricBuckets
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
 from .model import ends_at_earlier_source
 
@@ -44,6 +45,25 @@ def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
         found = np.unique(np.stack((u, d), axis=1), axis=0, return_index=first, return_counts=True)
         us, ds = found[0][:, 0], found[0][:, 1]
     return (us.tolist(), ds.tolist(), found[-1].tolist()) + found[1:-1]
+
+
+def bucket_loads(entries: Iterable[tuple], gb: GeometricBuckets, u_lo: int, u_hi: int, top: int, h: int) -> np.ndarray:
+    """Per-depth loads 1..h: each (u, d, weight) entry adds weight times its bucket's rounded value.
+
+    The rounded value of bucket u is the top, pinned to the known
+    maximum, for ``u == u_hi``, and its upper boundary (1+delta)**(u+1)
+    for ``u_lo <= u < u_hi``, so every job's rounded time lies between
+    its true time and (1+delta) times it.  Entries add up in the order
+    given; a bucket outside [u_lo, u_hi] raises.
+    """
+    if u_hi < u_lo:
+        raise InputContractError(f"empty bucket range [{u_lo}, {u_hi}]")
+    top, loads = float(top), [0.0] * h
+    for u, d, weight in entries:
+        if not u_lo <= u <= u_hi:
+            raise InputContractError(f"bucket {u} outside [{u_lo}, {u_hi}]")
+        loads[d - 1] += weight * (top if u == u_hi else gb.base ** (u + 1))
+    return np.array(loads)
 
 
 class TreeSketch:
@@ -227,12 +247,9 @@ class TreeSketch:
         for key in sorted(self._map):
             yield key[1], key[0], self._map[key]
 
-    def depth_loads(self, rp: "RoundedValues", h: int) -> np.ndarray:
-        """Sum of count * rounded value per depth 1..h, each summed in increasing u."""
-        loads = [0.0] * h
-        for u, d in sorted(self._map):
-            loads[d - 1] += self._map[(u, d)] * rp.value(u)
-        return np.array(loads)
+    def depth_loads(self, gb: GeometricBuckets, u_lo: int, u_hi: int, top: int, h: int) -> np.ndarray:
+        """`bucket_loads` over the nodes in increasing (u, d), so each depth sums in increasing u."""
+        return bucket_loads(((u, d, self._map[u, d]) for u, d in sorted(self._map)), gb, u_lo, u_hi, top, h)
 
 
 # perfbench/tracer.py still patches the old dense sketch class by name;

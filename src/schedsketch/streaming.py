@@ -82,31 +82,6 @@ from .model import ArcChunk, Chunk, Job, JobChunk, RunReport, ScheduleSketch, St
 from .sketch import DepthColumns, TreeSketch
 
 
-class RoundedValues:
-    """Bucket -> rounded processing time, with the top bucket pinned.
-
-    Non-top buckets use the bucket's upper boundary (1+delta)**(u+1);
-    the top bucket is pinned to the known maximum (c, p_max, or c*w0
-    depending on the algorithm), so every job's rounded time is between
-    its true time and (1+delta) times it.
-    """
-
-    def __init__(self, buckets: GeometricBuckets, u_lo: int, u_hi: int, top: float):
-        if u_hi < u_lo:
-            raise InputContractError(f"empty bucket range [{u_lo}, {u_hi}]")
-        self._buckets = buckets
-        self.u_lo = u_lo
-        self.u_hi = u_hi
-        self.top = top
-
-    def value(self, u: int) -> float:
-        if u == self.u_hi:
-            return self.top
-        if not (self.u_lo <= u < self.u_hi):
-            raise InputContractError(f"bucket {u} outside [{self.u_lo}, {self.u_hi}]")
-        return self._buckets.rounded_value(u)
-
-
 def totals(
     loads,
     pad: int,
@@ -342,7 +317,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         # bucket u_top or above; without such a bucket, fall back to p_min
         u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
         c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
-    loads = final.depth_loads(RoundedValues(gb, u_lo, u_hi, float(top)), h_run) / params.m
+    loads = final.depth_loads(gb, u_lo, u_hi, top, h_run) / params.m
     tail = ceil_div(top, n) if capped else 0
     if tight and not given:
         held = np.bincount(columns.depth, minlength=h_run + 1) > 0

@@ -41,7 +41,7 @@ from schedsketch.core import (
 )
 from schedsketch.errors import CycleSuspicionError, InputContractError
 from schedsketch.model import ArcChunk, RunReport, ScheduleSketch
-from schedsketch.sketch import DepthTable, TreeSketch
+from schedsketch.sketch import DepthTable, TreeSketch, bucket_loads
 
 
 class LazySketch(TreeSketch):
@@ -182,7 +182,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     else:
         u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
         c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
-    loads = final.depth_loads(streaming.RoundedValues(gb, u_lo, u_hi, float(top)), height) / params.m
+    loads = bucket_loads(((u, d, cnt) for d, u, cnt in final.entries()), gb, u_lo, u_hi, top, height) / params.m
     tail = ceil_div(top, n) if capped else 0
     if not given:
         held = table.held_depths(height)

@@ -191,6 +191,29 @@ class TestSchedule:
         assert rc == 3
         assert f"error: {inst}:1: " in capsys.readouterr().err
 
+    def test_sketch_time_past_int64_exits_3(self, tmp_path, capsys):
+        inst, res = tmp_path / "i.txt", tmp_path / "r.json"
+        inst.write_text(f"J 1 {2**62} 1\nJ 2 {2**62} 2\nA 1 2\n")
+        assert main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(inst), "--out", str(res)]) == 0
+        doc = json.loads(res.read_text())
+        assert doc["A"] == 2**64
+        capsys.readouterr()
+        rc = main(["schedule", "--sks", str(res), "--in", str(inst), "--m", "1", "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: {res}: sketch time {doc['sks'][-1]} exceeds 2**63 - 1"]
+
+    def test_depth_summing_past_int64(self, tmp_path, capsys):
+        inst, res, csv = tmp_path / "i.txt", tmp_path / "r.json", tmp_path / "s.csv"
+        inst.write_text("".join(f"J {j} {2**60} 1\n" for j in range(1, 17)))
+        main(["stream1", "--epsilon", "0.3", "--m", "16", "--c", str(2**60), "--h", "1", "--in", str(inst),
+              "--out", str(res)])
+        assert json.loads(res.read_text())["sks"] == [2**61]
+        capsys.readouterr()
+        assert main(["schedule", "--sks", str(res), "--in", str(inst), "--m", "16", "--out", str(csv)]) == 0
+        assert capsys.readouterr().out == f"makespan {2**61}, 0 violation(s)\n"
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [int(machine) for _, machine, _, _ in rows] == [j // 2 + 1 for j in range(16)]
+
     @pytest.mark.parametrize(
         "text,where",
         [
@@ -319,6 +342,26 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[1] == "18"
         assert lines[1].split(",")[3] == "1.200000"
+
+    def test_bench_bound_divides_by_the_m_flag(self, tmp_path):
+        inst, out = tmp_path / "i.txt", tmp_path / "b.csv"
+        inst.write_text("".join(f"J {j} 10 1\n" for j in range(1, 401)))  # no sidecar: the file's m is 1
+        main(["bench", "--algo", "stream1", "--epsilon", "0.3", "--m", "4", "--c", "10", "--h", "1",
+              "--in", str(inst), "--trials", "1", "--out", str(out)])
+        assert out.read_text().splitlines()[1] == "0,1010,1000,1.010000,0,1"
+
+    def test_bench_takes_cstar_only_for_its_m(self, tmp_path):
+        out = tmp_path / "b.csv"
+        main(["bench", "--algo", "stream1", "--epsilon", "0.3", "--m", "100", "--c", "1", "--h", "3",
+              "--in", "chain:m=200,q=5,h=3", "--trials", "1", "--out", str(out)])
+        assert out.read_text().splitlines()[1] == "0,33,30,1.100000,0,3"  # the spec's cstar 15 holds for m = 200
+
+    def test_bench_bound_sums_p_exactly(self, tmp_path):
+        inst, out = tmp_path / "i.txt", tmp_path / "b.csv"
+        inst.write_text(f"J 1 {2**62} 1\nJ 2 {2**62} 1\n")
+        main(["bench", "--algo", "stream1", "--epsilon", "0.3", "--m", "1", "--c", str(2**62), "--h", "1",
+              "--in", str(inst), "--trials", "1", "--out", str(out)])
+        assert out.read_text().splitlines()[1].split(",")[2] == f"{float(2**63):g}"
 
     def test_bench_streaming_runs_once(self, chain_files, monkeypatch):
         """A stream mode ignores the seed: one run, its report on every seed's row."""
@@ -487,6 +530,7 @@ MALFORMED_INPUTS = {
     "result sks not a list": (_SCHEDULE, 3, '{"sks": 12}'),
     "result time not an integer": (_SCHEDULE, 3, '{"sks": ["x"]}'),
     "result times decreasing": (_SCHEDULE, 3, '{"sks": [5, 3]}'),
+    "result time past int64": (_SCHEDULE, 3, '{"sks": [1, 9223372036854775808]}'),
     "result time negative": (_SCHEDULE, 3, '{"sks": [-5]}'),
     "oracle m 0": (["oracle", "exact", "--m", "0", "--in", "{inst}"], 2, None),
     "oracle m 0 with a sidecar m": (["oracle", "list", "--m", "0", "--in", "{tmp}/side.txt"], 2, None),

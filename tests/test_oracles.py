@@ -1,12 +1,16 @@
 """Ground-truth oracles: depths, exact search, list scheduling."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import random_instance
+from schedsketch.oracles import longest_paths
 
 
 class TestComputeDepths:
@@ -26,6 +30,49 @@ class TestComputeDepths:
     def test_out_of_range_arc(self):
         with pytest.raises(ss.ParamError):
             ss.compute_depths([(1, 9)], 3)
+
+
+@st.composite
+def weighted_dags(draw):
+    """(n, src, dst, weights): a DAG on jobs 1..n in a drawn topological order, its arcs shuffled."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    arcs = draw(st.permutations(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=2**62), min_size=n, max_size=n))
+    return n, [a for a, _ in arcs], [b for _, b in arcs], weights
+
+
+class TestLongestPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(dag=weighted_dags())
+    def test_equals_a_memoized_recursion(self, dag):
+        n, src, dst, weights = dag
+        preds = {j: [a for a, b in zip(src, dst) if b == j] for j in range(1, n + 1)}
+        succs = {j: [b for a, b in zip(src, dst) if a == j] for j in range(1, n + 1)}
+
+        @lru_cache(maxsize=None)
+        def ending_at(j):
+            return weights[j - 1] + max((ending_at(q) for q in preds[j]), default=0)
+
+        @lru_cache(maxsize=None)
+        def starting_at(j):
+            return weights[j - 1] + max((starting_at(q) for q in succs[j]), default=0)
+
+        assert longest_paths(src, dst, n, weights) == [ending_at(j) for j in range(1, n + 1)]
+        assert longest_paths(dst, src, n, np.array(weights)) == [starting_at(j) for j in range(1, n + 1)]
+        assert longest_paths(src, dst, n) == longest_paths(src, dst, n, [1] * n)
+
+    def test_critical_path_past_int64_is_exact(self):
+        inst = ss.Instance(p=[2**62, 2**62], depth=None, arcs=[(1, 2)], m=1)
+        assert ss.critical_path_length(inst) == 2**63
+
+    def test_critical_path_ignores_given_depths(self):
+        wrong = ss.Instance(p=[5, 7, 1], depth=[3, 2, 1], arcs=[(1, 2), (2, 3)], m=1)
+        assert ss.critical_path_length(wrong) == 13
+        looped = ss.Instance(p=[1, 1], depth=[1, 1], arcs=[(1, 2), (2, 1)], m=1)
+        with pytest.raises(ss.CycleSuspicionError, match="lies on a cycle"):
+            ss.critical_path_length(looped)
 
 
 def exhaustive_makespan(inst):

@@ -66,14 +66,22 @@ class TestCursor:
         assert sched.machine.tolist() == machine
         assert sched.start.tolist() == start
 
+    def test_depth_summing_past_int64(self):
+        # 16 jobs of 2**60 sum to 2**64 at one depth: two per machine, not a wrapped prefix sum
+        times, p, depth = (2**61,), [2**60] * 16, [1] * 16
+        sched = ss.sketch_to_schedule(ss.ScheduleSketch(times), p, depth, 16)
+        assert (sched.machine.tolist(), sched.start.tolist()) == reference_cursor(times, p, depth, 16)
+        assert sched.makespan == 2**61
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_reference_cursor(self, data):
         h = data.draw(st.integers(1, 4))
+        scale = data.draw(st.sampled_from([1, 2**56]))  # at 2**56 a depth's jobs can sum past int64
         inc = data.draw(st.lists(st.integers(1, 9), min_size=h, max_size=h))
-        times = tuple(np.cumsum(inc).tolist())
+        times = tuple((np.cumsum(inc) * scale).tolist())
         n = data.draw(st.integers(1, 25))
-        p = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        p = data.draw(st.lists(st.integers(1, 12).map(lambda x: x * scale), min_size=n, max_size=n))
         depth = data.draw(st.lists(st.integers(1, h), min_size=n, max_size=n))
         m = data.draw(st.integers(1, 6))
         sks = ss.ScheduleSketch(times)

@@ -11,7 +11,7 @@ import schedsketch as ss
 from conftest import SingleUse, random_instance
 from per_event import stream_per_event
 from schedsketch import fileio, model, streaming
-from schedsketch.sketch import DepthColumns, TreeSketch
+from schedsketch.sketch import DepthColumns, TreeSketch, bucket_loads
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
@@ -235,7 +235,30 @@ def test_new_maxima_rarely_need_exact_powers(mode, monkeypatch):
     assert len(calls) <= 5
 
 
-class TestRoundedValues:
+class TestBucketLoads:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=1, max_value=4),
+                st.one_of(st.integers(min_value=1, max_value=10**6), st.floats(min_value=0.0, max_value=1e9)),
+            ),
+            max_size=30,
+        ),
+        top=st.integers(min_value=1, max_value=10**12),
+        delta=st.sampled_from([0.5, 0.1, 0.025]),
+    )
+    def test_equals_the_per_entry_sum(self, entries, top, delta):
+        # each entry adds weight * rounded value to its depth, in the order given, bit for bit
+        gb = ss.buckets_for(delta)
+        want = [0.0] * 4
+        for u, d, weight in entries:
+            want[d - 1] += weight * (float(top) if u == 40 else gb.base ** (u + 1))
+        loads = bucket_loads(iter(entries), gb, 0, 40, top, 4)
+        assert loads.dtype == np.float64
+        assert [x.hex() for x in loads.tolist()] == [x.hex() for x in want]
+
     @settings(max_examples=200, deadline=None)
     @given(
         p=st.integers(min_value=1, max_value=10**4),
@@ -243,21 +266,24 @@ class TestRoundedValues:
         delta=st.sampled_from([0.5, 0.1, 0.025]),
     )
     def test_rounding_brackets_true_time(self, p, c_extra, delta):
-        # rp_u is between p and (1+delta)*p for every job in bucket u
+        # the rounded value of p's bucket is between p and (1+delta)*p; the top bucket is pinned
         gb = ss.buckets_for(delta)
         top = p + c_extra  # pinned maximum is at least the job itself
-        u = gb.index(p)
-        u_hi = gb.index(top)
-        rp = ss.RoundedValues(gb, 0, u_hi, float(top))
-        v = rp.value(u)
+        u, u_hi = gb.index(p), gb.index(top)
+        v = bucket_loads([(u, 1, 1)], gb, 0, u_hi, top, 1)[0]
         assert v >= p * (1 - 1e-12)
         assert v <= (1 + delta) * p * (1 + 1e-12)
+        assert bucket_loads([(u_hi, 1, 3)], gb, 0, u_hi, top, 1)[0] == 3.0 * top
 
-    def test_out_of_range_bucket_rejected(self):
+    @pytest.mark.parametrize(
+        "u_lo,u_hi,u,message",
+        [(0, 5, 6, r"^bucket 6 outside \[0, 5\]$"), (2, 5, 1, r"^bucket 1 outside \[2, 5\]$"),
+         (3, 2, 3, r"^empty bucket range \[3, 2\]$")],
+    )
+    def test_out_of_window_bucket_rejected(self, u_lo, u_hi, u, message):
         gb = ss.buckets_for(0.1)
-        rp = ss.RoundedValues(gb, 0, 5, 9.0)
-        with pytest.raises(ss.InputContractError):
-            rp.value(6)
+        with pytest.raises(ss.InputContractError, match=message):
+            bucket_loads([(u_hi, 1, 1), (u, 1, 1)], gb, u_lo, u_hi, 9, 1)
 
 
 class TestSketchMonotonicity:
