@@ -18,7 +18,7 @@ import numpy as np
 from .core import ceil_div
 from .errors import CycleSuspicionError, ParamError
 from .model import Instance
-from .schedule import ConcreteSchedule
+from .schedule import ConcreteSchedule, check_completion
 
 EXACT_MAX_JOBS = 12
 EXACT_MAX_MACHINES = 3
@@ -106,6 +106,7 @@ def list_schedule(inst: Instance, order=None) -> ConcreteSchedule:
             _, mid = heapq.heappop(avail)
             machine[job - 1] = mid
             start[job - 1] = now
+            check_completion(job, now, int(inst.p[job - 1]))
             comp = now + int(inst.p[job - 1])
             heapq.heappush(avail, (comp, mid))
             heapq.heappush(completions, (comp, job))

@@ -47,6 +47,12 @@ class ConcreteSchedule:
         return int(self.p.size)
 
 
+def check_completion(job: int, start: int, p: int) -> None:
+    """Raise unless job ``job``, started at ``start``, completes within int64, which holds every schedule time."""
+    if (start + p) >> 63:
+        raise InputContractError(f"job {job} completion time {start + p} exceeds 2**63 - 1")
+
+
 @dataclass(frozen=True)
 class Violation:
     """One feasibility defect found by the validator."""
@@ -104,6 +110,9 @@ def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedul
             machine[sel] = lane + shift
             prev = csum[cut - 1]
             pos = cut
+    late = np.flatnonzero(start > (1 << 63) - 1 - p)  # start + p past int64
+    if late.size:
+        check_completion(int(late[0]) + 1, int(start[late[0]]), int(p[late[0]]))
     return ConcreteSchedule(machine=machine, start=start, p=p)
 
 

@@ -20,7 +20,7 @@ the lazy count does not grow past a count the eager sketch held.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -313,80 +313,71 @@ class DepthTable:
         self._rec[job_id] = (new_depth, u)
 
 
-def _find(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``x`` in the sorted array ``ids``, and where each was found."""
-    if ids.size == 0:
-        return np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(ids, x), ids.size - 1)
-    return pos, ids[pos] == x
-
-
 class DepthColumns:
     """Per-job id, bucket and depth columns for the arc-driven modes.
 
-    Job chunks are appended by `insert_chunk`; the first `raise_chunk`
-    sorts the jobs by id, after which an arc's ends are found by one
-    ``searchsorted`` per chunk.  Both methods raise the error that
-    `DepthTable` and a per-event walk raise at the first bad event of
-    the chunk, after applying the events before it.
+    Job chunks are appended by `insert_chunk`.  `freeze` sorts the jobs
+    by id once the arcs begin or the stream ends, and finds a repeated
+    id then; after it, an arc's ends are found by one ``searchsorted``
+    per chunk.  `raise_chunk` raises the error that `DepthTable` and a
+    per-event walk raise at the first bad arc of the chunk, after
+    applying the arcs before it.
     """
 
     def __init__(self):
         self._id_parts: list[np.ndarray] = []
         self._u_parts: list[np.ndarray] = []
-        self._sorted: np.ndarray | None = None  # all ids so far, sorted, once they came out of order
         self.ids: np.ndarray | None = None  # sorted job ids, from `freeze` on
         self.u: np.ndarray | None = None  # bucket of each job, in `ids` order; -1 marks a skipped job
         self.depth: list[int] = []  # depth of each job, in `ids` order
         self._source: np.ndarray | None = None  # job has been an arc source
 
     def insert_chunk(self, ids: np.ndarray, u: np.ndarray) -> None:
-        """`DepthTable.insert` for a chunk of ids with their buckets."""
-        if ids.size == 0:
-            return
-        last = self._id_parts[-1][-1] if self._id_parts else 0
-        # ids ascending past every earlier id cannot repeat one (the usual case)
-        if self._sorted is not None or ids[0] <= last or (ids[1:] <= ids[:-1]).any():
-            if self._sorted is None:
-                self._sorted = np.concatenate(self._id_parts) if self._id_parts else ids[:0]
-            order = np.argsort(ids, kind="stable")
-            ranked = ids[order]
-            repeat = _find(self._sorted, ids)[1]
-            repeat[order[1:][ranked[1:] == ranked[:-1]]] = True  # equal to an earlier id of the chunk
-            if repeat.any():
-                raise InputContractError(f"duplicate job id {ids[repeat.argmax()]} in stream")
-            # two sorted runs, which the stable sort (timsort) merges in linear time
-            self._sorted = np.sort(np.concatenate((self._sorted, ranked)), kind="stable")
+        """Append a chunk of job ids with their buckets; `freeze` checks the ids."""
         self._id_parts.append(ids)
         self._u_parts.append(u)
 
     def freeze(self) -> None:
-        """Sort the jobs by id once all of them have arrived; later calls do nothing."""
+        """Sort the jobs by id once all of them have arrived; later calls do nothing.
+
+        Raises ``duplicate job id X in stream`` for the earliest row, in
+        stream order, whose id an earlier row holds.  The ids are sorted
+        only when they are not strictly ascending, as a repeat is not.
+        """
         if self.ids is not None:
             return
         ids = np.concatenate(self._id_parts) if self._id_parts else np.empty(0, dtype=np.int64)
         u = np.concatenate(self._u_parts) if self._u_parts else ids
-        if self._sorted is not None:
-            order = np.argsort(ids)
-            ids, u = ids[order], u[order]
+        self._id_parts = self._u_parts = []  # released before the depth column is built
         self.ids, self.u = ids, u
+        if (ids[1:] <= ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            self.ids, self.u = ids[order], u[order]
+            repeats = order[1:][self.ids[1:] == self.ids[:-1]]  # each row after the first of its id
+            if repeats.size:
+                raise InputContractError(f"duplicate job id {ids[repeats.min()]} in stream")
         self.depth = [1] * ids.size
         self._source = np.zeros(ids.size, dtype=bool)
-        self._id_parts = self._u_parts = []
 
     def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: list | None = None) -> None:
         """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
 
         Appends the job position, old depth and new depth of each depth
-        raised, in order, to ``raises`` when given: three ints a raise.  The checks at one
-        arc are those of `reject`.  Arcs that pass them form an acyclic
-        graph, so no depth they raise can pass the job count.
+        raised, in order, to ``raises`` when given: three ints a raise.
+        The checks at the first bad arc ``a -> b``, in order: ``b`` was
+        already a source, ``a`` or ``b`` is unseen, and a self-loop,
+        which would raise the job past the job count or else forms a
+        cycle.  Arcs that pass them form an acyclic graph, so no depth
+        they raise can pass the job count.
         """
         self.freeze()
         if src.size == 0:
             return
-        s, s_known = _find(self.ids, src)
-        t, t_known = _find(self.ids, dst)
+        if self.ids.size == 0:  # no jobs: the first arc's source is unseen
+            raise InputContractError(f"arc references unseen job id {src[0]}")
+        ends = np.stack((src, dst))  # their positions among the sorted ids, and whether each is there
+        pos = np.minimum(np.searchsorted(self.ids, ends), self.ids.size - 1)
+        (s, t), (s_known, t_known) = pos, self.ids[pos] == ends
         late = ends_at_earlier_source(src, dst) | (t_known & self._source[t])
         bad = late | ~s_known | ~t_known | (src == dst)
         stop = int(bad.argmax()) if bad.any() else src.size
@@ -398,27 +389,17 @@ class DepthColumns:
                     raises += (b, depth[b], d)
                 depth[b] = d
         self._source[s[:stop]] = True
-        if stop < src.size:
-            self.reject(int(src[stop]), int(dst[stop]))
-
-    def reject(self, a: int, b: int) -> NoReturn:
-        """Raise the error of the bad arc ``a -> b``, given the arcs before it.
-
-        Its checks, in order: ``b`` was already a source, ``a`` or ``b``
-        is unseen, and a self-loop, which would raise the job past the
-        job count or else forms a cycle.
-        """
-        (s, t), (s_known, t_known) = _find(self.ids, np.array([a, b], dtype=np.int64))
-        if t_known and self._source[t]:
+        if stop == src.size:
+            return
+        a, b = int(src[stop]), int(dst[stop])
+        if late[stop]:
             raise CycleSuspicionError(
                 f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
             )
-        for job_id, known in ((a, s_known), (b, t_known)):
-            if not known:
-                raise InputContractError(f"arc references unseen job id {job_id}")
-        new_depth = self.depth[s] + 1
-        if new_depth > len(self.depth):
-            raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(self.depth)}")
+        if not (s_known[stop] and t_known[stop]):
+            raise InputContractError(f"arc references unseen job id {a if not s_known[stop] else b}")
+        if depth[s[stop]] >= len(depth):
+            raise CycleSuspicionError(f"depth {depth[s[stop]] + 1} exceeds job count {len(depth)}")
         raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
 
     def count_into(self, sk: TreeSketch) -> None:

@@ -254,44 +254,49 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     p_max_run = 1
     cutoff = gb.floor_log(p_max_run, n_sq)
     n = arcs = 0  # job and arc events
-    for chunk in _chunks(events):
-        if isinstance(chunk, ArcChunk):
-            arcs += len(chunk.src)
-            if given:  # the known-depth modes pass over arc events
+    try:
+        for chunk in _chunks(events):
+            if isinstance(chunk, ArcChunk):
+                arcs += len(chunk.src)
+                if given:  # the known-depth modes pass over arc events
+                    continue
+                raises = []
+                columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts last
+                b, d, d_new = np.array(raises, dtype=np.int64).reshape(-1, 3).T
+                u = columns.u[b]
+                counted = u >= cutoff  # kept and never evicted: the cutoff is final once the arcs begin
+                sk.move_counts(u[counted], d[counted], d_new[counted])
                 continue
-            raises = []
-            columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts at the end
-            b, d, d_new = np.array(raises, dtype=np.int64).reshape(-1, 3).T
-            u = columns.u[b]
-            counted = u >= cutoff  # kept and never evicted: the cutoff is final once the arcs begin
-            sk.move_counts(u[counted], d[counted], d_new[counted])
-            continue
-        _, p, depth = chunk
-        n += p.size  # each job is counted, skipped or evicted, or raises
-        if p.size == 0:
-            continue
-        p_lo, p_hi = int(p.min()), int(p.max())
-        if given:
-            d_lo, d_hi = (0, 0) if depth is None else (int(depth.min()), int(depth.max()))  # no depths: rejected
-            if p_lo < 1 or d_lo < 1 or d_hi > h or p_hi > p_cap:
-                _reject_jobs(chunk, gb, h, p_cap)
-            held[depth] = True
-        elif columns.ids is not None:  # frozen by the first arc chunk
-            gb.index(p[0])  # the job's p is checked before its place in the stream
-            raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
-        elif p_lo < 1:  # raises at its row, after inserting the rows before it: a repeated id there comes first
-            k = int((p < 1).argmax())
-            columns.insert_chunk(chunk.ids[:k], gb.index_array(p[:k]))
-            gb.index(p[k])
-        us = gb.index_array(p)
-        if not given:
-            depth = np.ones_like(us)
-        sk.note_processing_time(p_lo)
-        sk.note_processing_time(p_hi)
-        if given or capped:
-            p_max_run, cutoff = _count_chunk(p, us, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
-        if not given:
-            columns.insert_chunk(chunk.ids, us)  # with the skips marked
+            _, p, depth = chunk
+            n += p.size  # each job is counted, skipped or evicted, or raises
+            if p.size == 0:
+                continue
+            p_lo, p_hi = int(p.min()), int(p.max())
+            if given:
+                d_lo, d_hi = (0, 0) if depth is None else (int(depth.min()), int(depth.max()))  # no depths: rejected
+                if p_lo < 1 or d_lo < 1 or d_hi > h or p_hi > p_cap:
+                    _reject_jobs(chunk, gb, h, p_cap)
+                held[depth] = True
+            elif columns.ids is not None:  # frozen by the first arc chunk
+                gb.index(p[0])  # the job's p is checked before its place in the stream
+                raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
+            elif p_lo < 1:  # raises at its row, after inserting the rows before it for `freeze` to check
+                k = int((p < 1).argmax())
+                columns.insert_chunk(chunk.ids[:k], gb.index_array(p[:k]))
+                gb.index(p[k])
+            us = gb.index_array(p)
+            if not given:
+                depth = np.ones_like(us)
+            sk.note_processing_time(p_lo)
+            sk.note_processing_time(p_hi)
+            if given or capped:
+                p_max_run, cutoff = _count_chunk(p, us, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
+            if not given:
+                columns.insert_chunk(chunk.ids, us)  # with the skips marked
+    except Exception:  # a repeated id on an earlier row wins: `freeze` raises it first
+        if columns is not None:
+            columns.freeze()
+        raise
     h_run = h
     if not given:
         columns.freeze()

@@ -214,6 +214,17 @@ class TestSchedule:
         rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
         assert [int(machine) for _, machine, _, _ in rows] == [j // 2 + 1 for j in range(16)]
 
+    def test_completion_past_int64_exits_3(self, tmp_path, capsys):
+        """A job placed at its depth's start that runs past int64 is an error, not a wrapped completion."""
+        inst, res, csv = tmp_path / "i.txt", tmp_path / "r.json", tmp_path / "s.csv"
+        inst.write_text(f"J 1 1 1\nJ 2 {2**62} 2\nA 1 2\n")
+        res.write_text(json.dumps({"algorithm": "stream2", "sks": [2**62, 2**62 + 2]}))
+        rc = main(["schedule", "--sks", str(res), "--in", str(inst), "--m", "2", "--out", str(csv)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: job 2 completion time {2**63} exceeds 2**63 - 1\n")
+        assert not csv.exists()
+
     @pytest.mark.parametrize(
         "text,where",
         [
@@ -254,6 +265,15 @@ class TestOracle:
         inst.write_text("J 1 1 1\nJ 2 1 2\nA 1 2\nA 2 2\n")
         assert main(["oracle", which, "--in", str(inst), "--m", "1"]) == 3
         assert capsys.readouterr().err == f"error: {inst}:4: self-loop arc (2 -> 2) forms a cycle\n"
+
+    @pytest.mark.parametrize("job,arc", [("", ""), ("J 3 1\n", "A 2 3\n")])
+    @pytest.mark.parametrize("which", ["exact", "list"])
+    def test_completion_past_int64_exits_3(self, tmp_path, capsys, which, job, arc):
+        """A chain whose optimum is 2**63 or more: the list schedule's second completion is past int64."""
+        inst = tmp_path / "i.txt"
+        inst.write_text(f"J 1 {2**62}\nJ 2 {2**62}\n{job}A 1 2\n{arc}")
+        assert main(["oracle", which, "--in", str(inst), "--m", "1"]) == 3
+        assert capsys.readouterr() == ("", f"error: job 2 completion time {2**63} exceeds 2**63 - 1\n")
 
     def test_guard_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
@@ -537,6 +557,7 @@ MALFORMED_INPUTS = {
     "stream1 declared n differs": (
         ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--n", "5", "--in", "{inst}"], 3, None
     ),
+    "stream2 arcs without jobs": (["stream2", "--epsilon", "0.3", "--m", "1", "--in", "{tmp}/arcs.txt"], 3, None),
     "stream2 declared n differs": (["stream2", "--epsilon", "0.3", "--m", "1", "--n", "5", "--in", "{inst}"], 3, None),
     "threads not an integer": (
         ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--trials", "2", "--in", "{inst}"], 2, None
@@ -556,6 +577,7 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys, monke
     for path in (inst, tmp_path / "side.txt"):
         path.write_text("# sched-stream v1\nJ 1 1 1\nJ 2 2 2\nA 1 2\n")
     (tmp_path / "side.txt.meta.json").write_text('{"m": 2}')  # `read_instance` takes m from here
+    (tmp_path / "arcs.txt").write_text("A 1 2\n")
     result.write_text(result_text or "{}")
     assert main([arg.format(tmp=tmp_path, inst=inst, result=result) for arg in argv]) == code
     err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """One-pass streaming algorithms: traced values, contracts, invariants."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import schedsketch as ss
 from conftest import SingleUse, random_instance
 from per_event import stream_per_event
-from schedsketch import fileio, model, streaming
+from schedsketch import core, fileio, model, streaming
 from schedsketch.sketch import DepthColumns, TreeSketch, bucket_loads
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
@@ -445,6 +447,9 @@ COLUMNAR_CASES = {
     "repeat across chunks": (_jobs(1, 2, 3, 2), "duplicate job id 2 in stream"),
     "repeat across ascending chunks": (_jobs(1, 3, 3, 4), "duplicate job id 3 in stream"),
     "repeat after unsorted ids": (_jobs(4, 1, 3, 2, 4), "duplicate job id 4 in stream"),
+    "first repeat not the smallest": (_jobs(5, 3, 5, 3), "duplicate job id 5 in stream"),
+    # `_Row` skips `Job`'s own checks, so the engine meets p = 0 at its row, in a later chunk of the chunk forms
+    "repeat before a later p = 0": (_jobs(1, 2, 1, 3) + [streaming._Row(4, 0)], "duplicate job id 1 in stream"),
     "unseen src": (_jobs(1, 2, 3) + [A(1, 2), A(7, 3)], "arc references unseen job id 7"),
     "unseen dst": (_jobs(1, 2, 3) + [A(1, 2), A(2, 9)], "arc references unseen job id 9"),
     "self-loop past job count": (_jobs(1) + [A(1, 1)], "depth 2 exceeds job count 1"),
@@ -520,6 +525,17 @@ def test_arc_modes_check_p_at_its_row(ids, p, error, lists):
     for mode, params in _arc_mode_params(len(ids)):
         assert _outcome(lambda: stream_per_event(stream, params, mode)) == error
         assert _outcome(lambda: STREAMING_ALGORITHMS[mode](stream, params)) == error
+
+
+@pytest.mark.parametrize("rows", [1, 256])
+def test_arc_modes_reject_arcs_without_jobs(rows):
+    """Arcs with no job before them: the first arc's source is unseen, in every input form."""
+    events = [A(1, 2), A(2, 3)]
+    for mode, params in _arc_mode_params(1):
+        want = _outcome(lambda: stream_per_event(events, params, mode))
+        assert want == (ss.InputContractError, "arc references unseen job id 1")
+        for source in _arc_mode_inputs(events, rows).values():
+            assert _outcome(lambda: STREAMING_ALGORITHMS[mode](source(), params)) == want
 
 
 def test_arc_modes_reject_p_past_int64():
@@ -709,6 +725,8 @@ def test_stream4_evicted_job_raised_by_an_arc(rows, monkeypatch):
 def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight, epsilon, more, edge):
     """stream4 (and stream2) on events and on list and int64 chunks of 1..64 rows report what the per-event route does.
 
+    Ids are 1..n in any order, or drawn with repeats and gaps, so the checks that `freeze` makes once
+    the arcs begin or the stream ends are compared too.
     Log-spread p, drawn or ascending, so the capped mode skips and evicts; arcs in topological order,
     or as drawn (back arcs, unseen ids and self-loops), so errors are compared too.  ``more`` adds
     that many seeded jobs, each with one arc from an earlier id: with ascending p, the per-event
@@ -722,7 +740,8 @@ def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight
     if ascending:
         p.sort()
     n = len(p)
-    ids = data.draw(st.permutations(range(1, n + 1)))
+    some_ids = st.lists(st.integers(1, n + 2), min_size=n, max_size=n)  # repeats and gaps
+    ids = data.draw(st.one_of(st.permutations(range(1, n + 1)), some_ids))
     arcs = data.draw(st.lists(st.tuples(st.integers(1, n + 1), st.integers(1, n + 1)), max_size=3 * (n - more)))
     arcs += [(int(rng.integers(1, b)), b) for b in range(n - more + 1, n + 1) if b > 1]
     if not scrambled:  # each job's in-arcs before its out-arcs
@@ -737,6 +756,21 @@ def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight
         want = _outcome(lambda: stream_per_event(events, params, mode, tight))
         for source in _arc_mode_inputs(events, rows).values():
             assert _outcome(lambda: STREAMING_ALGORITHMS[mode](source(), params, tight=tight)) == want
+
+
+def test_stream4_peak_bytes_per_job():
+    """stream4's traced peak on a 15,000-job event list, as the benchmark takes it: job parts go before depths come."""
+    inst = ss.layered([5000] * 3, c=50, m=100, seed=1)
+    events = list(inst.events(with_depth=False))
+    gc.collect()
+    core._buckets_for.cache_clear()  # the bucket tables count, as in a fresh process
+    tracemalloc.start()
+    try:
+        ss.stream_alpha_unknown(events, P(epsilon=0.3, m=100, n=inst.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / inst.n <= 40
 
 
 def test_columnar_stream2_long_chain(monkeypatch):
