@@ -19,6 +19,7 @@ decides the rest with exact integer comparisons.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,6 +121,8 @@ class GeometricBuckets:
     ``delta`` is the given IEEE double.  Boundary ``u`` of the internal
     table is the smallest integer in bucket ``u``; the table grows
     lazily and lookups are a bisection, so per-call cost is O(log u).
+    Growth takes a lock and publishes a new table, so threads (the CLI's
+    trials) may share one.
     """
 
     def __init__(self, delta: float):
@@ -138,16 +141,24 @@ class GeometricBuckets:
         # _pnum == _bnum ** (len(_bounds) - 1), kept for cheap extension
         self._bounds: list[int] = [1]
         self._pnum = 1
-        self._np_cache: np.ndarray | None = None
+        self._np_cache = np.array(self._bounds, dtype=np.int64)
+        self._lock = threading.Lock()
 
     def _extend_past(self, p: int) -> None:
         if self._bounds[-1] > p:
             return
-        while self._bounds[-1] <= p:
-            self._pnum *= self._bnum
-            # ceil(_pnum / 2**(shift*u)) for the new boundary u
-            self._bounds.append(-((-self._pnum) >> (self._shift * len(self._bounds))))
-        self._np_cache = None
+        with self._lock:
+            if self._bounds[-1] > p:  # another thread extended it meanwhile
+                return
+            bounds, pnum = self._bounds[:], self._pnum
+            while bounds[-1] <= p:
+                pnum *= self._bnum
+                # ceil(pnum / 2**(shift*u)) for the new boundary u
+                bounds.append(-((-pnum) >> (self._shift * len(bounds))))
+            # a bound past int64 exceeds every entry, so leaving it out changes no index;
+            # the array goes out before the list, so a reader seeing the new bounds sees it too
+            self._np_cache = np.array(bounds[: bisect_left(bounds, 2**63)], dtype=np.int64)
+            self._bounds, self._pnum = bounds, pnum
 
     def index(self, p: int) -> int:
         """Bucket of integer ``p >= 1``: the unique u with base**u <= p < base**(u+1)."""
@@ -168,9 +179,6 @@ class GeometricBuckets:
         if p.size == 0:
             return np.empty(0, dtype=np.int64)
         self._extend_past(int(p.max()))
-        if self._np_cache is None:
-            # a bound past int64 exceeds every entry, so leaving it out changes no index
-            self._np_cache = np.array(self._bounds[: bisect_left(self._bounds, 2**63)], dtype=np.int64)
         return np.searchsorted(self._np_cache, p, side="right") - 1
 
     def pow_cmp(self, u: int, num: int, den: int = 1) -> int:

@@ -29,6 +29,11 @@ deterministic under (instance, params, seed).
 When the derived n' reaches n, sampling degenerates to reading all n
 jobs exactly once; the estimates are then exact and the thresholding
 still applies.
+
+Draws are counted a chunk at a time: when a chunk holds no more
+possible (p, depth) pairs than draws, one ``bincount`` tallies the
+pairs and only the distinct p are bucketed; otherwise every draw is
+bucketed and the (bucket, depth) pairs are counted by `pair_counts`.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ class SampleAccess(Protocol):
     n: int
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (p, depth) arrays for the given job ids."""
+        """Return int64 (p, depth) arrays for the given job ids, every entry >= 1."""
         ...
 
 
@@ -92,8 +97,10 @@ class ChainAccess:
         self.cstar = q * h
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        depth = (ids - 1) % self.h + 1
-        return np.ones(ids.size, dtype=np.int64), depth.astype(np.int64)
+        depth = ids - 1
+        depth %= self.h
+        depth += 1
+        return np.ones(ids.size, dtype=np.int64), depth
 
 
 class TwoValueAccess:
@@ -106,6 +113,8 @@ class TwoValueAccess:
     def __init__(self, n: int, n_big: int, p_big: int, p_small: int):
         if not (1 <= n_big <= n) or p_big < p_small or p_small < 1:
             raise InputContractError("need 1 <= n_big <= n and p_big >= p_small >= 1")
+        if p_big >> 63:
+            raise InputContractError(f"p_big {p_big} exceeds 2**63 - 1")
         self.n = n
         self.n_big = n_big
         self.p_big = p_big
@@ -116,7 +125,9 @@ class TwoValueAccess:
         return self.n_big * self.p_big + (self.n - self.n_big) * self.p_small
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = np.where(ids <= self.n_big, self.p_big, self.p_small).astype(np.int64)
+        p = (ids <= self.n_big).astype(np.int64)  # 0 or 1, scaled in place: cheaper than np.where
+        p *= self.p_big - self.p_small
+        p += self.p_small
         return p, np.ones(ids.size, dtype=np.int64)
 
 
@@ -166,16 +177,34 @@ def estimate_counts(
             ids = rng.integers(1, n + 1, size=take, dtype=np.int64)
         p, depth = access.fetch(ids)
         done += take
-        if p_cap is not None and p.size and int(p.max()) > p_cap:
-            raise InputContractError(f"sampled job has p={int(p.max())} > c={p_cap}")
-        if h_cap is not None and depth.size and int(depth.max()) > h_cap:
-            raise InputContractError(f"sampled job has depth {int(depth.max())} > h={h_cap}")
-        if min_p is not None:
-            keep = p > min_p
-            p, depth = p[keep], depth[keep]
-        if p.size == 0:
-            continue
-        for u, d, cnt in zip(*pair_counts(buckets.index_array(p), depth)):
+        p_max, d_max = int(p.max()), int(depth.max())
+        if p_cap is not None and p_max > p_cap:
+            raise InputContractError(f"sampled job has p={p_max} > c={p_cap}")
+        if h_cap is not None and d_max > h_cap:
+            raise InputContractError(f"sampled job has depth {d_max} > h={h_cap}")
+        width = d_max + 1
+        if (p_max + 1) * width <= take:  # few distinct values: count the (p, d) pairs, then bucket each p once
+            key = p * width
+            key += depth
+            table = np.bincount(key, minlength=(p_max + 1) * width).reshape(p_max + 1, width)  # draws at each (p, d)
+            ps = np.flatnonzero(table.any(axis=1))
+            if min_p is not None:
+                ps = ps[ps > min_p]
+            if ps.size == 0:
+                continue
+            us = buckets.index_array(ps)
+            starts = np.flatnonzero(np.diff(us, prepend=us[0] - 1))  # u rises with p: each bucket's rows together
+            grouped = np.add.reduceat(table[ps], starts, axis=0)
+            rows, ds = np.nonzero(grouped)  # in increasing (u, d), as `pair_counts` gives them
+            found = us[starts][rows].tolist(), ds.tolist(), grouped[rows, ds].tolist()
+        else:
+            if min_p is not None:
+                keep = p > min_p
+                p, depth = p[keep], depth[keep]
+            if p.size == 0:
+                continue
+            found = pair_counts(buckets.index_array(p), depth)
+        for u, d, cnt in zip(*found):
             counts[d, u] = counts.get((d, u), 0) + cnt
     return counts, draws
 

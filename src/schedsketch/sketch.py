@@ -30,15 +30,20 @@ from .model import ends_at_earlier_source
 
 
 def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
-    """The distinct pairs of two int64 columns ``u >= 0``, ``d >= 0``, with their counts.
+    """The distinct pairs of two int64 columns ``u`` and ``d >= 0``, with their counts.
 
     Returns (us, ds, counts), sorted by (u, d), so each depth's pairs
     come in increasing u; with ``first``, also an array of the row at
     which each pair first appears.
     """
-    width = int(d.max()) + 1
-    # the key u * width + d is exact in int64 while (max(u) + 1) * width <= 2**63
-    if (int(u.max()) + 1) * width <= 1 << 63:
+    width, lo, hi = int(d.max()) + 1, int(u.min()), int(u.max())
+    # the key u * width + d runs from lo * width to below (hi + 1) * width
+    if not first and lo >= 0 and (hi + 1) * width <= u.size:  # no more keys than rows: count them in place
+        tally = np.bincount(u * width + d)
+        keys = np.flatnonzero(tally)
+        us, ds = np.divmod(keys, width)
+        return us.tolist(), ds.tolist(), tally[keys].tolist()
+    if -(1 << 63) <= lo * width and (hi + 1) * width <= 1 << 63:  # the key is exact in int64
         found = np.unique(u * width + d, return_index=first, return_counts=True)
         us, ds = np.divmod(found[0], width)
     else:

@@ -543,6 +543,10 @@ MALFORMED_INPUTS = {
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
          "--in", "alpha-mixed:n=100,alpha=0.5,small=1"], 2, None
     ),
+    "implicit alpha-mixed pbig past int64": (
+        ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
+         "--in", "alpha-mixed:n=100,alpha=0.5,pbig=9223372036854775808,small=1"], 3, None
+    ),
     "gen shape not integers": (["gen", "--family", "layered", "--shape", "3/x", "--out", "{tmp}/g.txt"], 2, None),
     "result not JSON": (_SCHEDULE, 3, "not json"),
     "result a JSON list": (_SCHEDULE, 3, "[6, 12]"),

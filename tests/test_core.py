@@ -1,10 +1,14 @@
 """Parameter derivation and geometric bucketing."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +250,31 @@ class TestFloorLog:
             power *= b
         gb.index(want[-1])
         assert gb._bounds[:2001] == want
+
+    def test_threads_extending_one_table_agree_with_one_thread(self):
+        # CLI trials run on threads and share `buckets_for(delta)`; thread
+        # switches every microsecond land inside the extension loop
+        want = ss.GeometricBuckets(0.005)
+        want.index(10**12)
+        probes = np.array([1, 2, 10**6, 10**12], dtype=np.int64)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                gb = ss.GeometricBuckets(0.005)
+                start = threading.Barrier(4)
+
+                def extend(gb=gb, start=start):
+                    start.wait()
+                    return gb.index(10**12), gb.index_array(probes).tolist()
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = [f.result() for f in [pool.submit(extend) for _ in range(4)]]
+                assert gb._bounds == want._bounds
+                assert gb._np_cache.tolist() == want._np_cache.tolist()
+                assert got == [(want.index(10**12), want.index_array(probes).tolist())] * 4
+        finally:
+            sys.setswitchinterval(old)
 
 
 def test_snapped_floor():

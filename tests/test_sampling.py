@@ -1,11 +1,15 @@
 """Randomized sampling algorithms: accounting, exactness, statistics."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schedsketch as ss
+from schedsketch import sampling
 from schedsketch.sampling import _scaled_estimates
 
 
@@ -45,9 +49,85 @@ class TestEstimateCounts:
         )
         assert counts == {(deep, 44): 1, (1, 44): 1}
 
+    def test_cap_is_checked_before_depth(self):
+        inst = ss.Instance(p=[1, 9], depth=[1, 5], arcs=np.empty((0, 2)), m=1)
+        with pytest.raises(ss.InputContractError, match=r"^sampled job has p=9 > c=2$"):
+            ss.estimate_counts(ss.ArrayAccess(inst), 10**9, ss.buckets_for(0.025), np.random.default_rng(0), p_cap=2, h_cap=1)
+
+    @pytest.mark.parametrize(
+        "access,sizes",
+        [
+            (ss.TwoValueAccess(n=1000, n_big=500, p_big=10, p_small=1), [2]),  # 5000 draws, 22 (p, d) cells
+            (ss.ChainAccess(m=1, q=100, h=3), [1]),
+            (ss.ArrayAccess(ss.Instance(p=np.arange(1, 10**4 + 1) * 10**6, depth=np.ones(10**4), arcs=[], m=1)), [5000]),
+        ],
+    )
+    def test_distinct_values_are_bucketed_once(self, access, sizes):
+        """Few (p, d) values for the draws: each distinct p is bucketed once; else every draw is."""
+        gb, asked = ss.buckets_for(0.025), []
+
+        class Spy:
+            def index_array(self, p):
+                asked.append(p.size)
+                return gb.index_array(p)
+
+        counts, _ = ss.estimate_counts(access, 5000, Spy(), np.random.default_rng(0))
+        assert asked == sizes
+        assert counts == ss.estimate_counts(access, 5000, gb, np.random.default_rng(0))[0]
+
     def test_rejects_zero_draws(self):
         with pytest.raises(ss.InputContractError):
             ss.estimate_counts(ss.ChainAccess(1, 1, 1), 0, ss.buckets_for(0.025), np.random.default_rng(0))
+
+
+def _per_draw_counts(p: list, depth: list, n_draws: int, gb, rng, min_p, chunk: int) -> tuple:
+    """`estimate_counts` one draw at a time: each chunk's pairs join the dict in increasing (u, d)."""
+    n = len(p)
+    draws = min(n, n_draws)
+    out = {}
+    for lo in range(0, draws, chunk):
+        take = min(chunk, draws - lo)
+        ids = range(lo + 1, lo + take + 1) if n_draws >= n else rng.integers(1, n + 1, size=take, dtype=np.int64).tolist()
+        tally = Counter((gb.index(p[i - 1]), depth[i - 1]) for i in ids if min_p is None or p[i - 1] > min_p)
+        for u, d in sorted(tally):
+            out[d, u] = out.get((d, u), 0) + tally[u, d]
+    return out, draws
+
+
+@st.composite
+def _sampled_instances(draw) -> tuple:
+    """(p, depth): p in a narrow or a wide range, depths small or past 2**32."""
+    n = draw(st.integers(1, 40))
+    p_hi = draw(st.sampled_from([1, 3, 10**12]))
+    p = draw(st.lists(st.integers(1, p_hi), min_size=n, max_size=n))
+    d_hi = draw(st.sampled_from([1, 3]))
+    deep = draw(st.sampled_from([None, None, 2**33, 2**62]))
+    depth = draw(st.lists(st.sampled_from(list(range(1, d_hi + 1)) + ([deep] if deep else [])), min_size=n, max_size=n))
+    return p, depth
+
+
+class TestEstimateCountsPerDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inst=_sampled_instances(),
+        draws=st.integers(1, 100),
+        seed=st.integers(0, 2**32),
+        cut=st.sampled_from([None, 0.5, "some", "tie", 1e13]),
+        chunk=st.sampled_from([4, 16, 1 << 20]),
+    )
+    def test_equals_the_per_draw_count(self, inst, draws, seed, cut, chunk):
+        """Both counting routes give the per-draw count, keys in the same order, over any chunk size."""
+        p, depth = inst
+        mid = float(sorted(p)[len(p) // 2])
+        min_p = {"some": mid - 0.5, "tie": mid}.get(cut, cut)  # "tie": some p equal min_p and are dropped
+        gb = ss.buckets_for(0.025)
+        access = ss.ArrayAccess(ss.Instance(p=p, depth=depth, arcs=np.empty((0, 2)), m=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_CHUNK", chunk)
+            got = ss.estimate_counts(access, draws, gb, np.random.default_rng(seed), min_p=min_p)
+        want = _per_draw_counts(p, depth, draws, gb, np.random.default_rng(seed), min_p, chunk)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Input sketch operations: add, move, prune, chunk counts, restrict, serialization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import schedsketch as ss
 from schedsketch.sketch import (
     TreeSketch,
+    pair_counts,
     sketch_from_json,
     sketch_to_json,
 )
@@ -395,3 +398,42 @@ class TestDepthTable:
         t.raise_depth(1, 5)
         with pytest.raises(ss.InvariantViolationError):
             t.raise_depth(1, 2)
+
+
+def _pairs_by_counter(u: list, d: list) -> tuple:
+    """(us, ds, counts, first rows) of the distinct (u, d) pairs, sorted, by a Counter."""
+    tally, firsts = Counter(zip(u, d)), {}
+    for row, key in enumerate(zip(u, d)):
+        firsts.setdefault(key, row)
+    keys = sorted(tally)
+    return [k[0] for k in keys], [k[1] for k in keys], [tally[k] for k in keys], [firsts[k] for k in keys]
+
+
+class TestPairCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 3)), min_size=1, max_size=60),
+        base=st.sampled_from([0, 0, 0, 2**62, -(2**62)]),  # keys u * width + d past int64 either way
+        deep=st.sampled_from([0, 0, 2**40]),
+    )
+    def test_routes_agree_with_a_counter(self, rows, base, deep):
+        """The counting route (no ``first``), the sorting route (``first``) and a Counter agree field for field."""
+        u = [r[0] + base for r in rows]
+        d = [r[1] + deep for r in rows]
+        want = _pairs_by_counter(u, d)
+        counted = pair_counts(np.array(u, dtype=np.int64), np.array(d, dtype=np.int64))
+        *sorted_, firsts = pair_counts(np.array(u, dtype=np.int64), np.array(d, dtype=np.int64), first=True)
+        assert list(counted) == sorted_ == list(want[:3])
+        assert firsts.tolist() == want[3]
+        assert all(type(x) is int for field in counted for x in field)
+
+    def test_few_keys_skip_the_sort(self, monkeypatch):
+        """No more keys than rows and no ``u < 0``: the pairs are counted, not sorted."""
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        u, d = np.array([2, 0, 2, 2, 1, 0], dtype=np.int64), np.array([1, 1, 1, 0, 0, 1], dtype=np.int64)
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert pair_counts(u, d) == ([0, 1, 2, 2], [1, 0, 0, 1], [2, 1, 1, 2])
+        with pytest.raises(AssertionError, match="np.unique called"):
+            pair_counts(np.where(u == 1, -1, u), d)  # a u = -1 row takes the sort
