@@ -50,10 +50,11 @@ from .model import (
     Instance,
     Job,
     JobChunk,
+    NO_SOURCE,
     RunReport,
     ScheduleSketch,
     StreamEvent,
-    ends_at_earlier_source,
+    source_lag,
 )
 from .generators import FAMILIES, generate
 from .sampling import ChainAccess, SampleAccess, TwoValueAccess
@@ -116,9 +117,14 @@ class _Reader:
     def __init__(self, path: str):
         self.path = path
         self.lineno = 0  # lines before the current block
-        self.jobs_done = False  # an arc line has been read
+        self.rows = 0  # job lines read
+        self.arcs = 0  # arc lines read
         self.has_depth: bool | None = None  # the depth convention, once a job line fixed it
-        self.sources: set[int] = set()  # arc sources so far; no later arc may end at one
+        # from the first arc line on, per arc end 1..rows: the position of its first arc as a source,
+        # so no later arc may end there; arc ends outside 1..rows, which come only from gapped or
+        # huge ids, go to the line parser and its set instead, so nothing is allocated by id value
+        self.first: np.ndarray | None = None
+        self.sources: set[int] = set()  # arc sources outside 1..rows
 
     def bulk(self, block: str) -> list[Chunk] | None:
         """A block's chunks when it is in the canonical form, else None.
@@ -133,26 +139,34 @@ class _Reader:
         if match is None:
             return None
         chunks: list[Chunk] = []
-        has_depth = self.has_depth
+        has_depth, rows = self.has_depth, self.rows
         split = match.end("jobs")
         if split:
-            rows = text.count("\n", 0, split)
+            lines = text.count("\n", 0, split)
             vals = np.fromstring(text[:split].replace("J", ""), dtype=np.int64, sep=" ")
-            if self.jobs_done or vals.size not in (2 * rows, 3 * rows):
+            if self.first is not None or vals.size not in (2 * lines, 3 * lines):
                 return None
-            has_depth = vals.size == 3 * rows
+            has_depth = vals.size == 3 * lines
             if self.has_depth not in (None, has_depth):
                 return None
-            cols = vals.reshape(rows, -1).T
+            cols = vals.reshape(lines, -1).T
             chunks.append(JobChunk(cols[0], cols[1], cols[2] if has_depth else None))
+            rows += lines
+        first = self.first
         if split < len(text):
             src, dst = np.fromstring(text[split:].replace("A", ""), dtype=np.int64, sep=" ").reshape(-1, 2).T
-            if not self.sources.isdisjoint(dst.tolist()) or ends_at_earlier_source(src, dst).any() or (src == dst).any():
+            if max(int(src.max()), int(dst.max())) > rows:  # canonical numbers are >= 1
+                return None
+            if first is None:
+                first = np.full(rows, NO_SOURCE, dtype=np.int64)
+            s = src - 1
+            held = first[s]
+            if (source_lag(first, s, dst - 1, self.arcs) >= 0).any():  # out of order, or a self-loop
+                first[s] = held
                 return None
             chunks.append(ArcChunk(src, dst))
-            self.sources.update(src.tolist())
-            self.jobs_done = True
-        self.has_depth = has_depth
+            self.arcs += src.size
+        self.has_depth, self.rows, self.first = has_depth, rows, first
         self.lineno += block.count("\n")
         return chunks
 
@@ -163,7 +177,8 @@ class _Reader:
         """
         jobs: list[tuple[int, ...]] = []
         arcs: list[tuple[int, int]] = []
-        jobs_done, has_depth, sources = self.jobs_done, self.has_depth, self.sources
+        has_depth, sources = self.has_depth, self.sources
+        first = None if self.first is None else memoryview(self.first)  # indexed and set as Python ints
         lineno = self.lineno
         error = None
         try:  # zero-cost on valid lines; the handlers add the bad line's file:line
@@ -173,7 +188,7 @@ class _Reader:
                     continue
                 tag = parts[0]
                 if tag == "J":
-                    if jobs_done:
+                    if first is not None:
                         raise InputContractError("job line after arc lines")
                     if len(parts) not in (3, 4):
                         raise InputContractError("expected 'J <id> <p> [<depth>]'")
@@ -194,16 +209,21 @@ class _Reader:
                 elif tag == "A":
                     if len(parts) != 3:
                         raise InputContractError("expected 'A <src> <dst>'")
-                    jobs_done = True
+                    if first is None:
+                        self.first = np.full(self.rows + len(jobs), NO_SOURCE, dtype=np.int64)
+                        first = memoryview(self.first)
                     src, dst = int(parts[1]), int(parts[2])
                     if not (-P_LIMIT - 1 <= src <= P_LIMIT and -P_LIMIT - 1 <= dst <= P_LIMIT):
                         value = src if not -P_LIMIT - 1 <= src <= P_LIMIT else dst
                         raise InputContractError(f"arc end {value} is outside the int64 range")
-                    if dst in sources:
+                    if (first[dst - 1] != NO_SOURCE) if 0 < dst <= len(first) else (dst in sources):
                         raise CycleSuspicionError(f"arc ({src}, {dst}) is not in topological order")
                     if src == dst:
                         raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
-                    sources.add(src)
+                    if 0 < src <= len(first):
+                        first[src - 1] = min(first[src - 1], self.arcs + len(arcs))
+                    else:
+                        sources.add(src)
                     arcs.append((src, dst))
                 else:
                     raise InputContractError(f"unknown line tag {tag!r}")
@@ -211,7 +231,9 @@ class _Reader:
             error = type(exc)(f"{self.path}:{lineno}: {exc}")
         except ValueError as exc:  # a field that is no integer, or a value Job rejects
             error = InputContractError(f"{self.path}:{lineno}: {exc}")
-        self.jobs_done, self.has_depth, self.lineno = jobs_done, has_depth, lineno
+        self.has_depth, self.lineno = has_depth, lineno
+        self.rows += len(jobs)
+        self.arcs += len(arcs)
         if jobs:
             cols = np.array(jobs, dtype=np.int64).T
             yield JobChunk(cols[0], cols[1], cols[2] if has_depth else None)

@@ -70,11 +70,22 @@ class ArcChunk(NamedTuple):
 Chunk = Union[JobChunk, ArcChunk]
 
 
-def ends_at_earlier_source(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Mask of the arcs of a run that end at the source of an earlier arc of the same run."""
-    starts, first = np.unique(src, return_index=True)
-    pos = np.minimum(np.searchsorted(starts, dst), starts.size - 1)
-    return (starts[pos] == dst) & (first[pos] < np.arange(dst.size))
+NO_SOURCE = 2**63 - 1  # the first-source position of a job that no arc has left yet
+
+
+def source_lag(first: np.ndarray, s: np.ndarray, t: np.ndarray, start: int) -> np.ndarray:
+    """Record a run of arcs ``s -> t`` as sources in a first-source column; return each arc's lag.
+
+    ``first`` holds, per job position, the stream position of the job's
+    first arc as a source (`NO_SOURCE` if none).  The run's arcs take
+    positions ``start, start + 1, ...``.  An arc's lag is its position
+    minus its end's first-source position: above 0 where the end was
+    the source of an earlier arc (the stream is not in topological
+    order), 0 where the arc is a self-loop, and below 0 otherwise.
+    """
+    at = np.arange(start, start + s.size)
+    np.minimum.at(first, s, at)
+    return at - first[t]
 
 CHUNK_ROWS = 1 << 16  # events per chunk from `Instance.chunks`, about the rows of a file block
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import GeometricBuckets
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
-from .model import ends_at_earlier_source
+from .model import NO_SOURCE, source_lag
 
 
 def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
@@ -318,24 +318,32 @@ class DepthTable:
         self._rec[job_id] = (new_depth, u)
 
 
-class DepthColumns:
-    """Per-job id, bucket and depth columns for the arc-driven modes.
+# `DepthColumns._settle`'s cost model, from a 2-core x86_64 VM (Python 3.11, numpy 2.4): the per-arc
+# walk takes ~65 ns an arc; a round takes ~2.5 us plus ~3.5 ns an arc
+LOOP_NS_PER_ARC, ROUND_NS, ROUND_NS_PER_ARC = 65, 2500, 3.5
 
-    Job chunks are appended by `insert_chunk`.  `freeze` sorts the jobs
-    by id once the arcs begin or the stream ends, and finds a repeated
-    id then; after it, an arc's ends are found by one ``searchsorted``
-    per chunk.  `raise_chunk` raises the error that `DepthTable` and a
-    per-event walk raise at the first bad arc of the chunk, after
-    applying the arcs before it.
+
+class DepthColumns:
+    """Per-job bucket, depth and first-source columns for the arc-driven modes.
+
+    Job chunks are appended by `insert_chunk`.  `freeze` checks the ids
+    once the arcs begin or the stream ends, and finds a repeated id
+    then.  When the ids are exactly 1..n, a job's position in the
+    columns is its id - 1; any other id set, which `check_ids` rejects
+    at the end of the stream, keeps its ids sorted, and an arc's ends
+    are found by one ``searchsorted`` per chunk.  `raise_chunk` raises
+    the error that `DepthTable` and a per-event walk raise at the first
+    bad arc of the chunk, after applying the arcs before it.
     """
 
     def __init__(self):
         self._id_parts: list[np.ndarray] = []
         self._u_parts: list[np.ndarray] = []
-        self.ids: np.ndarray | None = None  # sorted job ids, from `freeze` on
-        self.u: np.ndarray | None = None  # bucket of each job, in `ids` order; -1 marks a skipped job
-        self.depth: list[int] = []  # depth of each job, in `ids` order
-        self._source: np.ndarray | None = None  # job has been an arc source
+        self.ids: np.ndarray | None = None  # sorted job ids, from `freeze` on, unless they are 1..n
+        self.u: np.ndarray | None = None  # bucket of each job, from `freeze` on; -1 marks a skipped job
+        self.depth: np.ndarray | None = None  # depth of each job
+        self.first: np.ndarray | None = None  # stream position of each job's first arc as a source
+        self.arcs = 0  # arcs taken
 
     def insert_chunk(self, ids: np.ndarray, u: np.ndarray) -> None:
         """Append a chunk of job ids with their buckets; `freeze` checks the ids."""
@@ -343,32 +351,48 @@ class DepthColumns:
         self._u_parts.append(u)
 
     def freeze(self) -> None:
-        """Sort the jobs by id once all of them have arrived; later calls do nothing.
+        """Order the jobs by id once all of them have arrived; later calls do nothing.
 
         Raises ``duplicate job id X in stream`` for the earliest row, in
         stream order, whose id an earlier row holds.  The ids are sorted
-        only when they are not strictly ascending, as a repeat is not.
+        only when they are not strictly ascending, as a repeat is not,
+        and kept only when they are not 1..n.
         """
-        if self.ids is not None:
+        if self.u is not None:
             return
         ids = np.concatenate(self._id_parts) if self._id_parts else np.empty(0, dtype=np.int64)
-        u = np.concatenate(self._u_parts) if self._u_parts else ids
+        self.u = np.concatenate(self._u_parts) if self._u_parts else ids
         self._id_parts = self._u_parts = []  # released before the depth column is built
-        self.ids, self.u = ids, u
         if (ids[1:] <= ids[:-1]).any():
             order = np.argsort(ids, kind="stable")
-            self.ids, self.u = ids[order], u[order]
-            repeats = order[1:][self.ids[1:] == self.ids[:-1]]  # each row after the first of its id
+            ranked = ids[order]
+            repeats = order[1:][ranked[1:] == ranked[:-1]]  # each row after the first of its id
             if repeats.size:
                 raise InputContractError(f"duplicate job id {ids[repeats.min()]} in stream")
-        self.depth = [1] * ids.size
-        self._source = np.zeros(ids.size, dtype=bool)
+            ids, self.u = ranked, self.u[order]
+        if ids.size and (ids[0], ids[-1]) != (1, ids.size):  # distinct sorted ids are 1..n iff they end so
+            self.ids = ids
+        self.depth = np.ones(ids.size, dtype=np.int64)
+        self.first = np.full(ids.size, NO_SOURCE, dtype=np.int64)
 
-    def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: list | None = None) -> None:
+    def _positions(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The job positions of arc ends, 0 for an unseen id, and a mask of the seen ones (None when all are)."""
+        n = self.u.size
+        if self.ids is None:  # ids 1..n
+            pos = ends - 1
+            if 0 <= pos.min() and pos.max() < n:
+                return pos, None
+            seen = (pos >= 0) & (pos < n)
+        else:
+            pos = np.minimum(np.searchsorted(self.ids, ends), n - 1)
+            seen = self.ids[pos] == ends
+        return np.where(seen, pos, 0), seen
+
+    def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: bool = False) -> tuple | None:
         """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
 
-        Appends the job position, old depth and new depth of each depth
-        raised, in order, to ``raises`` when given: three ints a raise.
+        With ``raises``, returns the job position, old depth and new
+        depth of each depth raised, in order, as three int64 arrays.
         The checks at the first bad arc ``a -> b``, in order: ``b`` was
         already a source, ``a`` or ``b`` is unseen, and a self-loop,
         which would raise the job past the job count or else forms a
@@ -377,48 +401,88 @@ class DepthColumns:
         """
         self.freeze()
         if src.size == 0:
-            return
-        if self.ids.size == 0:  # no jobs: the first arc's source is unseen
+            return (src, src, src) if raises else None
+        if self.u.size == 0:  # no jobs: the first arc's source is unseen
             raise InputContractError(f"arc references unseen job id {src[0]}")
-        ends = np.stack((src, dst))  # their positions among the sorted ids, and whether each is there
-        pos = np.minimum(np.searchsorted(self.ids, ends), self.ids.size - 1)
-        (s, t), (s_known, t_known) = pos, self.ids[pos] == ends
-        late = ends_at_earlier_source(src, dst) | (t_known & self._source[t])
-        bad = late | ~s_known | ~t_known | (src == dst)
+        (s, t), seen = self._positions(np.stack((src, dst)))
+        # an unseen end takes position 0, which changes the lags of no arc before the first bad one
+        lag = source_lag(self.first, s, t, self.arcs)
+        self.arcs += src.size
+        bad = lag >= 0 if seen is None else (lag >= 0) | ~(seen[0] & seen[1])
         stop = int(bad.argmax()) if bad.any() else src.size
-        depth = self.depth
-        for a, b in zip(s[:stop].tolist(), t[:stop].tolist()):
-            d = depth[a] + 1
-            if d > depth[b]:
-                if raises is not None:
-                    raises += (b, depth[b], d)
-                depth[b] = d
-        self._source[s[:stop]] = True
-        if stop == src.size:
-            return
-        a, b = int(src[stop]), int(dst[stop])
-        if late[stop]:
-            raise CycleSuspicionError(
-                f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
-            )
-        if not (s_known[stop] and t_known[stop]):
-            raise InputContractError(f"arc references unseen job id {a if not s_known[stop] else b}")
-        if depth[s[stop]] >= len(depth):
-            raise CycleSuspicionError(f"depth {depth[s[stop]] + 1} exceeds job count {len(depth)}")
-        raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
+        before = self.depth[t[:stop]] if raises else None
+        self._settle(s[:stop], t[:stop])
+        if stop < src.size:
+            a, b = int(src[stop]), int(dst[stop])
+            if lag[stop] > 0 and (seen is None or seen[1, stop]):
+                raise CycleSuspicionError(
+                    f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
+                )
+            if seen is not None and not seen[:, stop].all():
+                raise InputContractError(f"arc references unseen job id {a if not seen[0, stop] else b}")
+            if self.depth[s[stop]] >= self.depth.size:
+                raise CycleSuspicionError(f"depth {self.depth[s[stop]] + 1} exceeds job count {self.depth.size}")
+            raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
+        if raises:
+            return _raises(t, self.depth[s] + 1, before)
+        return None
+
+    def _settle(self, s: np.ndarray, t: np.ndarray) -> None:
+        """Raise each ``depth[t[i]]`` to ``depth[s[i]] + 1`` along valid arcs, to the per-arc walk's final depths.
+
+        No arc ends at the source of an earlier one, so a job's depth is
+        final before its first out-arc, and the walk's depths are the
+        fixpoint of `np.maximum.at` rounds over all the arcs: the
+        longest path of the chunk, at most h arcs, plus one rounds reach
+        it.  Rounds run while they cost less than the walk would; past
+        that the walk takes over from where they stopped, which gives
+        the same depths, as every round's depths lie between the old
+        and the final ones.
+        """
+        depth, k = self.depth, s.size
+        for _ in range(int(LOOP_NS_PER_ARC * k / (ROUND_NS + ROUND_NS_PER_ARC * k))):
+            candidate = depth[s] + 1
+            if not (candidate > depth[t]).any():
+                return
+            np.maximum.at(depth, t, candidate)
+        view = memoryview(depth)  # Python ints, without a copy
+        for a, b in zip(s.tolist(), t.tolist()):
+            if view[a] >= view[b]:
+                view[b] = view[a] + 1
 
     def count_into(self, sk: TreeSketch) -> None:
         """Count every frozen job at its final (bucket, depth) in ``sk``."""
-        if self.depth:
-            us, ds, counts = pair_counts(self.u, np.array(self.depth, dtype=np.int64))
+        if self.depth.size:
+            us, ds, counts = pair_counts(self.u, self.depth)
             sk.add_counts(zip(us, ds), counts)
 
     def check_ids(self) -> None:
-        """Raise unless the frozen ids are exactly 1..n (distinct sorted ids are iff they run from 1 to n)."""
-        if self.ids.size and (self.ids[0], self.ids[-1]) != (1, self.ids.size):
+        """Raise unless the frozen ids are exactly 1..n, naming the first missing one."""
+        if self.ids is not None:
             missing = np.setdiff1d(np.arange(1, self.ids.size + 1), self.ids)[0]
             raise InputContractError(f"job ids must be exactly 1..{self.ids.size}; no job has id {missing}")
 
     def depths_array(self) -> np.ndarray:
         """Depths for ids 1..n, which `check_ids` ensures, for handing to the second pass."""
-        return np.array(self.depth, dtype=np.int64)
+        return self.depth.copy()
+
+
+def _raises(t: np.ndarray, candidate: np.ndarray, before: np.ndarray) -> tuple:
+    """The per-arc walk's raises as (job position, old depth, new depth) arrays, in arc order.
+
+    Arc i offers its end ``t[i]`` the depth ``candidate[i]``; the end's
+    depth before the chunk is ``before[i]``.  An arc raises when its
+    candidate beats both that and every earlier candidate for the same
+    end: a running maximum per end, over the arcs stably sorted by end.
+    """
+    order = np.argsort(t, kind="stable")
+    ends = t[order]
+    # keys rise from one end to the next, as candidates lie in [0, width); t * width < n * (n + 1)
+    # stays within int64 for any job count whose columns fit in memory
+    offset = ends * (int(candidate.max()) + 1)
+    best = np.maximum.accumulate(offset + candidate[order]) - offset
+    earlier = np.zeros_like(t)  # per arc, the largest candidate of the earlier arcs into its end
+    earlier[order[1:]] = np.where(ends[1:] == ends[:-1], best[:-1], 0)
+    old = np.maximum(before, earlier)
+    up = candidate > old
+    return t[up], old[up], candidate[up]

@@ -31,9 +31,9 @@ column chunks of consecutive jobs or arcs: `fileio.iter_chunks` and
 `Instance.chunks` yield them, and events (`Job`, `Arc`) and chunks with
 list columns are packed into them.  A value outside int64 raises there.
 
-The arc-driven modes keep per-job id, bucket and depth columns
-(`sketch.DepthColumns`) on every input, and raise the depths one arc
-chunk at a time.  `stream_unknown` counts the sketch once, at the end
+The arc-driven modes keep per-job bucket, depth and first-source
+columns (`sketch.DepthColumns`) on every input, and raise the depths
+one arc chunk at a time.  `stream_unknown` counts the sketch once, at the end
 of the stream; `stream_alpha_unknown` counts its jobs at depth 1 as
 they come, as its cutoff needs, marking a skipped job's bucket -1.
 The cutoff is final once the arcs begin, so a job holds a count
@@ -260,9 +260,10 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                 arcs += len(chunk.src)
                 if given:  # the known-depth modes pass over arc events
                     continue
-                raises = []
-                columns.raise_chunk(chunk.src, chunk.dst, raises if capped else None)  # stream_unknown counts last
-                b, d, d_new = np.array(raises, dtype=np.int64).reshape(-1, 3).T
+                if not capped:  # stream_unknown counts last
+                    columns.raise_chunk(chunk.src, chunk.dst)
+                    continue
+                b, d, d_new = columns.raise_chunk(chunk.src, chunk.dst, raises=True)
                 u = columns.u[b]
                 counted = u >= cutoff  # kept and never evicted: the cutoff is final once the arcs begin
                 sk.move_counts(u[counted], d[counted], d_new[counted])
@@ -277,7 +278,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                 if p_lo < 1 or d_lo < 1 or d_hi > h or p_hi > p_cap:
                     _reject_jobs(chunk, gb, h, p_cap)
                 held[depth] = True
-            elif columns.ids is not None:  # frozen by the first arc chunk
+            elif columns.u is not None:  # frozen by the first arc chunk
                 gb.index(p[0])  # the job's p is checked before its place in the stream
                 raise InputContractError(f"job {chunk.ids[0]} arrived after arc events began")
             elif p_lo < 1:  # raises at its row, after inserting the rows before it for `freeze` to check
@@ -303,7 +304,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         columns.check_ids()
         if not capped:
             columns.count_into(sk)
-        h_run = max(columns.depth, default=1)
+        h_run = int(columns.depth.max(initial=1))
     if n == 0:
         raise InputContractError("empty job stream")
     if params.n is not None and n != params.n:
@@ -364,7 +365,7 @@ def stream_unknown(
 ) -> RunReport:
     """Jobs then topologically ordered arcs; c, h and depths discovered.
 
-    Per-job columns (id, bucket, depth) make this O(n) space; the
+    Per-job columns (bucket, depth, first source) make this O(n) space; the
     sketch itself stays at one node per occupied (depth, bucket) pair.
     """
     return _stream(events, params, STREAM_UNKNOWN, tight)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,36 @@ class TestChunkedReader:
         assert [chunk.dst.tolist() for chunk in chunks if isinstance(chunk, ArcChunk)] == [[2**63 - 1]]
         rc = main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("text,rc,want", [
+        # an id of 19 digits is no canonical number: the line parser takes the block
+        ("J 1000000000000000000 1 1\nJ 1 1 1\nA 1 999999999999999999\nA 999999999999999999 1000000000000000000\n",
+         0, 4),
+        ("J 1000000000000000000 1 1\nJ 1 1 1\nA 1 999999999999999999\nA 999999999999999999 1\n",
+         3, "4: arc (999999999999999999, 1) is not in topological order"),
+        # a canonical block with arc ends past the job rows read: the bulk check hands it over
+        ("J 1 1 1\nJ 2 1 1\nA 1 2\nA 2 10000000\nA 10000000 99999999\n", 0, 5),
+        ("J 1 1 1\nJ 2 1 1\nA 1 10000000\nA 10000000 2\nA 2 10000000\n",
+         3, "5: arc (2, 10000000) is not in topological order"),
+    ])
+    def test_stream1_allocates_nothing_by_arc_end(self, tmp_path, capsys, text, rc, want):
+        """Arc ends past the job rows read are checked in a set, not in a column sized by their value."""
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            got = main(["stream1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "1", "--in", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert got == rc
+        if rc:
+            assert err == f"error: {path}:{want}\n"
+        else:
+            doc = json.loads(out)
+            assert (doc["A"], doc["sks"], doc["sketch_nodes"], doc["update_count"]) == (3, [3], 1, want)
+        assert peak < 2 << 20
 
     def test_iter_stream_is_a_view_of_the_chunks(self, tmp_path):
         inst = ss.random_dag(n=40, h=3, density=0.3, m=2, c=6, seed=1)

@@ -4,11 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import schedsketch as ss
+from schedsketch import sketch
 from schedsketch.sketch import (
+    DepthColumns,
     TreeSketch,
     pair_counts,
     sketch_from_json,
@@ -398,6 +400,90 @@ class TestDepthTable:
         t.raise_depth(1, 5)
         with pytest.raises(ss.InvariantViolationError):
             t.raise_depth(1, 2)
+
+
+@st.composite
+def arc_stream(draw):
+    """Distinct job ids (1..n, or gapped), then arc chunks in topological order, perhaps cut short by a bad arc.
+
+    Arcs join jobs earlier to later in a drawn order, plus a path through a run of it, as deep as
+    the drawn chunks allow.  Each arc takes a place between its ends' ranks, so every arc into a
+    job comes before every arc out of it, and arcs into one job may interleave with others.
+    """
+    n = draw(st.integers(1, 40))
+    ids = draw(st.one_of(st.permutations(range(1, n + 1)), st.lists(st.integers(1, 3 * n), min_size=n, max_size=n,
+                                                                    unique=True)))
+    order = draw(st.permutations(ids))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
+                          max_size=3 * n))
+    pairs += [(k, k + 1) for k in range(draw(st.integers(0, n - 1)))]
+    places = [i + draw(st.floats(0, 1, exclude_max=True)) * (j - i) for i, j in pairs]
+    arcs = [(order[i], order[j]) for _, (i, j) in sorted(zip(places, pairs), key=lambda e: e[0])]
+    bad = draw(st.sampled_from([None, None, "late", "unseen", "self-loop"]))
+    if bad and arcs:
+        k = draw(st.integers(0, len(arcs) - 1))
+        a, b = arcs[k]  # b is no source yet: every arc out of it comes later
+        arcs.insert(k + 1, {"late": (order[0], a), "unseen": (a, 3 * n + 1), "self-loop": (b, b)}[bad])
+    cuts = sorted(draw(st.lists(st.integers(0, len(arcs)), max_size=4)))
+    return ids, [arcs[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(arcs)])]
+
+
+def _walk(arcs: list, depth: dict, sources: set) -> list:
+    """The per-arc walk over a chunk: its raises as (id, old, new), or its error, raised after the arcs before."""
+    raises = []
+    for a, b in arcs:
+        if b in sources:
+            raise ss.CycleSuspicionError(
+                f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
+            )
+        sources.add(a)
+        if a not in depth or b not in depth:
+            raise ss.InputContractError(f"arc references unseen job id {a if a not in depth else b}")
+        d = depth[a] + 1
+        if d > depth[b]:
+            if d > len(depth):
+                raise ss.CycleSuspicionError(f"depth {d} exceeds job count {len(depth)}")
+            if a == b:
+                raise ss.CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
+            raises.append((b, depth[b], d))
+            depth[b] = d
+    return raises
+
+
+class TestRaiseChunk:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(stream=arc_stream(), cap=st.sampled_from([None, 0, 1, 2, 3, 5, 100]))
+    def test_rounds_and_raises_equal_the_walk(self, monkeypatch, stream, cap):
+        """Final depths, raises (b, old, new) and errors per chunk equal the per-arc walk's.
+
+        ``cap`` rounds run before the walk takes over (None: the cost model's cap), so paths
+        shorter and longer than the cap are both met.
+        """
+        if cap is not None:  # a round costs 1 ns an arc (and a trace more), the walk cap ns an arc
+            monkeypatch.setattr(sketch, "ROUND_NS", 1e-9)
+            monkeypatch.setattr(sketch, "ROUND_NS_PER_ARC", 1)
+            monkeypatch.setattr(sketch, "LOOP_NS_PER_ARC", cap + 1e-6)
+        ids, chunks = stream
+        cols = DepthColumns()
+        cols.insert_chunk(np.array(ids, dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
+        cols.freeze()
+        by_position = np.sort(ids)
+        depth, sources = dict.fromkeys(ids, 1), set()
+        for arcs in chunks:
+            try:
+                want = _walk(arcs, depth, sources)
+            except ss.InputContractError as exc:
+                want = (type(exc), str(exc))
+            src, dst = (np.array(col, dtype=np.int64).reshape(-1) for col in (zip(*arcs) if arcs else ([], [])))
+            try:
+                b, old, new = cols.raise_chunk(src, dst, raises=True)
+                got = list(zip(by_position[b].tolist(), old.tolist(), new.tolist()))
+            except ss.InputContractError as exc:
+                got = (type(exc), str(exc))
+            assert got == want
+            assert cols.depth.tolist() == [depth[j] for j in by_position.tolist()]
+            if isinstance(want, tuple):
+                break
 
 
 def _pairs_by_counter(u: list, d: list) -> tuple:

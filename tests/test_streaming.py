@@ -758,19 +758,29 @@ def test_arc_modes_match_per_event(data, jobs, ascending, scrambled, rows, tight
             assert _outcome(lambda: STREAMING_ALGORITHMS[mode](source(), params, tight=tight)) == want
 
 
-def test_stream4_peak_bytes_per_job():
-    """stream4's traced peak on a 15,000-job event list, as the benchmark takes it: job parts go before depths come."""
+def _peak_bytes_per_job(mode: str) -> float:
+    """An arc mode's traced peak on a 15,000-job event list, per job, as the benchmark takes it."""
     inst = ss.layered([5000] * 3, c=50, m=100, seed=1)
     events = list(inst.events(with_depth=False))
     gc.collect()
     core._buckets_for.cache_clear()  # the bucket tables count, as in a fresh process
     tracemalloc.start()
     try:
-        ss.stream_alpha_unknown(events, P(epsilon=0.3, m=100, n=inst.n))
+        STREAMING_ALGORITHMS[mode](events, P(epsilon=0.3, m=100, n=inst.n if mode == "stream4" else None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / inst.n <= 40
+    return peak / inst.n
+
+
+def test_stream4_peak_bytes_per_job():
+    """stream4's traced peak: job parts go before depths come."""
+    assert _peak_bytes_per_job("stream4") <= 40
+
+
+def test_stream2_peak_bytes_per_job():
+    """stream2's traced peak: ids 1..n are dropped once checked, as a job's position is its id - 1."""
+    assert _peak_bytes_per_job("stream2") <= 45
 
 
 def test_columnar_stream2_long_chain(monkeypatch):
