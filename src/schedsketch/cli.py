@@ -31,6 +31,7 @@ from .streaming import STREAMING_ALGORITHMS
 
 STREAM_CMDS = ("stream1", "stream2", "stream3", "stream4")
 SAMPLE_CMDS = ("sample1", "sample2")
+COMMANDS = STREAM_CMDS + SAMPLE_CMDS + ("schedule", "oracle", "gen", "bench")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -48,50 +49,63 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="schedsketch", description=__doc__)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    for cmd in STREAM_CMDS + SAMPLE_CMDS:
+def _add_command(sub, cmd: str) -> None:
+    """Add subcommand ``cmd`` and its arguments to the subparsers action ``sub``."""
+    if cmd in STREAM_CMDS + SAMPLE_CMDS:
         p = sub.add_parser(cmd)
         _add_common(p)
         if cmd in SAMPLE_CMDS:
             p.add_argument("--trials", type=int, default=1)
         else:
             p.add_argument("--sketch-out", help="persist the final input sketch as JSON")
+    elif cmd == "schedule":
+        p = sub.add_parser("schedule", help="second pass: sketch + instance -> concrete schedule")
+        p.add_argument("--sks", required=True, help="result JSON carrying the sketch")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--out", required=True, help="schedule CSV")
+        p.add_argument("--report", help="violation report JSON (default: <out>.violations.json)")
+    elif cmd == "oracle":
+        p = sub.add_parser("oracle", help="exact or list-scheduling makespan")
+        p.add_argument("which", choices=("exact", "list"))
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--m", type=int)
+    elif cmd == "gen":
+        p = sub.add_parser("gen", help="write an instance file")
+        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--q", type=int)
+        p.add_argument("--h", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--c", type=int)
+        p.add_argument("--pbig", type=int)
+        p.add_argument("--small", type=int)
+        p.add_argument("--shape", help="layered per-depth counts, e.g. 3/4/5")
+        p.add_argument("--density", type=float)
+        p.add_argument("--no-depths", action="store_true", help="omit depths from job lines")
+    else:
+        p = sub.add_parser("bench", help="seeded trials -> CSV of (seed, A, C* or bound, ratio, ...)")
+        _add_common(p)
+        p.add_argument("--algo", default="sample1", choices=STREAM_CMDS + SAMPLE_CMDS)
+        p.add_argument("--trials", type=int, default=10)
 
-    p = sub.add_parser("schedule", help="second pass: sketch + instance -> concrete schedule")
-    p.add_argument("--sks", required=True, help="result JSON carrying the sketch")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", required=True, help="schedule CSV")
-    p.add_argument("--report", help="violation report JSON (default: <out>.violations.json)")
 
-    p = sub.add_parser("oracle", help="exact or list-scheduling makespan")
-    p.add_argument("which", choices=("exact", "list"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--m", type=int)
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``cmd``, one that holds only that subcommand.
 
-    p = sub.add_parser("gen", help="write an instance file")
-    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--q", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=int)
-    p.add_argument("--pbig", type=int)
-    p.add_argument("--small", type=int)
-    p.add_argument("--shape", help="layered per-depth counts, e.g. 3/4/5")
-    p.add_argument("--density", type=float)
-    p.add_argument("--no-depths", action="store_true", help="omit depths from job lines")
-
-    p = sub.add_parser("bench", help="seeded trials -> CSV of (seed, A, C* or bound, ratio, ...)")
-    _add_common(p)
-    p.add_argument("--algo", default="sample1", choices=STREAM_CMDS + SAMPLE_CMDS)
-    p.add_argument("--trials", type=int, default=10)
+    The one-command parser keeps the full one's usage line (the list of
+    every command), so its help and error text are the same for argv
+    that names ``cmd`` first.
+    """
+    ap = argparse.ArgumentParser(prog="schedsketch", description=__doc__)
+    # the full parser keeps no metavar: one would rename the command in its "required: cmd" error
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="cmd", required=True, metavar=None if cmd is None else every)
+    for name in COMMANDS if cmd is None else (cmd,):
+        _add_command(sub, name)
     return ap
 
 
@@ -309,7 +323,9 @@ def _run_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call naming a known command builds only that subparser; any other argv gets the full parser's text
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if args.cmd in STREAM_CMDS:
             return _run_stream(args)

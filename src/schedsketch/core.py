@@ -10,10 +10,14 @@ Powers of ``1+delta`` are irrational for the deltas we care about, so
 bucket membership is never decided with floating point alone.  The
 value ``1+delta`` (for the IEEE double ``delta``) is an exact rational
 whose denominator is a power of two; `GeometricBuckets` keeps a table
-of exact integer bucket boundaries, built with shifts, and answers
-lookups by bisection, while `GeometricBuckets.floor_log` trusts a float
-logarithm only where its error provably cannot change the floor and
-decides the rest with exact integer comparisons.
+of exact integer bucket boundaries and answers lookups by bisection.
+The table is built in linear time from a truncated fixed-point power
+whose error is tracked, so a boundary is read off it wherever that
+error cannot change the ceiling, and computed exactly elsewhere.
+`GeometricBuckets.floor_log` (and `GeometricBuckets.floor_log_array`,
+its form for an int64 array) trusts a float logarithm only where its
+error provably cannot change the floor and decides the rest with exact
+integer comparisons.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ ALL_MODES = STREVAL_MODES + SAMPLE_MODES
 #: a few ulp below an integer they equal mathematically; values this
 #: close to an integer are snapped up before flooring.
 FLOOR_SNAP = 1e-9
+
+#: Fraction bits of the fixed-point power that builds the bucket table.
+FIX_BITS = 160
 
 
 def snapped_floor(x: float) -> int:
@@ -119,10 +126,16 @@ class GeometricBuckets:
 
     The base is the exact rational value of ``1 + delta`` where
     ``delta`` is the given IEEE double.  Boundary ``u`` of the internal
-    table is the smallest integer in bucket ``u``; the table grows
-    lazily and lookups are a bisection, so per-call cost is O(log u).
-    Growth takes a lock and publishes a new table, so threads (the CLI's
-    trials) may share one.
+    table is ceil(base**u), the smallest integer in bucket ``u``; the
+    table grows lazily and lookups are a bisection, so per-call cost is
+    O(log u).  Growth takes a lock and publishes a new table, so threads
+    (the CLI's trials) may share one.
+
+    The table grows in linear time from a fixed-point power: ``_x`` is
+    base**u * 2**FIX_BITS, truncated after each multiplication by the
+    base, and ``_err`` bounds its error.  Where that error cannot change
+    the ceiling, the boundary is the integer part of ``_x`` plus one;
+    elsewhere it is computed exactly (see `_extend_past`).
     """
 
     def __init__(self, delta: float):
@@ -138,27 +151,40 @@ class GeometricBuckets:
         # 1+delta is exact, so log1p(delta) is its log to about 1 ulp;
         # log(self.base) would carry the rounding of self.base as well
         self._ln_base = math.log1p(delta)
-        # _pnum == _bnum ** (len(_bounds) - 1), kept for cheap extension
+        # _x <= base**u * 2**FIX_BITS <= _x + _err for u = len(_bounds) - 1
         self._bounds: list[int] = [1]
-        self._pnum = 1
+        self._x, self._err = 1 << FIX_BITS, 0
         self._np_cache = np.array(self._bounds, dtype=np.int64)
         self._lock = threading.Lock()
 
     def _extend_past(self, p: int) -> None:
+        # With X = base**u * 2**F (F = FIX_BITS) and x its truncation, the
+        # step x' = floor(x * base) has X' - x' = base * (X - x) + frac <
+        # base * err + 1 <= floor(base * err) + 2, the next err; so err bounds
+        # an error below 2 * sum_{k<u} base**k units of 2**-F.  Write x =
+        # q * 2**F + f.  If f > 0 and f + err <= 2**F, then q < x / 2**F <=
+        # base**u < (x + err) / 2**F <= q + 1, so ceil(base**u) = q + 1.
+        # Otherwise (an integer base, whose f is always 0, or a power so
+        # large that err nears 2**F) the bound is computed exactly.
         if self._bounds[-1] > p:
             return
         with self._lock:
             if self._bounds[-1] > p:  # another thread extended it meanwhile
                 return
-            bounds, pnum = self._bounds[:], self._pnum
+            bounds, x, err = self._bounds[:], self._x, self._err
+            bnum, shift, one = self._bnum, self._shift, 1 << FIX_BITS
             while bounds[-1] <= p:
-                pnum *= self._bnum
-                # ceil(pnum / 2**(shift*u)) for the new boundary u
-                bounds.append(-((-pnum) >> (self._shift * len(bounds))))
+                x, err = (x * bnum) >> shift, ((err * bnum) >> shift) + 2
+                f = x & (one - 1)
+                if 0 < f and f + err <= one:
+                    bounds.append((x >> FIX_BITS) + 1)
+                else:  # ceil(bnum**u / 2**(shift*u)) for the new boundary u
+                    u = len(bounds)
+                    bounds.append(-((-(bnum**u)) >> (shift * u)))
             # a bound past int64 exceeds every entry, so leaving it out changes no index;
             # the array goes out before the list, so a reader seeing the new bounds sees it too
             self._np_cache = np.array(bounds[: bisect_left(bounds, 2**63)], dtype=np.int64)
-            self._bounds, self._pnum = bounds, pnum
+            self._bounds, self._x, self._err = bounds, x, err
 
     def index(self, p: int) -> int:
         """Bucket of integer ``p >= 1``: the unique u with base**u <= p < base**(u+1)."""
@@ -193,32 +219,61 @@ class GeometricBuckets:
             rhs = num * self._bnum ** (-u)
         return (lhs > rhs) - (lhs < rhs)
 
+    def _estimate(self, ln_num, ln_den):
+        """est ~ log_base(num/den) from ln num and ln den, and a band: est's floor is exact outside it.
+
+        Takes floats or float arrays.  Error of est against t = ln(num/den)
+        / ln(base), with eps = 2**-53 (1 ulp is at most 2*eps relative) and
+        S = |ln num| + |ln den|, assuming each float log within 4 ulp of the
+        log of its float argument (glibc documents its log within 1 ulp;
+        NumPy's float64 log read within 0.53 ulp of 40-digit mpmath on
+        20k x86-64 samples):
+        - rounding num or den to a double (math.log of an int, or int64 to
+          float64) is eps relative, so eps absolute in the log, and the log
+          adds 8*eps*|ln x|; past the float range math.log sums
+          log(mantissa) + e*log(2), off by under 7*eps + 3*eps*|ln x| with
+          |ln x| > 709; so each log is off by at most 4*eps + 8*eps*|ln x|;
+        - the subtraction adds eps*S, so the numerator is off by 9*eps*(1+S);
+        - log1p of the exact 1+delta is off by 4*eps relative, the division
+          by eps relative, which adds 5*eps*S / ln_base.
+        So |est - t| <= 15*eps*(1+S) / ln_base < 2**-49 * (1+S) / ln_base,
+        and the band is 2**11 times that.  When est - floor(est) (exact in
+        floats) keeps a band away from 0 and 1, t lies strictly between the
+        same two integers and floor(est) is the answer; else compare exactly.
+        """
+        est = (ln_num - ln_den) / self._ln_base
+        return est, 2.0**-38 * (1.0 + abs(ln_num) + abs(ln_den)) / self._ln_base
+
     def floor_log(self, num: int, den: int = 1) -> int:
         """Largest integer u with base**u <= num/den (u may be negative)."""
         if num <= 0 or den <= 0:
             raise ParamError("floor_log argument must be a positive rational")
-        # Error of est against t = ln(num/den) / ln(base), with eps = 2**-53
-        # (1 ulp is at most 2*eps relative) and S = |ln num| + |ln den|:
-        # - math.log rounds an int to 53 bits (eps absolute in the log), and
-        #   past the float range sums log(mantissa) + e*log(2); with libm's
-        #   log within 2 ulp, each log is off by at most 4*eps + 8*eps*|ln x|;
-        # - the subtraction adds eps*S, so the numerator is off by 9*eps*(1+S);
-        # - log1p of the exact 1+delta is off by 4*eps relative, the division
-        #   by eps relative, which adds 5*eps*S / ln_base.
-        # So |est - t| <= 15*eps*(1+S) / ln_base < 2**-49 * (1+S) / ln_base,
-        # and the band is 2**11 times that.  When est - floor(est) (exact in
-        # floats) keeps a band away from 0 and 1, t lies strictly between the
-        # same two integers and floor(est) is the answer; else compare exactly.
-        ln_num, ln_den = math.log(num), math.log(den)
-        est = (ln_num - ln_den) / self._ln_base
+        est, band = self._estimate(math.log(num), math.log(den))
         u = math.floor(est)
-        band = 2.0**-38 * (1.0 + abs(ln_num) + abs(ln_den)) / self._ln_base
         if band < est - u < 1.0 - band:
             return u
         while self.pow_cmp(u, num, den) > 0:
             u -= 1
         while self.pow_cmp(u + 1, num, den) <= 0:
             u += 1
+        return u
+
+    def floor_log_array(self, num: np.ndarray, den: int = 1) -> np.ndarray:
+        """`floor_log` of each entry of an int64 array ``num`` over one ``den``.
+
+        The float estimate settles every entry outside `_estimate`'s band
+        at once; the scalar `floor_log` decides the rest.
+        """
+        if num.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if int(num.min()) <= 0 or den <= 0:
+            raise ParamError("floor_log argument must be a positive rational")
+        est, band = self._estimate(np.log(num.astype(np.float64)), math.log(den))
+        u = np.floor(est)
+        frac = est - u
+        u = u.astype(np.int64)
+        for i in np.flatnonzero((frac <= band) | (frac >= 1.0 - band)).tolist():
+            u[i] = self.floor_log(int(num[i]), den)
         return u
 
 

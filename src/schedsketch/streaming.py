@@ -222,8 +222,10 @@ def _count_chunk(
     cutoff stays below every bucket), sets its entry of ``u`` to -1 (no
     count), and counts the kept jobs with one `TreeSketch.count_chunk`
     call.  The cutoff in force at a kept job is floor_log of the maximum
-    up to it over ``n_sq``.  A skip needs a maximum above n^2, so every
-    cutoff from then on is at least 0, above the mark.
+    up to it over ``n_sq``; the sketch asks for them only when a node
+    falls below one, and gets them from one `GeometricBuckets.floor_log_array`
+    call.  A skip needs a maximum above n^2, so every cutoff from then on
+    is at least 0, above the mark.
     """
     if n_sq >> 63 == 0:  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
         # the maximum up to each job; a skipped job lies below the one before it, so kept jobs alone set it
@@ -234,7 +236,7 @@ def _count_chunk(
         if p_hi > p_max_run:
             p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
     # no node falls below the uncapped mode's cutoff, so it never asks for the cutoffs (nor needs run_max)
-    sk.count_chunk(u, depth, cutoff, lambda i: [gb.floor_log(m, n_sq) for m in run_max[i].tolist()])
+    sk.count_chunk(u, depth, cutoff, lambda i: gb.floor_log_array(run_max[i], n_sq))
     return p_max_run, cutoff
 
 

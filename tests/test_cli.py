@@ -1,5 +1,6 @@
 """Every CLI path, checked against golden outputs and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import schedsketch as ss
 from schedsketch import fileio
-from schedsketch.cli import main
+from schedsketch.cli import COMMANDS, build_parser, main
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
 
@@ -518,8 +519,35 @@ class TestArgparse:
         )
         assert proc.returncode == 0
 
+    def test_a_named_command_builds_one_subparser(self, monkeypatch, capsys):
+        made = []
+        add_parser = argparse._SubParsersAction.add_parser
 
-_STREAM1 = ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in"]
+        def counted(self, name, **kwargs):
+            made.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert main(["stream3", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1",
+                     "--n", "100", "--in", "alpha-mixed:n=100,alpha=0.5,c=2,pbig=10"]) == 0
+        assert made == ["stream3"]
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "stream3"
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    @pytest.mark.parametrize("tail", [["-h"], [], ["--bogus"]], ids=["help", "missing", "unrecognized"])
+    def test_one_command_parser_prints_the_full_parsers_text(self, cmd, tail, capsys):
+        def text(parser):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([cmd, *tail])
+            out = capsys.readouterr()
+            return exc.value.code, out.out, out.err
+
+        full, one = text(build_parser()), text(build_parser(cmd))
+        assert one == full
+        assert full[1 if tail == ["-h"] else 2]  # the case printed something
+
+
+_STREAM1 =["stream1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in"]
 _SCHEDULE = ["schedule", "--sks", "{result}", "--in", "{inst}", "--m", "1", "--out", "{tmp}/s.csv"]
 # case -> (argv, exit code, text of the --sks result file)
 MALFORMED_INPUTS = {

@@ -251,6 +251,23 @@ class TestFloorLog:
         gb.index(want[-1])
         assert gb._bounds[:2001] == want
 
+    # 1.0 and 3.0 give integer bases: their fixed-point fraction is always 0, so
+    # every boundary comes from the exact fallback
+    TABLE_DELTAS = [0.3 / 3, 0.05 / 3, 0.005, 0.14, 0.5 / 20, 1.0, 3.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.sampled_from(TABLE_DELTAS), data=st.data())
+    def test_fixed_point_table_is_exact(self, delta, data):
+        # a fresh table grown in two steps, to a drawn p and then past 2**63,
+        # checked at a drawn boundary and at its last one
+        gb = ss.GeometricBuckets(delta)
+        gb.index(data.draw(st.integers(min_value=1, max_value=2**63)))
+        gb.index(2**63)
+        last = len(gb._bounds) - 1
+        assert gb._bounds[last] > 2**63
+        for u in (data.draw(st.integers(min_value=0, max_value=last)), last):
+            assert gb._bounds[u] == math.ceil(exact_base(delta) ** u)
+
     def test_threads_extending_one_table_agree_with_one_thread(self):
         # CLI trials run on threads and share `buckets_for(delta)`; thread
         # switches every microsecond land inside the extension loop
@@ -275,6 +292,41 @@ class TestFloorLog:
                 assert got == [(want.index(10**12), want.index_array(probes).tolist())] * 4
         finally:
             sys.setswitchinterval(old)
+
+
+class TestFloorLogArray:
+    DELTAS = TestFloorLog.DELTAS + [1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        den=st.integers(min_value=1, max_value=2**62),
+        delta=st.sampled_from(DELTAS),
+        data=st.data(),
+    )
+    def test_matches_scalar_floor_log(self, den, delta, data):
+        # numerators next to base**u * den, where the float estimate is least
+        # sure, mixed with arbitrary ones up to 2**63 - 1
+        gb = ss.GeometricBuckets(delta)
+        top = 2**63 - 1
+        lo, hi = -gb.floor_log(den), gb.floor_log(top, den)
+        nums = []
+        for u, offset in data.draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(-2, 2)), max_size=20)):
+            nums.append(min(max(1, math.ceil(exact_base(delta) ** u * den) + offset), top))
+        nums += data.draw(st.lists(st.integers(min_value=1, max_value=top), max_size=10))
+        got = gb.floor_log_array(np.array(nums, dtype=np.int64), den)
+        assert got.dtype == np.int64
+        assert got.tolist() == [gb.floor_log(num, den) for num in nums]
+
+    def test_empty_array(self):
+        got = ss.buckets_for(0.1).floor_log_array(np.empty(0, dtype=np.int64), 7)
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_rejects_nonpositive(self):
+        gb = ss.buckets_for(0.1)
+        with pytest.raises(ss.ParamError):
+            gb.floor_log_array(np.array([5, 0, 3]))
+        with pytest.raises(ss.ParamError):
+            gb.floor_log_array(np.array([5]), 0)
 
 
 def test_snapped_floor():
