@@ -196,7 +196,7 @@ def estimate_counts(
             starts = np.flatnonzero(np.diff(us, prepend=us[0] - 1))  # u rises with p: each bucket's rows together
             grouped = np.add.reduceat(table[ps], starts, axis=0)
             rows, ds = np.nonzero(grouped)  # in increasing (u, d), as `pair_counts` gives them
-            found = us[starts][rows].tolist(), ds.tolist(), grouped[rows, ds].tolist()
+            found = us[starts][rows], ds, grouped[rows, ds]
         else:
             if min_p is not None:
                 keep = p > min_p
@@ -204,7 +204,7 @@ def estimate_counts(
             if p.size == 0:
                 continue
             found = pair_counts(buckets.index_array(p), depth)
-        for u, d, cnt in zip(*found):
+        for u, d, cnt in zip(*(col.tolist() for col in found)):
             counts[d, u] = counts.get((d, u), 0) + cnt
     return counts, draws
 
@@ -259,9 +259,10 @@ def _sample(access: SampleAccess, params: AlgoParams, mode: str, tight: bool) ->
         counts, draws = estimate_counts(access, drv.n_prime, gb, rng, p_cap=pr.c, h_cap=pr.h)
         ok = 20.0 * pr.m * pr.h * pr.c <= pr.n * pr.epsilon  # machine bound m <= n*eps / (20*h*c)
     kept = _scaled_estimates(counts, pr.n, draws, drv.tau)
-    inside = [(u, d, ehat) for (d, u), ehat in kept.items() if u <= u_hi]  # w0 can underestimate the top
-    dropped_high = len(kept) - len(inside)  # groups above c*w0 fall outside
-    loads = bucket_loads(inside, gb, u_lo, u_hi, top, pr.h) / pr.m
+    (ds, us), ehat = np.array(list(kept), dtype=np.int64).reshape(-1, 2).T, np.array(list(kept.values()))
+    inside = us <= u_hi  # w0 can underestimate the top
+    dropped_high = len(kept) - int(inside.sum())  # groups above c*w0 fall outside
+    loads = bucket_loads(us[inside], ds[inside], ehat[inside], gb, u_lo, u_hi, top, pr.h) / pr.m
     pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + pad_w0
     A, times = totals(loads, top, tight, stretch=1.0 - drv.delta, slack=pad_noise)
     extras = {

@@ -1,26 +1,26 @@
 """Input sketch: per-(depth, bucket) job counters maintained in one pass.
 
-`TreeSketch` keeps the counter multiset as a plain dict from
-(bucket u, depth d) to a count, for all four stream modes.  Zero-count
-entries are never stored, and every reader (`entries`, `depth_loads`,
-`top_bucket`) walks the keys in increasing (u, d) order.
+`TreeSketch` keeps the nodes as int64 columns ``u`` (bucket), ``d``
+(depth) and ``count``, sorted by (u, d) and never holding a count of 0,
+for all four stream modes.  A batch finds its nodes by binary search,
+adds to held counts in place and merges new nodes in where they sort;
+every reader (`entries`, `depth_loads`, `top_bucket`) takes the columns
+as they stand.
 
-The size-capped modes evict eagerly: when their cutoff rises, every
-node whose bucket is below it goes at once (`prune_smallest`,
-`count_chunk`).  The paper evicts lazily, at most the smallest node
-each time a node is created.  Both keep the same nodes at or above the
-cutoff, since neither evicts such a node and no kept job falls below
-it; the lazy leftovers all lie below the final cutoff, where the finish
-drops them.  And both reach the same peak node count: a lazy leftover appears
-only when the cutoff rises, when the two sketches hold the same nodes,
-and while one remains every new node is paid for by an eviction, so
-the lazy count does not grow past a count the eager sketch held.
+The size-capped modes evict eagerly: when their cutoff rises, the nodes
+below it, a prefix of the columns, go at once (`prune_smallest`).  The
+paper evicts lazily, at most the smallest node per new node.  Both keep
+the same nodes at or above the cutoff, and the lazy leftovers all lie
+below the final cutoff, where the finish drops them.  Both reach the
+same peak node count: a leftover appears only at a rise of the cutoff,
+when the two hold the same nodes, and while one remains each new node
+is paid for by an eviction.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,128 +28,165 @@ from .core import GeometricBuckets
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
 from .model import NO_SOURCE, source_lag
 
-
 def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
     """The distinct pairs of two int64 columns ``u`` and ``d >= 0``, with their counts.
 
-    Returns (us, ds, counts), sorted by (u, d), so each depth's pairs
-    come in increasing u; with ``first``, also an array of the row at
-    which each pair first appears.
+    Returns int64 arrays (us, ds, counts), sorted by (u, d), so each
+    depth's pairs come in increasing u; with ``first``, also an array
+    of the row at which each pair first appears.
     """
     width, lo, hi = int(d.max()) + 1, int(u.min()), int(u.max())
-    # the key u * width + d runs from lo * width to below (hi + 1) * width
-    if not first and lo >= 0 and (hi + 1) * width <= u.size:  # no more keys than rows: count them in place
-        tally = np.bincount(u * width + d)
+    span = (hi - lo + 1) * width  # the key (u - lo) * width + d runs from 0 to below span
+    if not first and span <= u.size:  # no more keys than rows: count them in place
+        tally = np.bincount((u - lo) * width + d)
         keys = np.flatnonzero(tally)
         us, ds = np.divmod(keys, width)
-        return us.tolist(), ds.tolist(), tally[keys].tolist()
-    if -(1 << 63) <= lo * width and (hi + 1) * width <= 1 << 63:  # the key is exact in int64
-        found = np.unique(u * width + d, return_index=first, return_counts=True)
+        return us + lo, ds, tally[keys]
+    if span <= 1 << 63:  # the key is exact in int64
+        found = np.unique((u - lo) * width + d, return_index=first, return_counts=True)
         us, ds = np.divmod(found[0], width)
+        us += lo
     else:
         found = np.unique(np.stack((u, d), axis=1), axis=0, return_index=first, return_counts=True)
         us, ds = found[0][:, 0], found[0][:, 1]
-    return (us.tolist(), ds.tolist(), found[-1].tolist()) + found[1:-1]
+    return (us, ds, found[-1]) + found[1:-1]
 
 
-def bucket_loads(entries: Iterable[tuple], gb: GeometricBuckets, u_lo: int, u_hi: int, top: int, h: int) -> np.ndarray:
-    """Per-depth loads 1..h: each (u, d, weight) entry adds weight times its bucket's rounded value.
+def bucket_loads(u: np.ndarray, d: np.ndarray, weight: np.ndarray, gb: GeometricBuckets, u_lo: int, u_hi: int,
+                 top: int, h: int) -> np.ndarray:
+    """Per-depth loads 1..h: each row adds ``weight`` times the rounded value of its bucket ``u`` to depth ``d``.
 
-    The rounded value of bucket u is the top, pinned to the known
-    maximum, for ``u == u_hi``, and its upper boundary (1+delta)**(u+1)
-    for ``u_lo <= u < u_hi``, so every job's rounded time lies between
-    its true time and (1+delta) times it.  Entries add up in the order
-    given; a bucket outside [u_lo, u_hi] raises.
+    The rounded value of bucket u is the top, pinned to the known maximum, for ``u == u_hi``, and its
+    upper boundary (1+delta)**(u+1) for ``u_lo <= u < u_hi``, so every job's rounded time lies between its
+    true time and (1+delta) times it.  Rows add up in the order given, each value a Python float power, as
+    a loop over Python floats adds them; a bucket outside [u_lo, u_hi] raises.
     """
     if u_hi < u_lo:
         raise InputContractError(f"empty bucket range [{u_lo}, {u_hi}]")
-    top, loads = float(top), [0.0] * h
-    for u, d, weight in entries:
-        if not u_lo <= u <= u_hi:
-            raise InputContractError(f"bucket {u} outside [{u_lo}, {u_hi}]")
-        loads[d - 1] += weight * (top if u == u_hi else gb.base ** (u + 1))
-    return np.array(loads)
+    if u.size == 0:
+        return np.zeros(h)
+    outside = (u < u_lo) | (u > u_hi)
+    if outside.any():
+        raise InputContractError(f"bucket {u[outside.argmax()]} outside [{u_lo}, {u_hi}]")
+    buckets, at = np.unique(u, return_inverse=True)  # numpy's pow is not bit-equal to Python's: one ** a bucket
+    value = np.array([float(top) if b == u_hi else gb.base ** (b + 1) for b in buckets.tolist()])
+    return np.bincount(d - 1, weights=weight * value[at], minlength=h)  # bincount adds each bin's rows in order
 
 
 class TreeSketch:
-    """Dict-backed sketch with optional eager eviction of the buckets below a cutoff.
+    """Sketch of (bucket, depth) job counts as int64 columns ``u``, ``d``, ``count`` sorted by (u, d).
 
-    ``peak_node_count`` is updated by `count_chunk` and `move_counts`
-    for the events they take, so it is the peak over all events.
+    Eager eviction drops the buckets below a cutoff.  `count_chunk` and `move_counts` update
+    ``peak_node_count`` for each event they take, so it is the peak over all events.
     """
 
     def __init__(self):
-        self._map: dict[tuple[int, int], int] = {}  # (u, d) -> count
-        self.total_counted = 0
+        self.u, self.d, self.count = (np.zeros(0, dtype=np.int64) for _ in range(3))
+        self._frame: tuple | None = None  # (lo, width, node keys) of `_keys`, while the keys fit it
+        self.total_counted = self.peak_node_count = 0
         self.p_min: int | None = None
         self.p_max: int | None = None
-        self.peak_node_count = 0
 
     def note_processing_time(self, p: int) -> None:
-        if self.p_min is None or p < self.p_min:
-            self.p_min = p
-        if self.p_max is None or p > self.p_max:
-            self.p_max = p
+        self.p_min = p if self.p_min is None else min(self.p_min, p)
+        self.p_max = p if self.p_max is None else max(self.p_max, p)
 
     @property
     def node_count(self) -> int:
-        return len(self._map)
+        return self.u.size
 
     def note_peak(self) -> None:
-        if len(self._map) > self.peak_node_count:
-            self.peak_node_count = len(self._map)
+        self.peak_node_count = max(self.peak_node_count, self.u.size)
 
-    def _bump(self, key: tuple[int, int], n: int = 1) -> bool:
-        """Add ``n`` to the count at ``key``; return True if the node is new."""
-        cnt = self._map.get(key)
-        self._map[key] = n if cnt is None else cnt + n
-        return cnt is None
+    def _keys(self, u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Int64 keys, for the nodes and for the pairs (u[i], d[i]), that sort and match as the pairs do.
+
+        The key is (u - lo) * width + d in a frame (lo, width) kept, with the nodes' keys, until a pair
+        falls outside it; where such keys pass int64, u gives way to its rank among nodes and pairs.
+        """
+        lo, hi, top = int(u.min()), int(u.max()), int(d.max())
+        if self._frame is None or lo < self._frame[0] or top >= self._frame[1]:
+            if self.u.size:
+                lo, hi, top = min(lo, int(self.u[0])), max(hi, int(self.u[-1])), max(top, int(self.d.max()))
+            self._frame = (lo, top + 1, (self.u - lo) * (top + 1) + self.d)
+        lo, width, node_keys = self._frame
+        if (hi - lo + 1) * width <= 1 << 63:
+            return node_keys, (u - lo) * width + d
+        self._frame = None  # key the bucket's rank instead, as (nodes + pairs) * width stays within int64
+        keys = np.unique(np.concatenate((self.u, u)), return_inverse=True)[1] * width + np.concatenate((self.d, d))
+        return keys[:self.u.size], keys[self.u.size:]
+
+    def _find(self, keys: np.ndarray, node_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each of the pairs' ``keys`` sorts among the nodes' keys, and the count held there (0 for no node)."""
+        at = np.searchsorted(node_keys, keys)
+        if node_keys.size == 0:
+            return at, np.zeros_like(at)
+        last = np.minimum(at, node_keys.size - 1)
+        return at, np.where(node_keys[last] == keys, self.count[last], 0)
+
+    def _write(self, node_keys: np.ndarray, keys: np.ndarray, count: np.ndarray, u: np.ndarray, d: np.ndarray,
+               at: np.ndarray, held: np.ndarray) -> None:
+        """Set the counts of the distinct pairs (u[i], d[i]), keyed by `_keys` and found at ``at`` by `_find`.
+
+        A ``held`` node takes its count in place, a new one is inserted where its key sorts, and a 0 count goes.
+        """
+        self.count[at[held]] = count[held]
+        new, gone = ~held & (count > 0), not count[held].all()
+        if not (new.any() or gone):
+            return
+        n, keys = node_keys.size, np.concatenate((node_keys, keys[new]))
+        # new nodes above every held one just append; others merge in, as the keys' two sorted runs
+        order = np.argsort(keys, kind="stable") if 0 < n < keys.size and keys[n] < keys[n - 1] else None
+        if gone:
+            alive = np.concatenate((self.count, count[new])) > 0
+            order = np.flatnonzero(alive) if order is None else order[alive[order]]
+
+        def put(col: np.ndarray, val: np.ndarray | None = None) -> np.ndarray:  # one column at a time, for the peak
+            col = col if val is None else np.concatenate((col, val[new]))
+            return col if order is None else col.take(order)
+
+        if self._frame is not None:
+            self._frame = self._frame[:2] + (put(keys),)
+        del keys
+        self.u = put(self.u, u)
+        self.d = put(self.d, d)
+        self.count = put(self.count, count)
 
     def add(self, d: int, u: int) -> bool:
         """Count one job at (d, u); return True if the node is new."""
         if d < 1:
             raise InputContractError(f"depth must be >= 1, got {d}")
-        self.total_counted += 1
-        return self._bump((u, d))
+        nodes = self.u.size
+        self.count_chunk(np.array([u], dtype=np.int64), np.array([d], dtype=np.int64))
+        return self.u.size > nodes
 
-    def add_counts(self, keys: Iterable[tuple[int, int]], counts: Iterable[int]) -> None:
-        """Count ``n`` jobs at each (u, d) key: the same sketch as ``n`` calls of `add`."""
-        for (u, d), n in zip(keys, counts):
-            if d < 1:
-                raise InputContractError(f"depth must be >= 1, got {d}")
-            self.total_counted += n
-            self._bump((u, d), n)
+    def count_chunk(self, u: np.ndarray, d: np.ndarray, cutoff: int | None = None,
+                    cutoff_at: Callable | None = None) -> None:
+        """Count job i at (d[i], u[i]) for i in order, evicting eagerly (not at all without a ``cutoff``).
 
-    def count_chunk(self, u: np.ndarray, d: np.ndarray, cutoff: int, cutoff_at: Callable) -> None:
-        """Count job i at (d[i], u[i]) for i in order, evicting eagerly.
+        When job i comes, every node whose bucket is below the cutoff then in force is evicted
+        before the job is counted.  ``cutoff_at(i)`` gives those cutoffs for an ascending int
+        array of job positions, and ``cutoff`` is the last one; cutoffs never fall, and none is
+        above the bucket of its job.  ``u`` and ``d`` are int64 with ``d >= 1``.
 
-        When job i comes, every node whose bucket is below the cutoff then
-        in force is evicted before the job is counted.  ``cutoff_at(i)``
-        gives those cutoffs for an ascending int array of job positions,
-        and ``cutoff`` is the last one; cutoffs never fall, and none is
-        above the bucket of its job.  ``u`` and ``d`` are int64 with
-        ``d >= 1``.
-
-        After the chunk's t-th new node the count is the count before the
-        chunk plus t, minus the nodes, old or new, below the cutoff in
-        force then: a node created later lies at or above it.  The order
-        in which nodes were created, and ``cutoff_at``, are needed only
-        when some node falls below a cutoff inside the chunk; otherwise
-        the peak is the final count.
+        After the chunk's t-th new node the count is the count before the chunk plus t, minus the
+        nodes, old or new, below the cutoff in force then: a node created later lies at or above
+        it.  The order in which nodes were created, and ``cutoff_at``, are needed only when some
+        node falls below a cutoff inside the chunk; otherwise the peak is the final count.
         """
         if u.size == 0:
             return
-        evicts = cutoff > min(int(u.min()), min(self._map)[0] if self._map else cutoff)
-        found = pair_counts(u, d, first=evicts)
+        evicts = cutoff is not None and cutoff > min(int(u.min()), int(self.u[0]) if self.u.size else cutoff)
+        us, ds, counts, *rows = pair_counts(u, d, first=evicts)
+        held, (node_keys, keys) = self.u.size, self._keys(us, ds)
+        at, start = self._find(keys, node_keys)
+        self._write(node_keys, keys, start + counts, us, ds, at, start > 0)
+        self.total_counted += u.size
         if not evicts:
-            self.add_counts(zip(*found[:2]), found[2])
             self.note_peak()
             return
-        us, ds, counts, rows = found
-        keys, held = list(zip(us, ds)), len(self._map)
-        born = np.sort(rows[[key not in self._map for key in keys]])  # the job creating each new node, in order
-        self.add_counts(keys, counts)
-        gone = np.searchsorted(np.sort([key[0] for key in self._map]), cutoff_at(born))  # nodes below each one's cutoff
+        born = np.sort(rows[0][start == 0])  # the job creating each new node, in order
+        gone = np.searchsorted(self.u, cutoff_at(born))  # nodes below each one's cutoff
         peak = held + int((np.arange(1, born.size + 1) - gone).max(initial=0))
         self.peak_node_count = max(self.peak_node_count, peak)
         self.prune_smallest(cutoff)
@@ -157,51 +194,32 @@ class TreeSketch:
     # perfbench/tracer.py still patches this method by name, though no engine route calls it;
     # drop it with that name, and the tests' calls, at the next change to the benchmark.
     def move(self, d: int, u: int, d_new: int) -> bool:
-        """Move one unit of count from (d, u) to (d_new, u).
-
-        Returns True if the destination node was created.  The source
-        must exist; a missing source means the depth table and the
-        sketch disagree about where the job was counted.
-        """
+        """Move one unit of count from (d, u), which must hold one, to (d_new, u); True if that node is new."""
         if d_new <= d:
             raise InvariantViolationError(f"move must increase depth ({d} -> {d_new})")
-        key = (u, d)
-        cnt = self._map.get(key, 0)
-        if cnt < 1:
-            raise InvariantViolationError(f"no sketch node at (d={d}, u={u}) to move from")
-        if cnt == 1:
-            del self._map[key]
-        else:
-            self._map[key] = cnt - 1
-        return self._bump((u, d_new))
+        return self.move_counts(*(np.array([x], dtype=np.int64) for x in (u, d, d_new))) > 0
 
-    def move_counts(self, u: np.ndarray, d: np.ndarray, d_new: np.ndarray) -> None:
-        """The walk ``move(d[i], u[i], d_new[i])`` over i in order, as one batch.
+    def move_counts(self, u: np.ndarray, d: np.ndarray, d_new: np.ndarray) -> int:
+        """The walk ``move(d[i], u[i], d_new[i])`` over i in order, as one batch; returns the nodes it created.
 
-        In the walk, each move that creates a node is followed by
-        `note_peak`.  A move keeps its bucket, so under eager eviction no
-        move needs a prune.  Every source must hold a count when its move
-        comes (the moves, simulated in order, never take a key below
-        zero); otherwise this raises `InvariantViolationError` and changes
-        nothing.  Arrays are int64 with ``d_new > d >= 1`` and ``u >= 0``.
+        In the walk, each move that creates a node is followed by `note_peak`.  A move keeps its
+        bucket, so under eager eviction no move needs a prune.  Every source must hold a count when
+        its move comes (the moves, simulated in order, never take a key below zero); otherwise this
+        raises `InvariantViolationError` and changes nothing.  Arrays are int64 with ``d_new > d >= 1``.
         """
         k = u.size
         if k == 0:
-            return
-        width = int(d_new.max()) + 1
-        values, keyed = None, u
-        if (int(u.max()) + 1) * width > 1 << 63:  # keys u * width + d past int64: key on the rank of u instead
-            values, keyed = np.unique(u, return_inverse=True)
-        keys = np.empty(2 * k, dtype=np.int64)  # move i: -1 at its source (2i), then +1 at its destination
-        keys[0::2], keys[1::2] = keyed * width + d, keyed * width + d_new
+            return 0
+        ends = np.empty(2 * k, dtype=np.int64)  # move i: -1 at its source (2i), then +1 at its destination
+        ends[0::2], ends[1::2] = d, d_new
+        node_keys, keys = self._keys(np.repeat(u, 2), ends)
         order = np.argsort(keys, kind="stable")  # each key's events together, in stream order
         ranked = keys[order]
         steps = np.where(order % 2 == 0, -1, 1)
         first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         last = np.append(first[1:], 2 * k) - 1
-        us, ds = np.divmod(ranked[first], width)
-        touched = list(zip((us if values is None else values[us]).tolist(), ds.tolist()))
-        start = np.array([self._map.get(key, 0) for key in touched], dtype=np.int64)
+        touched = ranked[first]
+        at, start = self._find(touched, node_keys)
         total = np.cumsum(steps)
         # each key's count after each of its events: its count before the chunk plus its steps so far
         after = total + np.repeat(start - (total[first] - steps[first]), last - first + 1)
@@ -213,48 +231,42 @@ class TreeSketch:
         change[order] = (after > 0).astype(np.int64) - (after - steps > 0)
         created = change > 0
         if created.any():
-            peak = len(self._map) + int((np.cumsum(change)[created]).max())
+            peak = self.u.size + int((np.cumsum(change)[created]).max())
             self.peak_node_count = max(self.peak_node_count, peak)
-        for key, cnt in zip(touched, after[last].tolist()):
-            if cnt:
-                self._map[key] = cnt
-            else:
-                self._map.pop(key, None)
+        self._write(node_keys, touched, after[last], u[order[first] // 2], ends[order[first]], at, start > 0)
+        return int(created.sum())
 
     def prune_smallest(self, cutoff_u: int) -> bool:
         """Evict every node whose bucket is below ``cutoff_u``; return True if one was."""
-        low = [key for key in self._map if key[0] < cutoff_u]
-        for key in low:
-            del self._map[key]
-        return bool(low)
+        low = int(np.searchsorted(self.u, cutoff_u))
+        self.u, self.d, self.count = self.u[low:], self.d[low:], self.count[low:]
+        if self._frame is not None:
+            self._frame = self._frame[:2] + (self._frame[2][low:],)
+        return low > 0
 
     def top_bucket(self, count: int) -> int | None:
         """Highest bucket u whose nodes and those above hold >= count jobs; None if none does."""
-        held = 0
-        for key in sorted(self._map, reverse=True):
-            held += self._map[key]
-            if held >= count:
-                return key[0]
-        return None
+        held = np.cumsum(self.count[::-1])  # the jobs in each node and the nodes after it, from the top down
+        i = int(np.searchsorted(held, count))
+        return int(self.u[-1 - i]) if i < held.size else None
 
     def restrict(self, u_lo: int, u_hi: int) -> "TreeSketch":
         """New sketch keeping only entries with u_lo <= u <= u_hi."""
+        lo, hi = np.searchsorted(self.u, u_lo), np.searchsorted(self.u, u_hi, side="right")
         out = TreeSketch()
-        out._map = {key: cnt for key, cnt in self._map.items() if u_lo <= key[0] <= u_hi}
-        out.total_counted = sum(out._map.values())
-        out.p_min = self.p_min
-        out.p_max = self.p_max
-        out.peak_node_count = max(self.peak_node_count, len(out._map))
+        out.u, out.d, out.count = self.u[lo:hi].copy(), self.d[lo:hi].copy(), self.count[lo:hi].copy()
+        out.total_counted = int(out.count.sum())
+        out.p_min, out.p_max = self.p_min, self.p_max
+        out.peak_node_count = max(self.peak_node_count, out.node_count)
         return out
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (d, u, count) sorted by (u, d)."""
-        for key in sorted(self._map):
-            yield key[1], key[0], self._map[key]
+        """The nodes as (d, u, count), sorted by (u, d)."""
+        return zip(self.d.tolist(), self.u.tolist(), self.count.tolist())
 
     def depth_loads(self, gb: GeometricBuckets, u_lo: int, u_hi: int, top: int, h: int) -> np.ndarray:
         """`bucket_loads` over the nodes in increasing (u, d), so each depth sums in increasing u."""
-        return bucket_loads(((u, d, self._map[u, d]) for u, d in sorted(self._map)), gb, u_lo, u_hi, top, h)
+        return bucket_loads(self.u, self.d, self.count, gb, u_lo, u_hi, top, h)
 
 
 # perfbench/tracer.py still patches the old dense sketch class by name;
@@ -264,23 +276,19 @@ GridSketch = TreeSketch
 
 def sketch_to_json(sk: TreeSketch) -> str:
     """Serialize a sketch for pass-2 use: sorted entries plus extremes."""
-    doc = {
-        "entries": [{"d": d, "u": u, "n": cnt} for d, u, cnt in sk.entries()],
-        "p_min": sk.p_min,
-        "p_max": sk.p_max,
-    }
-    return json.dumps(doc)
+    entries = [{"d": d, "u": u, "n": cnt} for d, u, cnt in sk.entries()]
+    return json.dumps({"entries": entries, "p_min": sk.p_min, "p_max": sk.p_max})
 
 
 def sketch_from_json(text: str) -> TreeSketch:
+    """The sketch that `sketch_to_json` wrote; entries in another order are sorted by (u, d)."""
     doc = json.loads(text)
     sk = TreeSketch()
-    for e in doc["entries"]:
-        sk._map[(int(e["u"]), int(e["d"]))] = int(e["n"])
-        sk.total_counted += int(e["n"])
-    sk.p_min = doc.get("p_min")
-    sk.p_max = doc.get("p_max")
-    sk.peak_node_count = len(sk._map)
+    cols = np.array([[int(e[key]) for e in doc["entries"]] for key in "udn"], dtype=np.int64).reshape(3, -1)
+    sk.u, sk.d, sk.count = cols.take(np.lexsort(cols[1::-1]), axis=1)
+    sk.total_counted = int(sk.count.sum())
+    sk.p_min, sk.p_max = doc.get("p_min"), doc.get("p_max")
+    sk.peak_node_count = sk.node_count
     return sk
 
 
@@ -288,11 +296,7 @@ def sketch_from_json(text: str) -> TreeSketch:
 # the tests' per-event reference walks arcs with it, and perfbench/tracer.py
 # still patches its methods by name.
 class DepthTable:
-    """Per-job (current depth, bucket) records, one dict entry per job.
-
-    Depths only ever increase; an arc that would lower one is a
-    corrupted stream.
-    """
+    """Per-job (current depth, bucket) records, one dict entry per job; a depth never falls."""
 
     def __init__(self):
         self._rec: dict[int, tuple[int, int]] = {}
@@ -449,12 +453,6 @@ class DepthColumns:
         for a, b in zip(s.tolist(), t.tolist()):
             if view[a] >= view[b]:
                 view[b] = view[a] + 1
-
-    def count_into(self, sk: TreeSketch) -> None:
-        """Count every frozen job at its final (bucket, depth) in ``sk``."""
-        if self.depth.size:
-            us, ds, counts = pair_counts(self.u, self.depth)
-            sk.add_counts(zip(us, ds), counts)
 
     def check_ids(self) -> None:
         """Raise unless the frozen ids are exactly 1..n, naming the first missing one."""

@@ -304,8 +304,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     if not given:
         columns.freeze()
         columns.check_ids()
-        if not capped:
-            columns.count_into(sk)
+        if not capped:  # every job, at its final depth
+            sk.count_chunk(columns.u, columns.depth)
         h_run = int(columns.depth.max(initial=1))
     if n == 0:
         raise InputContractError("empty job stream")

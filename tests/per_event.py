@@ -14,11 +14,11 @@ creates a node and a peak update after it.  In the arc modes every job
 goes into a dict `DepthTable`, every arc is checked against the set of
 sources seen so far, and a raised depth moves its job's count in the
 sketch at once (`move`; in the capped mode a skipped job has no count,
-and `LazySketch.move_if_present` finds out whether an evicted job's
-count is gone); at the end of the stream the ids must be 1..n, and a
-declared n must equal the job count.
+and an evicted job's count went with its node, which the lazy rule may
+not have dropped yet); at the end of the stream the ids must be 1..n,
+and a declared n must equal the job count.
 The finish (`A`, sketch times, guarantee) is the engine's, but the
-capped modes' bucket window is computed here.
+capped modes' bucket window and the per-depth loads are computed here.
 Tests hold the engine's results and errors to this walk.
 """
 
@@ -39,29 +39,87 @@ from schedsketch.core import (
     ceil_div,
     derive_params,
 )
-from schedsketch.errors import CycleSuspicionError, InputContractError
+from schedsketch.errors import CycleSuspicionError, InputContractError, InvariantViolationError
 from schedsketch.model import ArcChunk, RunReport, ScheduleSketch
-from schedsketch.sketch import DepthTable, TreeSketch, bucket_loads
+from schedsketch.sketch import DepthTable
 
 
-class LazySketch(TreeSketch):
-    """`TreeSketch` with the paper's lazy eviction: each prune drops at most the smallest node."""
+class LazySketch:
+    """The paper's sketch as a dict from (u, d) to a count, pruned lazily: each prune drops at most the smallest node.
+
+    It shares no code with `TreeSketch`, which the tests hold to it: it
+    counts, moves, prunes, restricts and sums its loads with loops of
+    its own, and gives its entries sorted by (u, d).
+    """
+
+    def __init__(self, counts: dict | None = None):
+        self.counts = dict(counts or {})  # (u, d) -> count
+        self.total_counted = sum(self.counts.values())
+        self.p_min = self.p_max = None
+        self.peak_node_count = len(self.counts)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.counts)
+
+    def note_processing_time(self, p: int) -> None:
+        self.p_min = p if self.p_min is None else min(self.p_min, p)
+        self.p_max = p if self.p_max is None else max(self.p_max, p)
+
+    def note_peak(self) -> None:
+        self.peak_node_count = max(self.peak_node_count, len(self.counts))
+
+    def add(self, d: int, u: int) -> bool:
+        """Count one job at (d, u); return True if the node is new."""
+        created = (u, d) not in self.counts
+        self.counts[u, d] = self.counts.get((u, d), 0) + 1
+        self.total_counted += 1
+        return created
+
+    def move(self, d: int, u: int, d_new: int) -> bool:
+        """Move one count from (d, u) to (d_new, u); return True if the destination node is new."""
+        if (u, d) not in self.counts:
+            raise InvariantViolationError(f"no sketch node at (d={d}, u={u}) to move from")
+        self.counts[u, d] -= 1
+        if not self.counts[u, d]:
+            del self.counts[u, d]
+        self.total_counted -= 1
+        return self.add(d_new, u)
 
     def prune_smallest(self, cutoff_u: int) -> bool:
-        if self._map and min(self._map)[0] < cutoff_u:
-            del self._map[min(self._map)]
+        if self.counts and min(self.counts)[0] < cutoff_u:
+            del self.counts[min(self.counts)]
             return True
         return False
 
-    def move_if_present(self, d: int, u: int, d_new: int) -> tuple[bool, bool]:
-        """`move`, but a missing source is tolerated: returns (moved, created).
+    def restrict(self, u_lo: int, u_hi: int) -> "LazySketch":
+        out = LazySketch({key: cnt for key, cnt in self.counts.items() if u_lo <= key[0] <= u_hi})
+        out.p_min, out.p_max = self.p_min, self.p_max
+        out.peak_node_count = max(self.peak_node_count, out.node_count)
+        return out
 
-        The capped arc mode's walk: a job's count may have been skipped
-        or evicted as too small before an arc raised its depth.
-        """
-        if self._map.get((u, d), 0) < 1:
-            return False, False
-        return True, self.move(d, u, d_new)
+    def top_bucket(self, count: int) -> int | None:
+        held = 0
+        for u, d in sorted(self.counts, reverse=True):
+            held += self.counts[u, d]
+            if held >= count:
+                return u
+        return None
+
+    def entries(self) -> list[tuple[int, int, int]]:
+        """(d, u, count) sorted by (u, d)."""
+        return [(d, u, self.counts[u, d]) for u, d in sorted(self.counts)]
+
+    def depth_loads(self, gb, u_lo: int, u_hi: int, top: int, h: int) -> np.ndarray:
+        """Loads 1..h: each node in (u, d) order adds its count times its bucket's rounded value."""
+        if u_hi < u_lo:
+            raise InputContractError(f"empty bucket range [{u_lo}, {u_hi}]")
+        loads = [0.0] * h
+        for d, u, cnt in self.entries():
+            if not u_lo <= u <= u_hi:
+                raise InputContractError(f"bucket {u} outside [{u_lo}, {u_hi}]")
+            loads[d - 1] += cnt * (float(top) if u == u_hi else gb.base ** (u + 1))
+        return np.array(loads)
 
 
 class _Table(DepthTable):
@@ -129,7 +187,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
                         raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
                     if not capped:
                         sk.move(d_dst, u_dst, new_depth)
-                    elif dst not in skipped and sk.move_if_present(d_dst, u_dst, new_depth)[1]:
+                    elif dst not in skipped and (u_dst, d_dst) in sk.counts and sk.move(d_dst, u_dst, new_depth):
                         sk.prune_smallest(cutoff)
                         sk.note_peak()
                     table.raise_depth(dst, new_depth)
@@ -182,7 +240,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     else:
         u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
         c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
-    loads = bucket_loads(((u, d, cnt) for d, u, cnt in final.entries()), gb, u_lo, u_hi, top, height) / params.m
+    loads = final.depth_loads(gb, u_lo, u_hi, top, height) / params.m
     tail = ceil_div(top, n) if capped else 0
     if not given:
         held = table.held_depths(height)

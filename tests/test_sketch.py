@@ -1,11 +1,13 @@
 """Input sketch operations: add, move, prune, chunk counts, restrict, serialization."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from per_event import LazySketch
 
 import schedsketch as ss
 from schedsketch import sketch
@@ -123,48 +125,12 @@ class TestPrune:
         assert entries(sk) == [(1, -2, 1), (1, -1, 1), (1, 3, 1)]  # the original keeps its nodes
 
 
-class RefSketch:
-    """Reference sketch: a plain dict, pruned lazily at ``min(keys)`` or eagerly below a cutoff."""
-
-    def __init__(self, counts=None):
-        self.counts = dict(counts or {})  # (u, d) -> count
-
-    def bump(self, key):
-        created = key not in self.counts
-        self.counts[key] = self.counts.get(key, 0) + 1
-        return created
-
-    def move_if_present(self, d, u, d_new):
-        if (u, d) not in self.counts:
-            return False, False
-        self.counts[(u, d)] -= 1
-        if self.counts[(u, d)] == 0:
-            del self.counts[(u, d)]
-        return True, self.bump((u, d_new))
-
-    def prune_smallest(self, cutoff_u):
-        """The paper's lazy prune: at most the smallest node goes."""
-        if self.counts and min(self.counts)[0] < cutoff_u:
-            del self.counts[min(self.counts)]
-            return True
-        return False
-
-    def evict_below(self, cutoff_u):
-        low = [key for key in self.counts if key[0] < cutoff_u]
-        for key in low:
-            del self.counts[key]
-        return bool(low)
-
-    def entries(self):
-        return [(d, u, self.counts[(u, d)]) for u, d in sorted(self.counts)]
-
-    def top_bucket(self, count):
-        held = 0
-        for u, d in sorted(self.counts, reverse=True):
-            held += self.counts[(u, d)]
-            if held >= count:
-                return u
-        return None
+def _evict_below(ref: LazySketch, cutoff_u: int) -> bool:
+    """Eager eviction on the lazy reference: prune the smallest node while one lies below the cutoff."""
+    evicted = False
+    while ref.prune_smallest(cutoff_u):
+        evicted = True
+    return evicted
 
 
 _ops = st.lists(
@@ -181,16 +147,16 @@ def _run_ops(sk, ref, ops):
     for op in ops:
         if op[0] == "add":
             _, d, u = op
-            assert sk.add(d, u) == ref.bump((u, d))
+            assert sk.add(d, u) == ref.add(d, u)
         elif op[0] == "move":
             _, d, u, step = op
             if (u, d) in ref.counts:
-                assert sk.move(d, u, d + step) == ref.move_if_present(d, u, d + step)[1]
+                assert sk.move(d, u, d + step) == ref.move(d, u, d + step)
             else:
                 with pytest.raises(ss.InvariantViolationError):
                     sk.move(d, u, d + step)
         else:
-            assert sk.prune_smallest(op[1]) == ref.evict_below(op[1])
+            assert sk.prune_smallest(op[1]) == _evict_below(ref, op[1])
     assert entries(sk) == ref.entries()
     assert sk.node_count == len(ref.counts)
     for count in range(1, 8):
@@ -201,19 +167,21 @@ class TestEvictionMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(ops=_ops, more=_ops, u_lo=st.integers(-3, 5), width=st.integers(0, 8))
     def test_random_operation_sequences(self, ops, more, u_lo, width):
-        sk, ref = TreeSketch(), RefSketch()
+        sk, ref = TreeSketch(), LazySketch()
         _run_ops(sk, ref, ops)
         # copies go on from their own dict
         kept = {k: v for k, v in ref.counts.items() if u_lo <= k[0] <= u_lo + width}
-        _run_ops(sk.restrict(u_lo, u_lo + width), RefSketch(kept), more)
-        _run_ops(sketch_from_json(sketch_to_json(sk)), RefSketch(ref.counts), more)
+        _run_ops(sk.restrict(u_lo, u_lo + width), LazySketch(kept), more)
+        _run_ops(sketch_from_json(sketch_to_json(sk)), LazySketch(ref.counts), more)
         _run_ops(sk, ref, more)
 
 
 def _sketch(counts: dict, peak: int) -> TreeSketch:
     """A sketch holding ``counts`` ((u, d) -> count) with this peak."""
     sk = TreeSketch()
-    sk.add_counts(counts, counts.values())
+    if counts:
+        u, d = (np.repeat(np.array(col, dtype=np.int64), list(counts.values())) for col in zip(*counts))
+        sk.count_chunk(u, d)
     sk.peak_node_count = peak
     return sk
 
@@ -256,16 +224,16 @@ class TestMoveCounts:
         after = [cut + base for cut in after]
         sk = _sketch(counts, peak)
         sk.move_counts(*_moves(moves))
-        ref, ref_peak = RefSketch(counts), peak
+        ref, ref_peak = LazySketch(counts), peak
         for u, d, step in moves:
-            if ref.move_if_present(d, u, d + step)[1]:
+            if ref.move(d, u, d + step):
                 ref_peak = max(ref_peak, len(ref.counts))
         assert entries(sk) == ref.entries()
         assert sk.node_count == len(ref.counts)
         assert sk.peak_node_count == ref_peak
         assert sk.total_counted == sum(counts.values())
         for cut in after:  # later prunes see the moved keys
-            assert sk.prune_smallest(cut) == ref.evict_below(cut)
+            assert sk.prune_smallest(cut) == _evict_below(ref, cut)
         assert entries(sk) == ref.entries()
 
     def test_peak_inside_the_batch(self):
@@ -303,15 +271,15 @@ class TestCountChunk:
     def test_equals_the_lazy_walk(self, start, peak):
         """`count_chunk` keeps the lazy walk's nodes at or above the final cutoff, and its peak, and nothing below."""
         counts, chunks = start
-        sk, ref, ref_peak = _sketch(counts, peak), RefSketch(counts), peak
+        sk, ref, ref_peak = _sketch(counts, peak), LazySketch(counts), peak
         for chunk in chunks:
             u, d, cut = (np.array(col, dtype=np.int64) for col in zip(*chunk))
             asked = []
-            low = min([int(u.min())] + [key[0] for key in sk._map])
+            low = min([int(u.min())] + sk.u[:1].tolist())  # the lowest held bucket is the first node's
             sk.count_chunk(u, d, int(cut[-1]), lambda i: asked.append(i) or cut[i])
             assert bool(asked) == (cut[-1] > low)  # the cutoffs are asked for only when a node falls below one
             for u_j, d_j, cut_j in chunk:
-                if ref.bump((u_j, d_j)):
+                if ref.add(d_j, u_j):
                     ref.prune_smallest(cut_j)
                 ref_peak = max(ref_peak, len(ref.counts))
             final = int(cut[-1])
@@ -325,6 +293,115 @@ class TestCountChunk:
         sk.count_chunk(np.array([5]), np.array([1]), 3, lambda i: [3] * len(i))
         assert entries(sk) == [(1, 5, 2)]
         assert (sk.node_count, sk.peak_node_count) == (1, 2)
+
+
+class TestArraySketchMatchesDictReference:
+    """`TreeSketch` against the dict reference, `LazySketch` pruned eagerly, over random operation sequences."""
+
+    @staticmethod
+    def _same(sk, ref, gb, top):
+        assert list(sk.entries()) == ref.entries()
+        assert (sk.node_count, sk.peak_node_count, sk.total_counted) == (
+            ref.node_count, ref.peak_node_count, ref.total_counted)
+        assert sketch_to_json(sk) == sketch_to_json(ref)
+        if gb is not None:  # the rounded values of buckets near 2**62 overflow a float
+            us = [u for _, u, _ in ref.entries()] or [0]
+            h = max([d for d, _, _ in ref.entries()], default=1)
+            loads = sk.depth_loads(gb, min(us), max(us), top, h), ref.depth_loads(gb, min(us), max(us), top, h)
+            assert loads[0].tobytes() == loads[1].tobytes()
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        data=st.data(),
+        spread=st.sampled_from([1, 1, 1, 2**59]),  # 2**59: a bucket span whose keys pass int64, ranked instead
+        base=st.sampled_from([0, 0, 2**62]),  # (u + 1) * width past int64 for buckets near 2**62
+    )
+    def test_random_operation_sequences(self, data, spread, base):
+        """Entries, node counts, peak, total, `depth_loads` bytes and JSON text agree after every operation.
+
+        Chunks count jobs under cutoffs that rise within and across chunks, or evict nothing;
+        move batches take held counts, or miss one, which raises and changes nothing; `restrict`
+        and `top_bucket` come in between.
+        """
+        bucket = (lambda code: code * spread + base) if spread == 1 else (lambda code: code * spread)
+        gb = ss.buckets_for(0.1) if (spread, base) == (1, 0) else None
+        sk, ref, cut = TreeSketch(), LazySketch(), data.draw(st.integers(-3, 2))
+        for _ in range(data.draw(st.integers(1, 12))):
+            op = data.draw(st.sampled_from(["chunk", "chunk", "move", "move", "restrict", "top"]))
+            if op == "chunk":
+                rows = []
+                for _ in range(data.draw(st.integers(1, 20))):
+                    cut = min(cut + data.draw(st.sampled_from([0, 0, 0, 1, 2])), 6)  # buckets stay within int64
+                    rows.append((cut + data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)), cut))
+                evict = data.draw(st.booleans())
+                u, d, cuts = (np.array([bucket(r[0]) for r in rows]), np.array([r[1] for r in rows]),
+                              np.array([bucket(r[2]) for r in rows]))
+                p = data.draw(st.integers(1, 100))
+                sk.note_processing_time(p)
+                ref.note_processing_time(p)
+                sk.count_chunk(u, d, int(cuts[-1]), lambda i: cuts[i]) if evict else sk.count_chunk(u, d)
+                for u_j, d_j, cut_j in zip(u.tolist(), d.tolist(), cuts.tolist()):
+                    if evict:
+                        _evict_below(ref, cut_j)
+                    ref.add(d_j, u_j)
+                    ref.note_peak()
+            elif op == "move":
+                held, moves = dict(ref.counts), []
+                for _ in range(data.draw(st.integers(0, 12))):
+                    keys = sorted(key for key, cnt in held.items() if cnt)
+                    if not keys:
+                        break
+                    u_j, d_j = data.draw(st.sampled_from(keys))
+                    d_new = d_j + data.draw(st.integers(1, 3))
+                    held[u_j, d_j] -= 1
+                    held[u_j, d_new] = held.get((u_j, d_new), 0) + 1
+                    moves.append((u_j, d_j, d_new))
+                if moves and data.draw(st.booleans()):  # a move from a key that holds no count when it comes
+                    u_j, d_j, _ = data.draw(st.sampled_from(moves))
+                    moves.insert(data.draw(st.integers(0, len(moves))), (u_j, d_j + 7, d_j + 8))
+                cols = [np.array(col, dtype=np.int64) for col in zip(*moves)] if moves else [np.zeros(0, np.int64)] * 3
+                walked, created, want = LazySketch(ref.counts), 0, None  # the walk, on a copy of the reference
+                walked.total_counted, walked.peak_node_count = ref.total_counted, ref.peak_node_count
+                walked.p_min, walked.p_max = ref.p_min, ref.p_max
+                try:
+                    for u_j, d_j, d_new in moves:
+                        if walked.move(d_j, u_j, d_new):
+                            created += 1
+                            walked.note_peak()
+                except ss.InvariantViolationError as exc:
+                    want = str(exc)
+                if want is None:
+                    assert sk.move_counts(*cols) == created
+                    ref = walked
+                else:
+                    with pytest.raises(ss.InvariantViolationError) as exc:
+                        sk.move_counts(*cols)
+                    assert str(exc.value) == want
+            elif op == "restrict":
+                lo = data.draw(st.integers(-3, 8))
+                hi = lo + data.draw(st.integers(0, 6))
+                sk, ref = sk.restrict(bucket(lo), bucket(hi)), ref.restrict(bucket(lo), bucket(hi))
+            else:
+                count = data.draw(st.integers(1, 10))
+                assert sk.top_bucket(count) == ref.top_bucket(count)
+            self._same(sk, ref, gb, data.draw(st.integers(1, 10**6)))
+
+
+def test_nodes_are_held_in_columns():
+    """2,300 nodes take at most 64 B each (int64 columns); a dict of tuple keys takes about 150 B a node."""
+    keys = np.random.default_rng(1).permutation(np.repeat(np.arange(2_100), 2))  # every (u, d), u < 700, d <= 3
+    tracemalloc.start()
+    try:
+        sk = TreeSketch()
+        for chunk in np.split(keys, 14):
+            sk.count_chunk(chunk // 3, chunk % 3 + 1)
+        deep = np.flatnonzero(sk.d == 3)[:200]
+        sk.move_counts(sk.u[deep], sk.d[deep], sk.d[deep] + 1)  # 200 new nodes at depth 4
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sk.node_count == 2_300
+    assert size <= 64 * sk.node_count
 
 
 class TestRestrict:
@@ -500,26 +577,27 @@ class TestPairCounts:
     @given(
         rows=st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 3)), min_size=1, max_size=60),
         base=st.sampled_from([0, 0, 0, 2**62, -(2**62)]),  # keys u * width + d past int64 either way
+        spread=st.sampled_from([1, 1, 2**60]),  # a bucket span whose keys pass int64 unless every d is 0
         deep=st.sampled_from([0, 0, 2**40]),
     )
-    def test_routes_agree_with_a_counter(self, rows, base, deep):
+    def test_routes_agree_with_a_counter(self, rows, base, spread, deep):
         """The counting route (no ``first``), the sorting route (``first``) and a Counter agree field for field."""
-        u = [r[0] + base for r in rows]
+        u = [r[0] * spread + (base if spread == 1 else 0) for r in rows]
         d = [r[1] + deep for r in rows]
         want = _pairs_by_counter(u, d)
         counted = pair_counts(np.array(u, dtype=np.int64), np.array(d, dtype=np.int64))
         *sorted_, firsts = pair_counts(np.array(u, dtype=np.int64), np.array(d, dtype=np.int64), first=True)
-        assert list(counted) == sorted_ == list(want[:3])
+        assert [col.tolist() for col in counted] == [col.tolist() for col in sorted_] == list(want[:3])
         assert firsts.tolist() == want[3]
-        assert all(type(x) is int for field in counted for x in field)
+        assert all(col.dtype == np.int64 for col in counted + tuple(sorted_))
 
     def test_few_keys_skip_the_sort(self, monkeypatch):
-        """No more keys than rows and no ``u < 0``: the pairs are counted, not sorted."""
+        """No more keys than rows in the bucket span: the pairs are counted, not sorted."""
         def no_sort(*args, **kwargs):
             raise AssertionError("np.unique called")
 
         u, d = np.array([2, 0, 2, 2, 1, 0], dtype=np.int64), np.array([1, 1, 1, 0, 0, 1], dtype=np.int64)
         monkeypatch.setattr(np, "unique", no_sort)
-        assert pair_counts(u, d) == ([0, 1, 2, 2], [1, 0, 0, 1], [2, 1, 1, 2])
+        assert [col.tolist() for col in pair_counts(u, d)] == [[0, 1, 2, 2], [1, 0, 0, 1], [2, 1, 1, 2]]
         with pytest.raises(AssertionError, match="np.unique called"):
-            pair_counts(np.where(u == 1, -1, u), d)  # a u = -1 row takes the sort
+            pair_counts(np.where(u == 1, -1, u), d)  # a u = -1 row: 8 keys in the span, 6 rows

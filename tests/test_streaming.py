@@ -237,6 +237,12 @@ def test_new_maxima_rarely_need_exact_powers(mode, monkeypatch):
     assert len(calls) <= 5
 
 
+def _columns(entries: list) -> tuple:
+    """(u, d, weight) rows as the columns `bucket_loads` takes."""
+    u, d, weight = zip(*entries) if entries else ((), (), ())
+    return np.array(u, dtype=np.int64), np.array(d, dtype=np.int64), np.array(weight, dtype=np.float64)
+
+
 class TestBucketLoads:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -257,7 +263,7 @@ class TestBucketLoads:
         want = [0.0] * 4
         for u, d, weight in entries:
             want[d - 1] += weight * (float(top) if u == 40 else gb.base ** (u + 1))
-        loads = bucket_loads(iter(entries), gb, 0, 40, top, 4)
+        loads = bucket_loads(*_columns(entries), gb, 0, 40, top, 4)
         assert loads.dtype == np.float64
         assert [x.hex() for x in loads.tolist()] == [x.hex() for x in want]
 
@@ -272,10 +278,10 @@ class TestBucketLoads:
         gb = ss.buckets_for(delta)
         top = p + c_extra  # pinned maximum is at least the job itself
         u, u_hi = gb.index(p), gb.index(top)
-        v = bucket_loads([(u, 1, 1)], gb, 0, u_hi, top, 1)[0]
+        v = bucket_loads(*_columns([(u, 1, 1)]), gb, 0, u_hi, top, 1)[0]
         assert v >= p * (1 - 1e-12)
         assert v <= (1 + delta) * p * (1 + 1e-12)
-        assert bucket_loads([(u_hi, 1, 3)], gb, 0, u_hi, top, 1)[0] == 3.0 * top
+        assert bucket_loads(*_columns([(u_hi, 1, 3)]), gb, 0, u_hi, top, 1)[0] == 3.0 * top
 
     @pytest.mark.parametrize(
         "u_lo,u_hi,u,message",
@@ -285,7 +291,7 @@ class TestBucketLoads:
     def test_out_of_window_bucket_rejected(self, u_lo, u_hi, u, message):
         gb = ss.buckets_for(0.1)
         with pytest.raises(ss.InputContractError, match=message):
-            bucket_loads([(u_hi, 1, 1), (u, 1, 1)], gb, u_lo, u_hi, 9, 1)
+            bucket_loads(*_columns([(u_hi, 1, 1), (u, 1, 1)]), gb, u_lo, u_hi, 9, 1)
 
 
 class TestSketchMonotonicity:

@@ -47,7 +47,10 @@ def test_tracer_install_then_uninstall_restores_every_attribute():
         tracer.uninstall()
     assert {
         ("schedsketch.sketch.DepthTable", "insert"),
+        ("schedsketch.sketch.TreeSketch", "add"),
         ("schedsketch.sketch.TreeSketch", "move"),
+        ("schedsketch.sketch.TreeSketch", "prune_smallest"),
+        ("schedsketch.sketch.TreeSketch", "depth_loads"),
         ("schedsketch.fileio", "iter_stream"),
         ("STREAMING_ALGORITHMS", "stream4"),
     } <= patched
