@@ -32,6 +32,7 @@ from .streaming import STREAMING_ALGORITHMS
 STREAM_CMDS = ("stream1", "stream2", "stream3", "stream4")
 SAMPLE_CMDS = ("sample1", "sample2")
 COMMANDS = STREAM_CMDS + SAMPLE_CMDS + ("schedule", "oracle", "gen", "bench")
+EXIT_CODES = {ParamError: 2, OSError: 2, InputContractError: 3, SketchInfeasibleError: 4, InvariantViolationError: 5}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -122,10 +123,6 @@ def _params(args, n: int | None = None) -> AlgoParams:
     )
 
 
-def _count_jobs(path: str) -> int:
-    return sum(len(chunk.ids) for chunk in fileio.iter_chunks(path) if isinstance(chunk, JobChunk))
-
-
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when there is none."""
     if out:
@@ -152,16 +149,23 @@ def _emit_result(report, args) -> None:
 
 
 def _run_stream(args) -> int:
+    path = None  # the file streamed, if any
     if fileio.looks_like_gen_spec(args.infile):
         inst = fileio.instance_from_spec(args.infile)
         events = inst.chunks(with_depth=args.cmd in ("stream1", "stream3"))
         n = inst.n
     else:
-        n = args.n
+        path, n = args.infile, args.n
         if n is None and args.cmd in ("stream3", "stream4"):
-            n = _count_jobs(args.infile)  # convenience pre-scan; pass --n to stay one-pass
-        events = fileio.iter_chunks(args.infile)
-    report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
+            # a convenience pre-scan; pass --n to stay one-pass
+            n = sum(len(chunk.ids) for chunk in fileio.iter_chunks(path) if isinstance(chunk, JobChunk))
+        events = fileio.iter_chunks(path)
+    try:
+        report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
+    except InputContractError as exc:  # an error of one row: name its line, found by a rescan
+        if path is None or exc.row is None:
+            raise
+        raise type(exc)(f"{path}:{fileio._line_of(path, *exc.row)}: {exc}") from None
     if args.sketch_out:
         with open(args.sketch_out, "w") as fh:
             fh.write(sketch_to_json(report.extras["input_sketch"]) + "\n")
@@ -340,21 +344,10 @@ def main(argv=None) -> int:
         if args.cmd == "bench":
             return _run_bench(args)
         raise ParamError(f"unknown command {args.cmd}")
-    except ParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SketchInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InputContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolationError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 5
+    except tuple(EXIT_CODES) as exc:
+        code = next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"error: {'internal: ' if code == 5 else ''}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

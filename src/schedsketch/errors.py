@@ -14,6 +14,10 @@ class ParamError(ValueError):
 class InputContractError(ValueError):
     """The event stream or instance file violates its documented contract."""
 
+    def __init__(self, message: str, row: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.row = row  # for an error of one event, ("J", k) or ("A", k): the k-th job or arc, from 0
+
 
 class CycleSuspicionError(InputContractError):
     """Arc stream implies a cycle (depth overflow, non-topological order or a self-loop)."""

@@ -14,13 +14,12 @@ an arc source, it may not appear as a destination again — exactly the
 property the one-pass depth updates need.  An arc from a job to itself
 is a cycle, rejected at its line.
 
-`iter_chunks` reads a file in blocks of about 1 MiB and yields its
-events as int64 column chunks (`JobChunk`, `ArcChunk`).  A block in the
-canonical form `write_instance` emits is checked by one regular
-expression and parsed in bulk; every other block goes through the line
-parser, which is the reference for what the format accepts and names
-the ``file:line`` of the first violation.  `iter_stream` is a per-event
-view of the same chunks, and `read_instance` concatenates them.
+`iter_chunks` reads a file in blocks and yields its events as int64
+column chunks (`JobChunk`, `ArcChunk`), checking what each line shows
+and holding no per-job state.  Ids 1..n and arc order need such state:
+`read_instance` checks them, and so do the arc-driven stream modes.
+`iter_stream` is a per-event view of the chunks, and `read_instance`
+concatenates them.
 
 A generator spec like ``chain:m=200,q=5,h=3,seed=1`` can stand in for
 a file name anywhere an instance is read; the sampling commands can
@@ -54,6 +53,7 @@ from .model import (
     RunReport,
     ScheduleSketch,
     StreamEvent,
+    late_arc,
     source_lag,
 )
 from .generators import FAMILIES, generate
@@ -112,19 +112,13 @@ def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
 
 
 class _Reader:
-    """The stream contract's state, carried from one block of a file to the next."""
+    """Per-line checks (syntax, int64 range, depth convention, job after arcs, self-loop), block by block."""
 
     def __init__(self, path: str):
         self.path = path
         self.lineno = 0  # lines before the current block
-        self.rows = 0  # job lines read
         self.arcs = 0  # arc lines read
         self.has_depth: bool | None = None  # the depth convention, once a job line fixed it
-        # from the first arc line on, per arc end 1..rows: the position of its first arc as a source,
-        # so no later arc may end there; arc ends outside 1..rows, which come only from gapped or
-        # huge ids, go to the line parser and its set instead, so nothing is allocated by id value
-        self.first: np.ndarray | None = None
-        self.sources: set[int] = set()  # arc sources outside 1..rows
 
     def bulk(self, block: str) -> list[Chunk] | None:
         """A block's chunks when it is in the canonical form, else None.
@@ -139,34 +133,25 @@ class _Reader:
         if match is None:
             return None
         chunks: list[Chunk] = []
-        has_depth, rows = self.has_depth, self.rows
+        has_depth = self.has_depth
         split = match.end("jobs")
         if split:
             lines = text.count("\n", 0, split)
             vals = np.fromstring(text[:split].replace("J", ""), dtype=np.int64, sep=" ")
-            if self.first is not None or vals.size not in (2 * lines, 3 * lines):
+            if self.arcs or vals.size not in (2 * lines, 3 * lines):
                 return None
             has_depth = vals.size == 3 * lines
             if self.has_depth not in (None, has_depth):
                 return None
             cols = vals.reshape(lines, -1).T
             chunks.append(JobChunk(cols[0], cols[1], cols[2] if has_depth else None))
-            rows += lines
-        first = self.first
         if split < len(text):
             src, dst = np.fromstring(text[split:].replace("A", ""), dtype=np.int64, sep=" ").reshape(-1, 2).T
-            if max(int(src.max()), int(dst.max())) > rows:  # canonical numbers are >= 1
-                return None
-            if first is None:
-                first = np.full(rows, NO_SOURCE, dtype=np.int64)
-            s = src - 1
-            held = first[s]
-            if (source_lag(first, s, dst - 1, self.arcs) >= 0).any():  # out of order, or a self-loop
-                first[s] = held
+            if (src == dst).any():
                 return None
             chunks.append(ArcChunk(src, dst))
             self.arcs += src.size
-        self.has_depth, self.rows, self.first = has_depth, rows, first
+        self.has_depth = has_depth
         self.lineno += block.count("\n")
         return chunks
 
@@ -177,8 +162,7 @@ class _Reader:
         """
         jobs: list[tuple[int, ...]] = []
         arcs: list[tuple[int, int]] = []
-        has_depth, sources = self.has_depth, self.sources
-        first = None if self.first is None else memoryview(self.first)  # indexed and set as Python ints
+        has_depth = self.has_depth
         lineno = self.lineno
         error = None
         try:  # zero-cost on valid lines; the handlers add the bad line's file:line
@@ -188,7 +172,7 @@ class _Reader:
                     continue
                 tag = parts[0]
                 if tag == "J":
-                    if first is not None:
+                    if self.arcs or arcs:
                         raise InputContractError("job line after arc lines")
                     if len(parts) not in (3, 4):
                         raise InputContractError("expected 'J <id> <p> [<depth>]'")
@@ -209,21 +193,12 @@ class _Reader:
                 elif tag == "A":
                     if len(parts) != 3:
                         raise InputContractError("expected 'A <src> <dst>'")
-                    if first is None:
-                        self.first = np.full(self.rows + len(jobs), NO_SOURCE, dtype=np.int64)
-                        first = memoryview(self.first)
                     src, dst = int(parts[1]), int(parts[2])
                     if not (-P_LIMIT - 1 <= src <= P_LIMIT and -P_LIMIT - 1 <= dst <= P_LIMIT):
                         value = src if not -P_LIMIT - 1 <= src <= P_LIMIT else dst
                         raise InputContractError(f"arc end {value} is outside the int64 range")
-                    if (first[dst - 1] != NO_SOURCE) if 0 < dst <= len(first) else (dst in sources):
-                        raise CycleSuspicionError(f"arc ({src}, {dst}) is not in topological order")
                     if src == dst:
                         raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
-                    if 0 < src <= len(first):
-                        first[src - 1] = min(first[src - 1], self.arcs + len(arcs))
-                    else:
-                        sources.add(src)
                     arcs.append((src, dst))
                 else:
                     raise InputContractError(f"unknown line tag {tag!r}")
@@ -232,7 +207,6 @@ class _Reader:
         except ValueError as exc:  # a field that is no integer, or a value Job rejects
             error = InputContractError(f"{self.path}:{lineno}: {exc}")
         self.has_depth, self.lineno = has_depth, lineno
-        self.rows += len(jobs)
         self.arcs += len(arcs)
         if jobs:
             cols = np.array(jobs, dtype=np.int64).T
@@ -245,14 +219,15 @@ class _Reader:
 
 
 def iter_chunks(path: str) -> Iterator[Chunk]:
-    """Yield the file's events as int64 column chunks, enforcing the stream contract.
+    """Yield the file's events as int64 column chunks, enforcing the line checks of `_Reader`.
 
     The file is read in blocks of about `BLOCK_CHARS` characters, cut
-    at line ends.  A block in the canonical form is checked and parsed
-    in bulk; any other block is replayed by the line parser, which
-    yields the valid rows before a bad line as chunks and then raises
-    with the bad line's ``file:line``.  Line numbers count lines as
-    text-mode ``open()`` does.
+    at line ends.  A block in the canonical form `write_instance` emits
+    is checked by one regular expression and parsed in bulk; any other
+    block is replayed by the line parser, the reference for what a line
+    may hold, which yields the valid rows before a bad line as chunks
+    and then raises with the bad line's ``file:line``.  Line numbers
+    count lines as text-mode ``open()`` does.
     """
     reader = _Reader(path)
     rest = ""
@@ -289,23 +264,44 @@ def iter_stream(path: str) -> Iterator[StreamEvent]:
                 yield Arc(src, dst)
 
 
-def _arc_line(path: str, k: int) -> int:
-    """Line number of the arc at 0-based position ``k`` of a file that parsed."""
+def _line_of(path: str, tag: str, k: int) -> int:
+    """Line number of the ``tag`` line ("J" or "A") at 0-based position ``k`` among such lines of a file."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            if raw.split()[:1] == ["A"]:
+            if raw.split()[:1] == [tag]:
                 if k == 0:
                     return lineno
                 k -= 1
-    raise InvariantViolationError(f"{path} has no arc at position {k}")
+    raise InvariantViolationError(f"{path} has no {tag} line at position {k}")
 
 
 def read_instance(path: str, m: int = 1) -> Instance:
-    """Materialize an instance file; ids must be exactly 1..n and every arc must join two of them."""
+    """Materialize an instance file; ids must be exactly 1..n and every arc must join two of them in topological order.
+
+    Each arc chunk is checked as it arrives, so a bad arc wins over a
+    malformed line after it.
+    """
     jobs: list[JobChunk] = []
     arcs: list[ArcChunk] = []
+    first, k = None, 0  # per job position, the stream position of its first arc as a source; arcs read
     for chunk in iter_chunks(path):
-        (jobs if isinstance(chunk, JobChunk) else arcs).append(chunk)
+        if isinstance(chunk, JobChunk):
+            jobs.append(chunk)
+        elif jobs:  # without jobs the file is rejected as a whole below
+            if first is None:
+                first = np.full(sum(c.ids.size for c in jobs), NO_SOURCE, dtype=np.int64)
+            n, (src, dst) = first.size, chunk
+            bad = (np.minimum(src, dst) < 1) | (np.maximum(src, dst) > n)  # an end outside 1..n
+            stop = int(bad.argmax()) if bad.any() else src.size
+            bad[:stop] = source_lag(first, src[:stop] - 1, dst[:stop] - 1, k) > 0  # an end that was a source
+            if bad.any():
+                i = int(bad.argmax())
+                a, b = int(src[i]), int(dst[i])
+                outside = InputContractError(f"arc ({a}, {b}) references a job outside 1..{n}")
+                exc = late_arc(a, b) if i < stop else outside
+                raise type(exc)(f"{path}:{_line_of(path, 'A', k + i)}: {exc}")
+            arcs.append(chunk)
+            k += src.size
     if not jobs:
         raise InputContractError(f"{path}: no jobs")
     ids = np.concatenate([c.ids for c in jobs])
@@ -321,13 +317,6 @@ def read_instance(path: str, m: int = 1) -> Instance:
     arc_arr = np.empty((0, 2), dtype=np.int64)
     if arcs:
         arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)])
-        outside = ((arc_arr < 1) | (arc_arr > n)).any(axis=1)
-        if outside.any():
-            k = int(outside.argmax())
-            src, dst = arc_arr[k].tolist()
-            raise InputContractError(
-                f"{path}:{_arc_line(path, k)}: arc ({src}, {dst}) references a job outside 1..{n}"
-            )
     meta = {}
     sidecar = path + ".meta.json"
     if os.path.exists(sidecar):

@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .core import AlgoParams
-from .errors import InputContractError, ParamError
+from .errors import CycleSuspicionError, InputContractError, ParamError
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,14 @@ def source_lag(first: np.ndarray, s: np.ndarray, t: np.ndarray, start: int) -> n
     at = np.arange(start, start + s.size)
     np.minimum.at(first, s, at)
     return at - first[t]
+
+
+def late_arc(src: int, dst: int, row: tuple[str, int] | None = None) -> CycleSuspicionError:
+    """The error of an arc whose end was already the source of an earlier arc."""
+    return CycleSuspicionError(
+        f"arc ({src} -> {dst}) arrived after {dst} was already a source; arc stream is not in topological order", row
+    )
+
 
 CHUNK_ROWS = 1 << 16  # events per chunk from `Instance.chunks`, about the rows of a file block
 

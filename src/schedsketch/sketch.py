@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import GeometricBuckets
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
-from .model import NO_SOURCE, source_lag
+from .model import NO_SOURCE, late_arc, source_lag
 
 def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
     """The distinct pairs of two int64 columns ``u`` and ``d >= 0``, with their counts.
@@ -337,7 +337,9 @@ class DepthColumns:
     at the end of the stream, keeps its ids sorted, and an arc's ends
     are found by one ``searchsorted`` per chunk.  `raise_chunk` raises
     the error that `DepthTable` and a per-event walk raise at the first
-    bad arc of the chunk, after applying the arcs before it.
+    bad arc of the chunk, after applying the arcs before it.  No other
+    stream mode checks ids or arc order.  Each error of one row carries
+    the row's stream position (`InputContractError.row`).
     """
 
     def __init__(self):
@@ -372,7 +374,8 @@ class DepthColumns:
             ranked = ids[order]
             repeats = order[1:][ranked[1:] == ranked[:-1]]  # each row after the first of its id
             if repeats.size:
-                raise InputContractError(f"duplicate job id {ids[repeats.min()]} in stream")
+                k = int(repeats.min())
+                raise InputContractError(f"duplicate job id {ids[k]} in stream", row=("J", k))
             ids, self.u = ranked, self.u[order]
         if ids.size and (ids[0], ids[-1]) != (1, ids.size):  # distinct sorted ids are 1..n iff they end so
             self.ids = ids
@@ -406,27 +409,26 @@ class DepthColumns:
         self.freeze()
         if src.size == 0:
             return (src, src, src) if raises else None
+        start = self.arcs
         if self.u.size == 0:  # no jobs: the first arc's source is unseen
-            raise InputContractError(f"arc references unseen job id {src[0]}")
+            raise InputContractError(f"arc references unseen job id {src[0]}", row=("A", start))
         (s, t), seen = self._positions(np.stack((src, dst)))
         # an unseen end takes position 0, which changes the lags of no arc before the first bad one
-        lag = source_lag(self.first, s, t, self.arcs)
+        lag = source_lag(self.first, s, t, start)
         self.arcs += src.size
         bad = lag >= 0 if seen is None else (lag >= 0) | ~(seen[0] & seen[1])
         stop = int(bad.argmax()) if bad.any() else src.size
         before = self.depth[t[:stop]] if raises else None
         self._settle(s[:stop], t[:stop])
         if stop < src.size:
-            a, b = int(src[stop]), int(dst[stop])
+            a, b, row = int(src[stop]), int(dst[stop]), ("A", start + stop)
             if lag[stop] > 0 and (seen is None or seen[1, stop]):
-                raise CycleSuspicionError(
-                    f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
-                )
+                raise late_arc(a, b, row)
             if seen is not None and not seen[:, stop].all():
-                raise InputContractError(f"arc references unseen job id {a if not seen[0, stop] else b}")
+                raise InputContractError(f"arc references unseen job id {a if not seen[0, stop] else b}", row)
             if self.depth[s[stop]] >= self.depth.size:
-                raise CycleSuspicionError(f"depth {self.depth[s[stop]] + 1} exceeds job count {self.depth.size}")
-            raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
+                raise CycleSuspicionError(f"depth {self.depth[s[stop]] + 1} exceeds job count {self.depth.size}", row)
+            raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle", row)
         if raises:
             return _raises(t, self.depth[s] + 1, before)
         return None

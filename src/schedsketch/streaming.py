@@ -30,26 +30,27 @@ The engine reads its input through one door, `_chunks`, as int64
 column chunks of consecutive jobs or arcs: `fileio.iter_chunks` and
 `Instance.chunks` yield them, and events (`Job`, `Arc`) and chunks with
 list columns are packed into them.  A value outside int64 raises there.
+A zero-row job chunk is passed over in every mode.  An error of one row
+carries the row's stream position (`InputContractError.row`).
+
+The given-depth modes keep no per-job state: a job chunk is checked
+once, by vectorized masks, and raises the error of its first bad row,
+and arc events are counted, not read, so neither ids 1..n nor arc order
+is checked.  The counted modes (all but `stream_unknown`) hand each job
+chunk to one counter (`_count_chunk`), which takes it whole.
 
 The arc-driven modes keep per-job bucket, depth and first-source
-columns (`sketch.DepthColumns`) on every input, and raise the depths
-one arc chunk at a time.  `stream_unknown` counts the sketch once, at the end
-of the stream; `stream_alpha_unknown` counts its jobs at depth 1 as
-they come, as its cutoff needs, marking a skipped job's bucket -1.
-The cutoff is final once the arcs begin, so a job holds a count
-exactly when its bucket is at or above it: a skipped job lies below
-(its mark), and an evicted one went as the cutoff rose past it.  Each
-arc chunk drops the depth raises of jobs without a count and moves the
-others' counts with one `TreeSketch.move_counts` call, whose peak is
-that of a walk that moves a count as each arc arrives.  A move keeps
-its bucket, so no move evicts.
-
-A job chunk with given depths is checked once, by vectorized masks,
-and raises the error of its first bad row.  The counted modes (all but
-`stream_unknown`) then hand each job chunk to one counter
-(`_count_chunk`), which takes it whole.
-
-A zero-row job chunk is passed over in every mode.
+columns (`sketch.DepthColumns`), which check the ids and the arc order,
+and raise the depths one arc chunk at a time.  `stream_unknown` counts
+the sketch once, at the end of the stream; `stream_alpha_unknown`
+counts its jobs at depth 1 as they come, as its cutoff needs, marking a
+skipped job's bucket -1.  The cutoff is final once the arcs begin, so a
+job holds a count exactly when its bucket is at or above it: a skipped
+job lies below (its mark), and an evicted one went as the cutoff rose
+past it.  Each arc chunk drops the depth raises of jobs without a count
+and moves the others' counts with one `TreeSketch.move_counts` call,
+whose peak is that of a walk that moves a count as each arc arrives.
+A move keeps its bucket, so no move evicts.
 
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.
@@ -185,23 +186,23 @@ def _chunks(items: Iterable[StreamEvent | Chunk]) -> Iterator[Chunk]:
     yield from _packed(kind, rows)
 
 
-def _reject_jobs(chunk: JobChunk, gb: GeometricBuckets, h: int, p_cap: float) -> NoReturn:
-    """Raise the error of the first bad row of a job chunk with given depths.
+def _reject_jobs(chunk: JobChunk, gb: GeometricBuckets, h: int, p_cap: float, start: int) -> NoReturn:
+    """Raise the error of the first bad row of a job chunk with given depths, ``start`` jobs into the stream.
 
     Its checks, in order: ``p >= 1``, a depth, ``depth <= h``,
     ``p <= p_cap`` (c, in the uncapped mode) and ``depth >= 1``.
     """
     ids, p, depth = chunk
     k = 0 if depth is None else int(((p < 1) | (depth > h) | (p > p_cap) | (depth < 1)).argmax())
-    job_id, p_k, d = int(ids[k]), int(p[k]), None if depth is None else int(depth[k])
+    job_id, p_k, d, row = int(ids[k]), int(p[k]), None if depth is None else int(depth[k]), ("J", start + k)
     gb.index(p_k)  # raises for p < 1
     if d is None:
-        raise InputContractError(f"job {job_id} carries no depth; this mode requires depths")
+        raise InputContractError(f"job {job_id} carries no depth; this mode requires depths", row)
     if d > h:
-        raise InputContractError(f"job {job_id} has depth {d} > h={h}")
+        raise InputContractError(f"job {job_id} has depth {d} > h={h}", row)
     if p_k > p_cap:
-        raise InputContractError(f"job {job_id} has p={p_k} > c={p_cap}")
-    raise InputContractError(f"depth must be >= 1, got {d}")
+        raise InputContractError(f"job {job_id} has p={p_k} > c={p_cap}", row)
+    raise InputContractError(f"depth must be >= 1, got {d}", row)
 
 
 def _count_chunk(
@@ -278,7 +279,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             if given:
                 d_lo, d_hi = (0, 0) if depth is None else (int(depth.min()), int(depth.max()))  # no depths: rejected
                 if p_lo < 1 or d_lo < 1 or d_hi > h or p_hi > p_cap:
-                    _reject_jobs(chunk, gb, h, p_cap)
+                    _reject_jobs(chunk, gb, h, p_cap, n - p.size)
                 held[depth] = True
             elif columns.u is not None:  # frozen by the first arc chunk
                 gb.index(p[0])  # the job's p is checked before its place in the stream

@@ -98,6 +98,23 @@ class TestGenAndStream:
         assert rc == 3
         assert capsys.readouterr().err == "error: job ids must be exactly 1..2; no job has id 2\n"
 
+    @pytest.mark.parametrize("text,where", [
+        ("# sched-stream v1\nJ 1 1\nJ 2 1\n# note\nJ 1 2\nJ 3 1\n", "5: duplicate job id 1 in stream"),
+        ("J 1 1\r\nJ 2 1\r\r# note\rJ 1 2\n", "5: duplicate job id 1 in stream"),  # lines as text-mode open() counts them
+        ("J 1 1\nJ 2 1\nJ 3 1\n\nA 1 2\nA 2 7\n", "6: arc references unseen job id 7"),
+        # the bad arc wins over the malformed line after it
+        ("J 1 1\nJ 2 1\nJ 3 1\nA 1 2\n# note\nA 3 1\nA 1\n",
+         "6: arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order"),
+    ])
+    @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "3"]])
+    def test_engine_error_names_its_line(self, tmp_path, capsys, argv, text, where):
+        """The engine raises with the row's stream position; the CLI rescans the file for its line."""
+        inst = tmp_path / "i.txt"
+        inst.write_text(text)
+        rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {inst}:{where}\n"
+
     @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "3"]])
     def test_job_after_arcs_wins_over_a_gap_before_it(self, tmp_path, capsys, argv):
         inst = tmp_path / "i.txt"
@@ -233,6 +250,9 @@ class TestSchedule:
             ("J 1 3\nJ 2 3\nA 1 100000000000000000000000\n",
              "3: arc end 100000000000000000000000 is outside the int64 range"),
             ("J 1 3\nJ 2 3\nA 1 2\nA 1 3\n", "4: arc (1, 3) references a job outside 1..2"),
+            # an out-of-order arc wins over the malformed line after it
+            ("J 1 3\nJ 2 3\nJ 3 3\nA 1 2\nA 3 1\nA 1\n",
+             "5: arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order"),
         ],
     )
     @pytest.mark.parametrize("cmd", ["schedule", "oracle"])

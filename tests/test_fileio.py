@@ -257,19 +257,18 @@ class TestChunkedReader:
         rc = main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)])
         assert rc == 3
 
-    @pytest.mark.parametrize("text,rc,want", [
+    @pytest.mark.parametrize("text,events,error", [
         # an id of 19 digits is no canonical number: the line parser takes the block
         ("J 1000000000000000000 1 1\nJ 1 1 1\nA 1 999999999999999999\nA 999999999999999999 1000000000000000000\n",
-         0, 4),
+         4, "3: arc references unseen job id 999999999999999999"),
         ("J 1000000000000000000 1 1\nJ 1 1 1\nA 1 999999999999999999\nA 999999999999999999 1\n",
-         3, "4: arc (999999999999999999, 1) is not in topological order"),
-        # a canonical block with arc ends past the job rows read: the bulk check hands it over
-        ("J 1 1 1\nJ 2 1 1\nA 1 2\nA 2 10000000\nA 10000000 99999999\n", 0, 5),
-        ("J 1 1 1\nJ 2 1 1\nA 1 10000000\nA 10000000 2\nA 2 10000000\n",
-         3, "5: arc (2, 10000000) is not in topological order"),
+         4, "3: arc references unseen job id 999999999999999999"),
+        # a canonical block with arc ends past the job rows read
+        ("J 1 1 1\nJ 2 1 1\nA 1 2\nA 2 10000000\nA 10000000 99999999\n", 5, "4: arc references unseen job id 10000000"),
+        ("J 1 1 1\nJ 2 1 1\nA 1 10000000\nA 10000000 2\nA 2 10000000\n", 5, "3: arc references unseen job id 10000000"),
     ])
-    def test_stream1_allocates_nothing_by_arc_end(self, tmp_path, capsys, text, rc, want):
-        """Arc ends past the job rows read are checked in a set, not in a column sized by their value."""
+    def test_stream1_allocates_nothing_by_arc_end(self, tmp_path, capsys, text, events, error):
+        """`stream1` checks each arc line, not arc order or ends, and holds nothing by arc end; `stream2` checks them."""
         path = tmp_path / "inst.txt"
         path.write_text(text)
         tracemalloc.start()
@@ -278,14 +277,36 @@ class TestChunkedReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out, err = capsys.readouterr()
-        assert got == rc
-        if rc:
-            assert err == f"error: {path}:{want}\n"
-        else:
-            doc = json.loads(out)
-            assert (doc["A"], doc["sks"], doc["sketch_nodes"], doc["update_count"]) == (3, [3], 1, want)
+        assert got == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["A"], doc["sks"], doc["sketch_nodes"], doc["update_count"]) == (3, [3], 1, events)
         assert peak < 2 << 20
+        assert main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}:{error}\n"
+
+    def test_given_depth_modes_hold_no_per_job_state(self, tmp_path, monkeypatch):
+        """`stream1` and `stream3` peak alike on arc files of 10k and 100k jobs: one block and the sketch."""
+        monkeypatch.setattr(fileio, "BLOCK_CHARS", 64 << 10)
+        paths = {}
+        for n in (10_000, 100_000):
+            paths[n] = str(tmp_path / f"layered-{n}.txt")
+            fileio.write_instance(ss.layered([n // 4] * 4, c=50, m=10, seed=1), paths[n])
+
+        def argv(mode: str, n: int) -> list[str]:
+            n_flag = ["--n", str(n)] if mode == "stream3" else []
+            return [mode, "--epsilon", "0.3", "--m", "10", "--c", "50", "--h", "4", *n_flag, "--in", paths[n]]
+
+        for mode in ("stream1", "stream3"):
+            assert main(argv(mode, 10_000)) == 0  # untraced: the first call makes the process's one-time allocations
+            peaks = []
+            for n in (10_000, 100_000):
+                tracemalloc.start()
+                try:
+                    assert main(argv(mode, n)) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) <= 1.1 * min(peaks), (mode, peaks)
 
     def test_iter_stream_is_a_view_of_the_chunks(self, tmp_path):
         inst = ss.random_dag(n=40, h=3, density=0.3, m=2, c=6, seed=1)

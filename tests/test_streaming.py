@@ -396,23 +396,25 @@ def test_chunk_and_event_input_agree(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("block", [8, 1 << 20])
 @pytest.mark.parametrize(
-    "mode,text,message",
+    "mode,text,message,row",
     [
-        ("stream1", "J 1 1 1\nJ 2 1 5\nJ 3 x 1\n", "job 2 has depth 5 > h=1"),
-        ("stream2", "J 1 1\nJ 1 2\nJ 2 x\n", "duplicate job id 1 in stream"),
-        ("stream2", "J 1 1\nJ 2 1\nA 1 7\nA 2 x\n", "arc references unseen job id 7"),
+        ("stream1", "J 1 1 1\nJ 2 1 5\nJ 3 x 1\n", "job 2 has depth 5 > h=1", ("J", 1)),
+        ("stream2", "J 1 1\nJ 1 2\nJ 2 x\n", "duplicate job id 1 in stream", ("J", 1)),
+        ("stream2", "J 1 1\nJ 2 1\nA 1 7\nA 2 x\n", "arc references unseen job id 7", ("A", 0)),
+        ("stream4", "J 1 1\nJ 2 1\nJ 3 1\nA 1 2\nA 3 1\nA 2 x\n",
+         "arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order", ("A", 1)),
     ],
 )
-def test_engine_error_on_an_earlier_line_wins(mode, text, message, block, tmp_path, monkeypatch):
-    """Rows before a bad line reach the engine first, through both input routes."""
+def test_engine_error_on_an_earlier_line_wins(mode, text, message, row, block, tmp_path, monkeypatch):
+    """Rows before a bad line reach the engine first, through both input routes; the error names its row."""
     monkeypatch.setattr(fileio, "BLOCK_CHARS", block)
     path = tmp_path / "inst.txt"
     path.write_text(text)
-    params = P(epsilon=0.3, m=1, c=1, h=1) if mode == "stream1" else P(epsilon=0.3, m=1)
+    params = {"stream1": P(epsilon=0.3, m=1, c=1, h=1), "stream4": P(epsilon=0.3, m=1, n=3)}.get(mode, P(epsilon=0.3, m=1))
     for source in (fileio.iter_chunks, fileio.iter_stream):
         with pytest.raises(ss.InputContractError) as err:
             STREAMING_ALGORITHMS[mode](source(str(path)), params)
-        assert str(err.value) == message
+        assert (str(err.value), err.value.row) == (message, row)
 
 
 def _outcome(run) -> dict | tuple:
