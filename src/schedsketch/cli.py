@@ -23,7 +23,7 @@ from .core import AlgoParams, ceil_div
 from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
 from .generators import FAMILIES, generate
 from .model import Instance, JobChunk
-from .oracles import compute_depths, critical_path_length, exact_makespan, list_schedule
+from .oracles import critical_path_length, exact_makespan, list_schedule
 from .sampling import SAMPLING_ALGORITHMS, ArrayAccess, ChainAccess, TwoValueAccess
 from .schedule import schedule_instance, validate_schedule
 from .sketch import sketch_to_json
@@ -162,10 +162,10 @@ def _run_stream(args) -> int:
         events = fileio.iter_chunks(path)
     try:
         report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
-    except InputContractError as exc:  # an error of one row: name its line, found by a rescan
+    except InputContractError as exc:  # an error of one row: name its line
         if path is None or exc.row is None:
             raise
-        raise type(exc)(f"{path}:{fileio._line_of(path, *exc.row)}: {exc}") from None
+        raise fileio.located(path, exc) from None
     if args.sketch_out:
         with open(args.sketch_out, "w") as fh:
             fh.write(sketch_to_json(report.extras["input_sketch"]) + "\n")
@@ -174,12 +174,10 @@ def _run_stream(args) -> int:
 
 
 def _load_instance(path: str, m: int | None = None) -> Instance:
-    """Read an instance file, set its machine count when ``m`` is given, fill in missing depths."""
+    """Read an instance file and set its machine count when ``m`` is given."""
     inst = fileio.read_instance(path)
     if m is not None:
         inst = replace(inst, m=m)  # checks m, which a sidecar's m would hide from `read_instance`
-    if inst.depth is None:
-        inst.depth = compute_depths(inst.arcs, inst.n)
     return inst
 
 

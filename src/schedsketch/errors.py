@@ -20,7 +20,7 @@ class InputContractError(ValueError):
 
 
 class CycleSuspicionError(InputContractError):
-    """Arc stream implies a cycle (depth overflow, non-topological order or a self-loop)."""
+    """Arc stream implies a cycle (non-topological order or a self-loop)."""
 
 
 class SketchInfeasibleError(RuntimeError):

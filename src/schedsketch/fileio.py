@@ -16,10 +16,11 @@ is a cycle, rejected at its line.
 
 `iter_chunks` reads a file in blocks and yields its events as int64
 column chunks (`JobChunk`, `ArcChunk`), checking what each line shows
-and holding no per-job state.  Ids 1..n and arc order need such state:
-`read_instance` checks them, and so do the arc-driven stream modes.
-`iter_stream` is a per-event view of the chunks, and `read_instance`
-concatenates them.
+and holding no per-job state.  Ids 1..n, arc ends and arc order need
+such state: `read_instance` runs the chunks through the arc-driven
+stream modes' `sketch.DepthColumns`, which also gives a file without
+depths the depths of its arcs.  `iter_stream` is a per-event view of
+the chunks.
 
 A generator spec like ``chain:m=200,q=5,h=3,seed=1`` can stand in for
 a file name anywhere an instance is read; the sampling commands can
@@ -42,23 +43,11 @@ import numpy as np
 
 from .core import ceil_div
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError, ParamError
-from .model import (
-    Arc,
-    ArcChunk,
-    Chunk,
-    Instance,
-    Job,
-    JobChunk,
-    NO_SOURCE,
-    RunReport,
-    ScheduleSketch,
-    StreamEvent,
-    late_arc,
-    source_lag,
-)
+from .model import Arc, ArcChunk, Chunk, Instance, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
 from .generators import FAMILIES, generate
 from .sampling import ChainAccess, SampleAccess, TwoValueAccess
 from .schedule import ConcreteSchedule, Violation
+from .sketch import DepthColumns
 
 HEADER = "# sched-stream v1"
 P_LIMIT = 2**63 - 1  # every field is held as int64
@@ -275,48 +264,49 @@ def _line_of(path: str, tag: str, k: int) -> int:
     raise InvariantViolationError(f"{path} has no {tag} line at position {k}")
 
 
-def read_instance(path: str, m: int = 1) -> Instance:
-    """Materialize an instance file; ids must be exactly 1..n and every arc must join two of them in topological order.
+def located(path: str, exc: InputContractError) -> InputContractError:
+    """``exc`` with its message after ``path:line: `` when it has a row (the line found by a rescan), else ``path: ``."""
+    where = path if exc.row is None else f"{path}:{_line_of(path, *exc.row)}"
+    return type(exc)(f"{where}: {exc}")
 
-    Each arc chunk is checked as it arrives, so a bad arc wins over a
-    malformed line after it.
+
+def read_instance(path: str, m: int = 1) -> Instance:
+    """Materialize an instance file, checked as `stream2` checks it: ids 1..n, arc ends and arc order.
+
+    The chunks go through `DepthColumns`, with each job's row where the
+    engine keeps its bucket, so the errors are the engine's, in stream
+    order, and a file without depths gets the depths its arcs give.
     """
+    columns = DepthColumns()
     jobs: list[JobChunk] = []
     arcs: list[ArcChunk] = []
-    first, k = None, 0  # per job position, the stream position of its first arc as a source; arcs read
-    for chunk in iter_chunks(path):
-        if isinstance(chunk, JobChunk):
-            jobs.append(chunk)
-        elif jobs:  # without jobs the file is rejected as a whole below
-            if first is None:
-                first = np.full(sum(c.ids.size for c in jobs), NO_SOURCE, dtype=np.int64)
-            n, (src, dst) = first.size, chunk
-            bad = (np.minimum(src, dst) < 1) | (np.maximum(src, dst) > n)  # an end outside 1..n
-            stop = int(bad.argmax()) if bad.any() else src.size
-            bad[:stop] = source_lag(first, src[:stop] - 1, dst[:stop] - 1, k) > 0  # an end that was a source
-            if bad.any():
-                i = int(bad.argmax())
-                a, b = int(src[i]), int(dst[i])
-                outside = InputContractError(f"arc ({a}, {b}) references a job outside 1..{n}")
-                exc = late_arc(a, b) if i < stop else outside
-                raise type(exc)(f"{path}:{_line_of(path, 'A', k + i)}: {exc}")
-            arcs.append(chunk)
-            k += src.size
-    if not jobs:
-        raise InputContractError(f"{path}: no jobs")
-    ids = np.concatenate([c.ids for c in jobs])
-    n = ids.size
-    if not np.array_equal(np.sort(ids), np.arange(1, n + 1)):
-        raise InputContractError(f"{path}: job ids must be exactly 1..{n}")
-    p = np.empty(n, dtype=np.int64)
-    p[ids - 1] = np.concatenate([c.p for c in jobs])
-    depth = None
-    if jobs[0].depth is not None:
-        depth = np.empty(n, dtype=np.int64)
-        depth[ids - 1] = np.concatenate([c.depth for c in jobs])
-    arc_arr = np.empty((0, 2), dtype=np.int64)
-    if arcs:
-        arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)])
+    rows = 0
+
+    def check(step, *args, **kwargs) -> None:  # the columns' errors name the file, and the line of their row
+        try:
+            step(*args, **kwargs)
+        except InputContractError as exc:
+            raise located(path, exc) from None
+
+    try:
+        for chunk in iter_chunks(path):  # a bad line raises here, with its file:line
+            if isinstance(chunk, JobChunk):
+                columns.insert_chunk(chunk.ids, np.arange(rows, rows + chunk.ids.size))
+                rows += chunk.ids.size
+                jobs.append(chunk)
+            else:
+                check(columns.raise_chunk, chunk.src, chunk.dst)
+                arcs.append(chunk)
+    except InputContractError:
+        check(columns.freeze, ended=False)  # a repeated id on an earlier row wins
+        raise
+    check(columns.freeze)
+    if not rows:
+        raise InputContractError(f"{path}: empty job stream")
+    order = columns.u  # the row of each job, by id
+    p = np.concatenate([c.p for c in jobs])[order]
+    depth = columns.depth if jobs[0].depth is None else np.concatenate([c.depth for c in jobs])[order]
+    arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)]) if arcs else np.empty((0, 2), np.int64)
     meta = {}
     sidecar = path + ".meta.json"
     if os.path.exists(sidecar):

@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .core import AlgoParams
-from .errors import CycleSuspicionError, InputContractError, ParamError
+from .errors import InputContractError, ParamError
 
 
 @dataclass(frozen=True)
@@ -68,31 +68,6 @@ class ArcChunk(NamedTuple):
 
 
 Chunk = Union[JobChunk, ArcChunk]
-
-
-NO_SOURCE = 2**63 - 1  # the first-source position of a job that no arc has left yet
-
-
-def source_lag(first: np.ndarray, s: np.ndarray, t: np.ndarray, start: int) -> np.ndarray:
-    """Record a run of arcs ``s -> t`` as sources in a first-source column; return each arc's lag.
-
-    ``first`` holds, per job position, the stream position of the job's
-    first arc as a source (`NO_SOURCE` if none).  The run's arcs take
-    positions ``start, start + 1, ...``.  An arc's lag is its position
-    minus its end's first-source position: above 0 where the end was
-    the source of an earlier arc (the stream is not in topological
-    order), 0 where the arc is a self-loop, and below 0 otherwise.
-    """
-    at = np.arange(start, start + s.size)
-    np.minimum.at(first, s, at)
-    return at - first[t]
-
-
-def late_arc(src: int, dst: int, row: tuple[str, int] | None = None) -> CycleSuspicionError:
-    """The error of an arc whose end was already the source of an earlier arc."""
-    return CycleSuspicionError(
-        f"arc ({src} -> {dst}) arrived after {dst} was already a source; arc stream is not in topological order", row
-    )
 
 
 CHUNK_ROWS = 1 << 16  # events per chunk from `Instance.chunks`, about the rows of a file block
@@ -155,8 +130,9 @@ class Instance:
     """A full scheduling instance with materialized arrays.
 
     Job ids are 1..n and index i of each array describes job i+1.
-    ``depth`` may be ``None`` for instances whose depths were never
-    computed; ``meta`` carries generator provenance such as the known
+    ``depth`` is ``None`` only for an instance built without depths:
+    `fileio.read_instance` fills it in from a file's job lines or its
+    arcs.  ``meta`` carries generator provenance such as the known
     optimal makespan of constructed families.
     """
 

@@ -35,7 +35,7 @@ def longest_paths(src, dst, n: int, weights=None) -> list[int]:
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     bad = (src < 1) | (src > n) | (dst < 1) | (dst > n)
     if bad.any():  # name the first such arc
-        raise ParamError(f"arc ({src[bad][0]}, {dst[bad][0]}) references a job outside 1..{n}")
+        raise ParamError(f"arc ({src[bad][0]}, {dst[bad][0]}) has an end outside 1..{n}")
     succs: list[list[int]] = [[] for _ in range(n + 1)]
     indeg = [0] * (n + 1)
     for a, b in zip(src.tolist(), dst.tolist()):

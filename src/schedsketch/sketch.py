@@ -15,6 +15,10 @@ below the final cutoff, where the finish drops them.  Both reach the
 same peak node count: a leftover appears only at a rise of the cutoff,
 when the two hold the same nodes, and while one remains each new node
 is paid for by an eviction.
+
+`DepthColumns` holds the per-job state of the arc-driven modes and of
+`fileio.read_instance`, and is the one check of ids 1..n, arc ends and
+arc order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 
 from .core import GeometricBuckets
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
-from .model import NO_SOURCE, late_arc, source_lag
 
 def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
     """The distinct pairs of two int64 columns ``u`` and ``d >= 0``, with their counts.
@@ -325,27 +328,26 @@ class DepthTable:
 # `DepthColumns._settle`'s cost model, from a 2-core x86_64 VM (Python 3.11, numpy 2.4): the per-arc
 # walk takes ~65 ns an arc; a round takes ~2.5 us plus ~3.5 ns an arc
 LOOP_NS_PER_ARC, ROUND_NS, ROUND_NS_PER_ARC = 65, 2500, 3.5
+NO_SOURCE = 2**63 - 1  # the first-source position of a job that no arc has left yet
 
 
 class DepthColumns:
-    """Per-job bucket, depth and first-source columns for the arc-driven modes.
+    """Per-job bucket, depth and first-source columns, and the one check of ids 1..n, arc ends and arc order.
 
-    Job chunks are appended by `insert_chunk`.  `freeze` checks the ids
-    once the arcs begin or the stream ends, and finds a repeated id
-    then.  When the ids are exactly 1..n, a job's position in the
-    columns is its id - 1; any other id set, which `check_ids` rejects
-    at the end of the stream, keeps its ids sorted, and an arc's ends
-    are found by one ``searchsorted`` per chunk.  `raise_chunk` raises
-    the error that `DepthTable` and a per-event walk raise at the first
-    bad arc of the chunk, after applying the arcs before it.  No other
-    stream mode checks ids or arc order.  Each error of one row carries
-    the row's stream position (`InputContractError.row`).
+    The arc-driven modes append job chunks with their buckets, and
+    `fileio.read_instance` with their rows in the file, by
+    `insert_chunk`.  `freeze` checks the ids once the job section ends,
+    at the first arc chunk or the end of the stream, so a job's
+    position in the columns is its id - 1.  `raise_chunk` raises the
+    error that a per-event walk raises at the first bad arc of the
+    chunk, after applying the arcs before it.  Errors come in stream
+    order, and each error of one row carries the row's stream position
+    (`InputContractError.row`).
     """
 
     def __init__(self):
         self._id_parts: list[np.ndarray] = []
         self._u_parts: list[np.ndarray] = []
-        self.ids: np.ndarray | None = None  # sorted job ids, from `freeze` on, unless they are 1..n
         self.u: np.ndarray | None = None  # bucket of each job, from `freeze` on; -1 marks a skipped job
         self.depth: np.ndarray | None = None  # depth of each job
         self.first: np.ndarray | None = None  # stream position of each job's first arc as a source
@@ -356,13 +358,14 @@ class DepthColumns:
         self._id_parts.append(ids)
         self._u_parts.append(u)
 
-    def freeze(self) -> None:
-        """Order the jobs by id once all of them have arrived; later calls do nothing.
+    def freeze(self, ended: bool = True) -> None:
+        """Order the jobs by id once the job section has ended; later calls do nothing.
 
         Raises ``duplicate job id X in stream`` for the earliest row, in
-        stream order, whose id an earlier row holds.  The ids are sorted
-        only when they are not strictly ascending, as a repeat is not,
-        and kept only when they are not 1..n.
+        stream order, whose id an earlier row holds, and then, unless
+        the section broke off at an error (not ``ended``), names the
+        first id of 1..n that no job holds.  The ids are sorted only
+        when they are not strictly ascending, as a repeat is not.
         """
         if self.u is not None:
             return
@@ -377,58 +380,46 @@ class DepthColumns:
                 k = int(repeats.min())
                 raise InputContractError(f"duplicate job id {ids[k]} in stream", row=("J", k))
             ids, self.u = ranked, self.u[order]
-        if ids.size and (ids[0], ids[-1]) != (1, ids.size):  # distinct sorted ids are 1..n iff they end so
-            self.ids = ids
-        self.depth = np.ones(ids.size, dtype=np.int64)
-        self.first = np.full(ids.size, NO_SOURCE, dtype=np.int64)
-
-    def _positions(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The job positions of arc ends, 0 for an unseen id, and a mask of the seen ones (None when all are)."""
-        n = self.u.size
-        if self.ids is None:  # ids 1..n
-            pos = ends - 1
-            if 0 <= pos.min() and pos.max() < n:
-                return pos, None
-            seen = (pos >= 0) & (pos < n)
-        else:
-            pos = np.minimum(np.searchsorted(self.ids, ends), n - 1)
-            seen = self.ids[pos] == ends
-        return np.where(seen, pos, 0), seen
+        n = ids.size
+        if ended and n and (ids[0], ids[-1]) != (1, n):  # distinct sorted ids are 1..n iff they end so
+            missing = int(np.flatnonzero(ids != np.arange(1, n + 1))[0]) + 1
+            raise InputContractError(f"job ids must be exactly 1..{n}; no job has id {missing}")
+        self.depth = np.ones(n, dtype=np.int64)
+        self.first = np.full(n, NO_SOURCE, dtype=np.int64)
 
     def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: bool = False) -> tuple | None:
         """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
 
         With ``raises``, returns the job position, old depth and new
         depth of each depth raised, in order, as three int64 arrays.
-        The checks at the first bad arc ``a -> b``, in order: ``b`` was
-        already a source, ``a`` or ``b`` is unseen, and a self-loop,
-        which would raise the job past the job count or else forms a
-        cycle.  Arcs that pass them form an acyclic graph, so no depth
-        they raise can pass the job count.
+        The checks at each arc ``a -> b``, in order: a self-loop, an
+        end outside 1..n (unseen), and ``b`` already a source.  Arcs
+        that pass them form an acyclic graph, so no depth they raise
+        can pass the job count.
         """
         self.freeze()
         if src.size == 0:
             return (src, src, src) if raises else None
-        start = self.arcs
-        if self.u.size == 0:  # no jobs: the first arc's source is unseen
-            raise InputContractError(f"arc references unseen job id {src[0]}", row=("A", start))
-        (s, t), seen = self._positions(np.stack((src, dst)))
-        # an unseen end takes position 0, which changes the lags of no arc before the first bad one
-        lag = source_lag(self.first, s, t, start)
-        self.arcs += src.size
-        bad = lag >= 0 if seen is None else (lag >= 0) | ~(seen[0] & seen[1])
-        stop = int(bad.argmax()) if bad.any() else src.size
-        before = self.depth[t[:stop]] if raises else None
-        self._settle(s[:stop], t[:stop])
-        if stop < src.size:
-            a, b, row = int(src[stop]), int(dst[stop]), ("A", start + stop)
-            if lag[stop] > 0 and (seen is None or seen[1, stop]):
-                raise late_arc(a, b, row)
-            if seen is not None and not seen[:, stop].all():
-                raise InputContractError(f"arc references unseen job id {a if not seen[0, stop] else b}", row)
-            if self.depth[s[stop]] >= self.depth.size:
-                raise CycleSuspicionError(f"depth {self.depth[s[stop]] + 1} exceeds job count {self.depth.size}", row)
-            raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle", row)
+        start, n, k = self.arcs, self.depth.size, src.size
+        self.arcs += k
+        s, t = src - 1, dst - 1  # job positions
+        stop = k  # the first self-loop or end outside 1..n
+        if min(s.min(), t.min()) < 0 or max(s.max(), t.max()) >= n or (src == dst).any():
+            stop = int(((src == dst) | (np.minimum(s, t) < 0) | (np.maximum(s, t) >= n)).argmax())
+        at = np.arange(start, start + stop)
+        np.minimum.at(self.first, s[:stop], at)
+        late = at > self.first[t[:stop]]  # the end was the source of an earlier arc
+        bad = int(late.argmax()) if late.any() else stop
+        before = self.depth[t[:bad]] if raises else None
+        self._settle(s[:bad], t[:bad])
+        if bad < k:
+            a, b, row = int(src[bad]), int(dst[bad]), ("A", start + bad)
+            if bad < stop:
+                order = "arc stream is not in topological order"
+                raise CycleSuspicionError(f"arc ({a} -> {b}) arrived after {b} was already a source; {order}", row)
+            if a == b:
+                raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle", row)
+            raise InputContractError(f"arc references unseen job id {a if not 0 < a <= n else b}", row)
         if raises:
             return _raises(t, self.depth[s] + 1, before)
         return None
@@ -456,14 +447,8 @@ class DepthColumns:
             if view[a] >= view[b]:
                 view[b] = view[a] + 1
 
-    def check_ids(self) -> None:
-        """Raise unless the frozen ids are exactly 1..n, naming the first missing one."""
-        if self.ids is not None:
-            missing = np.setdiff1d(np.arange(1, self.ids.size + 1), self.ids)[0]
-            raise InputContractError(f"job ids must be exactly 1..{self.ids.size}; no job has id {missing}")
-
     def depths_array(self) -> np.ndarray:
-        """Depths for ids 1..n, which `check_ids` ensures, for handing to the second pass."""
+        """Depths for ids 1..n, which `freeze` ensures, for handing to the second pass."""
         return self.depth.copy()
 
 

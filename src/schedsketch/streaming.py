@@ -40,9 +40,10 @@ is checked.  The counted modes (all but `stream_unknown`) hand each job
 chunk to one counter (`_count_chunk`), which takes it whole.
 
 The arc-driven modes keep per-job bucket, depth and first-source
-columns (`sketch.DepthColumns`), which check the ids and the arc order,
-and raise the depths one arc chunk at a time.  `stream_unknown` counts
-the sketch once, at the end of the stream; `stream_alpha_unknown`
+columns (`sketch.DepthColumns`, which `fileio.read_instance` runs too),
+which check ids 1..n when the job section ends and each arc's ends and
+order, and raise the depths one arc chunk at a time.  `stream_unknown`
+counts the sketch once, at the end of the stream; `stream_alpha_unknown`
 counts its jobs at depth 1 as they come, as its cutoff needs, marking a
 skipped job's bucket -1.  The cutoff is final once the arcs begin, so a
 job holds a count exactly when its bucket is at or above it: a skipped
@@ -297,14 +298,13 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                 p_max_run, cutoff = _count_chunk(p, us, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
             if not given:
                 columns.insert_chunk(chunk.ids, us)  # with the skips marked
-    except Exception:  # a repeated id on an earlier row wins: `freeze` raises it first
+    except Exception:  # a repeated id on an earlier row wins; a gap waits for the job section's end
         if columns is not None:
-            columns.freeze()
+            columns.freeze(ended=False)
         raise
     h_run = h
     if not given:
         columns.freeze()
-        columns.check_ids()
         if not capped:  # every job, at its final depth
             sk.count_chunk(columns.u, columns.depth)
         h_run = int(columns.depth.max(initial=1))

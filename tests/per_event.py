@@ -11,12 +11,14 @@ instead, and evicts as the paper does, lazily, with code of its own
 ``depth >= 1``), then counted, or skipped below the running maximum
 over n^2 in the capped modes, with a lazy prune whenever the count
 creates a node and a peak update after it.  In the arc modes every job
-goes into a dict `DepthTable`, every arc is checked against the set of
-sources seen so far, and a raised depth moves its job's count in the
+goes into a dict `DepthTable`; when the job section ends, at the first
+arc or the end of the stream, the ids must be 1..n.  Every arc is
+checked for a self-loop, then for an unseen end, then against the set
+of sources seen so far, and a raised depth moves its job's count in the
 sketch at once (`move`; in the capped mode a skipped job has no count,
 and an evicted job's count went with its node, which the lazy rule may
-not have dropped yet); at the end of the stream the ids must be 1..n,
-and a declared n must equal the job count.
+not have dropped yet); at the end of the stream a declared n must
+equal the job count.
 The finish (`A`, sketch times, guarantee) is the engine's, but the
 capped modes' bucket window and the per-depth loads are computed here.
 Tests hold the engine's results and errors to this walk.
@@ -169,22 +171,22 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
         if isinstance(chunk, ArcChunk):
             if given:
                 continue
+            if not in_arc_phase:  # the job section ends
+                table.check_ids()
             in_arc_phase = True
             for src, dst in zip(*cols):
+                if src == dst:
+                    raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
+                d_src, _ = table.get(src)
+                d_dst, u_dst = table.get(dst)
                 if dst in sources_seen:
                     raise CycleSuspicionError(
                         f"arc ({src} -> {dst}) arrived after {dst} was already a source; "
                         "arc stream is not in topological order"
                     )
                 sources_seen.add(src)
-                d_src, _ = table.get(src)
-                d_dst, u_dst = table.get(dst)
                 if d_src + 1 > d_dst:
                     new_depth = d_src + 1
-                    if new_depth > len(table):
-                        raise CycleSuspicionError(f"depth {new_depth} exceeds job count {len(table)}")
-                    if src == dst:
-                        raise CycleSuspicionError(f"self-loop arc ({src} -> {dst}) forms a cycle")
                     if not capped:
                         sk.move(d_dst, u_dst, new_depth)
                     elif dst not in skipped and (u_dst, d_dst) in sk.counts and sk.move(d_dst, u_dst, new_depth):
@@ -223,7 +225,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
             if sk.add(d, u):
                 sk.prune_smallest(cutoff)
             sk.note_peak()
-    if not given:
+    if not given and not in_arc_phase:
         table.check_ids()
     if n == 0:
         raise InputContractError("empty job stream")

@@ -116,12 +116,13 @@ class TestGenAndStream:
         assert capsys.readouterr().err == f"error: {inst}:{where}\n"
 
     @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "3"]])
-    def test_job_after_arcs_wins_over_a_gap_before_it(self, tmp_path, capsys, argv):
+    def test_gap_wins_over_a_job_after_arcs(self, tmp_path, capsys, argv):
+        """The job section ends at the first arc, where the gap is found, before the job line after it."""
         inst = tmp_path / "i.txt"
         inst.write_text("J 1 1\nJ 3 1\nA 1 3\nJ 2 1\n")
         rc = main([*argv, "--epsilon", "0.3", "--m", "1", "--in", str(inst)])
         assert rc == 3
-        assert capsys.readouterr().err == f"error: {inst}:4: job line after arc lines\n"
+        assert capsys.readouterr().err == "error: job ids must be exactly 1..2; no job has id 2\n"
 
     def test_stream3_n_squared_past_int64_exits_3(self, tmp_path, capsys):
         # n^2 = 1.6e19 is past int64; --n is checked only at the end of the stream
@@ -249,7 +250,7 @@ class TestSchedule:
             ("J 1 3 100000000000000000000000\nJ 2 3 1\n", "1: depth 100000000000000000000000 exceeds 2**63 - 1"),
             ("J 1 3\nJ 2 3\nA 1 100000000000000000000000\n",
              "3: arc end 100000000000000000000000 is outside the int64 range"),
-            ("J 1 3\nJ 2 3\nA 1 2\nA 1 3\n", "4: arc (1, 3) references a job outside 1..2"),
+            ("J 1 3\nJ 2 3\nA 1 2\nA 1 3\n", "4: arc references unseen job id 3"),
             # an out-of-order arc wins over the malformed line after it
             ("J 1 3\nJ 2 3\nJ 3 3\nA 1 2\nA 3 1\nA 1\n",
              "5: arc (3 -> 1) arrived after 1 was already a source; arc stream is not in topological order"),
@@ -281,7 +282,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("which", ["exact", "list"])
     def test_self_loop_with_given_depths_exits_3(self, tmp_path, capsys, which):
-        """Given depths skip `compute_depths`; the reader meets the self-loop at its line."""
+        """The reader meets the self-loop at its line; the given depths do not hide it."""
         inst = tmp_path / "i.txt"
         inst.write_text("J 1 1 1\nJ 2 1 2\nA 1 2\nA 2 2\n")
         assert main(["oracle", which, "--in", str(inst), "--m", "1"]) == 3

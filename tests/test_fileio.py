@@ -15,6 +15,24 @@ from schedsketch.cli import main
 from schedsketch.model import ArcChunk, JobChunk
 
 
+@st.composite
+def topological_dag(draw):
+    """(n, p, arcs, order): a DAG on jobs 1..n, its arcs in stream order, and its job lines' id order.
+
+    Arcs join jobs earlier to later in a drawn rank order, each at a place between its ends' ranks,
+    so every arc into a job comes before every arc out of it.
+    """
+    n = draw(st.integers(1, 30))
+    rank = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
+                          max_size=3 * n))
+    pairs += [(k, k + 1) for k in range(draw(st.integers(0, n - 1)))]  # a path, as deep as drawn
+    places = [i + draw(st.floats(0, 0.5)) * (j - i) for i, j in pairs]  # at most j - 0.5, even rounded
+    arcs = [(rank[i], rank[j]) for _, (i, j) in sorted(zip(places, pairs), key=lambda e: e[0])]
+    p = draw(st.lists(st.integers(1, 2**63 - 1), min_size=n, max_size=n))
+    return n, p, arcs, draw(st.permutations(range(1, n + 1)))
+
+
 class TestInstanceFormat:
     def test_round_trip_is_byte_identical(self, tmp_path):
         inst = ss.chain(m=2, q=2, h=2)
@@ -42,7 +60,7 @@ class TestInstanceFormat:
         path = tmp_path / "inst.txt"
         fileio.write_instance(inst, str(path), with_depths=False)
         back = fileio.read_instance(str(path))
-        assert back.depth is None
+        assert back.depth.tolist() == ss.compute_depths(inst.arcs, inst.n).tolist() == inst.depth.tolist()
 
     @pytest.mark.parametrize(
         "text,exc",
@@ -95,6 +113,40 @@ class TestInstanceFormat:
         path.write_text("# sched-stream v1\n\n# a comment\nJ 1 2 1\n\nJ 2 1 1\n")
         back = fileio.read_instance(str(path))
         assert back.p.tolist() == [2, 1]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dag=topological_dag(), block=st.sampled_from([8, 64, 1 << 20]))
+    def test_depthless_file_gets_the_arcs_depths(self, tmp_path, monkeypatch, dag, block):
+        """Without depths, `read_instance` gives Kahn's depths, and the same p and arcs as with them."""
+        monkeypatch.setattr(fileio, "BLOCK_CHARS", block)
+        n, p, arcs, order = dag
+        depth = ss.compute_depths(arcs, n)
+        back = {}
+        for with_depths in (True, False):
+            path = tmp_path / f"inst-{with_depths}.txt"
+            jobs = [f"J {j} {p[j - 1]}" + (f" {depth[j - 1]}" if with_depths else "") for j in order]
+            path.write_text("".join(line + "\n" for line in jobs + [f"A {a} {b}" for a, b in arcs]))
+            back[with_depths] = fileio.read_instance(str(path))
+        assert back[False].depth.tolist() == back[True].depth.tolist() == depth.tolist()
+        assert back[False].p.tolist() == back[True].p.tolist() == p
+        assert back[False].arcs.tolist() == back[True].arcs.tolist() == [list(arc) for arc in arcs]
+
+    def test_schedule_is_the_same_with_and_without_depths(self, tmp_path, capsys):
+        """`schedule` on a generated `layered` file writes the same CSV when the file carries no depths."""
+        gen = ["gen", "--family", "layered", "--shape", "40/30/20/10", "--c", "9", "--m", "4", "--seed", "2"]
+        res = tmp_path / "r.json"
+        csvs = []
+        for flags in ([], ["--no-depths"]):
+            path, csv = tmp_path / f"inst{len(flags)}.txt", tmp_path / f"s{len(flags)}.csv"
+            assert main(gen + flags + ["--out", str(path)]) == 0
+            if not flags:
+                assert main(["stream2", "--epsilon", "0.3", "--m", "4", "--in", str(path), "--out", str(res)]) == 0
+            assert main(["schedule", "--sks", str(res), "--in", str(path), "--m", "4", "--out", str(csv)]) == 0
+            csvs.append(csv.read_bytes())
+        lines = (tmp_path / "inst1.txt").read_text().splitlines()
+        assert {len(line.split()) for line in lines if line.startswith("J")} == {3}  # no depths
+        assert csvs[0] == csvs[1]
+        assert capsys.readouterr().out.count("makespan 166, 0 violation(s)") == 2
 
 
 def _line_reference(path: str):
@@ -258,14 +310,14 @@ class TestChunkedReader:
         assert rc == 3
 
     @pytest.mark.parametrize("text,events,error", [
-        # an id of 19 digits is no canonical number: the line parser takes the block
+        # an id of 19 digits is no canonical number: the line parser takes the block; the ids' gap wins
         ("J 1000000000000000000 1 1\nJ 1 1 1\nA 1 999999999999999999\nA 999999999999999999 1000000000000000000\n",
-         4, "3: arc references unseen job id 999999999999999999"),
+         4, "job ids must be exactly 1..2; no job has id 2"),
         ("J 1000000000000000000 1 1\nJ 1 1 1\nA 1 999999999999999999\nA 999999999999999999 1\n",
-         4, "3: arc references unseen job id 999999999999999999"),
+         4, "job ids must be exactly 1..2; no job has id 2"),
         # a canonical block with arc ends past the job rows read
-        ("J 1 1 1\nJ 2 1 1\nA 1 2\nA 2 10000000\nA 10000000 99999999\n", 5, "4: arc references unseen job id 10000000"),
-        ("J 1 1 1\nJ 2 1 1\nA 1 10000000\nA 10000000 2\nA 2 10000000\n", 5, "3: arc references unseen job id 10000000"),
+        ("J 1 1 1\nJ 2 1 1\nA 1 2\nA 2 10000000\nA 10000000 99999999\n", 5, "{path}:4: arc references unseen job id 10000000"),
+        ("J 1 1 1\nJ 2 1 1\nA 1 10000000\nA 10000000 2\nA 2 10000000\n", 5, "{path}:3: arc references unseen job id 10000000"),
     ])
     def test_stream1_allocates_nothing_by_arc_end(self, tmp_path, capsys, text, events, error):
         """`stream1` checks each arc line, not arc order or ends, and holds nothing by arc end; `stream2` checks them."""
@@ -282,7 +334,7 @@ class TestChunkedReader:
         assert (doc["A"], doc["sks"], doc["sketch_nodes"], doc["update_count"]) == (3, [3], 1, events)
         assert peak < 2 << 20
         assert main(["stream2", "--epsilon", "0.3", "--m", "1", "--in", str(path)]) == 3
-        assert capsys.readouterr().err == f"error: {path}:{error}\n"
+        assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
 
     def test_given_depth_modes_hold_no_per_job_state(self, tmp_path, monkeypatch):
         """`stream1` and `stream3` peak alike on arc files of 10k and 100k jobs: one block and the sketch."""

@@ -481,20 +481,19 @@ class TestDepthTable:
 
 @st.composite
 def arc_stream(draw):
-    """Distinct job ids (1..n, or gapped), then arc chunks in topological order, perhaps cut short by a bad arc.
+    """Job ids 1..n in a drawn order, then arc chunks in topological order, perhaps cut short by a bad arc.
 
     Arcs join jobs earlier to later in a drawn order, plus a path through a run of it, as deep as
     the drawn chunks allow.  Each arc takes a place between its ends' ranks, so every arc into a
     job comes before every arc out of it, and arcs into one job may interleave with others.
     """
     n = draw(st.integers(1, 40))
-    ids = draw(st.one_of(st.permutations(range(1, n + 1)), st.lists(st.integers(1, 3 * n), min_size=n, max_size=n,
-                                                                    unique=True)))
+    ids = draw(st.permutations(range(1, n + 1)))
     order = draw(st.permutations(ids))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
                           max_size=3 * n))
     pairs += [(k, k + 1) for k in range(draw(st.integers(0, n - 1)))]
-    places = [i + draw(st.floats(0, 1, exclude_max=True)) * (j - i) for i, j in pairs]
+    places = [i + draw(st.floats(0, 0.5)) * (j - i) for i, j in pairs]  # at most j - 0.5, even rounded
     arcs = [(order[i], order[j]) for _, (i, j) in sorted(zip(places, pairs), key=lambda e: e[0])]
     bad = draw(st.sampled_from([None, None, "late", "unseen", "self-loop"]))
     if bad and arcs:
@@ -509,19 +508,17 @@ def _walk(arcs: list, depth: dict, sources: set) -> list:
     """The per-arc walk over a chunk: its raises as (id, old, new), or its error, raised after the arcs before."""
     raises = []
     for a, b in arcs:
+        if a == b:
+            raise ss.CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
+        if a not in depth or b not in depth:
+            raise ss.InputContractError(f"arc references unseen job id {a if a not in depth else b}")
         if b in sources:
             raise ss.CycleSuspicionError(
                 f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
             )
         sources.add(a)
-        if a not in depth or b not in depth:
-            raise ss.InputContractError(f"arc references unseen job id {a if a not in depth else b}")
         d = depth[a] + 1
         if d > depth[b]:
-            if d > len(depth):
-                raise ss.CycleSuspicionError(f"depth {d} exceeds job count {len(depth)}")
-            if a == b:
-                raise ss.CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
             raises.append((b, depth[b], d))
             depth[b] = d
     return raises
@@ -561,6 +558,25 @@ class TestRaiseChunk:
             assert cols.depth.tolist() == [depth[j] for j in by_position.tolist()]
             if isinstance(want, tuple):
                 break
+
+    @pytest.mark.parametrize("ids,missing", [([1, 3], 2), ([2, 3], 1), ([4, 1, 2], 3), ([7], 1)])
+    def test_a_gap_raises_at_freeze(self, ids, missing):
+        """The job section ends at the first arc chunk: a gap raises there, before any arc is checked."""
+        cols = DepthColumns()
+        cols.insert_chunk(np.array(ids, dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
+        bad_arc = np.array([99], dtype=np.int64)  # unseen, and it would be reported unless the gap won
+        with pytest.raises(ss.InputContractError) as err:
+            cols.raise_chunk(bad_arc, bad_arc + 1)
+        assert (str(err.value), err.value.row) == (f"job ids must be exactly 1..{len(ids)}; no job has id {missing}", None)
+
+    def test_a_job_section_broken_off_raises_only_a_repeat(self):
+        """``freeze(ended=False)``, after an error in the job section, passes over a gap but raises a repeat."""
+        gapped, repeated = DepthColumns(), DepthColumns()
+        gapped.insert_chunk(np.array([1, 3], dtype=np.int64), np.zeros(2, dtype=np.int64))
+        repeated.insert_chunk(np.array([1, 3, 1], dtype=np.int64), np.zeros(3, dtype=np.int64))
+        gapped.freeze(ended=False)
+        with pytest.raises(ss.InputContractError, match="duplicate job id 1 in stream"):
+            repeated.freeze(ended=False)
 
 
 def _pairs_by_counter(u: list, d: list) -> tuple:

@@ -460,15 +460,14 @@ COLUMNAR_CASES = {
     "repeat before a later p = 0": (_jobs(1, 2, 1, 3) + [streaming._Row(4, 0)], "duplicate job id 1 in stream"),
     "unseen src": (_jobs(1, 2, 3) + [A(1, 2), A(7, 3)], "arc references unseen job id 7"),
     "unseen dst": (_jobs(1, 2, 3) + [A(1, 2), A(2, 9)], "arc references unseen job id 9"),
-    "self-loop past job count": (_jobs(1) + [A(1, 1)], "depth 2 exceeds job count 1"),
+    "self-loop on the only job": (_jobs(1) + [A(1, 1)], "self-loop arc (1 -> 1) forms a cycle"),
     "self-loop": (_jobs(1, 2) + [A(1, 1)], "self-loop arc (1 -> 1) forms a cycle"),
-    "self-loop past raised depth": (_jobs(1, 2) + [A(1, 2), A(2, 2)], "depth 3 exceeds job count 2"),
-    "self-loop on a source": (
-        _jobs(1, 2) + [A(1, 2), A(1, 1)],
-        "arc (1 -> 1) arrived after 1 was already a source; arc stream is not in topological order",
-    ),
+    "self-loop on a raised job": (_jobs(1, 2) + [A(1, 2), A(2, 2)], "self-loop arc (2 -> 2) forms a cycle"),
+    "self-loop on a source": (_jobs(1, 2) + [A(1, 2), A(1, 1)], "self-loop arc (1 -> 1) forms a cycle"),
+    "self-loop on an unseen id": (_jobs(1, 2) + [A(9, 9)], "self-loop arc (9 -> 9) forms a cycle"),
+    "unseen end of a late arc": (_jobs(1, 2) + [A(1, 2), A(9, 1)], "arc references unseen job id 9"),
     "job after arcs": (_jobs(1, 2) + [A(1, 2)] + _jobs(3), "job 3 arrived after arc events began"),
-    "job after arcs fills a gap": (_jobs(1, 3) + [A(1, 3)] + _jobs(2), "job 2 arrived after arc events began"),
+    "gap before a job after arcs": (_jobs(1, 3) + [A(1, 3)] + _jobs(2), "job ids must be exactly 1..2; no job has id 2"),
     "gapped ids": (_jobs(10, 3, 7, 1) + [A(1, 3), A(3, 10), A(7, 10)], "job ids must be exactly 1..4; no job has id 2"),
     "unsorted ids": (_jobs(5, 2, 4, 1, 3) + [A(1, 2), A(2, 3), A(4, 3), A(3, 5)], None),
 }
@@ -556,16 +555,13 @@ def test_arc_modes_reject_p_past_int64():
             assert _outcome(lambda: STREAMING_ALGORITHMS[mode](_int64_chunks(events, rows, lists=True), params)) == error
 
 
-LATE = "arrived after {} was already a source; arc stream is not in topological order"
-
-
 @pytest.mark.parametrize(
     "arcs,error",
     [
         ([A(1, 2), A(2, 2**70)], (ss.InputContractError, f"arc end {2**70} is outside the int64 range")),
         ([A(-(2**70), 2), A(1, 2)], (ss.InputContractError, f"arc end {-(2**70)} is outside the int64 range")),
         ([A(1, 2), A(2**64, 1)], (ss.InputContractError, f"arc end {2**64} is outside the int64 range")),
-        ([A(1, 2), A(1, 1), A(2**70, 2)], (ss.CycleSuspicionError, "arc (1 -> 1) " + LATE.format(1))),
+        ([A(1, 2), A(1, 1), A(2**70, 2)], (ss.CycleSuspicionError, "self-loop arc (1 -> 1) forms a cycle")),
     ],
 )
 def test_arc_end_past_int64_is_rejected(arcs, error):
