@@ -52,6 +52,8 @@ from .sketch import DepthColumns
 HEADER = "# sched-stream v1"
 P_LIMIT = 2**63 - 1  # every field is held as int64
 BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this many characters
+# an undecodable byte becomes a lone surrogate, which no field parses, so the line parser rejects it at its line
+DECODE_ERRORS = "surrogateescape"
 
 
 def _canonical_patterns(possessive: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
@@ -220,7 +222,7 @@ def iter_chunks(path: str) -> Iterator[Chunk]:
     """
     reader = _Reader(path)
     rest = ""
-    with open(path) as fh:
+    with open(path, errors=DECODE_ERRORS) as fh:
         while True:
             data = fh.read(BLOCK_CHARS)
             if not data:
@@ -255,7 +257,7 @@ def iter_stream(path: str) -> Iterator[StreamEvent]:
 
 def _line_of(path: str, tag: str, k: int) -> int:
     """Line number of the ``tag`` line ("J" or "A") at 0-based position ``k`` among such lines of a file."""
-    with open(path) as fh:
+    with open(path, errors=DECODE_ERRORS) as fh:
         for lineno, raw in enumerate(fh, 1):
             if raw.split()[:1] == [tag]:
                 if k == 0:

@@ -40,18 +40,22 @@ def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
     """
     width, lo, hi = int(d.max()) + 1, int(u.min()), int(u.max())
     span = (hi - lo + 1) * width  # the key (u - lo) * width + d runs from 0 to below span
+    if span > 1 << 63:  # the key would pass int64: the pairs themselves, as rows
+        found = np.unique(np.stack((u, d), axis=1), axis=0, return_index=first, return_counts=True)
+        return (found[0][:, 0], found[0][:, 1], found[-1]) + found[1:-1]
+    key = u - lo  # built in place: one temporary of the columns' length
+    key *= width
+    key += d
     if not first and span <= u.size:  # no more keys than rows: count them in place
-        tally = np.bincount((u - lo) * width + d)
+        tally = np.bincount(key)
+        del key
         keys = np.flatnonzero(tally)
         us, ds = np.divmod(keys, width)
         return us + lo, ds, tally[keys]
-    if span <= 1 << 63:  # the key is exact in int64
-        found = np.unique((u - lo) * width + d, return_index=first, return_counts=True)
-        us, ds = np.divmod(found[0], width)
-        us += lo
-    else:
-        found = np.unique(np.stack((u, d), axis=1), axis=0, return_index=first, return_counts=True)
-        us, ds = found[0][:, 0], found[0][:, 1]
+    found = np.unique(key, return_index=first, return_counts=True)
+    del key
+    us, ds = np.divmod(found[0], width)
+    us += lo
     return (us, ds, found[-1]) + found[1:-1]
 
 
@@ -79,7 +83,7 @@ def bucket_loads(u: np.ndarray, d: np.ndarray, weight: np.ndarray, gb: Geometric
 class TreeSketch:
     """Sketch of (bucket, depth) job counts as int64 columns ``u``, ``d``, ``count`` sorted by (u, d).
 
-    Eager eviction drops the buckets below a cutoff.  `count_chunk` and `move_counts` update
+    Eager eviction drops the buckets below a cutoff.  `count_chunk` and `move` update
     ``peak_node_count`` for each event they take, so it is the peak over all events.
     """
 
@@ -200,44 +204,15 @@ class TreeSketch:
         """Move one unit of count from (d, u), which must hold one, to (d_new, u); True if that node is new."""
         if d_new <= d:
             raise InvariantViolationError(f"move must increase depth ({d} -> {d_new})")
-        return self.move_counts(*(np.array([x], dtype=np.int64) for x in (u, d, d_new))) > 0
-
-    def move_counts(self, u: np.ndarray, d: np.ndarray, d_new: np.ndarray) -> int:
-        """The walk ``move(d[i], u[i], d_new[i])`` over i in order, as one batch; returns the nodes it created.
-
-        In the walk, each move that creates a node is followed by `note_peak`.  A move keeps its
-        bucket, so under eager eviction no move needs a prune.  Every source must hold a count when
-        its move comes (the moves, simulated in order, never take a key below zero); otherwise this
-        raises `InvariantViolationError` and changes nothing.  Arrays are int64 with ``d_new > d >= 1``.
-        """
-        k = u.size
-        if k == 0:
-            return 0
-        ends = np.empty(2 * k, dtype=np.int64)  # move i: -1 at its source (2i), then +1 at its destination
-        ends[0::2], ends[1::2] = d, d_new
-        node_keys, keys = self._keys(np.repeat(u, 2), ends)
-        order = np.argsort(keys, kind="stable")  # each key's events together, in stream order
-        ranked = keys[order]
-        steps = np.where(order % 2 == 0, -1, 1)
-        first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        last = np.append(first[1:], 2 * k) - 1
-        touched = ranked[first]
-        at, start = self._find(touched, node_keys)
-        total = np.cumsum(steps)
-        # each key's count after each of its events: its count before the chunk plus its steps so far
-        after = total + np.repeat(start - (total[first] - steps[first]), last - first + 1)
-        if after.min() < 0:
-            i = int(order[after < 0].min()) // 2  # the first move whose source holds no count
-            raise InvariantViolationError(f"no sketch node at (d={d[i]}, u={u[i]}) to move from")
-        # node count changes, put back in stream order: +1 where a key turns positive, -1 where it empties
-        change = np.empty(2 * k, dtype=np.int64)
-        change[order] = (after > 0).astype(np.int64) - (after - steps > 0)
-        created = change > 0
-        if created.any():
-            peak = self.u.size + int((np.cumsum(change)[created]).max())
-            self.peak_node_count = max(self.peak_node_count, peak)
-        self._write(node_keys, touched, after[last], u[order[first] // 2], ends[order[first]], at, start > 0)
-        return int(created.sum())
+        us, ds = np.array([u, u], dtype=np.int64), np.array([d, d_new], dtype=np.int64)
+        node_keys, keys = self._keys(us, ds)
+        at, start = self._find(keys, node_keys)
+        if start[0] == 0:
+            raise InvariantViolationError(f"no sketch node at (d={d}, u={u}) to move from")
+        self._write(node_keys, keys, start + (-1, 1), us, ds, at, start > 0)
+        if start[1] == 0:
+            self.note_peak()
+        return bool(start[1] == 0)
 
     def prune_smallest(self, cutoff_u: int) -> bool:
         """Evict every node whose bucket is below ``cutoff_u``; return True if one was."""
@@ -387,11 +362,9 @@ class DepthColumns:
         self.depth = np.ones(n, dtype=np.int64)
         self.first = np.full(n, NO_SOURCE, dtype=np.int64)
 
-    def raise_chunk(self, src: np.ndarray, dst: np.ndarray, raises: bool = False) -> tuple | None:
+    def raise_chunk(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
 
-        With ``raises``, returns the job position, old depth and new
-        depth of each depth raised, in order, as three int64 arrays.
         The checks at each arc ``a -> b``, in order: a self-loop, an
         end outside 1..n (unseen), and ``b`` already a source.  Arcs
         that pass them form an acyclic graph, so no depth they raise
@@ -399,7 +372,7 @@ class DepthColumns:
         """
         self.freeze()
         if src.size == 0:
-            return (src, src, src) if raises else None
+            return
         start, n, k = self.arcs, self.depth.size, src.size
         self.arcs += k
         s, t = src - 1, dst - 1  # job positions
@@ -410,7 +383,6 @@ class DepthColumns:
         np.minimum.at(self.first, s[:stop], at)
         late = at > self.first[t[:stop]]  # the end was the source of an earlier arc
         bad = int(late.argmax()) if late.any() else stop
-        before = self.depth[t[:bad]] if raises else None
         self._settle(s[:bad], t[:bad])
         if bad < k:
             a, b, row = int(src[bad]), int(dst[bad]), ("A", start + bad)
@@ -420,9 +392,6 @@ class DepthColumns:
             if a == b:
                 raise CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle", row)
             raise InputContractError(f"arc references unseen job id {a if not 0 < a <= n else b}", row)
-        if raises:
-            return _raises(t, self.depth[s] + 1, before)
-        return None
 
     def _settle(self, s: np.ndarray, t: np.ndarray) -> None:
         """Raise each ``depth[t[i]]`` to ``depth[s[i]] + 1`` along valid arcs, to the per-arc walk's final depths.
@@ -451,23 +420,3 @@ class DepthColumns:
         """Depths for ids 1..n, which `freeze` ensures, for handing to the second pass."""
         return self.depth.copy()
 
-
-def _raises(t: np.ndarray, candidate: np.ndarray, before: np.ndarray) -> tuple:
-    """The per-arc walk's raises as (job position, old depth, new depth) arrays, in arc order.
-
-    Arc i offers its end ``t[i]`` the depth ``candidate[i]``; the end's
-    depth before the chunk is ``before[i]``.  An arc raises when its
-    candidate beats both that and every earlier candidate for the same
-    end: a running maximum per end, over the arcs stably sorted by end.
-    """
-    order = np.argsort(t, kind="stable")
-    ends = t[order]
-    # keys rise from one end to the next, as candidates lie in [0, width); t * width < n * (n + 1)
-    # stays within int64 for any job count whose columns fit in memory
-    offset = ends * (int(candidate.max()) + 1)
-    best = np.maximum.accumulate(offset + candidate[order]) - offset
-    earlier = np.zeros_like(t)  # per arc, the largest candidate of the earlier arcs into its end
-    earlier[order[1:]] = np.where(ends[1:] == ends[:-1], best[:-1], 0)
-    old = np.maximum(before, earlier)
-    up = candidate > old
-    return t[up], old[up], candidate[up]

@@ -21,10 +21,11 @@ stream is read:
   skipped, the nodes below that cutoff are evicted, and one
   ceil(p_max/n) term pays for both.
 
-The capped modes evict eagerly: each rise of the cutoff drops every
-node below it.  The paper's lazy rule, at most the smallest node per
-new node, keeps the same nodes at or above the final cutoff and reaches
-the same peak node count (see `sketch`), so every result is the same.
+`stream_alpha_known` evicts eagerly: each rise of the cutoff drops
+every node below it.  The paper's lazy rule, at most the smallest node
+per new node, keeps the same nodes at or above the final cutoff and
+reaches the same peak node count (see `sketch`), so every result is the
+same.  `stream_alpha_unknown` counts at the end and drops them there.
 
 The engine reads its input through one door, `_chunks`, as int64
 column chunks of consecutive jobs or arcs: `fileio.iter_chunks` and
@@ -36,22 +37,18 @@ carries the row's stream position (`InputContractError.row`).
 The given-depth modes keep no per-job state: a job chunk is checked
 once, by vectorized masks, and raises the error of its first bad row,
 and arc events are counted, not read, so neither ids 1..n nor arc order
-is checked.  The counted modes (all but `stream_unknown`) hand each job
-chunk to one counter (`_count_chunk`), which takes it whole.
+is checked.  They hand each job chunk to one counter (`_count_chunk`),
+which takes it whole.
 
 The arc-driven modes keep per-job bucket, depth and first-source
 columns (`sketch.DepthColumns`, which `fileio.read_instance` runs too),
 which check ids 1..n when the job section ends and each arc's ends and
-order, and raise the depths one arc chunk at a time.  `stream_unknown`
-counts the sketch once, at the end of the stream; `stream_alpha_unknown`
-counts its jobs at depth 1 as they come, as its cutoff needs, marking a
-skipped job's bucket -1.  The cutoff is final once the arcs begin, so a
-job holds a count exactly when its bucket is at or above it: a skipped
-job lies below (its mark), and an evicted one went as the cutoff rose
-past it.  Each arc chunk drops the depth raises of jobs without a count
-and moves the others' counts with one `TreeSketch.move_counts` call,
-whose peak is that of a walk that moves a count as each arc arrives.
-A move keeps its bucket, so no move evicts.
+order, and raise the depths one arc chunk at a time.  Both count the
+sketch once, at the end of the stream, every job at its final depth.
+`stream_alpha_unknown` runs the counter's skip step (`_skip_chunk`) on
+each job chunk, which marks a skipped job's bucket -1; the finish
+drops every bucket below the final cutoff, so skipped and evicted jobs
+hold no count.
 
 Every returned `RunReport` carries ``guarantee_condition_met``: the
 machine-count bound under which the run is a (1+epsilon)-approximation.
@@ -206,39 +203,43 @@ def _reject_jobs(chunk: JobChunk, gb: GeometricBuckets, h: int, p_cap: float, st
     raise InputContractError(f"depth must be >= 1, got {d}", row)
 
 
-def _count_chunk(
-    p: np.ndarray,
-    u: np.ndarray,
-    depth: np.ndarray,
-    sk: TreeSketch,
-    gb: GeometricBuckets,
-    n_sq: int,
-    p_hi: int,
-    p_max_run: int,
-    cutoff: int,
-) -> tuple[int, int]:
-    """A counted mode on a checked job chunk with buckets ``u``; returns the new running maximum and cutoff.
+def _skip_chunk(
+    p: np.ndarray, u: np.ndarray, gb: GeometricBuckets, n_sq: int, p_hi: int, p_max_run: int, cutoff: int
+) -> tuple:
+    """The counted modes' skip step on a checked job chunk with buckets ``u``.
 
     Skips each job below the running maximum before it over ``n_sq``
-    (none when ``n_sq`` is past int64, as in the uncapped mode, whose
-    cutoff stays below every bucket), sets its entry of ``u`` to -1 (no
-    count), and counts the kept jobs with one `TreeSketch.count_chunk`
-    call.  The cutoff in force at a kept job is floor_log of the maximum
-    up to it over ``n_sq``; the sketch asks for them only when a node
-    falls below one, and gets them from one `GeometricBuckets.floor_log_array`
-    call.  A skip needs a maximum above n^2, so every cutoff from then on
-    is at least 0, above the mark.
+    and sets its entry of ``u`` to -1 (no count).  Returns the kept
+    jobs, the maximum up to each job, and the new running maximum and
+    cutoff, floor_log of that maximum over ``n_sq``.  An ``n_sq`` past
+    int64, as in the uncapped mode, skips no job: every row is kept, and
+    the maxima are None.  A skip needs a maximum above n^2, so every
+    cutoff from then on is at least 0, above the mark.
     """
-    if n_sq >> 63 == 0:  # an n_sq past int64 skips no job: p * n_sq > 2**63 - 1 >= every maximum
-        # the maximum up to each job; a skipped job lies below the one before it, so kept jobs alone set it
-        run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p)))
-        keep = p > (run_max[:-1] - 1) // n_sq  # not p * n_sq < the maximum before, exactly and within int64
-        u[~keep] = -1
-        u, depth, run_max = u[keep], depth[keep], run_max[1:][keep]
-        if p_hi > p_max_run:
-            p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
-    # no node falls below the uncapped mode's cutoff, so it never asks for the cutoffs (nor needs run_max)
-    sk.count_chunk(u, depth, cutoff, lambda i: gb.floor_log_array(run_max[i], n_sq))
+    if n_sq >> 63:  # p * n_sq > 2**63 - 1 >= every maximum
+        return slice(None), None, p_max_run, cutoff
+    # the maximum up to each job; a skipped job lies below the one before it, so kept jobs alone set it
+    run_max = np.maximum.accumulate(np.concatenate(([p_max_run], p)))
+    keep = p > (run_max[:-1] - 1) // n_sq  # not p * n_sq < the maximum before, exactly and within int64
+    u[~keep] = -1
+    if p_hi > p_max_run:
+        p_max_run, cutoff = p_hi, gb.floor_log(p_hi, n_sq)
+    return keep, run_max[1:], p_max_run, cutoff
+
+
+def _count_chunk(p: np.ndarray, u: np.ndarray, depth: np.ndarray, sk: TreeSketch, gb: GeometricBuckets, n_sq: int,
+                 p_hi: int, p_max_run: int, cutoff: int) -> tuple[int, int]:
+    """A given-depth mode on a checked job chunk with buckets ``u``; returns the new running maximum and cutoff.
+
+    Runs `_skip_chunk` and counts the kept jobs with one
+    `TreeSketch.count_chunk` call.  The cutoff in force at a kept job is
+    floor_log of the maximum up to it over ``n_sq``; the sketch asks for
+    them only when a node falls below one, and gets them from one
+    `GeometricBuckets.floor_log_array` call.
+    """
+    keep, run_max, p_max_run, cutoff = _skip_chunk(p, u, gb, n_sq, p_hi, p_max_run, cutoff)
+    # no node falls below the uncapped mode's cutoff, which lies below every bucket, so it never asks
+    sk.count_chunk(u[keep], depth[keep], cutoff, lambda i: gb.floor_log_array(run_max[keep][i], n_sq))
     return p_max_run, cutoff
 
 
@@ -250,7 +251,7 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     gb = buckets_for(drv.delta)
     sk = TreeSketch()
     columns = None if given else DepthColumns()
-    h, c = params.h if given else 1, params.c  # the arc modes count every job at depth 1
+    h, c = params.h if given else 1, params.c  # the arc modes find h from the depths
     held = np.zeros(h + 1, dtype=bool)  # held[d]: some job has depth d
     # the uncapped modes skip no job: an n^2 past int64, and a cutoff below every bucket
     n_sq = params.n * params.n if capped else 1 << 63
@@ -262,15 +263,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         for chunk in _chunks(events):
             if isinstance(chunk, ArcChunk):
                 arcs += len(chunk.src)
-                if given:  # the known-depth modes pass over arc events
-                    continue
-                if not capped:  # stream_unknown counts last
+                if not given:  # the known-depth modes pass over arc events
                     columns.raise_chunk(chunk.src, chunk.dst)
-                    continue
-                b, d, d_new = columns.raise_chunk(chunk.src, chunk.dst, raises=True)
-                u = columns.u[b]
-                counted = u >= cutoff  # kept and never evicted: the cutoff is final once the arcs begin
-                sk.move_counts(u[counted], d[counted], d_new[counted])
                 continue
             _, p, depth = chunk
             n += p.size  # each job is counted, skipped or evicted, or raises
@@ -290,14 +284,14 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
                 columns.insert_chunk(chunk.ids[:k], gb.index_array(p[:k]))
                 gb.index(p[k])
             us = gb.index_array(p)
-            if not given:
-                depth = np.ones_like(us)
             sk.note_processing_time(p_lo)
             sk.note_processing_time(p_hi)
-            if given or capped:
+            if given:
                 p_max_run, cutoff = _count_chunk(p, us, depth, sk, gb, n_sq, p_hi, p_max_run, cutoff)
-            if not given:
-                columns.insert_chunk(chunk.ids, us)  # with the skips marked
+                continue
+            if capped:
+                _, _, p_max_run, cutoff = _skip_chunk(p, us, gb, n_sq, p_hi, p_max_run, cutoff)
+            columns.insert_chunk(chunk.ids, us)  # with the skips marked
     except Exception:  # a repeated id on an earlier row wins; a gap waits for the job section's end
         if columns is not None:
             columns.freeze(ended=False)
@@ -305,8 +299,9 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     h_run = h
     if not given:
         columns.freeze()
-        if not capped:  # every job, at its final depth
-            sk.count_chunk(columns.u, columns.depth)
+        # every job at its final depth; the capped mode's finish drops the skipped (marked -1) and evicted
+        # jobs, which lie below the final cutoff
+        sk.count_chunk(columns.u, columns.depth)
         h_run = int(columns.depth.max(initial=1))
     if n == 0:
         raise InputContractError("empty job stream")
@@ -338,8 +333,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
     if not given:
         extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=h_run, depth_table=columns)
-    if capped:
-        extras.update(peak_node_count=sk.peak_node_count, counted=final.total_counted)
+    if capped:  # stream3's peak node count is its space; stream4 counts once, at the end, and reports none
+        extras.update({"peak_node_count": sk.peak_node_count} if given else {}, counted=final.total_counted)
     return RunReport(
         algorithm=mode,
         A=A,
@@ -396,9 +391,10 @@ def stream_alpha_unknown(
     """Capped sketch with depths discovered from the arc stream.
 
     Skipped and evicted jobs keep their per-job columns so later arcs
-    still propagate depths, but they hold no count, so an arc that
-    raises one moves nothing (they are below the smallness cutoff,
-    which the final padding already pays for).
+    still propagate depths, but they hold no count: the sketch is
+    counted once, at the end, over the buckets at or above the final
+    cutoff, which a skipped job's -1 mark and an evicted job's bucket
+    lie below (the final padding pays for them).
     """
     return _stream(events, params, STREAM_ALPHA_UNKNOWN, tight)
 

@@ -3,24 +3,25 @@
 The engine checks each job chunk once by vectorized masks, counts it
 with one call that evicts eagerly, and keeps the arc modes' per-job
 depths as columns (`sketch.DepthColumns`) raised one arc chunk at a
-time, moving the counts of each chunk's raised jobs that hold one in
-one batch.  This module walks the same input one event at a time
-instead, and evicts as the paper does, lazily, with code of its own
-(`LazySketch`).  A job with a given depth is checked at its row
-(``p >= 1``, a depth, ``depth <= h``, ``p <= c`` in `stream1`,
-``depth >= 1``), then counted, or skipped below the running maximum
-over n^2 in the capped modes, with a lazy prune whenever the count
-creates a node and a peak update after it.  In the arc modes every job
-goes into a dict `DepthTable`; when the job section ends, at the first
-arc or the end of the stream, the ids must be 1..n.  Every arc is
-checked for a self-loop, then for an unseen end, then against the set
-of sources seen so far, and a raised depth moves its job's count in the
-sketch at once (`move`; in the capped mode a skipped job has no count,
-and an evicted job's count went with its node, which the lazy rule may
-not have dropped yet); at the end of the stream a declared n must
-equal the job count.
+time; the arc modes count their sketch once, at the end of the stream.
+This module walks the same input one event at a time instead, and
+evicts as the paper does, lazily, with code of its own (`LazySketch`).
+A job with a given depth is checked at its row (``p >= 1``, a depth,
+``depth <= h``, ``p <= c`` in `stream1`, ``depth >= 1``), then counted,
+or skipped below the running maximum over n^2 in the capped modes,
+with a lazy prune whenever the count creates a node and a peak update
+after it.  In the arc modes every job goes into a dict `DepthTable`
+and is counted at depth 1 as it comes; when the job section ends, at
+the first arc or the end of the stream, the ids must be 1..n.  Every
+arc is checked for a self-loop, then for an unseen end, then against
+the set of sources seen so far, and a raised depth moves its job's
+count in the sketch at once (`move`; in the capped mode a skipped job
+has no count, and an evicted job's count went with its node, which the
+lazy rule may not have dropped yet); at the end of the stream a
+declared n must equal the job count.
 The finish (`A`, sketch times, guarantee) is the engine's, but the
 capped modes' bucket window and the per-depth loads are computed here.
+Only `stream3` reports a peak node count.
 Tests hold the engine's results and errors to this walk.
 """
 
@@ -255,7 +256,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     if not given:
         extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=height, depth_table=table)
     if capped:
-        extras.update(peak_node_count=sk.peak_node_count, counted=final.total_counted)
+        extras.update({"peak_node_count": sk.peak_node_count} if given else {}, counted=final.total_counted)
     return RunReport(
         algorithm=mode,
         A=A,

@@ -29,6 +29,7 @@ BAD_FILES = {
     "late arc before a malformed line": "J 1 1\nJ 2 1\nJ 3 1\nA 1 2\nA 3 1\nA 2 x\n",
     "self-loop on a source": "J 1 1\nJ 2 1\nA 1 2\nA 1 1\n",
     "empty": "# sched-stream v1\n",
+    "byte that is no UTF-8": b"J 1 1\nJ 2 \xff\n",
 }
 
 STREAM_CMDS = ("stream2", "stream4")
@@ -51,8 +52,9 @@ def _argv(cmd: str, path: str, jobs: int, tmp_path) -> list[str]:
 @pytest.mark.parametrize("name", sorted(BAD_FILES))
 def test_every_file_command_gives_one_error(name, tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text(BAD_FILES[name])
-    jobs = BAD_FILES[name].count("J ")
+    text = BAD_FILES[name]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    jobs = path.read_bytes().count(b"J ")
     form = re.compile(rf"error: (?:(?P<path>{re.escape(str(path))})(?::(?P<line>\d+))?: )?(?P<message>.*)\n")
     seen = {}
     for cmd in STREAM_CMDS + ("schedule", "oracle", "sample1"):

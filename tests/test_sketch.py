@@ -81,6 +81,22 @@ class TestMove:
         with pytest.raises(ss.InvariantViolationError):
             sk.move(2, 0, 1)
 
+    @pytest.mark.parametrize("base", [0, 2**62])  # 2**62: keys (u + 1) * width + d pass int64, so u is ranked
+    def test_a_missed_move_raises_and_changes_nothing(self, base):
+        sk = _sketch({(-1, 1): 1, (base, 2): 1}, 2)
+        with pytest.raises(ss.InvariantViolationError, match=rf"^no sketch node at \(d=1, u={base}\) to move from$"):
+            sk.move(1, base, 3)
+        assert entries(sk) == [(1, -1, 1), (2, base, 1)]
+        assert (sk.node_count, sk.peak_node_count, sk.total_counted) == (2, 2, 2)
+
+    def test_peak_counts_a_node_that_a_later_move_empties(self):
+        """Two nodes exist only between the two moves: the peak is neither the start nor the end count."""
+        sk = _sketch({(0, 1): 2}, 1)
+        assert sk.move(1, 0, 2)
+        assert not sk.move(1, 0, 2)
+        assert entries(sk) == [(2, 0, 2)]
+        assert (sk.node_count, sk.peak_node_count) == (1, 2)
+
 
 class TestPrune:
     def test_removes_minimum_below_cutoff(self):
@@ -186,73 +202,6 @@ def _sketch(counts: dict, peak: int) -> TreeSketch:
     return sk
 
 
-def _moves(moves: list) -> tuple:
-    """(u, d, step) triples as the int64 columns u, d, d + step."""
-    u, d, step = (np.array(col, dtype=np.int64) for col in zip(*moves)) if moves else [np.zeros(0, np.int64)] * 3
-    return u, d, d + step
-
-
-_counts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(1, 4)), st.integers(1, 3), min_size=1, max_size=8)
-
-
-@st.composite
-def _move_list(draw, counts: dict) -> list:
-    """Up to 30 (u, d, step) moves, each from a key that holds a count when the move comes."""
-    held, moves = dict(counts), []
-    for _ in range(draw(st.integers(0, 30))):
-        u, d = draw(st.sampled_from(sorted(key for key, cnt in held.items() if cnt)))
-        step = draw(st.integers(1, 3))
-        held[(u, d)] -= 1
-        held[(u, d + step)] = held.get((u, d + step), 0) + 1
-        moves.append((u, d, step))
-    return moves
-
-
-class TestMoveCounts:
-    @settings(max_examples=400, deadline=None)
-    @given(
-        data=st.data(),
-        counts=_counts,
-        peak=st.integers(0, 10),
-        after=st.lists(st.integers(-1, 5), max_size=6),
-        base=st.sampled_from([0, 0, 0, 2**62]),  # keys u * width + d past int64: the keys rank u instead
-    )
-    def test_equals_the_walk(self, data, counts, peak, after, base):
-        """A batch is the walk of `move` with `note_peak` after each created node."""
-        moves = [(u + base, d, step) for u, d, step in data.draw(_move_list(counts))]
-        counts = {(u + base, d): cnt for (u, d), cnt in counts.items()}
-        after = [cut + base for cut in after]
-        sk = _sketch(counts, peak)
-        sk.move_counts(*_moves(moves))
-        ref, ref_peak = LazySketch(counts), peak
-        for u, d, step in moves:
-            if ref.move(d, u, d + step):
-                ref_peak = max(ref_peak, len(ref.counts))
-        assert entries(sk) == ref.entries()
-        assert sk.node_count == len(ref.counts)
-        assert sk.peak_node_count == ref_peak
-        assert sk.total_counted == sum(counts.values())
-        for cut in after:  # later prunes see the moved keys
-            assert sk.prune_smallest(cut) == _evict_below(ref, cut)
-        assert entries(sk) == ref.entries()
-
-    def test_peak_inside_the_batch(self):
-        """Two nodes exist only between the two moves: the peak is neither the start nor the end count."""
-        sk = _sketch({(0, 1): 2}, 1)
-        sk.move_counts(*_moves([(0, 1, 1), (0, 1, 1)]))
-        assert entries(sk) == [(2, 0, 2)]
-        assert (sk.node_count, sk.peak_node_count) == (1, 2)
-
-    @pytest.mark.parametrize("base", [0, 2**62])
-    def test_a_missed_move_raises(self, base):
-        """The third move finds (base, 1) empty: the batch raises, naming it, and leaves the sketch as it was."""
-        sk = _sketch({(base, 1): 1, (base + 1, 1): 1}, 2)
-        with pytest.raises(ss.InvariantViolationError, match=rf"^no sketch node at \(d=1, u={base}\) to move from$"):
-            sk.move_counts(*_moves([(base + 1, 1, 1), (base, 1, 1), (base, 1, 2)]))
-        assert entries(sk) == [(1, base, 1), (1, base + 1, 1)]
-        assert (sk.node_count, sk.peak_node_count, sk.total_counted) == (2, 2, 2)
-
-
 @st.composite
 def _job_chunks(draw) -> tuple:
     """Held counts, then chunks of (u, d) jobs with the cutoff in force at each: it never falls, nor passes its job's u."""
@@ -320,8 +269,8 @@ class TestArraySketchMatchesDictReference:
         """Entries, node counts, peak, total, `depth_loads` bytes and JSON text agree after every operation.
 
         Chunks count jobs under cutoffs that rise within and across chunks, or evict nothing;
-        move batches take held counts, or miss one, which raises and changes nothing; `restrict`
-        and `top_bucket` come in between.
+        runs of single moves take held counts, or miss one, which raises and changes nothing;
+        `restrict` and `top_bucket` come in between.
         """
         bucket = (lambda code: code * spread + base) if spread == 1 else (lambda code: code * spread)
         gb = ss.buckets_for(0.1) if (spread, base) == (1, 0) else None
@@ -359,24 +308,17 @@ class TestArraySketchMatchesDictReference:
                 if moves and data.draw(st.booleans()):  # a move from a key that holds no count when it comes
                     u_j, d_j, _ = data.draw(st.sampled_from(moves))
                     moves.insert(data.draw(st.integers(0, len(moves))), (u_j, d_j + 7, d_j + 8))
-                cols = [np.array(col, dtype=np.int64) for col in zip(*moves)] if moves else [np.zeros(0, np.int64)] * 3
-                walked, created, want = LazySketch(ref.counts), 0, None  # the walk, on a copy of the reference
-                walked.total_counted, walked.peak_node_count = ref.total_counted, ref.peak_node_count
-                walked.p_min, walked.p_max = ref.p_min, ref.p_max
-                try:
-                    for u_j, d_j, d_new in moves:
-                        if walked.move(d_j, u_j, d_new):
-                            created += 1
-                            walked.note_peak()
-                except ss.InvariantViolationError as exc:
-                    want = str(exc)
-                if want is None:
-                    assert sk.move_counts(*cols) == created
-                    ref = walked
-                else:
-                    with pytest.raises(ss.InvariantViolationError) as exc:
-                        sk.move_counts(*cols)
-                    assert str(exc.value) == want
+                for u_j, d_j, d_new in moves:  # a move whose key holds no count raises and changes nothing
+                    try:
+                        want = ref.move(d_j, u_j, d_new)
+                    except ss.InvariantViolationError as exc:
+                        with pytest.raises(ss.InvariantViolationError) as got:
+                            sk.move(d_j, u_j, d_new)
+                        assert str(got.value) == str(exc)
+                        break
+                    assert sk.move(d_j, u_j, d_new) == want
+                    if want:
+                        ref.note_peak()
             elif op == "restrict":
                 lo = data.draw(st.integers(-3, 8))
                 hi = lo + data.draw(st.integers(0, 6))
@@ -396,7 +338,7 @@ def test_nodes_are_held_in_columns():
         for chunk in np.split(keys, 14):
             sk.count_chunk(chunk // 3, chunk % 3 + 1)
         deep = np.flatnonzero(sk.d == 3)[:200]
-        sk.move_counts(sk.u[deep], sk.d[deep], sk.d[deep] + 1)  # 200 new nodes at depth 4
+        sk.count_chunk(sk.u[deep], sk.d[deep] + 1)  # 200 new nodes at depth 4
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -504,9 +446,8 @@ def arc_stream(draw):
     return ids, [arcs[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(arcs)])]
 
 
-def _walk(arcs: list, depth: dict, sources: set) -> list:
-    """The per-arc walk over a chunk: its raises as (id, old, new), or its error, raised after the arcs before."""
-    raises = []
+def _walk(arcs: list, depth: dict, sources: set) -> None:
+    """The per-arc walk over a chunk, raising its error after the arcs before it."""
     for a, b in arcs:
         if a == b:
             raise ss.CycleSuspicionError(f"self-loop arc ({a} -> {b}) forms a cycle")
@@ -517,18 +458,14 @@ def _walk(arcs: list, depth: dict, sources: set) -> list:
                 f"arc ({a} -> {b}) arrived after {b} was already a source; arc stream is not in topological order"
             )
         sources.add(a)
-        d = depth[a] + 1
-        if d > depth[b]:
-            raises.append((b, depth[b], d))
-            depth[b] = d
-    return raises
+        depth[b] = max(depth[b], depth[a] + 1)
 
 
 class TestRaiseChunk:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(stream=arc_stream(), cap=st.sampled_from([None, 0, 1, 2, 3, 5, 100]))
-    def test_rounds_and_raises_equal_the_walk(self, monkeypatch, stream, cap):
-        """Final depths, raises (b, old, new) and errors per chunk equal the per-arc walk's.
+    def test_rounds_equal_the_walk(self, monkeypatch, stream, cap):
+        """Depths and errors after each chunk equal the per-arc walk's.
 
         ``cap`` rounds run before the walk takes over (None: the cost model's cap), so paths
         shorter and longer than the cap are both met.
@@ -550,8 +487,7 @@ class TestRaiseChunk:
                 want = (type(exc), str(exc))
             src, dst = (np.array(col, dtype=np.int64).reshape(-1) for col in (zip(*arcs) if arcs else ([], [])))
             try:
-                b, old, new = cols.raise_chunk(src, dst, raises=True)
-                got = list(zip(by_position[b].tolist(), old.tolist(), new.tolist()))
+                got = cols.raise_chunk(src, dst)
             except ss.InputContractError as exc:
                 got = (type(exc), str(exc))
             assert got == want

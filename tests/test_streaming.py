@@ -634,52 +634,51 @@ def test_given_modes_count_event_lists_by_chunk(mode, monkeypatch):
     assert got == _run_summary(STREAMING_ALGORITHMS[mode](inst.chunks(), params))
 
 
-def _spy_moves(monkeypatch) -> list:
-    """The number of moves each call of `TreeSketch.move_counts` is given from now on."""
+def _spy_sketch_counts(monkeypatch) -> list:
+    """The number of jobs each call of `TreeSketch.count_chunk` is given from now on."""
     taken = []
-    move_counts = TreeSketch.move_counts
+    count_chunk = TreeSketch.count_chunk
 
-    def spy(self, u, d, d_new):
+    def spy(self, u, d, *args):
         taken.append(u.size)
-        move_counts(self, u, d, d_new)
+        count_chunk(self, u, d, *args)
 
-    monkeypatch.setattr(TreeSketch, "move_counts", spy)
+    monkeypatch.setattr(TreeSketch, "count_chunk", spy)
     return taken
 
 
-def test_stream4_moves_each_arc_chunk_whole(tmp_path, monkeypatch):
-    """With no job skipped or evicted, every arc chunk's raises are moved as one batch, on a file and on events."""
-    inst = ss.layered([300, 250, 200], c=9, m=3, seed=4)  # p <= 9 < n^2: every job is counted and stays
-    params = P(epsilon=0.3, m=inst.m, n=inst.n, alpha=0.25)
+@pytest.mark.parametrize("mode", ["stream2", "stream4"])
+def test_arc_modes_count_the_sketch_once(mode, tmp_path, monkeypatch):
+    """The arc modes count every job once, at its final depth, at the end of the stream, on a file and on events."""
+    monkeypatch.setattr(fileio, "BLOCK_CHARS", 1000)  # many job and arc chunks
+    inst = ss.layered([300, 250, 200], c=9, m=3, seed=4)
+    params = P(epsilon=0.3, m=inst.m, n=inst.n if mode == "stream4" else None)
     path = str(tmp_path / "inst.txt")
     fileio.write_instance(inst, path, with_depths=False)
-    want = _run_summary(stream_per_event(inst.events(with_depth=False), params, "stream4"))
-    arc_chunks = -(-len(inst.arcs) // streaming.EVENT_BATCH)
-    for source, calls in ((lambda: fileio.iter_chunks(path), 1), (lambda: inst.events(with_depth=False), arc_chunks)):
-        taken = _spy_moves(monkeypatch)
-        assert _run_summary(ss.stream_alpha_unknown(source(), params)) == want
-        assert len(taken) == calls
-        assert sum(taken) == len(inst.arcs)  # each arc raises its end, the job's one in-arc, and none is dropped
+    want = _run_summary(stream_per_event(inst.events(with_depth=False), params, mode))
+    for source in (lambda: fileio.iter_chunks(path), lambda: inst.events(with_depth=False)):
+        taken = _spy_sketch_counts(monkeypatch)
+        assert _run_summary(STREAMING_ALGORITHMS[mode](source(), params)) == want
+        assert taken == [inst.n]
 
 
-def _stream4_moves(chunks: list, params: ss.AlgoParams, monkeypatch) -> tuple[list, dict]:
-    """stream4's moves per arc chunk and run summary, checked against the per-event reference."""
-    taken = _spy_moves(monkeypatch)
+def _stream4_summary(chunks: list, params: ss.AlgoParams) -> dict:
+    """stream4's run summary, checked against the per-event reference."""
     got = _run_summary(ss.stream_alpha_unknown(chunks, params))
     assert got == _run_summary(stream_per_event(chunks, params, "stream4"))
-    return taken, got
+    return got
 
 
-def test_stream4_moves_only_the_counts_of_counted_jobs(monkeypatch):
-    """A raise of a skipped job's depth has no count to move: its arc chunk still goes to one batch, without it."""
+def test_stream4_moves_only_the_counts_of_counted_jobs():
+    """A raise of a skipped job's depth has no count to move: the skipped jobs stay out of the sketch."""
     big = 10**6
     chunks = [  # 1 * 5^2 < 10^6: jobs 2 and 3 are skipped
         *_int64_chunks([ss.Job(j, p) for j, p in enumerate([big, 1, 1, big, big], 1)], 5),
         *_int64_chunks([A(1, 4)], 1),  # moves a counted job
         *_int64_chunks([A(1, 2), A(2, 3), A(4, 5)], 3),  # raises 2 and 3, which hold no count, then moves 5
     ]
-    taken, got = _stream4_moves(chunks, P(epsilon=0.3, m=1, n=5, alpha=0.25), monkeypatch)
-    assert taken == [1, 1]
+    got = _stream4_summary(chunks, P(epsilon=0.3, m=1, n=5, alpha=0.25))
+    assert got["counted"] == 3
     assert got["depths"] == [1, 2, 3, 2, 3]
 
 
@@ -690,27 +689,25 @@ def test_stream4_moves_only_the_counts_of_counted_jobs(monkeypatch):
         [62499, 10**6, 62499, 10**6],  # n = 4: 62499 * 16 < 10^6; the node of job 1, counted first, does
     ],
 )
-def test_stream4_skipped_job_in_the_cutoffs_bucket(p, monkeypatch):
+def test_stream4_skipped_job_in_the_cutoffs_bucket(p):
     """A job skipped in the final cutoff's bucket holds no count: an arc that raises it moves nothing."""
     n = len(p)
     params = P(epsilon=0.3, m=1, n=n, alpha=0.25)
     gb = ss.buckets_for(ss.derive_params(params, "stream4").delta)
     assert gb.index(p[-2]) == gb.floor_log(10**6, n * n)  # the bucket alone does not tell it holds no count
     chunks = list(_int64_chunks([ss.Job(j, q) for j, q in enumerate(p, 1)] + [A(n, n - 1)], n))
-    taken, got = _stream4_moves(chunks, params, monkeypatch)
-    assert taken == [0]
+    got = _stream4_summary(chunks, params)
     assert got["counted"] == n - 1
     assert got["depths"] == [1] * (n - 2) + [2, 1]
 
 
 @pytest.mark.parametrize("rows", [1, 3])
-def test_stream4_evicted_job_raised_by_an_arc(rows, monkeypatch):
+def test_stream4_evicted_job_raised_by_an_arc(rows):
     """n = 3: job 1 is counted, evicted when 10^6 lifts the cutoff past its bucket, then raised: it moves nothing."""
     jobs = [ss.Job(1, 1), ss.Job(2, 10**6), ss.Job(3, 10**6)]
     chunks = [*_int64_chunks(jobs, rows), *_int64_chunks([A(2, 1), A(2, 3)], 2)]
-    taken, got = _stream4_moves(chunks, P(epsilon=0.3, m=1, n=3), monkeypatch)
-    assert taken == [1]  # job 3 alone
-    assert (got["counted"], got["peak_node_count"]) == (2, 2)
+    got = _stream4_summary(chunks, P(epsilon=0.3, m=1, n=3))
+    assert got["counted"] == 2
     assert got["depths"] == [2, 1, 2]
 
 
@@ -784,7 +781,7 @@ def test_stream4_peak_bytes_per_job():
 
 def test_stream2_peak_bytes_per_job():
     """stream2's traced peak: ids 1..n are dropped once checked, as a job's position is its id - 1."""
-    assert _peak_bytes_per_job("stream2") <= 45
+    assert _peak_bytes_per_job("stream2") <= 40
 
 
 def test_columnar_stream2_long_chain(monkeypatch):
@@ -992,21 +989,37 @@ def test_columnar_stream1_rejects_what_the_loop_rejects(p, depth, error, monkeyp
     assert taken == []
 
 
+def _spy_skips(monkeypatch) -> list:
+    """The number of jobs each call of the skip step (`streaming._skip_chunk`) is given from now on."""
+    taken = []
+    skip = streaming._skip_chunk
+
+    def spy(p, *args):
+        taken.append(p.size)
+        return skip(p, *args)
+
+    monkeypatch.setattr(streaming, "_skip_chunk", spy)
+    return taken
+
+
 @pytest.mark.parametrize("rows", [7, 1 << 16])
-def test_columnar_stream4_counts_job_chunks(rows, monkeypatch):
-    """stream4 hands each int64 job chunk to the counter, which takes it whole, evicting or not."""
-    taken = _spy_count(monkeypatch)
+def test_columnar_stream4_skips_by_job_chunk(rows, monkeypatch):
+    """stream4 hands each int64 job chunk whole to the skip step, and counts the sketch once, at the end."""
+    taken, counted = _spy_skips(monkeypatch), _spy_sketch_counts(monkeypatch)
     monkeypatch.setattr(model, "CHUNK_ROWS", rows)
-    inst = CHUNK_INSTANCES["layered"]()  # p <= 9 < n^2: no cutoff reaches a bucket, so every chunk is taken
+    inst = CHUNK_INSTANCES["layered"]()  # p <= 9 < n^2: no job is skipped or evicted
     params = P(epsilon=0.3, m=inst.m, n=inst.n)
     got = _run_summary(ss.stream_alpha_unknown(inst.chunks(with_depth=False), params))
     assert got == _run_summary(stream_per_event(inst.events(with_depth=False), params, "stream4"))
-    assert len(taken) == -(-inst.n // rows)
+    assert taken == [min(rows, inst.n - lo) for lo in range(0, inst.n, rows)]
+    assert (counted, got["counted"]) == ([inst.n], inst.n)
 
     taken.clear()
+    counted.clear()
     inst = _ascending_instance()  # each new maximum lifts the cutoff past the buckets of earlier jobs
     params = P(epsilon=0.3, m=inst.m, n=inst.n)
     got = _run_summary(ss.stream_alpha_unknown(inst.chunks(with_depth=False), params))
     assert got == _run_summary(stream_per_event(inst.events(with_depth=False), params, "stream4"))
     assert got["counted"] < inst.n  # jobs were skipped or evicted
     assert len(taken) == -(-inst.n // rows)
+    assert counted == [inst.n]
