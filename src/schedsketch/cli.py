@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import fileio
-from .core import AlgoParams, ceil_div
+from .core import GIVEN, NEEDS, AlgoParams, ceil_div
 from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
 from .generators import FAMILIES, generate
 from .model import Instance, JobChunk
@@ -29,8 +29,8 @@ from .schedule import schedule_instance, validate_schedule
 from .sketch import sketch_to_json
 from .streaming import STREAMING_ALGORITHMS
 
-STREAM_CMDS = ("stream1", "stream2", "stream3", "stream4")
-SAMPLE_CMDS = ("sample1", "sample2")
+STREAM_CMDS = tuple(STREAMING_ALGORITHMS)
+SAMPLE_CMDS = tuple(SAMPLING_ALGORITHMS)
 COMMANDS = STREAM_CMDS + SAMPLE_CMDS + ("schedule", "oracle", "gen", "bench")
 EXIT_CODES = {ParamError: 2, OSError: 2, InputContractError: 3, SketchInfeasibleError: 4, InvariantViolationError: 5}
 
@@ -152,11 +152,11 @@ def _run_stream(args) -> int:
     path = None  # the file streamed, if any
     if fileio.looks_like_gen_spec(args.infile):
         inst = fileio.instance_from_spec(args.infile)
-        events = inst.chunks(with_depth=args.cmd in ("stream1", "stream3"))
+        events = inst.chunks(with_depth=args.cmd in GIVEN)
         n = inst.n
     else:
         path, n = args.infile, args.n
-        if n is None and args.cmd in ("stream3", "stream4"):
+        if n is None and "n" in NEEDS[args.cmd]:
             # a convenience pre-scan; pass --n to stay one-pass
             n = sum(len(chunk.ids) for chunk in fileio.iter_chunks(path) if isinstance(chunk, JobChunk))
         events = fileio.iter_chunks(path)
@@ -313,7 +313,7 @@ def _run_bench(args) -> int:
         reports = []
         if args.trials > 0:  # a stream mode ignores the seed, so one run serves every seed's row
             fn = STREAMING_ALGORITHMS[args.algo]
-            events = inst.chunks(with_depth=args.algo in ("stream1", "stream3"))
+            events = inst.chunks(with_depth=args.algo in GIVEN)
             reports = [fn(events, _params(args, n=inst.n), tight=args.tight)] * args.trials
     for i, rep in enumerate(reports):
         ratio = rep.A / ref if ref else float("nan")

@@ -40,9 +40,21 @@ STREAM_ALPHA_UNKNOWN = "stream4"
 SAMPLE_BOUNDED = "sample1"
 SAMPLE_ALPHA = "sample2"
 
-STREVAL_MODES = (STREAM_KNOWN, STREAM_UNKNOWN, STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)
-SAMPLE_MODES = (SAMPLE_BOUNDED, SAMPLE_ALPHA)
-ALL_MODES = STREVAL_MODES + SAMPLE_MODES
+# The mode policy, the one place that tells the six modes apart.  GIVEN: the jobs carry
+# their depths (else the arcs that follow them give them).  CAPPED: only the largest
+# alpha*n jobs need be within a factor c.  SAMPLED: the mode draws jobs instead of
+# reading a stream.  NEEDS: the parameters each mode requires.
+GIVEN = (STREAM_KNOWN, STREAM_ALPHA_KNOWN, SAMPLE_BOUNDED, SAMPLE_ALPHA)
+CAPPED = (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN, SAMPLE_ALPHA)
+SAMPLED = (SAMPLE_BOUNDED, SAMPLE_ALPHA)
+NEEDS = {
+    STREAM_KNOWN: ("c", "h"),
+    STREAM_UNKNOWN: (),
+    STREAM_ALPHA_KNOWN: ("c", "h", "n"),
+    STREAM_ALPHA_UNKNOWN: ("n",),
+    SAMPLE_BOUNDED: ("c", "h"),
+    SAMPLE_ALPHA: ("c", "h", "n"),
+}
 
 #: Absolute slack used when flooring real-valued interval lengths.  The
 #: rounded processing times are irrational, so accumulated sums can sit
@@ -109,7 +121,6 @@ class AlgoParams:
 class DerivedParams:
     """Constants derived from `AlgoParams` for one algorithm mode."""
 
-    mode: str
     delta: float
     k: int | None = None
     k_eff: int | None = None
@@ -287,6 +298,20 @@ def buckets_for(delta: float) -> GeometricBuckets:
     return _buckets_for(float(delta))
 
 
+def machine_bound_met(mode: str, m: int, n: int, h: int, c: int, alpha: float, epsilon: float) -> bool:
+    """PAPER.md's machine bound, under which a run is a (1+epsilon)-approximation, multiplied out, in floats.
+
+    It is evaluated at the run's n jobs of height h within a factor c.
+    """
+    if mode in SAMPLED:
+        if mode in CAPPED:  # m <= alpha*n*eps / (20*c^2*h)
+            return 20.0 * m * c * c * h <= n * alpha * epsilon
+        return 20.0 * m * h * c <= n * epsilon  # m <= n*eps / (20*h*c)
+    if mode in CAPPED:  # m <= 2*alpha*n*eps / (3*(h+1)*c)
+        return 3.0 * m * (h + 1) * c <= 2.0 * n * alpha * epsilon
+    return 3.0 * m * h * c <= 2.0 * n * epsilon  # m <= 2*n*eps / (3*h*c)
+
+
 def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
     """Compute every derived constant an algorithm mode needs.
 
@@ -295,27 +320,17 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
     divide by k, which keeps them meaningful when c = 1 (k = 0) and only
     makes the sampling more conservative.
     """
-    if mode not in ALL_MODES:
+    if mode not in NEEDS:
         raise ParamError(f"unknown algorithm mode {mode!r}")
-
-    if mode in STREVAL_MODES:
-        delta = params.epsilon / 3.0
-        if mode == STREAM_KNOWN:
-            params.require("c", "h")
-            k = buckets_for(delta).index(params.c)
-            return DerivedParams(mode=mode, delta=delta, k=k)
-        if mode == STREAM_ALPHA_KNOWN:
-            params.require("c", "h", "n")
-        elif mode == STREAM_ALPHA_UNKNOWN:
-            params.require("n")
-        return DerivedParams(mode=mode, delta=delta)
-
-    delta = params.epsilon / 20.0
+    params.require(*NEEDS[mode])
+    bounded = mode in GIVEN and mode not in CAPPED  # every job within a factor c: buckets 0..k, k = index(c)
+    delta = params.epsilon / (20.0 if mode in SAMPLED else 3.0)
     gb = buckets_for(delta)
-    bounded = mode == SAMPLE_BOUNDED  # the alpha scheme's sizes with alpha = 1 and c in place of c^2
-    params.require("c", "h", *(() if bounded else ("n",)))
-    if bounded:
-        k, alpha, c_pow = gb.index(params.c), 1.0, params.c
+    k = gb.index(params.c) if bounded else None
+    if mode not in SAMPLED:
+        return DerivedParams(delta=delta, k=k)
+    if bounded:  # the alpha scheme's sizes with alpha = 1 and c in place of c^2
+        alpha, c_pow = 1.0, params.c
     else:
         num, den = delta.as_integer_ratio()
         k = gb.floor_log(params.c * params.n * den, num)  # floor_log(c*n / delta)
@@ -330,6 +345,4 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
     n0 = None if bounded else 1 if alpha == 1.0 else math.ceil(math.log(gamma) / math.log1p(-alpha))
     n_prime = max(1, math.ceil(n_raw * params.confidence_scale))
     tau = None if params.n is None else params.n * prob
-    return DerivedParams(
-        mode=mode, delta=delta, k=k, k_eff=k_eff, gamma=gamma, p=prob, beta=beta, n_prime=n_prime, n0=n0, tau=tau
-    )
+    return DerivedParams(delta=delta, k=k, k_eff=k_eff, gamma=gamma, p=prob, beta=beta, n_prime=n_prime, n0=n0, tau=tau)

@@ -193,10 +193,12 @@ class _Reader:
                     arcs.append((src, dst))
                 else:
                     raise InputContractError(f"unknown line tag {tag!r}")
-        except InputContractError as exc:
-            error = type(exc)(f"{self.path}:{lineno}: {exc}")
-        except ValueError as exc:  # a field that is no integer, or a value Job rejects
-            error = InputContractError(f"{self.path}:{lineno}: {exc}")
+        except ValueError as exc:  # the line's error, a field that is no integer, or a value Job rejects
+            bad = re.search("[\udc80-\udcff]", raw)  # a byte that is not UTF-8, which the decoder escaped
+            if bad:
+                exc = InputContractError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
+            kind = type(exc) if isinstance(exc, InputContractError) else InputContractError
+            error = kind(f"{self.path}:{lineno}: {exc}")
         self.has_depth, self.lineno = has_depth, lineno
         self.arcs += len(arcs)
         if jobs:
@@ -309,12 +311,9 @@ def read_instance(path: str, m: int = 1) -> Instance:
     p = np.concatenate([c.p for c in jobs])[order]
     depth = columns.depth if jobs[0].depth is None else np.concatenate([c.depth for c in jobs])[order]
     arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)]) if arcs else np.empty((0, 2), np.int64)
-    meta = {}
-    sidecar = path + ".meta.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        m = int(meta.get("m", m))
+    meta, sidecar = {}, path + ".meta.json"
+    if os.path.exists(sidecar):  # its "m", if any, is the machine count
+        meta, m = _json_object(sidecar, "m", m, lambda v: type(v) is int and v >= 1, "is an integer >= 1")
     return Instance(p=p, depth=depth, arcs=arc_arr, m=m, meta=meta)
 
 
@@ -332,16 +331,26 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-def read_result(path: str) -> dict:
-    """A result file's JSON object; InputContractError, naming the file, unless ``sks`` lists sketch times."""
+def _json_object(path: str, key: str, default, ok, expected: str) -> tuple[dict, object]:
+    """A JSON object file and its ``key``, else ``default``; InputContractError, naming the file, unless ``ok``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not text
             raise InputContractError(f"{path}: {exc}") from None
-    sks = doc.get("sks") if isinstance(doc, dict) else None
-    if not isinstance(sks, list) or not all(type(t) is int and s <= t for s, t in zip([0] + sks, sks)):
-        raise InputContractError(f'{path}: expected a JSON object whose "sks" lists non-decreasing integers >= 0')
+    value = doc.get(key, default) if isinstance(doc, dict) else None
+    if not ok(value):
+        raise InputContractError(f'{path}: expected a JSON object whose "{key}" {expected}')
+    return doc, value
+
+
+def read_result(path: str) -> dict:
+    """A result file's JSON object; InputContractError, naming the file, unless ``sks`` lists sketch times."""
+
+    def ok(sks) -> bool:
+        return isinstance(sks, list) and all(type(t) is int and s <= t for s, t in zip([0] + sks, sks))
+
+    doc, sks = _json_object(path, "sks", None, ok, "lists non-decreasing integers >= 0")
     if sks and sks[-1] >> 63:  # the last time is the largest
         raise InputContractError(f"{path}: sketch time {sks[-1]} exceeds 2**63 - 1")
     return doc

@@ -5,12 +5,13 @@ replacement), bucket them exactly like the streaming algorithms, scale
 the counts by n/n', and drop groups whose estimate is too small to be
 statistically reliable (at most 2*tau, where tau = n * sampling-mass
 threshold).  The surviving estimated sketch feeds the same
-rounded-load arithmetic (`sketch.bucket_loads`) as the streaming side
-and additionally yields an estimated schedule sketch whose intervals
-are padded for the estimation error.
+rounded-load arithmetic (`sketch.bucket_loads`) and the same finish
+(`streaming.finish`: A, an estimated schedule sketch whose intervals
+are padded for the estimation error, the machine bound and the report)
+as the streaming side.
 
 Both schemes are one sampler (`_sample`) with one of two policies,
-fixed by the mode before any draw:
+fixed by the mode (`core.CAPPED`) before any draw:
 
 * *bounded* (`rand_approx_bounded`, sample1): every job is within a
   factor c, so a sampled job with p > c breaks the contract; buckets
@@ -45,6 +46,7 @@ from typing import Protocol
 import numpy as np
 
 from .core import (
+    CAPPED,
     SAMPLE_ALPHA,
     SAMPLE_BOUNDED,
     AlgoParams,
@@ -53,9 +55,9 @@ from .core import (
     derive_params,
 )
 from .errors import InputContractError
-from .model import Instance, RunReport, ScheduleSketch
+from .model import Instance, RunReport
 from .sketch import bucket_loads, pair_counts
-from .streaming import totals
+from .streaming import finish
 
 _CHUNK = 1 << 20
 
@@ -236,37 +238,25 @@ def _sample(access: SampleAccess, params: AlgoParams, mode: str, tight: bool) ->
     The mode fixes the policy, *bounded* (sample1) or *alpha* (sample2),
     before any draw.
     """
-    params.require("c", "h")
-    alpha = mode == SAMPLE_ALPHA
+    alpha = mode in CAPPED
     pr = replace(params, n=access.n)
     drv = derive_params(pr, mode)
     gb = buckets_for(drv.delta)
     rng = np.random.default_rng(pr.seed)
-    if alpha:
+    if alpha:  # the main sample is filtered at delta*w0/n; only the bounded mode caps p at c
         n0 = drv.n0
         w0 = estimate_wmax(access, n0, rng)  # the n0 draws come before the main sample
-        top = pr.c * w0
-        counts, draws = estimate_counts(
-            access, drv.n_prime, gb, rng, min_p=drv.delta * w0 / pr.n, h_cap=pr.h
-        )
+        top, min_p, p_cap = pr.c * w0, drv.delta * w0 / pr.n, None
         num, den = drv.delta.as_integer_ratio()
         u_lo, u_hi = gb.floor_log(num * w0, den * pr.n), gb.floor_log(top)
         pad_w0 = math.floor(drv.delta * w0)
-        # machine bound m <= n*alpha*eps / (20*c^2*h)
-        ok = 20.0 * pr.m * pr.c * pr.c * pr.h <= pr.n * pr.alpha * pr.epsilon
     else:
-        n0, top, u_lo, u_hi, pad_w0 = 0, pr.c, 0, drv.k, 0
-        counts, draws = estimate_counts(access, drv.n_prime, gb, rng, p_cap=pr.c, h_cap=pr.h)
-        ok = 20.0 * pr.m * pr.h * pr.c <= pr.n * pr.epsilon  # machine bound m <= n*eps / (20*h*c)
+        n0, top, u_lo, u_hi, pad_w0, min_p, p_cap = 0, pr.c, 0, drv.k, 0, None, pr.c
+    counts, draws = estimate_counts(access, drv.n_prime, gb, rng, min_p=min_p, p_cap=p_cap, h_cap=pr.h)
     kept = _scaled_estimates(counts, pr.n, draws, drv.tau)
     (ds, us), ehat = np.array(list(kept), dtype=np.int64).reshape(-1, 2).T, np.array(list(kept.values()))
     inside = us <= u_hi  # w0 can underestimate the top
-    dropped_high = len(kept) - int(inside.sum())  # groups above c*w0 fall outside
-    loads = bucket_loads(us[inside], ds[inside], ehat[inside], gb, u_lo, u_hi, top, pr.h) / pr.m
-    pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + pad_w0
-    A, times = totals(loads, top, tight, stretch=1.0 - drv.delta, slack=pad_noise)
     extras = {
-        "n": pr.n,
         "delta": drv.delta,
         "n_prime": drv.n_prime,
         "n0": n0,
@@ -274,19 +264,12 @@ def _sample(access: SampleAccess, params: AlgoParams, mode: str, tight: bool) ->
         "cap_triggered": drv.n_prime >= pr.n,
         "estimates": kept,
     }
-    if alpha:
-        extras.update(w0=w0, dropped_above_top=dropped_high)
-    return RunReport(
-        algorithm=mode,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=mode),
-        sketch_node_count=len(kept),
-        samples_drawn=n0 + draws,
-        update_count=n0 + draws,
-        params=pr,
-        guarantee_condition_met=ok,
-        extras=extras,
-    )
+    if alpha:  # groups above c*w0 fall outside
+        extras.update(w0=w0, dropped_above_top=len(kept) - int(inside.sum()))
+    loads = bucket_loads(us[inside], ds[inside], ehat[inside], gb, u_lo, u_hi, top, pr.h)
+    pad_noise = math.floor(3.0 * drv.tau) * drv.k_eff * top + pad_w0
+    return finish(mode, pr, loads, top, tight, (pr.n, pr.h, pr.c), (len(kept), n0 + draws, n0 + draws), extras,
+                  stretch=1.0 - drv.delta, slack=pad_noise)
 
 
 def rand_approx_bounded(access: SampleAccess, params: AlgoParams, *, tight: bool = False) -> RunReport:

@@ -2,13 +2,14 @@
 
 All four variants are one scheme, run by one engine: read the stream
 once, count jobs per (depth, geometric bucket), round each bucket up,
-and turn the per-depth loads into padded interval budgets (`totals`).
+and turn the per-depth loads into padded interval budgets.
 The sum of the budgets is the approximate makespan A, and their prefix
 sums form a schedule sketch that a second pass can expand into a
-concrete schedule.
+concrete schedule.  `finish`, which the samplers end in too, does this
+last step and builds the report.
 
-The variants differ in two policies, fixed by the mode before the
-stream is read:
+The variants differ in two policies, fixed by the mode (`core.GIVEN`,
+`core.CAPPED`) before the stream is read:
 
 * depths *given* on the job events (`stream_known`,
   `stream_alpha_known`) or *discovered* from the arcs that follow the
@@ -50,8 +51,10 @@ each job chunk, which marks a skipped job's bucket -1; the finish
 drops every bucket below the final cutoff, so skipped and evicted jobs
 hold no count.
 
-Every returned `RunReport` carries ``guarantee_condition_met``: the
-machine-count bound under which the run is a (1+epsilon)-approximation.
+Every returned `RunReport` carries ``guarantee_condition_met``: whether
+m meets the machine bound under which the run is a
+(1+epsilon)-approximation (`core.machine_bound_met`, at the run's n and
+its given or discovered h and c).
 The A value itself is always sandwiched between the optimum and a
 rounded/padded upper bound regardless of that condition.
 """
@@ -60,11 +63,13 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
 from .core import (
+    CAPPED,
+    GIVEN,
     STREAM_ALPHA_KNOWN,
     STREAM_ALPHA_UNKNOWN,
     STREAM_KNOWN,
@@ -74,6 +79,7 @@ from .core import (
     buckets_for,
     ceil_div,
     derive_params,
+    machine_bound_met,
     snapped_floor,
 )
 from .errors import InputContractError
@@ -81,37 +87,44 @@ from .model import ArcChunk, Chunk, Job, JobChunk, RunReport, ScheduleSketch, St
 from .sketch import DepthColumns, TreeSketch
 
 
-def totals(
-    loads,
-    pad: int,
-    tight: bool,
-    *,
-    tail: int = 0,
-    stretch: float = 1.0,
-    slack: int = 0,
-    held: Sequence[bool] | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Approximate makespan A and sketch times from per-depth loads L_d.
+def finish(mode: str, params: AlgoParams, loads: np.ndarray, top: int, tight: bool, observed: tuple, counts: tuple,
+           extras: dict, *, tail: int = 0, stretch: float = 1.0, slack: int = 0, held=None) -> RunReport:
+    """The one finish of all six modes: the report of a run from its per-depth loads.
 
-    ``A = sum_d (floor(L_d) + pad) + tail`` and
-    ``t_d = sum_{d' <= d} (floor(L_d' / stretch) + pad + slack)``.  Under
-    ``tight``, depths with zero load add nothing to either sum, except
-    that a depth ``d`` with ``held[d]`` true (it holds jobs, all below
-    the capped modes' cutoff, which ``slack`` covers) gets width
+    With L_d the loads over m, ``A = sum_d (floor(L_d) + top) + tail``
+    and ``t_d = sum_{d' <= d} (floor(L_d' / stretch) + top + slack)``.
+    Under ``tight``, depths with zero load add nothing to either sum,
+    except that a depth ``d`` with ``held[d]`` true (it holds jobs, all
+    below the capped modes' cutoff, which ``slack`` covers) gets width
     ``slack``.  The streaming modes stretch by 1 (exact); the samplers
     stretch by 1 - delta and add their estimation slack.
+    ``guarantee_condition_met`` is `core.machine_bound_met` at the run's
+    ``observed`` (n, h, c); ``counts`` are its sketch nodes, samples
+    drawn and updates, and ``extras`` gains n.
     """
     a_total = tail
     t_total = 0
     times = []
-    for d, load in enumerate(loads, 1):
+    for d, load in enumerate(loads / params.m, 1):
         if not (tight and load == 0.0):
-            a_total += snapped_floor(load) + pad
-            t_total += snapped_floor(load / stretch) + pad + slack
+            a_total += snapped_floor(load) + top
+            t_total += snapped_floor(load / stretch) + top + slack
         elif held is not None and held[d]:
             t_total += slack
         times.append(t_total)
-    return a_total, tuple(times)
+    n, h, c = observed
+    nodes, samples, updates = counts
+    return RunReport(
+        algorithm=mode,
+        A=a_total,
+        schedule_sketch=ScheduleSketch(tuple(times), source=mode),
+        sketch_node_count=nodes,
+        samples_drawn=samples,
+        update_count=updates,
+        params=params,
+        guarantee_condition_met=machine_bound_met(mode, params.m, n, h, c, params.alpha, params.epsilon),
+        extras={"n": n, **extras},
+    )
 
 
 EVENT_BATCH = 256  # rows per int64 chunk that `_chunks` packs from events and list columns
@@ -245,8 +258,8 @@ def _count_chunk(p: np.ndarray, u: np.ndarray, depth: np.ndarray, sk: TreeSketch
 
 def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str, tight: bool) -> RunReport:
     """The one-pass engine behind all four modes; see the module docstring."""
-    given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)  # depths on the job events
-    capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)  # skip/evict below p_max/n^2
+    given = mode in GIVEN  # depths on the job events
+    capped = mode in CAPPED  # skip/evict below p_max/n^2
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
     sk = TreeSketch()
@@ -296,56 +309,36 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         if columns is not None:
             columns.freeze(ended=False)
         raise
-    h_run = h
     if not given:
         columns.freeze()
         # every job at its final depth; the capped mode's finish drops the skipped (marked -1) and evicted
         # jobs, which lie below the final cutoff
         sk.count_chunk(columns.u, columns.depth)
-        h_run = int(columns.depth.max(initial=1))
+        h = int(columns.depth.max(initial=1))
     if n == 0:
         raise InputContractError("empty job stream")
     if params.n is not None and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
 
-    if mode == STREAM_KNOWN:
+    if given and not capped:  # the factor-c mode: buckets 0..k, the top pinned to c
         top, u_lo, u_hi = c, 0, drv.k
     else:  # sk.p_max == p_max_run: the largest job is never skipped
         top = sk.p_max
         u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
     final = sk.restrict(u_lo, u_hi) if capped else sk
-    if given:
-        c_run = c
-    else:
+    extras = {"delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
+    if not given:  # the c and h the arc modes discover
         # the capped mode bounds only the top alpha*n jobs, which all lie in
         # bucket u_top or above; without such a bucket, fall back to p_min
         u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
-        c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
-    loads = final.depth_loads(gb, u_lo, u_hi, top, h_run) / params.m
-    tail = ceil_div(top, n) if capped else 0
-    if tight and not given:
-        held = np.bincount(columns.depth, minlength=h_run + 1) > 0
-    A, times = totals(loads, top, tight, tail=tail, slack=tail, held=held)
-    if capped:  # machine bound m <= 2*n*alpha*eps / (3*(h+1)*c)
-        ok = 3.0 * params.m * (h_run + 1) * c_run <= 2.0 * n * params.alpha * params.epsilon
-    else:  # machine bound m <= 2*n*eps / (3*h*c)
-        ok = 3.0 * params.m * h_run * c_run <= 2.0 * n * params.epsilon
-    extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
-    if not given:
-        extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=h_run, depth_table=columns)
+        c = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
+        held = np.bincount(columns.depth, minlength=h + 1) > 0 if tight else held
+        extras.update(p_min=sk.p_min, c_discovered=c, h_discovered=h, depth_table=columns)
     if capped:  # stream3's peak node count is its space; stream4 counts once, at the end, and reports none
         extras.update({"peak_node_count": sk.peak_node_count} if given else {}, counted=final.total_counted)
-    return RunReport(
-        algorithm=mode,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=mode),
-        sketch_node_count=final.node_count,
-        samples_drawn=0,
-        update_count=n + arcs,
-        params=params,
-        guarantee_condition_met=ok,
-        extras=extras,
-    )
+    tail = ceil_div(top, n) if capped else 0
+    return finish(mode, params, final.depth_loads(gb, u_lo, u_hi, top, h), top, tight, (n, h, c),
+                  (final.node_count, 0, n + arcs), extras, tail=tail, slack=tail, held=held)
 
 
 def stream_known(

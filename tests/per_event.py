@@ -19,8 +19,10 @@ count in the sketch at once (`move`; in the capped mode a skipped job
 has no count, and an evicted job's count went with its node, which the
 lazy rule may not have dropped yet); at the end of the stream a
 declared n must equal the job count.
-The finish (`A`, sketch times, guarantee) is the engine's, but the
-capped modes' bucket window and the per-depth loads are computed here.
+The walk ends in the engine's one finish, `streaming.finish` (`A`,
+sketch times, the machine bound and the report), but the capped
+modes' bucket window, the per-depth loads and the extras are computed
+here.
 Only `stream3` reports a peak node count.
 Tests hold the engine's results and errors to this walk.
 """
@@ -33,17 +35,9 @@ from itertools import repeat
 import numpy as np
 
 from schedsketch import streaming
-from schedsketch.core import (
-    STREAM_ALPHA_KNOWN,
-    STREAM_ALPHA_UNKNOWN,
-    STREAM_KNOWN,
-    AlgoParams,
-    buckets_for,
-    ceil_div,
-    derive_params,
-)
+from schedsketch.core import CAPPED, GIVEN, AlgoParams, buckets_for, ceil_div, derive_params
 from schedsketch.errors import CycleSuspicionError, InputContractError, InvariantViolationError
-from schedsketch.model import ArcChunk, RunReport, ScheduleSketch
+from schedsketch.model import ArcChunk, RunReport
 from schedsketch.sketch import DepthTable
 
 
@@ -149,8 +143,7 @@ class _Table(DepthTable):
 
 def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False) -> RunReport:
     """Any stream mode on ``events`` (events or chunks), walked event by event."""
-    given = mode in (STREAM_KNOWN, STREAM_ALPHA_KNOWN)
-    capped = mode in (STREAM_ALPHA_KNOWN, STREAM_ALPHA_UNKNOWN)
+    given, capped = mode in GIVEN, mode in CAPPED
     drv = derive_params(params, mode)
     gb = buckets_for(drv.delta)
     sk = LazySketch()
@@ -159,7 +152,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     skipped: set[int] = set()  # capped modes: the jobs skipped as too small, which hold no count
     in_arc_phase = False
     h, c = params.h if given else 1, params.c
-    p_cap = c if mode == STREAM_KNOWN else math.inf
+    p_cap = math.inf if capped else c
     held = [False] * (h + 1)
     n_sq = params.n * params.n if capped else 1 << 63
     p_max_run = 1
@@ -232,7 +225,7 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
         raise InputContractError("empty job stream")
     if params.n is not None and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
-    if mode == STREAM_KNOWN:
+    if given and not capped:
         top, u_lo, u_hi = c, 0, drv.k
     else:
         top = sk.p_max
@@ -243,28 +236,14 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     else:
         u_top = final.top_bucket(math.ceil(params.alpha * n)) if capped else None
         c_run = ceil_div(sk.p_max, sk.p_min if u_top is None else gb.bound(u_top))
-    loads = final.depth_loads(gb, u_lo, u_hi, top, height) / params.m
     tail = ceil_div(top, n) if capped else 0
     if not given:
         held = table.held_depths(height)
-    A, times = streaming.totals(loads, top, tight, tail=tail, slack=tail, held=held)
-    if capped:
-        ok = 3.0 * params.m * (height + 1) * c_run <= 2.0 * n * params.alpha * params.epsilon
-    else:
-        ok = 3.0 * params.m * height * c_run <= 2.0 * n * params.epsilon
-    extras = {"n": n, "delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
+    extras = {"delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
     if not given:
         extras.update(p_min=sk.p_min, c_discovered=c_run, h_discovered=height, depth_table=table)
     if capped:
         extras.update({"peak_node_count": sk.peak_node_count} if given else {}, counted=final.total_counted)
-    return RunReport(
-        algorithm=mode,
-        A=A,
-        schedule_sketch=ScheduleSketch(times, source=mode),
-        sketch_node_count=final.node_count,
-        samples_drawn=0,
-        update_count=updates,
-        params=params,
-        guarantee_condition_met=ok,
-        extras=extras,
-    )
+    loads = final.depth_loads(gb, u_lo, u_hi, top, height)
+    return streaming.finish(mode, params, loads, top, tight, (n, height, c_run), (final.node_count, 0, updates), extras,
+                            tail=tail, slack=tail, held=held)

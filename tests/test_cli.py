@@ -115,6 +115,16 @@ class TestGenAndStream:
         assert rc == 3
         assert capsys.readouterr().err == f"error: {inst}:{where}\n"
 
+    @pytest.mark.parametrize("text", [b"J 1 1\nJ 2 \xff\n", b"J 1 1\n\xff 2 1\n"], ids=["field", "tag"])
+    @pytest.mark.parametrize("argv", [["stream2", "--epsilon", "0.3", "--m", "1"], ["oracle", "list"]])
+    def test_undecodable_byte_is_named(self, tmp_path, capsys, argv, text):
+        """A byte that is not UTF-8 is named as a byte, not as the decoder's surrogate."""
+        inst = tmp_path / "i.txt"
+        inst.write_bytes(text)
+        rc = main([*argv, "--in", str(inst)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {inst}:2: byte 0xff is not UTF-8\n"
+
     @pytest.mark.parametrize("argv", [["stream2"], ["stream4", "--n", "3"]])
     def test_gap_wins_over_a_job_after_arcs(self, tmp_path, capsys, argv):
         """The job section ends at the first arc, where the gap is found, before the job line after it."""
@@ -570,50 +580,60 @@ class TestArgparse:
 
 _STREAM1 =["stream1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in"]
 _SCHEDULE = ["schedule", "--sks", "{result}", "--in", "{inst}", "--m", "1", "--out", "{tmp}/s.csv"]
-# case -> (argv, exit code, text of the --sks result file)
+_ORACLE_SIDECAR = ["oracle", "list", "--in", "{tmp}/bad.txt"]
+# case -> (argv, exit code, text of the --sks result file, text of {tmp}/bad.txt's .meta.json sidecar)
 MALFORMED_INPUTS = {
-    "spec value not an integer": (_STREAM1 + ["chain:m=x,q=1,h=2"], 2, None),
-    "spec shape not integers": (_STREAM1 + ["layered:shape=3/x,c=3,m=1"], 2, None),
-    "spec value not a float": (_STREAM1 + ["chain:m=1,q=1,h=2,alpha=x"], 2, None),
-    "spec key missing": (_STREAM1 + ["chain:m=1,q=1"], 2, None),
-    "spec without keys": (_STREAM1 + ["chain:"], 2, None),
-    "spec key unknown": (_STREAM1 + ["chain:m=1,q=1,h=2,bogus=3"], 2, None),
+    "spec value not an integer": (_STREAM1 + ["chain:m=x,q=1,h=2"], 2, None, None),
+    "spec shape not integers": (_STREAM1 + ["layered:shape=3/x,c=3,m=1"], 2, None, None),
+    "spec value not a float": (_STREAM1 + ["chain:m=1,q=1,h=2,alpha=x"], 2, None, None),
+    "spec key missing": (_STREAM1 + ["chain:m=1,q=1"], 2, None, None),
+    "spec without keys": (_STREAM1 + ["chain:"], 2, None, None),
+    "spec key unknown": (_STREAM1 + ["chain:m=1,q=1,h=2,bogus=3"], 2, None, None),
     "implicit chain key missing": (
-        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:q=1,h=2"], 2, None
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:q=1,h=2"], 2, None, None
     ),
     "implicit chain key unknown": (
-        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:m=1,q=1,h=2,bogus=3"], 2, None
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:m=1,q=1,h=2,bogus=3"],
+        2, None, None
     ),
     "implicit alpha-mixed key unknown": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
-         "--in", "alpha-mixed:n=100,alpha=0.5,pbig=10,small=1,bogus=1"], 2, None
+         "--in", "alpha-mixed:n=100,alpha=0.5,pbig=10,small=1,bogus=1"], 2, None, None
     ),
     "implicit alpha-mixed key missing": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
-         "--in", "alpha-mixed:n=100,alpha=0.5,small=1"], 2, None
+         "--in", "alpha-mixed:n=100,alpha=0.5,small=1"], 2, None, None
     ),
     "implicit alpha-mixed pbig past int64": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
-         "--in", "alpha-mixed:n=100,alpha=0.5,pbig=9223372036854775808,small=1"], 3, None
+         "--in", "alpha-mixed:n=100,alpha=0.5,pbig=9223372036854775808,small=1"], 3, None, None
     ),
-    "gen shape not integers": (["gen", "--family", "layered", "--shape", "3/x", "--out", "{tmp}/g.txt"], 2, None),
-    "result not JSON": (_SCHEDULE, 3, "not json"),
-    "result a JSON list": (_SCHEDULE, 3, "[6, 12]"),
-    "result without sks": (_SCHEDULE, 3, '{"A": 12}'),
-    "result sks not a list": (_SCHEDULE, 3, '{"sks": 12}'),
-    "result time not an integer": (_SCHEDULE, 3, '{"sks": ["x"]}'),
-    "result times decreasing": (_SCHEDULE, 3, '{"sks": [5, 3]}'),
-    "result time past int64": (_SCHEDULE, 3, '{"sks": [1, 9223372036854775808]}'),
-    "result time negative": (_SCHEDULE, 3, '{"sks": [-5]}'),
-    "oracle m 0": (["oracle", "exact", "--m", "0", "--in", "{inst}"], 2, None),
-    "oracle m 0 with a sidecar m": (["oracle", "list", "--m", "0", "--in", "{tmp}/side.txt"], 2, None),
+    "gen shape not integers": (["gen", "--family", "layered", "--shape", "3/x", "--out", "{tmp}/g.txt"], 2, None, None),
+    "result not JSON": (_SCHEDULE, 3, "not json", None),
+    "result a JSON list": (_SCHEDULE, 3, "[6, 12]", None),
+    "result without sks": (_SCHEDULE, 3, '{"A": 12}', None),
+    "result sks not a list": (_SCHEDULE, 3, '{"sks": 12}', None),
+    "result time not an integer": (_SCHEDULE, 3, '{"sks": ["x"]}', None),
+    "result times decreasing": (_SCHEDULE, 3, '{"sks": [5, 3]}', None),
+    "result time past int64": (_SCHEDULE, 3, '{"sks": [1, 9223372036854775808]}', None),
+    "result time negative": (_SCHEDULE, 3, '{"sks": [-5]}', None),
+    "oracle m 0": (["oracle", "exact", "--m", "0", "--in", "{inst}"], 2, None, None),
+    "oracle m 0 with a sidecar m": (["oracle", "list", "--m", "0", "--in", "{tmp}/side.txt"], 2, None, None),
+    "sidecar not JSON": (_ORACLE_SIDECAR, 3, None, '{"m": '),
+    "sidecar byte that is no UTF-8": (_ORACLE_SIDECAR, 3, None, b'{"m": \xff}'),
+    "sidecar a JSON list": (_ORACLE_SIDECAR, 3, None, "[1, 2]"),
+    "sidecar m not an integer": (_ORACLE_SIDECAR, 3, None, '{"m": "x"}'),
+    "sidecar m 0": (_ORACLE_SIDECAR, 3, None, '{"m": 0}'),
     "stream1 declared n differs": (
-        ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--n", "5", "--in", "{inst}"], 3, None
+        ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--n", "5", "--in", "{inst}"], 3, None, None
     ),
-    "stream2 arcs without jobs": (["stream2", "--epsilon", "0.3", "--m", "1", "--in", "{tmp}/arcs.txt"], 3, None),
-    "stream2 declared n differs": (["stream2", "--epsilon", "0.3", "--m", "1", "--n", "5", "--in", "{inst}"], 3, None),
+    "stream2 arcs without jobs": (["stream2", "--epsilon", "0.3", "--m", "1", "--in", "{tmp}/arcs.txt"], 3, None, None),
+    "stream2 declared n differs": (
+        ["stream2", "--epsilon", "0.3", "--m", "1", "--n", "5", "--in", "{inst}"], 3, None, None
+    ),
     "threads not an integer": (
-        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--trials", "2", "--in", "{inst}"], 2, None
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--trials", "2", "--in", "{inst}"],
+        2, None, None
     ),
 }
 # case -> environment variables set for it
@@ -623,13 +643,15 @@ MALFORMED_ENV = {"threads not an integer": {"SCHEDSKETCH_THREADS": "x"}}
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     """A malformed generator spec, result file, machine, worker or job count: exit 2 or 3, one error line, no traceback."""
-    argv, code, result_text = MALFORMED_INPUTS[case]
+    argv, code, result_text, sidecar_text = MALFORMED_INPUTS[case]
     for name, value in MALFORMED_ENV.get(case, {}).items():
         monkeypatch.setenv(name, value)
-    inst, result = tmp_path / "inst.txt", tmp_path / "r.json"
-    for path in (inst, tmp_path / "side.txt"):
+    inst, result, sidecar = tmp_path / "inst.txt", tmp_path / "r.json", tmp_path / "bad.txt.meta.json"
+    for path in (inst, tmp_path / "side.txt", tmp_path / "bad.txt"):
         path.write_text("# sched-stream v1\nJ 1 1 1\nJ 2 2 2\nA 1 2\n")
     (tmp_path / "side.txt.meta.json").write_text('{"m": 2}')  # `read_instance` takes m from here
+    if sidecar_text is not None:
+        sidecar.write_bytes(sidecar_text if isinstance(sidecar_text, bytes) else sidecar_text.encode())
     (tmp_path / "arcs.txt").write_text("A 1 2\n")
     result.write_text(result_text or "{}")
     assert main([arg.format(tmp=tmp_path, inst=inst, result=result) for arg in argv]) == code
@@ -638,3 +660,5 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, capsys, monke
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if result_text is not None:
         assert err.startswith(f"error: {result}: ")
+    if sidecar_text is not None:
+        assert err.startswith(f"error: {sidecar}: ")

@@ -14,7 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schedsketch as ss
-from schedsketch.core import SAMPLE_ALPHA, SAMPLE_BOUNDED, STREAM_KNOWN, snapped_floor
+from schedsketch.core import (
+    CAPPED,
+    GIVEN,
+    NEEDS,
+    SAMPLE_ALPHA,
+    SAMPLE_BOUNDED,
+    STREAM_ALPHA_KNOWN,
+    STREAM_ALPHA_UNKNOWN,
+    STREAM_KNOWN,
+    STREAM_UNKNOWN,
+    machine_bound_met,
+    snapped_floor,
+)
+from schedsketch.sampling import SAMPLING_ALGORITHMS
+from schedsketch.streaming import STREAMING_ALGORITHMS
+
+ALGORITHMS = {**STREAMING_ALGORITHMS, **SAMPLING_ALGORITHMS}
 
 
 def exact_base(delta: float) -> Fraction:
@@ -109,6 +125,72 @@ class TestDeriveParams:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ss.ParamError):
             ss.derive_params(ss.AlgoParams(epsilon=0.3, m=1), "stream9")
+
+    @pytest.mark.parametrize("mode", sorted(ALGORITHMS))
+    def test_mode_table_covers_every_algorithm_and_needs_exactly_its_fields(self, mode):
+        """A mode is registered in the policy table as in the algorithm dicts, and requires just its NEEDS."""
+        assert set(NEEDS) == set(ALGORITHMS)
+        assert set(GIVEN) <= set(NEEDS) and set(CAPPED) <= set(NEEDS)
+        full = ss.AlgoParams(epsilon=0.3, m=1, c=2, h=2, n=100, alpha=0.5)
+        for name in NEEDS[mode]:
+            with pytest.raises(ss.ParamError, match=f"parameter '{name}' is required"):
+                ss.derive_params(replace(full, **{name: None}), mode)
+        others = {name: None for name in ("c", "h", "n") if name not in NEEDS[mode]}
+        assert ss.derive_params(replace(full, **others), mode) is not None
+        with pytest.raises(ss.ParamError, match="^unknown algorithm mode 'stream9'$"):
+            ss.derive_params(full, "stream9")
+
+
+# PAPER.md's machine bounds, in exact arithmetic, as functions of (n, h, c, alpha, epsilon)
+PAPER_BOUNDS = {
+    STREAM_KNOWN: lambda n, h, c, a, e: 2 * n * e / (3 * h * c),
+    STREAM_UNKNOWN: lambda n, h, c, a, e: 2 * n * e / (3 * h * c),
+    STREAM_ALPHA_KNOWN: lambda n, h, c, a, e: 2 * a * n * e / (3 * (h + 1) * c),
+    STREAM_ALPHA_UNKNOWN: lambda n, h, c, a, e: 2 * a * n * e / (3 * (h + 1) * c),
+    SAMPLE_BOUNDED: lambda n, h, c, a, e: n * e / (20 * h * c),
+    SAMPLE_ALPHA: lambda n, h, c, a, e: a * n * e / (20 * c * c * h),
+}
+
+
+def _frontier(mode: str, n: int, h: int, c: int) -> int:
+    """The largest m that PAPER.md's bound allows at epsilon = alpha = 1/2."""
+    return math.floor(PAPER_BOUNDS[mode](n, h, c, Fraction(1, 2), Fraction(1, 2)))
+
+
+class TestMachineBound:
+    """At epsilon = alpha = 1/2 both sides of each bound are exact in floats, so the frontier is exact."""
+
+    def test_every_mode_has_a_paper_bound(self):
+        assert set(PAPER_BOUNDS) == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("n,h,c", [(1200, 1, 1), (6000, 3, 2), (99_991, 7, 5), (10**6, 2, 3)])
+    @pytest.mark.parametrize("mode", sorted(PAPER_BOUNDS))
+    def test_true_at_the_frontier_and_false_one_machine_past_it(self, mode, n, h, c):
+        m = _frontier(mode, n, h, c)
+        assert m >= 1
+        assert machine_bound_met(mode, m, n, h, c, 0.5, 0.5)
+        assert not machine_bound_met(mode, m + 1, n, h, c, 0.5, 0.5)
+
+    def test_readme_quick_start_is_met_in_floats(self):
+        """2.0*3000*0.3 rounds to exactly 1800.0, so m = 200 is met; the exact bound at the double 0.3 is below 200."""
+        assert machine_bound_met(STREAM_KNOWN, 200, 3000, 3, 1, 1.0, 0.3)
+        assert not machine_bound_met(STREAM_KNOWN, 201, 3000, 3, 1, 1.0, 0.3)
+        assert PAPER_BOUNDS[STREAM_KNOWN](3000, 3, 1, 1, Fraction(0.3)) < 200
+
+    @pytest.mark.parametrize("mode", sorted(PAPER_BOUNDS))
+    def test_a_run_flips_at_the_frontier(self, mode):
+        """1,200 unit jobs at depth 1 (observed n = 1200, h = 1, c = 1): met at the frontier, not one past it."""
+        n = 1200
+        m = _frontier(mode, n, 1, 1)
+        met = []
+        for machines in (m, m + 1):
+            params = ss.AlgoParams(epsilon=0.5, m=machines, c=1, h=1, n=n, alpha=0.5)
+            if mode in SAMPLING_ALGORITHMS:
+                report = SAMPLING_ALGORITHMS[mode](ss.ChainAccess(m=1, q=n, h=1), params)
+            else:
+                report = STREAMING_ALGORITHMS[mode](ss.chain(m=1, q=n, h=1).chunks(with_depth=mode in GIVEN), params)
+            met.append(report.guarantee_condition_met)
+        assert met == [True, False]
 
 
 class TestBucketIndex:
