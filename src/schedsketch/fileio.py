@@ -34,7 +34,7 @@ import inspect
 import json
 import os
 import re
-import sys
+import warnings
 from dataclasses import asdict
 from itertools import repeat
 from typing import Iterator
@@ -56,32 +56,26 @@ BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this ma
 DECODE_ERRORS = "surrogateescape"
 
 
-def _canonical_patterns(possessive: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The canonical block, comment lines at a block's top, and comment lines below it.
-
-    The canonical form, parsed in bulk: numbers of 1 to 18 ASCII digits
-    with no sign and no leading zero (so below 2**63, and read the same
-    by int()), single spaces, "\\n" line ends, job lines before arc
-    lines.  A number is always followed by a space or "\\n", so a
-    possessive repeat gives up no match that a plain one would find; it
-    only skips the backtracking state, which makes the canonical match
-    two to four times faster.  Python has possessive repeats from 3.11.
-
-    Once the comment and blank lines at the top are cut, every other
-    one follows a "\\n": the third pattern matches that "\\n" with the
-    line's text, so removing the matches removes the lines, with no
-    line-start anchor to try at every line.
-    """
-    q = "+" if possessive else ""
-    num = f"[1-9][0-9]{{0,17}}{q}"
-    return (
-        re.compile(rf"(?P<jobs>(?:J {num} {num}(?: {num})?{q}\n)*{q})(?:A {num} {num}\n)*{q}"),
-        re.compile(rf"(?:(?:#[^\n]*{q})?\n)*{q}"),
-        re.compile(rf"\n(?:#[^\n]*{q})?(?=\n)"),
-    )
+# comment and blank lines at a block's top; once they are cut, every other one follows a "\n", so the
+# second pattern matches that "\n" with the line's text, and removing the matches removes the lines
+_LEADING = re.compile(rb"(?:(?:#[^\n]*)?\n)*")
+_COMMENTS = re.compile(rb"\n(?:#[^\n]*)?(?=\n)")
+_JOB_LINES = {2: b"J  \n", 3: b"J   \n"}  # a job line's skeleton by its field count: its digits deleted
+_ARC_LINE = b"A  \n"
+_VALUES = bytes.maketrans(b" \n", b", ")  # fields apart by ",", lines by " ,"
 
 
-_CANONICAL, _LEADING, _COMMENTS = _canonical_patterns(sys.version_info >= (3, 11))
+def _skeleton(body: bytes) -> tuple[int, int, int] | None:
+    """(fields, jobs, arcs) when ``body`` less its digits is job lines of one field count, then arc lines."""
+    skeleton = body.translate(None, b"0123456789")
+    fields = 3 if skeleton.startswith(_JOB_LINES[3]) else 2
+    split = skeleton.find(b"A")
+    if split < 0:
+        split = len(skeleton)
+    jobs, arcs = split // (fields + 2), (len(skeleton) - split) // 4
+    if skeleton != _JOB_LINES[fields] * jobs + _ARC_LINE * arcs:
+        return None
+    return fields, jobs, arcs
 
 
 def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
@@ -112,38 +106,66 @@ class _Reader:
         self.has_depth: bool | None = None  # the depth convention, once a job line fixed it
 
     def bulk(self, block: str) -> list[Chunk] | None:
-        """A block's chunks when it is in the canonical form, else None.
+        """A block's chunks when it is in the canonical form `write_instance` emits, else None.
+
+        Past its comment and blank lines, the block less its digits must
+        be job lines of one field count, then arc lines, each with its
+        numbers left out; that checks the characters, tags, field counts,
+        depth convention and line order, and counts the lines.  One
+        strict `np.fromstring` then reads a value after each space: an
+        empty field, or digits glued to a tag, leave text it cannot read
+        or a value too many.  The one shape both miss, a space at a
+        line's end before digits glued to the next line's tag, is looked
+        for apart.  Values must lie below 2**63 - 1, as np.fromstring
+        saturates past int64.  numpy 1.x warns at unread text and returns
+        the values before it, which the count check rejects.
 
         The state moves past the block only when every check passes;
         on None the caller replays the block line by line instead.
         """
-        text = block[_LEADING.match(block).end():]
-        if "#" in text or "\n\n" in text:
-            text = _COMMENTS.sub("", text)
-        match = _CANONICAL.fullmatch(text)
-        if match is None:
+        data = block.encode("utf-8", DECODE_ERRORS)
+        top = _LEADING.match(data).end()
+        skipped = data.count(b"\n", 0, top)  # comment and blank lines
+        body = data[top:] if top else data
+        del data  # a cut top leaves `body` a copy
+        shape = _skeleton(body)
+        if shape is None:  # comment or blank lines below the top, or no canonical block
+            body, cut = _COMMENTS.subn(b"", body)
+            shape = _skeleton(body) if cut else None
+            if shape is None:
+                return None
+            skipped += cut
+        fields, jobs, arcs = shape
+        if not body:
+            self.lineno += skipped
+            return []
+        if body.rfind(b" \n") >= 0 or (jobs and self.arcs):  # rfind: twice as fast as `in` here
+            return None
+        has_depth = fields == 3 if jobs else self.has_depth
+        if self.has_depth not in (None, has_depth):
+            return None
+        text = body.translate(_VALUES, b"JA")[1:]  # the "," of the first line's tag
+        del body
+        try:
+            with warnings.catch_warnings():  # numpy 1.x: unread text warns, and the parse stops short
+                warnings.simplefilter("ignore", DeprecationWarning)
+                vals = np.fromstring(text, dtype=np.int64, sep=",")
+        except ValueError:  # numpy 2.x: unread text
+            return None
+        if vals.size != fields * jobs + 2 * arcs or not (vals.min() >= 1 and vals.max() < P_LIMIT):
             return None
         chunks: list[Chunk] = []
-        has_depth = self.has_depth
-        split = match.end("jobs")
-        if split:
-            lines = text.count("\n", 0, split)
-            vals = np.fromstring(text[:split].replace("J", ""), dtype=np.int64, sep=" ")
-            if self.arcs or vals.size not in (2 * lines, 3 * lines):
-                return None
-            has_depth = vals.size == 3 * lines
-            if self.has_depth not in (None, has_depth):
-                return None
-            cols = vals.reshape(lines, -1).T
+        if jobs:
+            cols = vals[: fields * jobs].reshape(jobs, fields).T
             chunks.append(JobChunk(cols[0], cols[1], cols[2] if has_depth else None))
-        if split < len(text):
-            src, dst = np.fromstring(text[split:].replace("A", ""), dtype=np.int64, sep=" ").reshape(-1, 2).T
+        if arcs:
+            src, dst = vals[fields * jobs :].reshape(arcs, 2).T
             if (src == dst).any():
                 return None
             chunks.append(ArcChunk(src, dst))
-            self.arcs += src.size
+            self.arcs += arcs
         self.has_depth = has_depth
-        self.lineno += block.count("\n")
+        self.lineno += skipped + jobs + arcs
         return chunks
 
     def replay(self, block: str) -> Iterator[Chunk]:
@@ -216,11 +238,12 @@ def iter_chunks(path: str) -> Iterator[Chunk]:
 
     The file is read in blocks of about `BLOCK_CHARS` characters, cut
     at line ends.  A block in the canonical form `write_instance` emits
-    is checked by one regular expression and parsed in bulk; any other
-    block is replayed by the line parser, the reference for what a line
-    may hold, which yields the valid rows before a bad line as chunks
-    and then raises with the bad line's ``file:line``.  Line numbers
-    count lines as text-mode ``open()`` does.
+    is checked by its digit-free skeleton and parsed by one strict
+    `np.fromstring` (`_Reader.bulk`); any other block is replayed by
+    the line parser, the reference for what a line may hold, which
+    yields the valid rows before a bad line as chunks and then raises
+    with the bad line's ``file:line``.  Line numbers count lines as
+    text-mode ``open()`` does.
     """
     reader = _Reader(path)
     rest = ""
@@ -312,8 +335,9 @@ def read_instance(path: str, m: int = 1) -> Instance:
     depth = columns.depth if jobs[0].depth is None else np.concatenate([c.depth for c in jobs])[order]
     arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)]) if arcs else np.empty((0, 2), np.int64)
     meta, sidecar = {}, path + ".meta.json"
-    if os.path.exists(sidecar):  # its "m", if any, is the machine count
-        meta, m = _json_object(sidecar, "m", m, lambda v: type(v) is int and v >= 1, "is an integer >= 1")
+    if os.path.exists(sidecar):  # its "m", if any, is the machine count, and its "cstar" the known optimum
+        meta = _json_object(sidecar, {"m": m, "cstar": 1}, lambda v: type(v) is int and v >= 1, "is an integer >= 1")
+        m = meta.get("m", m)
     return Instance(p=p, depth=depth, arcs=arc_arr, m=m, meta=meta)
 
 
@@ -331,17 +355,17 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-def _json_object(path: str, key: str, default, ok, expected: str) -> tuple[dict, object]:
-    """A JSON object file and its ``key``, else ``default``; InputContractError, naming the file, unless ``ok``."""
+def _json_object(path: str, defaults: dict, ok, expected: str) -> dict:
+    """A JSON object file; InputContractError, naming the file, unless ``ok`` holds for each key's value or default."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not text
             raise InputContractError(f"{path}: {exc}") from None
-    value = doc.get(key, default) if isinstance(doc, dict) else None
-    if not ok(value):
-        raise InputContractError(f'{path}: expected a JSON object whose "{key}" {expected}')
-    return doc, value
+    for key, default in defaults.items():
+        if not ok(doc.get(key, default) if isinstance(doc, dict) else None):
+            raise InputContractError(f'{path}: expected a JSON object whose "{key}" {expected}')
+    return doc
 
 
 def read_result(path: str) -> dict:
@@ -350,7 +374,8 @@ def read_result(path: str) -> dict:
     def ok(sks) -> bool:
         return isinstance(sks, list) and all(type(t) is int and s <= t for s, t in zip([0] + sks, sks))
 
-    doc, sks = _json_object(path, "sks", None, ok, "lists non-decreasing integers >= 0")
+    doc = _json_object(path, {"sks": None}, ok, "lists non-decreasing integers >= 0")
+    sks = doc["sks"]
     if sks and sks[-1] >> 63:  # the last time is the largest
         raise InputContractError(f"{path}: sketch time {sks[-1]} exceeds 2**63 - 1")
     return doc

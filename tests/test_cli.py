@@ -581,6 +581,8 @@ class TestArgparse:
 _STREAM1 =["stream1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in"]
 _SCHEDULE = ["schedule", "--sks", "{result}", "--in", "{inst}", "--m", "1", "--out", "{tmp}/s.csv"]
 _ORACLE_SIDECAR = ["oracle", "list", "--in", "{tmp}/bad.txt"]
+_BENCH_SIDECAR = ["bench", "--algo", "stream1", "--epsilon", "0.3", "--m", "1", "--c", "4", "--h", "2",
+                  "--in", "{tmp}/bad.txt"]
 # case -> (argv, exit code, text of the --sks result file, text of {tmp}/bad.txt's .meta.json sidecar)
 MALFORMED_INPUTS = {
     "spec value not an integer": (_STREAM1 + ["chain:m=x,q=1,h=2"], 2, None, None),
@@ -624,6 +626,12 @@ MALFORMED_INPUTS = {
     "sidecar a JSON list": (_ORACLE_SIDECAR, 3, None, "[1, 2]"),
     "sidecar m not an integer": (_ORACLE_SIDECAR, 3, None, '{"m": "x"}'),
     "sidecar m 0": (_ORACLE_SIDECAR, 3, None, '{"m": 0}'),
+    "sidecar cstar a string": (_BENCH_SIDECAR, 3, None, '{"m": 1, "cstar": "x"}'),
+    "sidecar cstar null": (_BENCH_SIDECAR, 3, None, '{"m": 1, "cstar": null}'),
+    "sidecar cstar a list": (_BENCH_SIDECAR, 3, None, '{"m": 1, "cstar": [1]}'),
+    "sidecar cstar negative": (_BENCH_SIDECAR, 3, None, '{"m": 1, "cstar": -3}'),
+    "sidecar cstar true": (_BENCH_SIDECAR, 3, None, '{"m": 1, "cstar": true}'),
+    "sidecar cstar a numeral string": (_BENCH_SIDECAR, 3, None, '{"m": 1, "cstar": "12"}'),
     "stream1 declared n differs": (
         ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "2", "--n", "5", "--in", "{inst}"], 3, None, None
     ),

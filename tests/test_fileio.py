@@ -1,7 +1,6 @@
 """Instance file format, result files, generator specs."""
 
 import json
-import sys
 import tracemalloc
 
 import numpy as np
@@ -241,19 +240,81 @@ def instance_text(draw):
     return "".join(sep.join(tokens) + end for tokens, sep, end in zip(lines, seps, ends))
 
 
-@pytest.fixture(params=[
-    pytest.param(True, id="possessive",
-                 marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive repeats need 3.11")),
-    pytest.param(False, id="plain"),
-])
-def canonical_patterns(request, monkeypatch):
-    """Run a test with the canonical-form patterns of each Python version."""
-    for name, pattern in zip(("_CANONICAL", "_LEADING", "_COMMENTS"), fileio._canonical_patterns(request.param)):
-        monkeypatch.setattr(fileio, name, pattern)
+# Reader states a block can meet: arcs read before it or not, and the depth convention so far.
+READER_STATES = [(arcs, has_depth) for arcs in (0, 1) for has_depth in (None, True, False)]
+
+
+def _reader(state) -> fileio._Reader:
+    reader = fileio._Reader("blk.txt")
+    reader.lineno = 10
+    reader.arcs, reader.has_depth = state
+    return reader
+
+
+def _chunk_lists(chunks) -> list:
+    return [(type(c).__name__, [None if col is None else col.tolist() for col in c]) for c in chunks]
+
+
+@st.composite
+def canonical_block(draw):
+    """(block, fields, mutated): job lines of `fields` fields, then arc lines, then a few mutations.
+
+    The mutations aim at what a block less its digits no longer shows:
+    digits glued to a tag, empty fields, spaces at a line's ends, values
+    at the int64 edge, other separators and doubled lines.
+    """
+    fields = draw(st.sampled_from([2, 3]))
+    num = st.integers(1, 99).map(str)
+    lines = ["J " + " ".join(draw(num) for _ in range(fields)) for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0 if lines else 1, 4))):
+        src = draw(st.integers(1, 98))
+        lines.append(f"A {src} {draw(st.integers(src + 1, 99))}")
+    digits = st.sampled_from(["0", "1", "8", "28"])
+
+    def glue(line: str) -> str:  # digits after the tag, or before it
+        return line[0] + draw(digits) + line[1:] if draw(st.booleans()) else draw(digits) + line
+
+    kinds = st.sampled_from(["glue", "trailing", "trailing_then_glue", "empty", "leading_space", "value",
+                             "tab", "cr", "double"])
+    mutated = False
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        k = draw(st.integers(1, len(tokens) - 1))  # a field
+        kind = draw(kinds)
+        if kind == "glue":
+            lines[i] = glue(lines[i])
+        elif kind in ("trailing", "trailing_then_glue"):
+            lines[i] += " "
+            if kind == "trailing_then_glue" and i + 1 < len(lines):
+                lines[i + 1] = glue(lines[i + 1])
+        elif kind in ("empty", "value", "tab"):
+            if kind == "tab":
+                tokens[k] = "\t" + tokens[k]
+            else:
+                tokens[k] = "" if kind == "empty" else draw(st.sampled_from(
+                    ["0", "00", "0" + tokens[k], str(10**18), str(2**63 - 2), str(2**63 - 1), str(2**63)]))
+            lines[i] = " ".join(tokens)
+        elif kind == "leading_space":
+            lines[i] = " " + lines[i]
+        elif kind == "cr":
+            lines[i] += "\r"
+        else:
+            lines.insert(i, lines[i])
+        mutated = True
+    return "".join(line + "\n" for line in lines), fields, mutated
+
+
+# Every generator family, at a few thousand lines, so that blocks of a few KiB cut each file many times.
+GENERATED = {
+    "chain": dict(m=20, q=10, h=3),
+    "layered": dict(shape=[400, 300, 200], c=50, m=4, seed=1),
+    "alpha-mixed": dict(n=1000, alpha=0.3, c=2, p_big=2**63 - 2, h=3, seed=2),  # p of 19 digits
+    "random-dag": dict(n=300, h=4, density=0.05, m=2, seed=3),
+}
 
 
 class TestChunkedReader:
-    @pytest.mark.usefixtures("canonical_patterns")
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=instance_text(), block=st.integers(4, 64))
     def test_matches_line_parser(self, tmp_path, text, block):
@@ -270,7 +331,6 @@ class TestChunkedReader:
         assert type(exc) is type(ref_exc)
         assert str(exc) == str(ref_exc)
 
-    @pytest.mark.usefixtures("canonical_patterns")
     @pytest.mark.parametrize("at,inserted", [
         (1, ["# between jobs"]),
         (3, [""]),  # between the jobs and the arcs
@@ -289,7 +349,6 @@ class TestChunkedReader:
         assert _chunk_rows(str(path)) == want
         assert want == ([(1, 5, 1), (2, 7, 2), (3, 9, 2)], [(1, 2), (1, 3)], None)
 
-    @pytest.mark.usefixtures("canonical_patterns")
     @pytest.mark.parametrize("odd", ODD_NUMBERS)
     def test_odd_number_in_a_clean_file_matches_line_parser(self, tmp_path, odd):
         path = tmp_path / "inst.txt"
@@ -300,6 +359,49 @@ class TestChunkedReader:
             jobs, arcs, exc = _chunk_rows(str(path))
             ref_jobs, ref_arcs, ref_exc = _line_reference(str(path))
             assert (jobs, arcs, type(exc), str(exc)) == (ref_jobs, ref_arcs, type(ref_exc), str(ref_exc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=canonical_block())
+    def test_bulk_chunks_are_the_line_parsers(self, drawn):
+        """From every reader state: when `bulk` takes a block, its chunks and the state after are the line parser's."""
+        block, fields, mutated = drawn
+        for arcs, has_depth in READER_STATES:
+            reader = _reader((arcs, has_depth))
+            chunks = reader.bulk(block)
+            if chunks is None:
+                assert vars(reader) == vars(_reader((arcs, has_depth)))  # a declined block moves no state
+                assert mutated or (block[0] == "J" and (arcs or has_depth not in (None, fields == 3)))
+                continue
+            line_reader = _reader((arcs, has_depth))
+            assert _chunk_lists(chunks) == _chunk_lists(line_reader.replay(block))
+            assert vars(reader) == vars(line_reader)
+
+    @pytest.mark.parametrize("block", ["J 7 6 \n8A 28 4\n", "J 7 6 \nA8 2 3\n"])
+    @pytest.mark.parametrize("state", READER_STATES, ids=lambda state: "arcs{}-depth{}".format(*state))
+    def test_a_trailing_space_before_glued_digits_is_declined(self, block, state):
+        """Less its digits the block is a depth job and an arc, and five values read; the space at the line's end declines it."""
+        assert _reader(state).bulk(block) is None
+        with pytest.raises(ss.InputContractError):
+            list(_reader(state).replay(block))
+
+    @pytest.mark.parametrize("block", [fileio.BLOCK_CHARS, 4 << 10, 5000])
+    @pytest.mark.parametrize("family", sorted(GENERATED))
+    def test_generated_files_never_take_the_line_parser(self, tmp_path, monkeypatch, family, block):
+        """Every block of a file `gen` writes is parsed in bulk: the line parser is several times slower."""
+        def replay(reader, block):
+            raise AssertionError(f"{family}: the block after line {reader.lineno} left the bulk route")
+
+        assert set(GENERATED) == set(fileio.FAMILIES)
+        inst = ss.generate(family, **GENERATED[family])
+        monkeypatch.setattr(fileio, "BLOCK_CHARS", block)
+        monkeypatch.setattr(fileio._Reader, "replay", replay)
+        path = str(tmp_path / "inst.txt")
+        for with_depths in (True, False):
+            fileio.write_instance(inst, path, with_depths)
+            chunks = list(fileio.iter_chunks(path))
+            assert sum(c.ids.size for c in chunks if isinstance(c, JobChunk)) == inst.n
+            assert sum(c.src.size for c in chunks if isinstance(c, ArcChunk)) == len(inst.arcs)
+            assert len(chunks) > 2 or block == fileio.BLOCK_CHARS  # small blocks cut the file many times
 
     def test_large_ids_allocate_nothing_by_id(self, tmp_path):
         path = tmp_path / "inst.txt"
