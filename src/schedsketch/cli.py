@@ -245,7 +245,9 @@ def _run_oracle(args) -> int:
 
 
 def _run_gen(args) -> int:
-    kwargs: dict = {}
+    def given(value, default):  # an explicit 0 is a value, not a missing flag
+        return default if value is None else value
+
     if args.family == "chain":
         kwargs = {"m": args.m, "q": args.q, "h": args.h}
     elif args.family == "layered":
@@ -253,25 +255,25 @@ def _run_gen(args) -> int:
             shape = [int(x) for x in args.shape.split("/")]
         except (AttributeError, ValueError):  # no --shape, or a count that is no integer
             raise ParamError(f"layered needs --shape counts like 3/4/5, got {args.shape!r}") from None
-        kwargs = {"shape": shape, "c": args.c or 3, "m": args.m}
+        kwargs = {"shape": shape, "c": given(args.c, 3), "m": args.m}
     elif args.family == "alpha-mixed":
         kwargs = {
             "n": args.n,
-            "alpha": args.alpha if args.alpha is not None else 0.5,
-            "c": args.c or 2,
-            "p_big": args.pbig or 10,
+            "alpha": given(args.alpha, 0.5),
+            "c": given(args.c, 2),
+            "p_big": given(args.pbig, 10),
             "m": args.m,
-            "h": args.h or 1,
+            "h": given(args.h, 1),
         }
         if args.small is not None:
             kwargs["small"] = args.small
     else:
         kwargs = {
             "n": args.n,
-            "h": args.h or 3,
-            "density": args.density if args.density is not None else 0.2,
+            "h": given(args.h, 3),
+            "density": given(args.density, 0.2),
             "m": args.m,
-            "c": args.c or 3,
+            "c": given(args.c, 3),
         }
     missing = [k for k, v in kwargs.items() if v is None]
     if missing:

@@ -41,10 +41,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ceil_div
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError, ParamError
 from .model import Arc, ArcChunk, Chunk, Instance, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
-from .generators import FAMILIES, generate
+from .generators import FAMILIES, big_jobs, generate
 from .sampling import ChainAccess, SampleAccess, TwoValueAccess
 from .schedule import ConcreteSchedule, Violation
 from .sketch import DepthColumns
@@ -80,16 +79,11 @@ def _skeleton(body: bytes) -> tuple[int, int, int] | None:
 
 def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
     """Write the line format; also drops a JSON metadata sidecar."""
-    depths = inst.depth if with_depths else None
+    cols = (np.arange(1, inst.n + 1), inst.p) + ((inst.depth,) if with_depths and inst.depth is not None else ())
     with open(path, "w") as fh:
         fh.write(HEADER + "\n")
-        for i in range(inst.n):
-            if depths is not None:
-                fh.write(f"J {i + 1} {int(inst.p[i])} {int(depths[i])}\n")
-            else:
-                fh.write(f"J {i + 1} {int(inst.p[i])}\n")
-        for src, dst in inst.arcs:
-            fh.write(f"A {int(src)} {int(dst)}\n")
+        fh.write(("J" + " %d" * len(cols) + "\n") * inst.n % tuple(np.column_stack(cols).ravel().tolist()))
+        fh.write("A %d %d\n" * len(inst.arcs) % tuple(inst.arcs.ravel().tolist()))
     if inst.meta:
         with open(path + ".meta.json", "w") as fh:
             json.dump({**inst.meta, "m": inst.m, "n": inst.n}, fh, indent=2, sort_keys=True)
@@ -450,9 +444,8 @@ def access_from_spec(text: str) -> SampleAccess:
         if family == "chain":
             return ChainAccess(m=kwargs["m"], q=kwargs["q"], h=kwargs.get("h", 1))
         if family == "alpha-mixed":
-            n = kwargs["n"]
-            n_big = ceil_div(int(round(kwargs["alpha"] * n * 10**9)), 10**9)
-            return TwoValueAccess(n=n, n_big=n_big, p_big=kwargs["pbig"], p_small=kwargs["small"])
+            n_big = big_jobs(kwargs["n"], kwargs["alpha"], kwargs.get("c", 1))
+            return TwoValueAccess(n=kwargs["n"], n_big=n_big, p_big=kwargs["pbig"], p_small=kwargs["small"])
     except KeyError as exc:
         raise ParamError(f"generator spec {text!r} needs {exc.args[0]}= for implicit access") from None
     raise ParamError(f"family {family!r} has no implicit form; materialize it with gen")

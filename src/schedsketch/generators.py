@@ -83,6 +83,13 @@ def layered(shape: list[int], c: int, m: int, seed: int = 0) -> Instance:
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)
 
 
+def big_jobs(n: int, alpha: float, c: int) -> int:
+    """The alpha-mixed family's count of big jobs, ceil(alpha*n), robust to float dust."""
+    if not 0.0 < alpha <= 1.0 or c < 1:
+        raise ParamError(f"alpha-mixed family needs 0 < alpha <= 1 and c >= 1, got alpha={alpha}, c={c}")
+    return ceil_div(int(round(alpha * n * 10**9)), 10**9)
+
+
 def alpha_mixed(
     n: int,
     alpha: float,
@@ -100,11 +107,11 @@ def alpha_mixed(
     big range.  Depths are random in [1, h] with one chain arc into
     each non-source job to keep depths and arcs consistent.
     """
-    if n < 1:
-        raise ParamError("alpha-mixed family needs n >= 1")
+    if n < 1 or h < 1:
+        raise ParamError("alpha-mixed family needs n, h >= 1")
+    n_big = big_jobs(n, alpha, c)
     if alpha * n < 1.0:
         raise ParamError(f"alpha*n = {alpha * n:g} < 1: no big jobs to construct")
-    n_big = ceil_div(int(round(alpha * n * 10**9)), 10**9)  # ceil(alpha*n) robust to float dust
     big_lo = ceil_div(p_big, c)
     if small is None and big_lo < 2 and n_big < n:
         raise ParamError("no room below the big range for small jobs; raise p_big or c")

@@ -54,7 +54,7 @@ from .core import (
     buckets_for,
     derive_params,
 )
-from .errors import InputContractError
+from .errors import InputContractError, ParamError
 from .model import Instance, RunReport
 from .sketch import bucket_loads, pair_counts
 from .streaming import finish
@@ -92,6 +92,8 @@ class ChainAccess:
     """Implicit chain family: m*q chains of h unit jobs, O(1) memory."""
 
     def __init__(self, m: int, q: int, h: int):
+        if m < 1 or q < 1 or h < 1:
+            raise ParamError("chain family needs m, q, h >= 1")
         self.m = m
         self.q = q
         self.h = h

@@ -2,10 +2,10 @@
 
 `TreeSketch` keeps the nodes as int64 columns ``u`` (bucket), ``d``
 (depth) and ``count``, sorted by (u, d) and never holding a count of 0,
-for all four stream modes.  A batch finds its nodes by binary search,
-adds to held counts in place and merges new nodes in where they sort;
-every reader (`entries`, `depth_loads`, `top_bucket`) takes the columns
-as they stand.
+for all four stream modes.  Every batch of distinct pairs merges in
+through one stable lexsort of the nodes and the pairs together, which
+adds each pair into its node or makes one for it; every reader
+(`entries`, `depth_loads`, `top_bucket`) takes the columns as they stand.
 
 The size-capped modes evict eagerly: when their cutoff rises, the nodes
 below it, a prefix of the columns, go at once (`prune_smallest`).  The
@@ -83,13 +83,12 @@ def bucket_loads(u: np.ndarray, d: np.ndarray, weight: np.ndarray, gb: Geometric
 class TreeSketch:
     """Sketch of (bucket, depth) job counts as int64 columns ``u``, ``d``, ``count`` sorted by (u, d).
 
-    Eager eviction drops the buckets below a cutoff.  `count_chunk` and `move` update
-    ``peak_node_count`` for each event they take, so it is the peak over all events.
+    Every update goes through `_merge`; eager eviction drops the buckets below a cutoff.  `count_chunk`
+    and `move` update ``peak_node_count`` for each event they take, so it is the peak over all events.
     """
 
     def __init__(self):
         self.u, self.d, self.count = (np.zeros(0, dtype=np.int64) for _ in range(3))
-        self._frame: tuple | None = None  # (lo, width, node keys) of `_keys`, while the keys fit it
         self.total_counted = self.peak_node_count = 0
         self.p_min: int | None = None
         self.p_max: int | None = None
@@ -105,59 +104,24 @@ class TreeSketch:
     def note_peak(self) -> None:
         self.peak_node_count = max(self.peak_node_count, self.u.size)
 
-    def _keys(self, u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Int64 keys, for the nodes and for the pairs (u[i], d[i]), that sort and match as the pairs do.
+    def _merge(self, u: np.ndarray, d: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Add count[i] into the node at the distinct pair (u[i], d[i]), made if none is held; drop counts of 0.
 
-        The key is (u - lo) * width + d in a frame (lo, width) kept, with the nodes' keys, until a pair
-        falls outside it; where such keys pass int64, u gives way to its rank among nodes and pairs.
+        One stable lexsort orders the nodes with the pairs after them, so a held node sorts just
+        before its pair.  Returns which pairs a node held.
         """
-        lo, hi, top = int(u.min()), int(u.max()), int(d.max())
-        if self._frame is None or lo < self._frame[0] or top >= self._frame[1]:
-            if self.u.size:
-                lo, hi, top = min(lo, int(self.u[0])), max(hi, int(self.u[-1])), max(top, int(self.d.max()))
-            self._frame = (lo, top + 1, (self.u - lo) * (top + 1) + self.d)
-        lo, width, node_keys = self._frame
-        if (hi - lo + 1) * width <= 1 << 63:
-            return node_keys, (u - lo) * width + d
-        self._frame = None  # key the bucket's rank instead, as (nodes + pairs) * width stays within int64
-        keys = np.unique(np.concatenate((self.u, u)), return_inverse=True)[1] * width + np.concatenate((self.d, d))
-        return keys[:self.u.size], keys[self.u.size:]
-
-    def _find(self, keys: np.ndarray, node_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where each of the pairs' ``keys`` sorts among the nodes' keys, and the count held there (0 for no node)."""
-        at = np.searchsorted(node_keys, keys)
-        if node_keys.size == 0:
-            return at, np.zeros_like(at)
-        last = np.minimum(at, node_keys.size - 1)
-        return at, np.where(node_keys[last] == keys, self.count[last], 0)
-
-    def _write(self, node_keys: np.ndarray, keys: np.ndarray, count: np.ndarray, u: np.ndarray, d: np.ndarray,
-               at: np.ndarray, held: np.ndarray) -> None:
-        """Set the counts of the distinct pairs (u[i], d[i]), keyed by `_keys` and found at ``at`` by `_find`.
-
-        A ``held`` node takes its count in place, a new one is inserted where its key sorts, and a 0 count goes.
-        """
-        self.count[at[held]] = count[held]
-        new, gone = ~held & (count > 0), not count[held].all()
-        if not (new.any() or gone):
-            return
-        n, keys = node_keys.size, np.concatenate((node_keys, keys[new]))
-        # new nodes above every held one just append; others merge in, as the keys' two sorted runs
-        order = np.argsort(keys, kind="stable") if 0 < n < keys.size and keys[n] < keys[n - 1] else None
-        if gone:
-            alive = np.concatenate((self.count, count[new])) > 0
-            order = np.flatnonzero(alive) if order is None else order[alive[order]]
-
-        def put(col: np.ndarray, val: np.ndarray | None = None) -> np.ndarray:  # one column at a time, for the peak
-            col = col if val is None else np.concatenate((col, val[new]))
-            return col if order is None else col.take(order)
-
-        if self._frame is not None:
-            self._frame = self._frame[:2] + (put(keys),)
-        del keys
-        self.u = put(self.u, u)
-        self.d = put(self.d, d)
-        self.count = put(self.count, count)
+        nodes = self.u.size
+        us, ds = np.concatenate((self.u, u)), np.concatenate((self.d, d))
+        order = np.lexsort((ds, us))
+        us, ds, counts = us[order], ds[order], np.concatenate((self.count, count))[order]
+        match = np.flatnonzero((us[1:] == us[:-1]) & (ds[1:] == ds[:-1])) + 1  # a pair just after its node
+        counts[match - 1] += counts[match]
+        keep = counts != 0
+        keep[match] = False
+        self.u, self.d, self.count = us[keep], ds[keep], counts[keep]
+        held = np.zeros(u.size, dtype=bool)
+        held[order[match] - nodes] = True
+        return held
 
     def add(self, d: int, u: int) -> bool:
         """Count one job at (d, u); return True if the node is new."""
@@ -184,17 +148,16 @@ class TreeSketch:
         if u.size == 0:
             return
         evicts = cutoff is not None and cutoff > min(int(u.min()), int(self.u[0]) if self.u.size else cutoff)
+        nodes = self.u.size
         us, ds, counts, *rows = pair_counts(u, d, first=evicts)
-        held, (node_keys, keys) = self.u.size, self._keys(us, ds)
-        at, start = self._find(keys, node_keys)
-        self._write(node_keys, keys, start + counts, us, ds, at, start > 0)
+        held = self._merge(us, ds, counts)
         self.total_counted += u.size
         if not evicts:
             self.note_peak()
             return
-        born = np.sort(rows[0][start == 0])  # the job creating each new node, in order
+        born = np.sort(rows[0][~held])  # the job creating each new node, in order
         gone = np.searchsorted(self.u, cutoff_at(born))  # nodes below each one's cutoff
-        peak = held + int((np.arange(1, born.size + 1) - gone).max(initial=0))
+        peak = nodes + int((np.arange(1, born.size + 1) - gone).max(initial=0))
         self.peak_node_count = max(self.peak_node_count, peak)
         self.prune_smallest(cutoff)
 
@@ -204,22 +167,17 @@ class TreeSketch:
         """Move one unit of count from (d, u), which must hold one, to (d_new, u); True if that node is new."""
         if d_new <= d:
             raise InvariantViolationError(f"move must increase depth ({d} -> {d_new})")
-        us, ds = np.array([u, u], dtype=np.int64), np.array([d, d_new], dtype=np.int64)
-        node_keys, keys = self._keys(us, ds)
-        at, start = self._find(keys, node_keys)
-        if start[0] == 0:
+        if not ((self.u == u) & (self.d == d)).any():
             raise InvariantViolationError(f"no sketch node at (d={d}, u={u}) to move from")
-        self._write(node_keys, keys, start + (-1, 1), us, ds, at, start > 0)
-        if start[1] == 0:
-            self.note_peak()
-        return bool(start[1] == 0)
+        new = not self._merge(np.array([u, u], dtype=np.int64), np.array([d, d_new], dtype=np.int64),
+                              np.array([-1, 1], dtype=np.int64))[1]
+        self.note_peak()
+        return new
 
     def prune_smallest(self, cutoff_u: int) -> bool:
         """Evict every node whose bucket is below ``cutoff_u``; return True if one was."""
         low = int(np.searchsorted(self.u, cutoff_u))
         self.u, self.d, self.count = self.u[low:], self.d[low:], self.count[low:]
-        if self._frame is not None:
-            self._frame = self._frame[:2] + (self._frame[2][low:],)
         return low > 0
 
     def top_bucket(self, count: int) -> int | None:

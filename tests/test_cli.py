@@ -610,6 +610,24 @@ MALFORMED_INPUTS = {
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
          "--in", "alpha-mixed:n=100,alpha=0.5,pbig=9223372036854775808,small=1"], 3, None, None
     ),
+    "implicit chain counts below 1": (
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "3", "--in", "chain:m=-1,q=-1,h=3"], 2, None, None
+    ),
+    "implicit alpha-mixed alpha above 1": (
+        ["sample2", "--epsilon", "0.3", "--m", "1", "--in", "alpha-mixed:n=10,alpha=2,c=2,pbig=10,small=1"], 2, None, None
+    ),
+    "spec alpha nan": (["stream2", "--epsilon", "0.3", "--m", "1", "--in", "alpha-mixed:n=10,alpha=nan,c=2,pbig=10"],
+                       2, None, None),
+    "spec alpha inf": (["stream2", "--epsilon", "0.3", "--m", "1", "--in", "alpha-mixed:n=10,alpha=inf,c=2,pbig=10"],
+                       2, None, None),
+    "spec alpha above 1": (["stream2", "--epsilon", "0.3", "--m", "1", "--in", "alpha-mixed:n=10,alpha=2,c=2,pbig=10"],
+                           2, None, None),
+    "spec alpha-mixed c 0": (
+        ["stream2", "--epsilon", "0.3", "--m", "1", "--in", "alpha-mixed:n=10,alpha=0.5,c=0,pbig=10"], 2, None, None
+    ),
+    "gen alpha nan": (["gen", "--family", "alpha-mixed", "--n", "10", "--alpha", "nan", "--out", "{tmp}/g.txt"],
+                      2, None, None),
+    "gen c 0": (["gen", "--family", "layered", "--shape", "3/3", "--c", "0", "--out", "{tmp}/g.txt"], 2, None, None),
     "gen shape not integers": (["gen", "--family", "layered", "--shape", "3/x", "--out", "{tmp}/g.txt"], 2, None, None),
     "result not JSON": (_SCHEDULE, 3, "not json", None),
     "result a JSON list": (_SCHEDULE, 3, "[6, 12]", None),

@@ -81,7 +81,7 @@ class TestMove:
         with pytest.raises(ss.InvariantViolationError):
             sk.move(2, 0, 1)
 
-    @pytest.mark.parametrize("base", [0, 2**62])  # 2**62: keys (u + 1) * width + d pass int64, so u is ranked
+    @pytest.mark.parametrize("base", [0, 2**62])  # 2**62: packed keys (u + 1) * width + d would pass int64
     def test_a_missed_move_raises_and_changes_nothing(self, base):
         sk = _sketch({(-1, 1): 1, (base, 2): 1}, 2)
         with pytest.raises(ss.InvariantViolationError, match=rf"^no sketch node at \(d=1, u={base}\) to move from$"):
@@ -262,7 +262,7 @@ class TestArraySketchMatchesDictReference:
     @settings(max_examples=250, deadline=None)
     @given(
         data=st.data(),
-        spread=st.sampled_from([1, 1, 1, 2**59]),  # 2**59: a bucket span whose keys pass int64, ranked instead
+        spread=st.sampled_from([1, 1, 1, 2**59]),  # 2**59: a bucket span whose packed (u, d) keys would pass int64
         base=st.sampled_from([0, 0, 2**62]),  # (u + 1) * width past int64 for buckets near 2**62
     )
     def test_random_operation_sequences(self, data, spread, base):
@@ -330,7 +330,7 @@ class TestArraySketchMatchesDictReference:
 
 
 def test_nodes_are_held_in_columns():
-    """2,300 nodes take at most 64 B each (int64 columns); a dict of tuple keys takes about 150 B a node."""
+    """2,300 nodes take at most 32 B each (three int64 columns); a dict of tuple keys takes about 150 B a node."""
     keys = np.random.default_rng(1).permutation(np.repeat(np.arange(2_100), 2))  # every (u, d), u < 700, d <= 3
     tracemalloc.start()
     try:
@@ -343,7 +343,7 @@ def test_nodes_are_held_in_columns():
     finally:
         tracemalloc.stop()
     assert sk.node_count == 2_300
-    assert size <= 64 * sk.node_count
+    assert size <= 32 * sk.node_count
 
 
 class TestRestrict:
