@@ -31,10 +31,21 @@ When the derived n' reaches n, sampling degenerates to reading all n
 jobs exactly once; the estimates are then exact and the thresholding
 still applies.
 
-Draws are counted a chunk at a time: when a chunk holds no more
-possible (p, depth) pairs than draws, one ``bincount`` tallies the
-pairs and only the distinct p are bucketed; otherwise every draw is
-bucketed and the (bucket, depth) pairs are counted by `pair_counts`.
+Draws are taken in batches of 2**16 (`_CHUNK`): each batch's ids are
+drawn, fetched and keyed while its int64 columns stay in cache, where
+one batch of 2**20 draws made each column an 8-MiB temporary.
+`Generator.integers` gives the same ids however the draws are split,
+so no batch size changes the sample.  While the call could hold no
+more (p, depth) pairs than it draws, and at most 2**20 (`_HELD`),
+judged by the largest p and depth drawn so far, one table tallies the
+pairs across the batches (a batch is never smaller than the table, so
+adding it in costs no more than its draws) and each distinct p is
+bucketed once, at the end; once it could hold more, every later draw
+is bucketed and each batch's (bucket, depth) pairs are counted by
+`pair_counts`.  One lexsort merges the parts at the end, and folds
+them into one whenever they pass 2**20 rows and twice the last fold,
+so they grow with the distinct pairs, not with the draws; the counts
+come back in increasing (u, d) for any batch size.
 """
 
 from __future__ import annotations
@@ -59,7 +70,9 @@ from .model import Instance, RunReport
 from .sketch import bucket_loads, pair_counts
 from .streaming import finish
 
-_CHUNK = 1 << 20
+N_MAX = 2**63 - 2  # the largest job count sampled: the ids 1..n and the draw bound n + 1 are int64
+_CHUNK = 1 << 16  # draws a batch: 2**14 to 2**17 time alike, 2**19 and up ~2x slower (sample2, 2-core x86_64 VM)
+_HELD = 1 << 20  # the most (p, d) cells tallied, and the per-draw route's pair rows held before they are merged
 
 
 class SampleAccess(Protocol):
@@ -164,17 +177,22 @@ def estimate_counts(
     Exactly ``n_draws`` draws are performed unless ``n_draws >= n``, in
     which case every job is read once instead.  Jobs with p <= min_p
     are discarded after being drawn: they reduce the counted jobs, not
-    the number of draws.  Returns ({(d, u): count}, draws_performed).
+    the number of draws.  Returns ({(d, u): count}, draws_performed),
+    the keys in increasing (u, d); the module docstring gives the
+    batches, the one tally and the merge.
     """
     if n_draws < 1:
         raise InputContractError(f"need at least one draw, got {n_draws}")
     n = access.n
     full_scan = n_draws >= n
     draws = n if full_scan else n_draws
-    counts: dict[tuple[int, int], int] = {}
+    rows = width = 0  # one more than the largest p and depth drawn so far
+    table = np.zeros((0, 0), dtype=np.int64)  # draws at each (p, d), while the few-values route holds
+    parts = []  # (u, d, count) columns: the per-draw route's, a batch each, then the table's
+    held, fold_at = 0, _HELD  # the rows in parts; past fold_at they are merged into one part
     done = 0
     while done < draws:
-        take = min(_CHUNK, draws - done)
+        take = min(max(_CHUNK, table.size), draws - done)  # no smaller than the tally it is added to
         if full_scan:
             ids = np.arange(done + 1, done + take + 1, dtype=np.int64)
         else:
@@ -186,31 +204,50 @@ def estimate_counts(
             raise InputContractError(f"sampled job has p={p_max} > c={p_cap}")
         if h_cap is not None and d_max > h_cap:
             raise InputContractError(f"sampled job has depth {d_max} > h={h_cap}")
-        width = d_max + 1
-        if (p_max + 1) * width <= take:  # few distinct values: count the (p, d) pairs, then bucket each p once
+        rows, width = max(rows, p_max + 1), max(width, d_max + 1)
+        if rows * width <= min(draws, _HELD):  # few distinct values for the call: tally the (p, d) pairs
+            if table.shape != (rows, width):
+                grown = np.zeros((rows, width), dtype=np.int64)
+                grown[: table.shape[0], : table.shape[1]] = table
+                table = grown
             key = p * width
             key += depth
-            table = np.bincount(key, minlength=(p_max + 1) * width).reshape(p_max + 1, width)  # draws at each (p, d)
-            ps = np.flatnonzero(table.any(axis=1))
-            if min_p is not None:
-                ps = ps[ps > min_p]
-            if ps.size == 0:
-                continue
-            us = buckets.index_array(ps)
-            starts = np.flatnonzero(np.diff(us, prepend=us[0] - 1))  # u rises with p: each bucket's rows together
-            grouped = np.add.reduceat(table[ps], starts, axis=0)
-            rows, ds = np.nonzero(grouped)  # in increasing (u, d), as `pair_counts` gives them
-            found = us[starts][rows], ds, grouped[rows, ds]
-        else:
-            if min_p is not None:
-                keep = p > min_p
-                p, depth = p[keep], depth[keep]
-            if p.size == 0:
-                continue
-            found = pair_counts(buckets.index_array(p), depth)
-        for u, d, cnt in zip(*(col.tolist() for col in found)):
-            counts[d, u] = counts.get((d, u), 0) + cnt
-    return counts, draws
+            table += np.bincount(key, minlength=table.size).reshape(rows, width)
+            continue
+        if min_p is not None:
+            keep = p > min_p
+            p, depth = p[keep], depth[keep]
+        if p.size:
+            parts.append(pair_counts(buckets.index_array(p), depth))
+            held += parts[-1][0].size
+            if held > fold_at:  # so the rows held grow with the distinct pairs, not with the draws
+                parts = [_merge(parts)]
+                held = parts[0][0].size
+                fold_at = max(2 * held, _HELD)
+    ps = np.flatnonzero(table.any(axis=1))
+    if min_p is not None:
+        ps = ps[ps > min_p]
+    if ps.size:
+        us = buckets.index_array(ps)
+        starts = np.flatnonzero(np.diff(us, prepend=us[0] - 1))  # u rises with p: each bucket's rows together
+        grouped = np.add.reduceat(table[ps], starts, axis=0)
+        at, ds = np.nonzero(grouped)
+        parts.append((us[starts][at], ds, grouped[at, ds]))
+    if not parts:
+        return {}, draws
+    us, ds, cnt = _merge(parts)
+    return dict(zip(zip(ds.tolist(), us.tolist()), cnt.tolist())), draws
+
+
+def _merge(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (u, d, count) part from parts whose pairs are each sorted and distinct: one lexsort, equal pairs added."""
+    us, ds, cnt = (np.concatenate(col) for col in zip(*parts))
+    if len(parts) > 1:
+        order = np.lexsort((ds, us))
+        us, ds, cnt = us[order], ds[order], cnt[order]
+        starts = np.flatnonzero(np.diff(us, prepend=us[0] - 1) | np.diff(ds, prepend=ds[0] - 1))
+        us, ds, cnt = us[starts], ds[starts], np.add.reduceat(cnt, starts)
+    return us, ds, cnt
 
 
 def estimate_wmax(access: SampleAccess, n0: int, rng: np.random.Generator) -> int:
@@ -240,6 +277,8 @@ def _sample(access: SampleAccess, params: AlgoParams, mode: str, tight: bool) ->
     The mode fixes the policy, *bounded* (sample1) or *alpha* (sample2),
     before any draw.
     """
+    if access.n > N_MAX:
+        raise ParamError(f"{access.n} jobs; at most 2**63 - 2 can be sampled")
     alpha = mode in CAPPED
     pr = replace(params, n=access.n)
     drv = derive_params(pr, mode)

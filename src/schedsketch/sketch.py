@@ -66,7 +66,8 @@ def bucket_loads(u: np.ndarray, d: np.ndarray, weight: np.ndarray, gb: Geometric
     The rounded value of bucket u is the top, pinned to the known maximum, for ``u == u_hi``, and its
     upper boundary (1+delta)**(u+1) for ``u_lo <= u < u_hi``, so every job's rounded time lies between its
     true time and (1+delta) times it.  Rows add up in the order given, each value a Python float power, as
-    a loop over Python floats adds them; a bucket outside [u_lo, u_hi] raises.
+    a loop over Python floats adds them; a bucket outside [u_lo, u_hi] raises.  Each run of rows with equal
+    ``u`` pays one power, so rows in non-decreasing ``u``, as both callers give them, pay one a bucket.
     """
     if u_hi < u_lo:
         raise InputContractError(f"empty bucket range [{u_lo}, {u_hi}]")
@@ -75,9 +76,15 @@ def bucket_loads(u: np.ndarray, d: np.ndarray, weight: np.ndarray, gb: Geometric
     outside = (u < u_lo) | (u > u_hi)
     if outside.any():
         raise InputContractError(f"bucket {u[outside.argmax()]} outside [{u_lo}, {u_hi}]")
-    buckets, at = np.unique(u, return_inverse=True)  # numpy's pow is not bit-equal to Python's: one ** a bucket
-    value = np.array([float(top) if b == u_hi else gb.base ** (b + 1) for b in buckets.tolist()])
-    return np.bincount(d - 1, weights=weight * value[at], minlength=h)  # bincount adds each bin's rows in order
+    run = np.empty(u.size, dtype=bool)  # the rows that start a run of equal u
+    run[0] = True
+    np.not_equal(u[1:], u[:-1], out=run[1:])
+    at = run.cumsum()
+    at -= 1  # each row's run
+    # numpy's pow is not bit-equal to Python's: one ** a run
+    value = np.array([float(top) if b == u_hi else gb.base ** (b + 1) for b in u[run].tolist()])[at]
+    value *= weight
+    return np.bincount(d - 1, weights=value, minlength=h)  # bincount adds each bin's rows in order
 
 
 class TreeSketch:

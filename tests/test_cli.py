@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import schedsketch as ss
-from schedsketch import fileio
+from schedsketch import fileio, sampling
 from schedsketch.cli import COMMANDS, build_parser, main
 from schedsketch.streaming import STREAMING_ALGORITHMS
 
@@ -348,6 +348,24 @@ class TestSample:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["A"] - cstar) <= 0.5 * cstar
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("argv", [  # the benchmark's three sampler sets, as perfbench/workloads.py gives them
+        ["sample1", "--m", "1", "--c", "1", "--h", "3", "--confidence-scale", "0.00390625",
+         "--in", "chain:m=1,q=3333333,h=3"],
+        ["sample2", "--m", "1", "--c", "10", "--h", "1", "--alpha", "0.5", "--confidence-scale", "1.3e-12",
+         "--in", "alpha-mixed:n=10000000,alpha=0.5,c=10,pbig=10,small=1"],
+        ["sample2", "--m", "1", "--c", "2", "--h", "1", "--alpha", "0.25", "--confidence-scale", "1.2e-10",
+         "--in", "alpha-mixed:n=10000000,alpha=0.25,c=2,pbig=1000,small=1"],
+    ], ids=["sample1-chain", "sample2-half", "sample2-quarter"])
+    def test_batch_size_changes_no_output(self, argv, seed, capsys, monkeypatch):
+        """The sample is drawn in batches; the output is the one that a single batch of 2**20 draws gives."""
+        argv = argv + ["--epsilon", "0.5", "--seed", str(seed), "--trials", "1"]
+        assert main(argv) == 0
+        batched = capsys.readouterr().out
+        monkeypatch.setattr(sampling, "_CHUNK", 1 << 20)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == batched
+
     def test_sample_on_materialized_file(self, chain_files):
         tmp, inst_path = chain_files
         out = tmp / "r.json"
@@ -609,6 +627,18 @@ MALFORMED_INPUTS = {
     "implicit alpha-mixed pbig past int64": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
          "--in", "alpha-mixed:n=100,alpha=0.5,pbig=9223372036854775808,small=1"], 3, None, None
+    ),
+    "implicit chain n past int64": (
+        ["sample1", "--epsilon", "0.5", "--m", "1", "--c", "10", "--h", "3",
+         "--in", "chain:m=10000000000,q=10000000000,h=3"], 2, None, None
+    ),
+    "implicit chain n 2**63 - 1": (
+        ["sample1", "--epsilon", "0.5", "--m", "1", "--c", "1", "--h", "1", "--confidence-scale", "1e-15",
+         "--in", "chain:m=1,q=9223372036854775807,h=1"], 2, None, None
+    ),
+    "implicit alpha-mixed n past int64": (
+        ["sample2", "--epsilon", "0.5", "--m", "1", "--c", "2", "--h", "1", "--alpha", "0.5", "--confidence-scale",
+         "1e-15", "--in", "alpha-mixed:n=9223372036854775808,alpha=0.5,c=2,pbig=10,small=1"], 2, None, None
     ),
     "implicit chain counts below 1": (
         ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "3", "--in", "chain:m=-1,q=-1,h=3"], 2, None, None

@@ -81,25 +81,26 @@ class TestEstimateCounts:
 
 
 def _per_draw_counts(p: list, depth: list, n_draws: int, gb, rng, min_p, chunk: int) -> tuple:
-    """`estimate_counts` one draw at a time: each chunk's pairs join the dict in increasing (u, d)."""
+    """`estimate_counts` one draw at a time, the ids drawn ``chunk`` at a time: the counts in increasing (u, d)."""
     n = len(p)
     draws = min(n, n_draws)
-    out = {}
+    tally = Counter()
     for lo in range(0, draws, chunk):
         take = min(chunk, draws - lo)
         ids = range(lo + 1, lo + take + 1) if n_draws >= n else rng.integers(1, n + 1, size=take, dtype=np.int64).tolist()
-        tally = Counter((gb.index(p[i - 1]), depth[i - 1]) for i in ids if min_p is None or p[i - 1] > min_p)
-        for u, d in sorted(tally):
-            out[d, u] = out.get((d, u), 0) + tally[u, d]
-    return out, draws
+        tally.update((gb.index(p[i - 1]), depth[i - 1]) for i in ids if min_p is None or p[i - 1] > min_p)
+    return {(d, u): tally[u, d] for u, d in sorted(tally)}, draws
 
 
 @st.composite
 def _sampled_instances(draw) -> tuple:
-    """(p, depth): p in a narrow or a wide range, depths small or past 2**32."""
+    """(p, depth): p in a narrow or a wide range, or narrow with a few wide; depths small or past 2**32."""
     n = draw(st.integers(1, 40))
-    p_hi = draw(st.sampled_from([1, 3, 10**12]))
-    p = draw(st.lists(st.integers(1, p_hi), min_size=n, max_size=n))
+    p_hi = draw(st.sampled_from([1, 3, 10**12, "few wide"]))
+    if p_hi == "few wide":  # the largest p drawn can rise past the table's bound mid-call
+        p = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(4, 10**12)), min_size=n, max_size=n))
+    else:
+        p = draw(st.lists(st.integers(1, p_hi), min_size=n, max_size=n))
     d_hi = draw(st.sampled_from([1, 3]))
     deep = draw(st.sampled_from([None, None, 2**33, 2**62]))
     depth = draw(st.lists(st.sampled_from(list(range(1, d_hi + 1)) + ([deep] if deep else [])), min_size=n, max_size=n))
@@ -113,10 +114,12 @@ class TestEstimateCountsPerDraw:
         draws=st.integers(1, 100),
         seed=st.integers(0, 2**32),
         cut=st.sampled_from([None, 0.5, "some", "tie", 1e13]),
-        chunk=st.sampled_from([4, 16, 1 << 20]),
+        chunk=st.sampled_from([4, 16, 1 << 16, 1 << 20]),
+        held=st.sampled_from([2, 8, 1 << 20]),
     )
-    def test_equals_the_per_draw_count(self, inst, draws, seed, cut, chunk):
-        """Both counting routes give the per-draw count, keys in the same order, over any chunk size."""
+    def test_equals_the_per_draw_count(self, inst, draws, seed, cut, chunk, held):
+        """Both counting routes give the per-draw count, keys in increasing (u, d), over any batch size, tally
+        bound and fold of the per-draw parts."""
         p, depth = inst
         mid = float(sorted(p)[len(p) // 2])
         min_p = {"some": mid - 0.5, "tie": mid}.get(cut, cut)  # "tie": some p equal min_p and are dropped
@@ -124,10 +127,55 @@ class TestEstimateCountsPerDraw:
         access = ss.ArrayAccess(ss.Instance(p=p, depth=depth, arcs=np.empty((0, 2)), m=1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampling, "_CHUNK", chunk)
+            mp.setattr(sampling, "_HELD", held)
             got = ss.estimate_counts(access, draws, gb, np.random.default_rng(seed), min_p=min_p)
         want = _per_draw_counts(p, depth, draws, gb, np.random.default_rng(seed), min_p, chunk)
         assert list(got[0].items()) == list(want[0].items())
         assert got[1] == want[1]
+
+    @pytest.mark.parametrize("n_draws", [40, 10**9])  # 40 draws of 40 jobs and more are a full scan
+    @pytest.mark.parametrize("min_p", [None, 1.5])
+    def test_both_routes_in_one_call(self, monkeypatch, n_draws, min_p):
+        """Small p fill the tally for the first batches; the last batch's p passes its bound, so it is bucketed per draw."""
+        p = [1, 2, 3, 2] * 9 + [1, 10**6, 2, 3]
+        access = ss.ArrayAccess(ss.Instance(p=p, depth=[1, 2] * 20, arcs=np.empty((0, 2)), m=1))
+        gb, asked = ss.buckets_for(0.025), []
+
+        class Spy:
+            def index_array(self, p):
+                asked.append(p.tolist())
+                return gb.index_array(p)
+
+        monkeypatch.setattr(sampling, "_CHUNK", 4)
+        got = ss.estimate_counts(access, n_draws, Spy(), np.random.default_rng(0), min_p=min_p)
+        assert len(asked) == 2 and 10**6 in asked[0]  # the last batch, draw by draw
+        assert asked[1] == ([1, 2, 3] if min_p is None else [2, 3])  # then the tally's distinct p
+        want = _per_draw_counts(p, [1, 2] * 20, n_draws, gb, None, min_p, 4)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == 40
+
+    def test_wide_values_are_not_tallied(self):
+        """p of 1 and 2**19 at depth 1 take the per-draw route, in batches of 2**16, however many the draws: the
+        tally's table is indexed by p, so it would hold a cell per (p, d) up to the largest, past 2**20 cells."""
+        access = ss.TwoValueAccess(n=10**7, n_big=5 * 10**6, p_big=1 << 19, p_small=1)
+        gb, asked = ss.buckets_for(0.1), []
+
+        class Spy:
+            def index_array(self, p):
+                asked.append(p.size)
+                return gb.index_array(p)
+
+        got, draws = ss.estimate_counts(access, 3 << 19, Spy(), np.random.default_rng(0))  # (p_max + 1) * 2 <= draws
+        assert max(asked) == 1 << 16 and sum(asked) == draws == 3 << 19
+        assert [(d, u) for d, u in got] == [(1, 0), (1, gb.index(1 << 19))] and sum(got.values()) == draws
+
+    @pytest.mark.parametrize("n", [10**6, 2**32 - 1, 2**32 + 1, 2**40, 2**63 - 2])
+    def test_batched_draws_equal_one_call(self, n):
+        """`Generator.integers` gives the same ids however the draws are split, so no batch size changes the sample."""
+        whole = np.random.default_rng(7).integers(1, n + 1, size=4099, dtype=np.int64)
+        rng = np.random.default_rng(7)
+        parts = [rng.integers(1, n + 1, size=k, dtype=np.int64) for k in (1, 3, 1024, 3071)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import SingleUse, random_instance
-from per_event import stream_per_event
+from per_event import LazySketch, stream_per_event
 from schedsketch import core, fileio, model, streaming
 from schedsketch.sketch import DepthColumns, TreeSketch, bucket_loads
 from schedsketch.streaming import STREAMING_ALGORITHMS
@@ -266,6 +267,42 @@ class TestBucketLoads:
         loads = bucket_loads(*_columns(entries), gb, 0, 40, top, 4)
         assert loads.dtype == np.float64
         assert [x.hex() for x in loads.tolist()] == [x.hex() for x in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.dictionaries(
+            st.tuples(st.integers(min_value=-3, max_value=12), st.integers(min_value=1, max_value=4)),
+            st.one_of(st.integers(min_value=1, max_value=10**6), st.floats(min_value=0.0, max_value=1e9)),
+            min_size=1,
+            max_size=30,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_equals_the_reference_on_sorted_and_shuffled_rows(self, cells, seed):
+        """Rows in (u, d) order give the reference's loads bit for bit, any order gives them to rounding, and
+        each run of equal u pays one power."""
+        gb, top, h = ss.buckets_for(0.1), 10**7, 4
+        us = [u for u, _ in cells]
+        u_lo, u_hi = min(us), max(us)
+        want = LazySketch(cells).depth_loads(gb, u_lo, u_hi, top, h)
+        powers = []
+
+        class Base(float):
+            def __pow__(self, e):
+                powers.append(e)
+                return float(self) ** e
+
+        rows = sorted((u, d, weight) for (u, d), weight in cells.items())
+        shuffled = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+        for order in (rows, shuffled):
+            powers.clear()
+            loads = bucket_loads(*_columns(order), SimpleNamespace(base=Base(gb.base)), u_lo, u_hi, top, h)
+            runs = [u for i, (u, _, _) in enumerate(order) if u != u_hi and (i == 0 or order[i - 1][0] != u)]
+            assert powers == [u + 1 for u in runs]
+            if order is rows:
+                assert loads.tobytes() == want.tobytes()
+            else:
+                assert loads.tolist() == pytest.approx(want.tolist(), rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
