@@ -30,6 +30,7 @@ also serve the chain and constant alpha-mixed families implicitly, so
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import os
@@ -51,6 +52,7 @@ from .sketch import DepthColumns
 HEADER = "# sched-stream v1"
 P_LIMIT = 2**63 - 1  # every field is held as int64
 BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this many characters
+ROW_BLOCK = 1 << 14  # `_format_rows` formats this many rows at a time (fewer pay numpy's per-call cost more often)
 # an undecodable byte becomes a lone surrogate, which no field parses, so the line parser rejects it at its line
 DECODE_ERRORS = "surrogateescape"
 
@@ -77,17 +79,73 @@ def _skeleton(body: bytes) -> tuple[int, int, int] | None:
     return fields, jobs, arcs
 
 
+def _format_rows(cols: dict[str, np.ndarray], head: bytes, sep: bytes) -> list[bytes]:
+    """The columns' rows as text, in parts: ``head``, each row's values in decimal apart by ``sep``, a line end.
+
+    The parts joined equal ``%d`` formatting, for values >= 0 only: a
+    negative value raises ParamError naming its column (the dict's key)
+    before anything is formatted.  Rows go `ROW_BLOCK` at a time through
+    one reused uint8 matrix whose line k holds byte k of every row: a
+    column gets as many digit lines as its largest value has digits,
+    filled last digit first by repeated ``// 10`` (in uint32 below
+    10**9, else int64).  A digit above a value's leading one is a
+    leading zero and is set to NUL; one ``bytes.translate`` of each
+    block, read row by row, drops the NULs and makes its part.
+    """
+    n = len(next(iter(cols.values())))
+    if not n:
+        return []
+    for name, col in cols.items():
+        if col.min() < 0:
+            raise ParamError(f"{name} {col.min()} is negative; only values >= 0 can be written")
+    widths = [len(str(col.max())) for col in cols.values()]
+    template = head + sep.join(b"\0" * width for width in widths) + b"\n"  # a row, its digits NUL
+    mat = np.repeat(np.frombuffer(template, np.uint8)[:, None], min(n, ROW_BLOCK), axis=1)
+    starts = np.cumsum([len(head)] + [width + len(sep) for width in widths])  # each column's first digit line
+    parts = []
+    for lo in range(0, n, ROW_BLOCK):
+        block = mat[:, : min(n - lo, ROW_BLOCK)]
+        for col, start, width in zip(cols.values(), starts, widths):
+            col = col[lo : lo + block.shape[1]]
+            digits = block[start : start + width]
+            value = col.astype(np.uint32 if width <= 9 else np.int64)
+            for line in digits[::-1]:
+                quot = value // 10
+                np.subtract(value, quot * 10, out=line, casting="unsafe")
+                value = quot
+            digits += ord("0")
+            digits[:-1] *= col >= 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)[:, None]  # leading zeros: NUL
+        parts.append(block.T.tobytes().translate(None, b"\0"))
+    return parts
+
+
 def write_instance(inst: Instance, path: str, with_depths: bool = True) -> None:
-    """Write the line format; also drops a JSON metadata sidecar."""
-    cols = (np.arange(1, inst.n + 1), inst.p) + ((inst.depth,) if with_depths and inst.depth is not None else ())
-    with open(path, "w") as fh:
-        fh.write(HEADER + "\n")
-        fh.write(("J" + " %d" * len(cols) + "\n") * inst.n % tuple(np.column_stack(cols).ravel().tolist()))
-        fh.write("A %d %d\n" * len(inst.arcs) % tuple(inst.arcs.ravel().tolist()))
+    """Write the line format, job lines with depths when ``with_depths`` and the instance has them.
+
+    A non-empty ``inst.meta`` goes to a ``<path>.meta.json`` sidecar
+    with the instance's m and n; without it, a sidecar left by an
+    earlier file at ``path`` is removed, so `read_instance` never pairs
+    the new file with the old file's m and optimum.  A negative value
+    (only arcs are not checked when the instance is built) raises
+    ParamError before the file is opened.
+    """
+    cols = {"job id": np.arange(1, inst.n + 1), "processing time": inst.p}
+    if with_depths and inst.depth is not None:
+        cols["depth"] = inst.depth
+    jobs = _format_rows(cols, b"J ", b" ")
+    arcs = _format_rows({"arc source": inst.arcs[:, 0], "arc destination": inst.arcs[:, 1]}, b"A ", b" ")
+    with open(path, "wb") as fh:
+        fh.write(f"{HEADER}\n".encode())
+        fh.writelines(jobs)
+        fh.writelines(arcs)
+    sidecar = path + ".meta.json"
     if inst.meta:
-        with open(path + ".meta.json", "w") as fh:
+        with open(sidecar, "w") as fh:
             json.dump({**inst.meta, "m": inst.m, "n": inst.n}, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar)
 
 
 class _Reader:
@@ -380,10 +438,17 @@ def sketch_from_result(doc: dict) -> ScheduleSketch:
 
 
 def write_schedule_csv(sched: ConcreteSchedule, path: str) -> None:
-    rows = np.column_stack((np.arange(1, sched.n + 1), sched.machine, sched.start, sched.completion))
-    with open(path, "w") as fh:
-        fh.write("job_id,machine,start,completion\n")
-        fh.write("%d,%d,%d,%d\n" * sched.n % tuple(rows.ravel().tolist()))
+    """Write the schedule as CSV: a ``job_id,machine,start,completion`` header, then one row per job, by id.
+
+    Every field is >= 0, as `_format_rows` requires: ids and machines
+    count from 1, and starts from 0.
+    """
+    cols = {"job_id": np.arange(1, sched.n + 1), "machine": sched.machine, "start": sched.start,
+            "completion": sched.completion}
+    rows = _format_rows(cols, b"", b",")
+    with open(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\n")
+        fh.writelines(rows)
 
 
 def write_violations(violations: list[Violation], path: str) -> None:

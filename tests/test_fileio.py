@@ -1,17 +1,20 @@
 """Instance file format, result files, generator specs."""
 
 import json
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import schedsketch as ss
 from schedsketch import fileio
 from schedsketch.cli import main
 from schedsketch.model import ArcChunk, JobChunk
+from schedsketch.schedule import schedule_instance
 
 
 @st.composite
@@ -53,6 +56,29 @@ class TestInstanceFormat:
         back = fileio.read_instance(str(path))
         assert back.m == 3
         assert back.meta["cstar"] == 4
+
+    def test_a_rewrite_without_meta_drops_the_old_sidecar(self, tmp_path, capsys):
+        """The old chain's sidecar would give `bench` its m and optimum (6) for 12 independent jobs of p=5."""
+        path = str(tmp_path / "y.txt")
+        assert main(["gen", "--family", "chain", "--m", "2", "--q", "3", "--h", "2", "--out", path]) == 0
+        assert os.path.exists(path + ".meta.json")
+        fileio.write_instance(ss.Instance(p=[5] * 12, depth=None, arcs=np.empty((0, 2)), m=1), path)
+        assert not os.path.exists(path + ".meta.json")
+        capsys.readouterr()
+        assert main(["bench", "--epsilon", "0.3", "--algo", "stream2", "--m", "2", "--trials", "1", "--in", path]) == 0
+        head, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(head.split(","), row.split(",")))["cstar_or_bound"] == "30"
+
+    def test_a_negative_value_is_refused_before_the_file_opens(self, tmp_path):
+        inst = ss.Instance(p=[1, 1], depth=[1, 1], arcs=[[0, -1]], m=1)  # arcs are not checked when built
+        path = tmp_path / "inst.txt"
+        with pytest.raises(ss.ParamError, match="^arc destination -1 is negative"):
+            fileio.write_instance(inst, str(path))
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(ss.ParamError):
+            fileio.write_instance(inst, str(path))
+        assert path.read_text() == "kept\n"
 
     def test_depthless_files(self, tmp_path):
         inst = ss.chain(m=1, q=2, h=2)
@@ -493,6 +519,79 @@ class TestResultFiles:
         assert lines[0] == "job_id,machine,start,completion"
         assert lines[1] == "1,1,0,1"
         assert lines[2] == "2,1,1,3"
+
+
+def percent_write_instance(inst: ss.Instance, path: str, with_depths: bool = True) -> None:
+    """The ``%``-format writer `write_instance` replaced, less the sidecar: the reference for its bytes."""
+    cols = (np.arange(1, inst.n + 1), inst.p) + ((inst.depth,) if with_depths and inst.depth is not None else ())
+    with open(path, "w") as fh:
+        fh.write(fileio.HEADER + "\n")
+        fh.write(("J" + " %d" * len(cols) + "\n") * inst.n % tuple(np.column_stack(cols).ravel().tolist()))
+        fh.write("A %d %d\n" * len(inst.arcs) % tuple(inst.arcs.ravel().tolist()))
+
+
+def percent_write_schedule_csv(sched, path: str) -> None:
+    """The ``%``-format writer `write_schedule_csv` replaced: the reference for its bytes."""
+    rows = np.column_stack((np.arange(1, sched.n + 1), sched.machine, sched.start, sched.completion))
+    with open(path, "w") as fh:
+        fh.write("job_id,machine,start,completion\n")
+        fh.write("%d,%d,%d,%d\n" * sched.n % tuple(rows.ravel().tolist()))
+
+
+DIGIT_EDGES = [0, 9, 10] + [v for k in range(2, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+LINE_SHAPES = [(b"J ", b" "), (b"A ", b" "), (b"", b",")]  # job and arc lines, CSV rows
+
+
+@st.composite
+def value_columns(draw):
+    """1 to 4 equal-length columns of values >= 0, each below a drawn bound, so both digit dtypes run."""
+    n = draw(st.integers(0, 20))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        top = draw(st.sampled_from([9, 10**9 - 1, 10**9, 10**10 - 1, 2**63 - 1]))
+        values = st.integers(0, top) | st.sampled_from([v for v in DIGIT_EDGES if v <= top])
+        cols.append(draw(st.lists(values, min_size=n, max_size=n)))
+    return cols
+
+
+class TestWriters:
+    @settings(max_examples=300, deadline=None)
+    @given(cols=value_columns(), shape=st.sampled_from(LINE_SHAPES), block=st.integers(1, 6))
+    @example(cols=[[]], shape=LINE_SHAPES[0], block=1)
+    @example(cols=[[0], [2**63 - 1]], shape=LINE_SHAPES[2], block=1)
+    @example(cols=[DIGIT_EDGES, DIGIT_EDGES[::-1]], shape=LINE_SHAPES[1], block=4)
+    def test_format_rows_equals_percent_d(self, cols, shape, block):
+        head, sep = shape
+        line = head.decode() + sep.decode().join(["%d"] * len(cols)) + "\n"
+        want = (line * len(cols[0]) % tuple(v for row in zip(*cols) for v in row)).encode()
+        named = {f"c{k}": np.array(col, dtype=np.int64) for k, col in enumerate(cols)}
+        with mock.patch.object(fileio, "ROW_BLOCK", block):  # n up to 20 crosses several blocks
+            assert b"".join(fileio._format_rows(named, head, sep)) == want
+
+    def test_format_rows_names_a_negative_value(self):
+        with pytest.raises(ss.ParamError, match="^start -3 is negative"):
+            fileio._format_rows({"id": np.array([1, 2]), "start": np.array([0, -3])}, b"", b",")
+
+    @pytest.mark.parametrize("block", [fileio.ROW_BLOCK, 7])
+    @pytest.mark.parametrize("with_depths", [True, False])
+    @pytest.mark.parametrize("family", sorted(GENERATED))
+    def test_instance_files_equal_the_percent_writer(self, tmp_path, monkeypatch, family, with_depths, block):
+        inst = ss.generate(family, **GENERATED[family])
+        monkeypatch.setattr(fileio, "ROW_BLOCK", block)
+        fileio.write_instance(inst, str(tmp_path / "new.txt"), with_depths)
+        percent_write_instance(inst, str(tmp_path / "old.txt"), with_depths)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    @pytest.mark.parametrize("block", [fileio.ROW_BLOCK, 7])
+    def test_schedule_csv_equals_the_percent_writer(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(fileio, "ROW_BLOCK", block)
+        path, result, csv = (str(tmp_path / name) for name in ("inst.txt", "r.json", "s.csv"))
+        fileio.write_instance(ss.generate("layered", **GENERATED["layered"]), path)
+        assert main(["stream2", "--epsilon", "0.3", "--m", "4", "--in", path, "--out", result]) == 0
+        assert main(["schedule", "--sks", result, "--in", path, "--m", "4", "--out", csv]) == 0
+        sks = fileio.sketch_from_result(fileio.read_result(result))
+        percent_write_schedule_csv(schedule_instance(sks, fileio.read_instance(path, m=4)), str(tmp_path / "old.csv"))
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestGenSpecs:
