@@ -3,10 +3,11 @@
 
 Pass 1 (any streaming or sampling run) produces a schedule sketch:
 time instants t_1 < ... < t_h promising that all depth-d jobs fit into
-[t_(d-1), t_d).  Pass 2 re-reads the jobs and places each one with a
-per-depth cursor; no optimization, no backtracking, constant work per
-job.  The independent validator then replays machine occupancy and
-every precedence arc.
+[t_(d-1), t_d).  Pass 2 re-reads the jobs and places them as a
+per-depth next-fit cursor would: it finds where each depth opens its
+machines from the prefix sums, then places the depth's jobs in one
+array pass; no optimization, no backtracking.  The independent
+validator then replays machine occupancy and every precedence arc.
 
 The demo prints a small instance's schedule as a text Gantt chart and
 then reconstructs a 100k-job instance, checking the makespan never

@@ -45,7 +45,6 @@ from .sampling import (
 from .schedule import (
     ConcreteSchedule,
     Violation,
-    depth_containment_ok,
     schedule_instance,
     sketch_to_schedule,
     validate_schedule,
@@ -92,7 +91,6 @@ __all__ = [
     "chain",
     "compute_depths",
     "critical_path_length",
-    "depth_containment_ok",
     "derive_params",
     "estimate_counts",
     "estimate_wmax",

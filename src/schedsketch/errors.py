@@ -26,9 +26,9 @@ class CycleSuspicionError(InputContractError):
 class SketchInfeasibleError(RuntimeError):
     """A schedule sketch cannot fit the instance on the given machines.
 
-    Raised by the second pass when the per-depth machine cursor would
-    move past machine m.  Under the approximation guarantees this never
-    happens, so hitting it signals a sketch/instance mismatch.
+    Raised by the second pass when a depth's cut search reaches machine
+    m + 1, where it stops.  Under the approximation guarantees this
+    never happens, so hitting it signals a sketch/instance mismatch.
     """
 
 

@@ -1,19 +1,20 @@
 """Second pass: expand a schedule sketch into a concrete schedule.
 
 The sketch assigns depth d the half-open interval [t_{d-1}, t_d).  The
-builder walks each depth's jobs in stream order with a cursor: place
-the job at the cursor if it still finishes by t_d, otherwise start a
-fresh machine at t_{d-1}.  Running off machine m is an error — the
-approximation guarantees make that impossible for a sketch produced on
-the same instance, so it signals a mismatch rather than bad luck.
+second pass is a cursor walk over each depth's jobs in stream order:
+place the job at the cursor if it still finishes by t_d, otherwise
+start a fresh machine at t_{d-1}.  Running off machine m is an error —
+the approximation guarantees make that impossible for a sketch produced
+on the same instance, so it signals a mismatch rather than bad luck.
 
-The per-depth cursor walk is equivalent to chunking the depth's job
-sequence into maximal runs whose total fits the interval, which lets
-the builder run on prefix sums and ``searchsorted`` instead of a
-per-job Python loop.  The only wrinkle is a job longer than the whole
-interval: the cursor places it alone on the *next* machine (so a
-too-long first job leaves machine 1 empty), which the chunked walk
-reproduces with a one-machine shift.
+The walk's cuts depend only on the depth's prefix sums: a machine opened
+at job i takes the jobs whose prefix sum stays within ``excl[i] + cap``
+(the sum before job i plus the interval).  The builder chases the cuts
+with one ``searchsorted`` a machine, or, when the depth expects many
+machines, takes every position's next cut with one ``searchsorted`` and
+walks its list; then it places the depth's jobs in one pass.  A job
+longer than the whole interval sits alone on the *next* machine (so a
+too-long first job leaves machine 1 empty): a one-machine shift.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class Violation:
     detail: str
 
 
+_MANY_LANES = 32  # a depth expecting more than k / _MANY_LANES machines for its k jobs cuts every position at once
+
+
 def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedule:
     """Place every job inside its depth's sketch interval.
 
@@ -78,11 +82,10 @@ def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedul
     if n and (depth.min() < 1 or depth.max() > h):
         raise InputContractError(f"job depths must lie in [1, {h}] for this sketch")
 
-    machine = np.zeros(n, dtype=np.int64)
-    start = np.zeros(n, dtype=np.int64)
-    order = np.argsort(depth, kind="stable")  # stream order within each depth
-    sorted_depths = depth[order]
-    group_edges = np.searchsorted(sorted_depths, np.arange(1, h + 2))
+    machine, start = np.zeros((2, n), dtype=np.int64)
+    # stream order within each depth; a stable sort of uint16 keys is a radix sort
+    order = np.argsort(depth.astype(np.uint16) if h < 1 << 16 else depth, kind="stable")
+    group_edges = np.searchsorted(depth[order], np.arange(1, h + 2))
     for d in range(1, h + 1):
         idx = order[group_edges[d - 1] : group_edges[d]]
         if idx.size == 0:
@@ -90,26 +93,28 @@ def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedul
         base, t_d = sks.interval(d)
         cap = t_d - base
         pp = p[idx]
-        csum = np.cumsum(pp if int(pp.max()) * pp.size >> 63 == 0 else pp.astype(object))  # exact past int64
-        pos = 0
-        prev = 0
-        lane = 0  # 1-based after increment
+        k = pp.size
+        csum = (pp if (int(pp.max()) * k + cap) >> 63 == 0 else pp.astype(object)).cumsum()  # csum + cap within int64
+        excl = csum - pp
         shift = 1 if pp[0] > cap else 0
-        while pos < idx.size:
-            cut = int(np.searchsorted(csum, prev + cap, side="right"))
-            if cut == pos:  # job longer than the interval: alone on its machine
-                cut = pos + 1
-            lane += 1
-            if lane + shift > m:
-                raise SketchInfeasibleError(
-                    f"depth {d} needs machine {lane + shift} of {m}; "
-                    "sketch does not fit this instance"
-                )
-            sel = idx[pos:cut]
-            start[sel] = base + (csum[pos:cut] - pp[pos:cut]) - prev
-            machine[sel] = lane + shift
-            prev = csum[cut - 1]
-            pos = cut
+        cuts, pos, limit = [], 0, max(m - shift, 0)  # where the walk opens machines; stop past m - shift
+        if int(csum[-1]) * _MANY_LANES > k * cap:
+            nxt = np.maximum(csum.searchsorted(excl + cap, "right"), np.arange(1, k + 1)).tolist()
+            while pos < k and len(cuts) <= limit:
+                cuts.append(pos)
+                pos = nxt[pos]
+        while pos < k and len(cuts) <= limit:  # otherwise the chase; a job longer than cap is a machine alone
+            cuts.append(pos)
+            pos = max(int(csum.searchsorted(excl[pos] + cap, "right")), pos + 1)
+        if len(cuts) + shift > m:
+            raise SketchInfeasibleError(
+                f"depth {d} needs machine {len(cuts) + shift} of {m}; "
+                "sketch does not fit this instance"
+            )
+        edges = np.array(cuts + [k])
+        sizes = edges[1:] - edges[:-1]
+        machine[idx] = np.arange(1 + shift, len(cuts) + 1 + shift).repeat(sizes)
+        start[idx] = excl - (excl[edges[:-1]] - base).repeat(sizes)
     late = np.flatnonzero(start > (1 << 63) - 1 - p)  # start + p past int64
     if late.size:
         check_completion(int(late[0]) + 1, int(start[late[0]]), int(p[late[0]]))
@@ -143,7 +148,13 @@ def validate_schedule(sched: ConcreteSchedule, inst: Instance, m: int | None = N
             Violation("machine-range", (int(i) + 1,), f"job {i + 1} on machine {int(sched.machine[i])} of {m}")
         )
     comp = sched.completion
-    by_machine = np.lexsort((sched.start, sched.machine))
+    # by machine, then start, then index: one stable argsort of a combined key, lexsort where it passes int64
+    m_lo, s_lo = int(sched.machine.min()), int(sched.start.min())
+    span = int(sched.start.max()) - s_lo + 1
+    if (int(sched.machine.max()) - m_lo + 1) * span >> 63:
+        by_machine = np.lexsort((sched.start, sched.machine))
+    else:
+        by_machine = np.argsort((sched.machine - m_lo) * span + (sched.start - s_lo), kind="stable")
     same = sched.machine[by_machine][1:] == sched.machine[by_machine][:-1]
     overlap = same & (comp[by_machine][:-1] > sched.start[by_machine][1:])
     for i in np.nonzero(overlap)[0]:
@@ -169,13 +180,3 @@ def validate_schedule(sched: ConcreteSchedule, inst: Instance, m: int | None = N
                 )
             )
     return out
-
-
-def depth_containment_ok(sched: ConcreteSchedule, depth, sks: ScheduleSketch) -> bool:
-    """True when every depth-d job runs inside [t_{d-1}, t_d]."""
-    depth = np.asarray(depth, dtype=np.int64)
-    lo = np.concatenate(([0], np.asarray(sks.times[:-1], dtype=np.int64)))
-    hi = np.asarray(sks.times, dtype=np.int64)
-    return bool(
-        np.all(sched.start >= lo[depth - 1]) and np.all(sched.completion <= hi[depth - 1])
-    )
