@@ -10,11 +10,10 @@ on the same instance, so it signals a mismatch rather than bad luck.
 The walk's cuts depend only on the depth's prefix sums: a machine opened
 at job i takes the jobs whose prefix sum stays within ``excl[i] + cap``
 (the sum before job i plus the interval).  The builder chases the cuts
-with one ``searchsorted`` a machine, or, when the depth expects many
-machines, takes every position's next cut with one ``searchsorted`` and
-walks its list; then it places the depth's jobs in one pass.  A job
-longer than the whole interval sits alone on the *next* machine (so a
-too-long first job leaves machine 1 empty): a one-machine shift.
+with one ``searchsorted`` a machine, then places the depth's jobs in
+one pass.  A job longer than the whole interval sits alone on the
+*next* machine (so a too-long first job leaves machine 1 empty): a
+one-machine shift.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class Violation:
     detail: str
 
 
-_MANY_LANES = 32  # a depth expecting more than k / _MANY_LANES machines for its k jobs cuts every position at once
-
-
 def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedule:
     """Place every job inside its depth's sketch interval.
 
@@ -98,12 +94,7 @@ def sketch_to_schedule(sks: ScheduleSketch, p, depth, m: int) -> ConcreteSchedul
         excl = csum - pp
         shift = 1 if pp[0] > cap else 0
         cuts, pos, limit = [], 0, max(m - shift, 0)  # where the walk opens machines; stop past m - shift
-        if int(csum[-1]) * _MANY_LANES > k * cap:
-            nxt = np.maximum(csum.searchsorted(excl + cap, "right"), np.arange(1, k + 1)).tolist()
-            while pos < k and len(cuts) <= limit:
-                cuts.append(pos)
-                pos = nxt[pos]
-        while pos < k and len(cuts) <= limit:  # otherwise the chase; a job longer than cap is a machine alone
+        while pos < k and len(cuts) <= limit:  # a job longer than cap is a machine alone
             cuts.append(pos)
             pos = max(int(csum.searchsorted(excl[pos] + cap, "right")), pos + 1)
         if len(cuts) + shift > m:
@@ -148,13 +139,14 @@ def validate_schedule(sched: ConcreteSchedule, inst: Instance, m: int | None = N
             Violation("machine-range", (int(i) + 1,), f"job {i + 1} on machine {int(sched.machine[i])} of {m}")
         )
     comp = sched.completion
-    # by machine, then start, then index: one stable argsort of a combined key, lexsort where it passes int64
-    m_lo, s_lo = int(sched.machine.min()), int(sched.start.min())
-    span = int(sched.start.max()) - s_lo + 1
-    if (int(sched.machine.max()) - m_lo + 1) * span >> 63:
-        by_machine = np.lexsort((sched.start, sched.machine))
+    # by machine, then start, then index: one stable argsort of a combined int64 key, lexsort where it passes int64
+    machine, start = sched.machine.astype(np.int64, copy=False), sched.start.astype(np.int64, copy=False)
+    m_lo, s_lo = int(machine.min()), int(start.min())
+    span = int(start.max()) - s_lo + 1
+    if (int(machine.max()) - m_lo + 1) * span >> 63:
+        by_machine = np.lexsort((start, machine))
     else:
-        by_machine = np.argsort((sched.machine - m_lo) * span + (sched.start - s_lo), kind="stable")
+        by_machine = np.argsort((machine - m_lo) * span + (start - s_lo), kind="stable")
     same = sched.machine[by_machine][1:] == sched.machine[by_machine][:-1]
     overlap = same & (comp[by_machine][:-1] > sched.start[by_machine][1:])
     for i in np.nonzero(overlap)[0]:
