@@ -379,10 +379,10 @@ def read_instance(path: str, m: int = 1) -> Instance:
     except InputContractError:
         check(columns.freeze, ended=False)  # a repeated id on an earlier row wins
         raise
-    check(columns.freeze)
+    check(columns.end)
     if not rows:
         raise InputContractError(f"{path}: empty job stream")
-    order = columns.u  # the row of each job, by id
+    order = columns.u if columns.reordered else slice(None)  # the row of each job, by id
     p = np.concatenate([c.p for c in jobs])[order]
     depth = columns.depth if jobs[0].depth is None else np.concatenate([c.depth for c in jobs])[order]
     arc_arr = np.column_stack([np.concatenate(col) for col in zip(*arcs)]) if arcs else np.empty((0, 2), np.int64)

@@ -18,7 +18,9 @@ is paid for by an eviction.
 
 `DepthColumns` holds the per-job state of the arc-driven modes and of
 `fileio.read_instance`, and is the one check of ids 1..n, arc ends and
-arc order.
+arc order.  It keeps no id column while the ids run 1, 2, 3, ..., and
+int32 bucket, depth and first-source columns while the counts fit: 12
+bytes a job while arcs arrive, 8 once the stream ends.
 """
 
 from __future__ import annotations
@@ -32,18 +34,20 @@ from .core import GeometricBuckets
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError
 
 def pair_counts(u: np.ndarray, d: np.ndarray, first: bool = False) -> tuple:
-    """The distinct pairs of two int64 columns ``u`` and ``d >= 0``, with their counts.
+    """The distinct pairs of two integer columns ``u`` and ``d >= 0``, with their counts.
 
     Returns int64 arrays (us, ds, counts), sorted by (u, d), so each
     depth's pairs come in increasing u; with ``first``, also an array
-    of the row at which each pair first appears.
+    of the row at which each pair first appears.  The key is built in
+    int64 whatever the columns' dtype.
     """
     width, lo, hi = int(d.max()) + 1, int(u.min()), int(u.max())
     span = (hi - lo + 1) * width  # the key (u - lo) * width + d runs from 0 to below span
     if span > 1 << 63:  # the key would pass int64: the pairs themselves, as rows
         found = np.unique(np.stack((u, d), axis=1), axis=0, return_index=first, return_counts=True)
         return (found[0][:, 0], found[0][:, 1], found[-1]) + found[1:-1]
-    key = u - lo  # built in place: one temporary of the columns' length
+    key = u.astype(np.int64)  # built in place: one temporary of the columns' length
+    key -= lo
     key *= width
     key += d
     if not first and span <= u.size:  # no more keys than rows: count them in place
@@ -268,7 +272,9 @@ class DepthTable:
 # `DepthColumns._settle`'s cost model, from a 2-core x86_64 VM (Python 3.11, numpy 2.4): the per-arc
 # walk takes ~65 ns an arc; a round takes ~2.5 us plus ~3.5 ns an arc
 LOOP_NS_PER_ARC, ROUND_NS, ROUND_NS_PER_ARC = 65, 2500, 3.5
-NO_SOURCE = 2**63 - 1  # the first-source position of a job that no arc has left yet
+# The first-source position of a job that no arc has left yet: int32's largest value while every arc
+# position lies below it, after that `NO_SOURCE` in an int64 column
+FIRST_BOUND, NO_SOURCE = 2**31 - 1, 2**63 - 1
 
 
 class DepthColumns:
@@ -276,27 +282,43 @@ class DepthColumns:
 
     The arc-driven modes append job chunks with their buckets, and
     `fileio.read_instance` with their rows in the file, by
-    `insert_chunk`.  `freeze` checks the ids once the job section ends,
+    `insert_chunk`.  While the ids run 1, 2, 3, ... no id column is
+    kept, only the length of the run; the first chunk that breaks it
+    starts one.  `freeze` checks the ids once the job section ends,
     at the first arc chunk or the end of the stream, so a job's
     position in the columns is its id - 1.  `raise_chunk` raises the
     error that a per-event walk raises at the first bad arc of the
-    chunk, after applying the arcs before it.  Errors come in stream
+    chunk, after applying the arcs before it, and `end` drops the
+    first-source column, which only arcs read.  Errors come in stream
     order, and each error of one row carries the row's stream position
     (`InputContractError.row`).
+
+    The columns are int32 while their values fit: buckets (rows) chunk
+    by chunk, depths while n < 2**31, and first sources until an arc
+    position would reach `FIRST_BOUND`, when that column is widened
+    once to int64.
     """
 
     def __init__(self):
+        self._run = 0  # ids 1.._run came in order, and no id part is kept
         self._id_parts: list[np.ndarray] = []
         self._u_parts: list[np.ndarray] = []
         self.u: np.ndarray | None = None  # bucket of each job, from `freeze` on; -1 marks a skipped job
         self.depth: np.ndarray | None = None  # depth of each job
         self.first: np.ndarray | None = None  # stream position of each job's first arc as a source
+        self.reordered = False  # whether `freeze` sorted the jobs by id
         self.arcs = 0  # arcs taken
 
     def insert_chunk(self, ids: np.ndarray, u: np.ndarray) -> None:
         """Append a chunk of job ids with their buckets; `freeze` checks the ids."""
-        self._id_parts.append(ids)
-        self._u_parts.append(u)
+        k, run = ids.size, self._run
+        if not self._id_parts and (k == 0 or (ids[0] == run + 1 and ids[-1] == run + k and (ids[1:] > ids[:-1]).all())):
+            self._run += k  # strictly ascending from run + 1 to run + k: exactly run + 1..run + k
+        else:
+            self._id_parts = self._id_parts or [np.arange(1, run + 1)]
+            self._id_parts.append(ids)
+        fits = k == 0 or (int(u.min()) >= -(2**31) and int(u.max()) < 2**31)
+        self._u_parts.append(u.astype(np.int32) if fits else u)
 
     def freeze(self, ended: bool = True) -> None:
         """Order the jobs by id once the job section has ended; later calls do nothing.
@@ -304,28 +326,35 @@ class DepthColumns:
         Raises ``duplicate job id X in stream`` for the earliest row, in
         stream order, whose id an earlier row holds, and then, unless
         the section broke off at an error (not ``ended``), names the
-        first id of 1..n that no job holds.  The ids are sorted only
-        when they are not strictly ascending, as a repeat is not.
+        first id of 1..n that no job holds.  Ids that ran 1, 2, 3, ...
+        need no check; the others are sorted only when they are not
+        strictly ascending, as a repeat is not.
         """
         if self.u is not None:
             return
-        ids = np.concatenate(self._id_parts) if self._id_parts else np.empty(0, dtype=np.int64)
-        self.u = np.concatenate(self._u_parts) if self._u_parts else ids
+        self.u = np.concatenate(self._u_parts) if self._u_parts else np.empty(0, dtype=np.int32)
+        ids = np.concatenate(self._id_parts) if self._id_parts else None
         self._id_parts = self._u_parts = []  # released before the depth column is built
-        if (ids[1:] <= ids[:-1]).any():
+        n = self.u.size
+        if ids is not None and (ids[1:] <= ids[:-1]).any():
             order = np.argsort(ids, kind="stable")
             ranked = ids[order]
             repeats = order[1:][ranked[1:] == ranked[:-1]]  # each row after the first of its id
             if repeats.size:
                 k = int(repeats.min())
                 raise InputContractError(f"duplicate job id {ids[k]} in stream", row=("J", k))
-            ids, self.u = ranked, self.u[order]
-        n = ids.size
-        if ended and n and (ids[0], ids[-1]) != (1, n):  # distinct sorted ids are 1..n iff they end so
+            ids, self.u, self.reordered = ranked, self.u[order], True
+        if ids is not None and ended and n and (ids[0], ids[-1]) != (1, n):  # distinct sorted ids are 1..n iff so
             missing = int(np.flatnonzero(ids != np.arange(1, n + 1))[0]) + 1
             raise InputContractError(f"job ids must be exactly 1..{n}; no job has id {missing}")
-        self.depth = np.ones(n, dtype=np.int64)
-        self.first = np.full(n, NO_SOURCE, dtype=np.int64)
+        del ids
+        self.depth = np.ones(n, dtype=np.int32 if n < 2**31 else np.int64)
+        self.first = np.full(n, FIRST_BOUND, dtype=np.int32)
+
+    def end(self) -> None:
+        """The stream has ended: `freeze`, and drop the first-source column, which no later arc reads."""
+        self.freeze()
+        self.first = None
 
     def raise_chunk(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Raise depths along a chunk of arcs in stream order, as a per-event walk does.
@@ -339,12 +368,16 @@ class DepthColumns:
         if src.size == 0:
             return
         start, n, k = self.arcs, self.depth.size, src.size
+        if start + k > FIRST_BOUND and self.first.dtype == np.int32:  # a position would reach the int32 mark
+            unset = self.first == FIRST_BOUND
+            self.first = self.first.astype(np.int64)
+            self.first[unset] = NO_SOURCE
         self.arcs += k
         s, t = src - 1, dst - 1  # job positions
         stop = k  # the first self-loop or end outside 1..n
         if min(s.min(), t.min()) < 0 or max(s.max(), t.max()) >= n or (src == dst).any():
             stop = int(((src == dst) | (np.minimum(s, t) < 0) | (np.maximum(s, t) >= n)).argmax())
-        at = np.arange(start, start + stop)
+        at = np.arange(start, start + stop, dtype=self.first.dtype)
         np.minimum.at(self.first, s[:stop], at)
         late = at > self.first[t[:stop]]  # the end was the source of an earlier arc
         bad = int(late.argmax()) if late.any() else stop
@@ -382,6 +415,6 @@ class DepthColumns:
                 view[b] = view[a] + 1
 
     def depths_array(self) -> np.ndarray:
-        """Depths for ids 1..n, which `freeze` ensures, for handing to the second pass."""
-        return self.depth.copy()
+        """Depths for ids 1..n, which `freeze` ensures, as int64, for handing to the second pass."""
+        return self.depth.astype(np.int64)
 

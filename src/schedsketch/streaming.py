@@ -45,7 +45,8 @@ The arc-driven modes keep per-job bucket, depth and first-source
 columns (`sketch.DepthColumns`, which `fileio.read_instance` runs too),
 which check ids 1..n when the job section ends and each arc's ends and
 order, and raise the depths one arc chunk at a time.  Both count the
-sketch once, at the end of the stream, every job at its final depth.
+sketch once, at the end of the stream, every job at its final depth,
+in slices of `COUNT_ROWS` rows or of twice the sketch's nodes if more.
 `stream_alpha_unknown` runs the counter's skip step (`_skip_chunk`) on
 each job chunk, which marks a skipped job's bucket -1; the finish
 drops every bucket below the final cutoff, so skipped and evicted jobs
@@ -128,6 +129,7 @@ def finish(mode: str, params: AlgoParams, loads: np.ndarray, top: int, tight: bo
 
 
 EVENT_BATCH = 256  # rows per int64 chunk that `_chunks` packs from events and list columns
+COUNT_ROWS = 1 << 14  # rows per slice of the arc modes' final count, while the sketch holds under half as many nodes
 
 
 class _Row(Job):
@@ -310,10 +312,15 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
             columns.freeze(ended=False)
         raise
     if not given:
-        columns.freeze()
+        columns.end()
         # every job at its final depth; the capped mode's finish drops the skipped (marked -1) and evicted
-        # jobs, which lie below the final cutoff
-        sk.count_chunk(columns.u, columns.depth)
+        # jobs, which lie below the final cutoff.  Slices keep the count's temporaries one slice long;
+        # past COUNT_ROWS they grow with the sketch, so each merge of the sketch pays for a slice as long.
+        lo = 0
+        while lo < columns.u.size:
+            hi = lo + max(COUNT_ROWS, 2 * sk.node_count)
+            sk.count_chunk(columns.u[lo:hi], columns.depth[lo:hi])
+            lo = hi
         h = int(columns.depth.max(initial=1))
     if n == 0:
         raise InputContractError("empty job stream")

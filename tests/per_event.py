@@ -24,7 +24,9 @@ sketch times, the machine bound and the report), but the capped
 modes' bucket window, the per-depth loads and the extras are computed
 here.
 Only `stream3` reports a peak node count.
-Tests hold the engine's results and errors to this walk.
+Tests hold the engine's results and errors to this walk, and
+`DepthColumns.freeze`, which keeps no id column while the ids run
+1, 2, 3, ..., to `freeze_by_id_column`, which keeps every id.
 """
 
 from __future__ import annotations
@@ -247,3 +249,28 @@ def stream_per_event(events, params: AlgoParams, mode: str, tight: bool = False)
     loads = final.depth_loads(gb, u_lo, u_hi, top, height)
     return streaming.finish(mode, params, loads, top, tight, (n, height, c_run), (final.node_count, 0, updates), extras,
                             tail=tail, slack=tail, held=held)
+
+
+def freeze_by_id_column(id_parts: list, u_parts: list, ended: bool = True) -> tuple:
+    """`DepthColumns.freeze` on an id column of every job: its (u, depth, whether it sorted), or its error.
+
+    Raises ``duplicate job id X in stream`` at the earliest row, in
+    stream order, whose id an earlier row holds, and then, if the job
+    section ``ended``, names the first id of 1..n that no job holds.
+    """
+    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
+    u = np.concatenate(u_parts) if u_parts else ids
+    reordered = bool((ids[1:] <= ids[:-1]).any())
+    if reordered:
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if repeats.size:
+            k = int(repeats.min())
+            raise InputContractError(f"duplicate job id {ids[k]} in stream", row=("J", k))
+        ids, u = ranked, u[order]
+    n = ids.size
+    if ended and n and (ids[0], ids[-1]) != (1, n):
+        missing = int(np.flatnonzero(ids != np.arange(1, n + 1))[0]) + 1
+        raise InputContractError(f"job ids must be exactly 1..{n}; no job has id {missing}")
+    return u, np.ones(n, dtype=np.int64), reordered

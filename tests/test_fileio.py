@@ -488,6 +488,30 @@ class TestChunkedReader:
                     tracemalloc.stop()
             assert max(peaks) <= 1.1 * min(peaks), (mode, peaks)
 
+    def test_arc_modes_hold_under_16_bytes_a_job(self, tmp_path, monkeypatch):
+        """`stream2` and `stream4` peak at most 16 bytes a job more on 200k layered jobs than on 100k."""
+        monkeypatch.setattr(fileio, "BLOCK_CHARS", 64 << 10)
+        paths = {}
+        for n in (100_000, 200_000):
+            paths[n] = str(tmp_path / f"layered-{n}.txt")
+            fileio.write_instance(ss.layered([n // 4] * 4, c=50, m=10, seed=1), paths[n])
+
+        def argv(mode: str, n: int) -> list[str]:
+            n_flag = ["--n", str(n)] if mode == "stream4" else []
+            return [mode, "--epsilon", "0.3", "--m", "10", *n_flag, "--in", paths[n]]
+
+        for mode in ("stream2", "stream4"):
+            assert main(argv(mode, 100_000)) == 0  # untraced: the first call makes the process's one-time allocations
+            peaks = []
+            for n in (100_000, 200_000):
+                tracemalloc.start()
+                try:
+                    assert main(argv(mode, n)) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert (peaks[1] - peaks[0]) / 100_000 <= 16, (mode, peaks)
+
     def test_iter_stream_is_a_view_of_the_chunks(self, tmp_path):
         inst = ss.random_dag(n=40, h=3, density=0.3, m=2, c=6, seed=1)
         path = tmp_path / "inst.txt"

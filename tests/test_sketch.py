@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from per_event import LazySketch
+from per_event import LazySketch, freeze_by_id_column
 
 import schedsketch as ss
 from schedsketch import sketch
@@ -513,6 +513,113 @@ class TestRaiseChunk:
         gapped.freeze(ended=False)
         with pytest.raises(ss.InputContractError, match="duplicate job id 1 in stream"):
             repeated.freeze(ended=False)
+
+
+BIG_ID = 1234567890123456789  # an id of 19 digits
+
+
+@st.composite
+def id_chunks(draw):
+    """Job id chunks, cut anywhere (empty ones too): 1..n in order, or broken by a drawn fault.
+
+    A fault breaks the run at a drawn place, and the ids after it may run in order again.
+    """
+    n = draw(st.integers(0, 30))
+    ids = list(range(1, n + 1))
+    fault = draw(st.sampled_from([None, None, "repeat", "gap", "descending", "reversed", "shuffled", "big"]))
+    if fault and n:
+        j = draw(st.integers(0, n - 1))
+        if fault == "repeat":
+            ids.insert(draw(st.integers(j + 1, n)), ids[j])
+        elif fault == "gap":
+            del ids[j]
+        elif fault == "descending":
+            k = draw(st.integers(j, n))
+            ids[j:k] = ids[j:k][::-1]
+        elif fault == "reversed":
+            ids.reverse()
+        elif fault == "shuffled":
+            ids = draw(st.permutations(ids))
+        else:
+            ids[j] = BIG_ID
+    cuts = sorted(draw(st.lists(st.integers(0, len(ids)), max_size=6)))
+    return [ids[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(ids)])]
+
+
+def _outcome(step) -> tuple:
+    """What ``step`` gives: (u, depth, whether the jobs were sorted), or its error's class, text and row."""
+    try:
+        u, depth, reordered = step()
+    except ss.InputContractError as exc:
+        return type(exc), str(exc), exc.row
+    return u.tolist(), depth.tolist(), reordered
+
+
+class TestIdRun:
+    @settings(max_examples=400, deadline=None)
+    @given(chunks=id_chunks(), wide=st.booleans(), ended=st.booleans())
+    def test_freeze_equals_the_id_column(self, chunks, wide, ended):
+        """No id column while ids run 1, 2, 3, ...: the same errors, buckets, depths and sort as with one.
+
+        With ``wide``, every third bucket is past int32, so int32 and int64 parts are joined.
+        """
+        id_parts = [np.array(ids, dtype=np.int64) for ids in chunks]
+        rows = np.cumsum([0] + [len(ids) for ids in chunks])
+        u_parts = [np.arange(lo, hi) + (2**40 * (np.arange(lo, hi) % 3 == 0) if wide else 0)
+                   for lo, hi in zip(rows[:-1], rows[1:])]
+        cols = DepthColumns()
+        for ids, u in zip(id_parts, u_parts):
+            cols.insert_chunk(ids, u)
+
+        def freeze():
+            cols.freeze(ended)
+            return cols.u, cols.depth, cols.reordered
+
+        assert _outcome(freeze) == _outcome(lambda: freeze_by_id_column(id_parts, u_parts, ended))
+
+    def test_ids_in_order_keep_int32_columns(self):
+        """Chunks of ids 1..n keep no id column, and buckets, depths and first sources are int32."""
+        cols = DepthColumns()
+        for lo in range(0, 10, 4):
+            ids = np.arange(lo + 1, min(lo + 4, 10) + 1)
+            cols.insert_chunk(ids, ids * 2)
+        assert cols._id_parts == []
+        cols.freeze()
+        assert (cols.u.dtype, cols.depth.dtype, cols.first.dtype) == (np.int32,) * 3
+        assert cols.u.tolist() == list(range(2, 21, 2)) and not cols.reordered
+        cols.end()
+        assert cols.first is None and cols.depths_array().dtype == np.int64
+
+    @pytest.mark.parametrize("bound", [None, 100, 120, 119])
+    def test_first_sources_widen_past_int32(self, monkeypatch, bound):
+        """Arc positions that would reach `FIRST_BOUND` widen the first-source column to int64 once.
+
+        321 arcs come in chunks of 40: a bound of 100 is crossed inside a chunk, one of 120 at the
+        edge of one, and one of 119 by a chunk's last arc, the first out-arc of its source.  The
+        depths, the first sources and the error of a late arc into job 1, first a source before the
+        widening, equal those of an int32 column throughout.
+        """
+        layers = np.arange(1, 201).reshape(5, 40)
+        arcs = [(lo[j], b) for lo, hi in zip(layers, layers[1:]) for i, b in enumerate(hi) for j in (i, (i + 1) % 40)]
+        arcs.append((layers[4, 0], 1))
+        first = {}
+        for at, (a, _) in enumerate(arcs):
+            first.setdefault(a, at)
+        if bound is not None:
+            monkeypatch.setattr(sketch, "FIRST_BOUND", bound)
+        cols, arcs = DepthColumns(), np.array(arcs)
+        cols.insert_chunk(layers.reshape(-1), np.zeros(200, dtype=np.int64))
+        with pytest.raises(ss.CycleSuspicionError) as err:
+            for lo in range(0, arcs.shape[0], 40):
+                cols.raise_chunk(arcs[lo:lo + 40, 0], arcs[lo:lo + 40, 1])
+        assert (str(err.value), err.value.row) == (
+            f"arc ({layers[4, 0]} -> 1) arrived after 1 was already a source; arc stream is not in topological order",
+            ("A", 320),
+        )
+        assert cols.depth.tolist() == np.repeat(np.arange(1, 6), 40).tolist()
+        assert cols.first.dtype == (np.int32 if bound is None else np.int64)
+        unset = sketch.FIRST_BOUND if bound is None else sketch.NO_SOURCE
+        assert cols.first.tolist() == [first.get(j, unset) for j in range(1, 201)]
 
 
 def _pairs_by_counter(u: list, d: list) -> tuple:

@@ -699,6 +699,28 @@ def test_arc_modes_count_the_sketch_once(mode, tmp_path, monkeypatch):
         assert taken == [inst.n]
 
 
+@pytest.mark.parametrize("mode", ["stream2", "stream4"])
+@pytest.mark.parametrize("rows", [1, 64, 700])
+def test_arc_modes_count_in_slices(mode, rows, monkeypatch):
+    """The final count takes `COUNT_ROWS` jobs a call, or twice the sketch's nodes if more, and reports the same."""
+    monkeypatch.setattr(streaming, "COUNT_ROWS", rows)
+    inst = ss.layered([300, 250, 200], c=9, m=3, seed=4)
+    params = P(epsilon=0.05, m=inst.m, n=inst.n if mode == "stream4" else None)
+    want = _run_summary(stream_per_event(inst.events(with_depth=False), params, mode))
+    nodes = []  # the sketch's node count before each call
+    count_chunk = TreeSketch.count_chunk
+
+    def spy(self, u, d, *args):
+        nodes.append((self.node_count, u.size))
+        count_chunk(self, u, d, *args)
+
+    monkeypatch.setattr(TreeSketch, "count_chunk", spy)
+    assert _run_summary(STREAMING_ALGORITHMS[mode](inst.chunks(with_depth=False), params)) == want
+    assert sum(size for _, size in nodes) == inst.n
+    assert all(size == max(rows, 2 * held) for held, size in nodes[:-1]) and nodes[-1][1] <= max(rows, 2 * nodes[-1][0])
+    assert len(nodes) > 2 if rows < 700 else len(nodes) == 2
+
+
 def _stream4_summary(chunks: list, params: ss.AlgoParams) -> dict:
     """stream4's run summary, checked against the per-event reference."""
     got = _run_summary(ss.stream_alpha_unknown(chunks, params))
@@ -817,7 +839,7 @@ def test_stream4_peak_bytes_per_job():
 
 
 def test_stream2_peak_bytes_per_job():
-    """stream2's traced peak: ids 1..n are dropped once checked, as a job's position is its id - 1."""
+    """stream2's traced peak: ids running 1..n keep no id column, as a job's position is its id - 1."""
     assert _peak_bytes_per_job("stream2") <= 40
 
 
