@@ -9,11 +9,12 @@ algorithms to ``epsilon/20``.
 Powers of ``1+delta`` are irrational for the deltas we care about, so
 bucket membership is never decided with floating point alone.  The
 value ``1+delta`` (for the IEEE double ``delta``) is an exact rational
-whose denominator is a power of two; `GeometricBuckets` keeps a table
-of exact integer bucket boundaries and answers lookups by bisection.
-The table is built in linear time from a truncated fixed-point power
-whose error is tracked, so a boundary is read off it wherever that
-error cannot change the ceiling, and computed exactly elsewhere.
+whose denominator is a power of two; `GeometricBuckets` keeps a table of
+exact integer bucket boundaries, bisects it for one lookup, and steps an
+array's float logarithms (each within a bucket) against it.  The table
+is built in linear time from a truncated fixed-point power whose error
+is tracked, so a boundary is read off it wherever that error cannot
+change the ceiling, and computed exactly elsewhere.
 `GeometricBuckets.floor_log` (and `GeometricBuckets.floor_log_array`,
 its form for an int64 array) trusts a float logarithm only where its
 error provably cannot change the floor and decides the rest with exact
@@ -138,9 +139,9 @@ class GeometricBuckets:
     The base is the exact rational value of ``1 + delta`` where
     ``delta`` is the given IEEE double.  Boundary ``u`` of the internal
     table is ceil(base**u), the smallest integer in bucket ``u``; the
-    table grows lazily and lookups are a bisection, so per-call cost is
-    O(log u).  Growth takes a lock and publishes a new table, so threads
-    (the CLI's trials) may share one.
+    table grows lazily, `index` is a bisection, O(log u) a call, and
+    `index_array` takes O(1) an entry.  Growth takes a lock and
+    publishes a new table, so threads (the CLI's trials) may share one.
 
     The table grows in linear time from a fixed-point power: ``_x`` is
     base**u * 2**FIX_BITS, truncated after each multiplication by the
@@ -150,8 +151,8 @@ class GeometricBuckets:
     """
 
     def __init__(self, delta: float):
-        if not (delta > 0.0) or not math.isfinite(delta):
-            raise ParamError(f"delta must be a positive finite real, got {delta}")
+        if not 0.0 < delta < 2.0**62:  # so bound 1, ceil(1+delta), lies below 2**63
+            raise ParamError(f"delta must be a positive real below 2**62, got {delta}")
         base = Fraction(1) + Fraction(delta)
         self.delta = delta
         self.base = float(base)
@@ -212,11 +213,22 @@ class GeometricBuckets:
         return self._bounds[u]
 
     def index_array(self, p: np.ndarray) -> np.ndarray:
-        """Vectorized `index` for an integer array with entries >= 1."""
+        """Vectorized `index` for an int64 array with entries >= 1, which callers check first.
+
+        u = floor(ln p / ln base) in floats, clipped to the table, steps once down and once up against it: by
+        `_estimate` that quotient is exact at p = 1, else off by under 2**-47 * (u + 1), below 1 in any table.
+        """
         if p.size == 0:
             return np.empty(0, dtype=np.int64)
         self._extend_past(int(p.max()))
-        return np.searchsorted(self._np_cache, p, side="right") - 1
+        table = self._np_cache  # bounds 0 and 1 at least, as the table now ends past p >= 1
+        est = np.log(p, dtype=np.float64)
+        est /= self._ln_base
+        u = np.minimum(est, table.size - 2, out=est).astype(np.int64)  # est >= 0: the cast floors it
+        at = table.take(u, out=est.view(np.int64))  # one buffer for the estimate and the table reads
+        u += at <= p  # now the bucket is u or u - 1
+        u -= table.take(u, out=at) > p
+        return u
 
     def pow_cmp(self, u: int, num: int, den: int = 1) -> int:
         """Sign of base**u - num/den, computed exactly."""

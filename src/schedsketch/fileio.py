@@ -51,7 +51,7 @@ from .sketch import DepthColumns
 
 HEADER = "# sched-stream v1"
 P_LIMIT = 2**63 - 1  # every field is held as int64
-BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this many characters
+BLOCK_CHARS = 1 << 20  # `iter_chunks` reads the file in blocks of about this many bytes
 ROW_BLOCK = 1 << 14  # `_format_rows` formats this many rows at a time (fewer pay numpy's per-call cost more often)
 # an undecodable byte becomes a lone surrogate, which no field parses, so the line parser rejects it at its line
 DECODE_ERRORS = "surrogateescape"
@@ -157,7 +157,7 @@ class _Reader:
         self.arcs = 0  # arc lines read
         self.has_depth: bool | None = None  # the depth convention, once a job line fixed it
 
-    def bulk(self, block: str) -> list[Chunk] | None:
+    def bulk(self, block: bytes) -> list[Chunk] | None:
         """A block's chunks when it is in the canonical form `write_instance` emits, else None.
 
         Past its comment and blank lines, the block less its digits must
@@ -175,11 +175,9 @@ class _Reader:
         The state moves past the block only when every check passes;
         on None the caller replays the block line by line instead.
         """
-        data = block.encode("utf-8", DECODE_ERRORS)
-        top = _LEADING.match(data).end()
-        skipped = data.count(b"\n", 0, top)  # comment and blank lines
-        body = data[top:] if top else data
-        del data  # a cut top leaves `body` a copy
+        top = _LEADING.match(block).end()
+        skipped = block.count(b"\n", 0, top)  # comment and blank lines
+        body = block[top:] if top else block
         shape = _skeleton(body)
         if shape is None:  # comment or blank lines below the top, or no canonical block
             body, cut = _COMMENTS.subn(b"", body)
@@ -288,34 +286,29 @@ class _Reader:
 def iter_chunks(path: str) -> Iterator[Chunk]:
     """Yield the file's events as int64 column chunks, enforcing the line checks of `_Reader`.
 
-    The file is read in blocks of about `BLOCK_CHARS` characters, cut
-    at line ends.  A block in the canonical form `write_instance` emits
-    is checked by its digit-free skeleton and parsed by one strict
-    `np.fromstring` (`_Reader.bulk`); any other block is replayed by
-    the line parser, the reference for what a line may hold, which
-    yields the valid rows before a bad line as chunks and then raises
-    with the bad line's ``file:line``.  Line numbers count lines as
-    text-mode ``open()`` does.
+    The file is read in blocks of about `BLOCK_CHARS` bytes, cut at line ends, which become "\n" as in
+    text-mode ``open()`` ("\n", "\r\n" and a lone "\r"), whose line numbers they keep.  A block in the
+    canonical form `write_instance` emits is checked by its digit-free skeleton and parsed by one strict
+    `np.fromstring` (`_Reader.bulk`); any other block is decoded as UTF-8 and replayed by the line
+    parser, the reference for what a line may hold, which yields the valid rows before a bad line as
+    chunks and then raises with the bad line's ``file:line``.
     """
-    reader = _Reader(path)
-    rest = ""
-    with open(path, errors=DECODE_ERRORS) as fh:
+    reader, rest = _Reader(path), []  # the bytes after the last cut, in parts
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # `read` takes the memory it is asked for; a pipe's size is 0
         while True:
-            data = fh.read(BLOCK_CHARS)
-            if not data:
-                block = rest + "\n" if rest else ""  # a last line without its line end
-            else:
-                cut = data.rfind("\n") + 1
-                if cut == 0:  # no line end yet: a line longer than a block
-                    rest += data
-                    continue
-                block, rest = rest + data[:cut], data[cut:]
-            if block:
-                chunks = reader.bulk(block)
-                if chunks is None:
-                    yield from reader.replay(block)
-                else:
-                    yield from chunks
+            data = fh.read(min(BLOCK_CHARS, max(size - fh.tell(), 1)) if size else BLOCK_CHARS)
+            cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1  # a last "\r" may begin a "\r\n"
+            if data and not cut:  # no line end yet: a line longer than a block
+                rest.append(data)
+                continue
+            head = b"".join(rest)  # at the end, a last line without its line end gets one
+            block = head + (memoryview(data)[:cut] if data else b"\n") if head else data[:cut]  # one copy at most
+            rest = [data[cut:]]
+            if b"\r" in block:  # text mode's line ends, which the bulk patterns, cutting at "\n", need
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            chunks = reader.bulk(block) if block else []
+            yield from reader.replay(block.decode("utf-8", DECODE_ERRORS)) if chunks is None else chunks
             if not data:
                 return
 

@@ -16,7 +16,9 @@ Families:
 All families are deterministic functions of their parameters and seed,
 and emit arcs grouped by destination in topological order (every arc
 into a job precedes every arc out of it), which is what the streaming
-arc contract requires.
+arc contract requires: ascending by (depth of dst, dst, src).  Each
+family builds its arcs as int64 arrays from whole-array draws, the same
+draws in the same order as a loop over the jobs would make.
 """
 
 from __future__ import annotations
@@ -29,12 +31,18 @@ from .model import Instance
 from .oracles import compute_depths
 
 
-def _sort_arcs(arcs: list[tuple[int, int]], depth: np.ndarray) -> np.ndarray:
-    arcs_arr = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
-    if arcs_arr.size:
-        key = np.lexsort((arcs_arr[:, 0], arcs_arr[:, 1], depth[arcs_arr[:, 1] - 1]))
-        arcs_arr = arcs_arr[key]
-    return arcs_arr
+NO_IDS = np.empty(0, dtype=np.int64)
+
+
+def _sort_arcs(src: np.ndarray, dst: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """The arcs ``src[i] -> dst[i]`` as a (k, 2) int64 array, ascending by (depth of dst, dst, src)."""
+    d = depth[dst - 1]
+    same_d, same_dst = d[1:] == d[:-1], dst[1:] == dst[:-1]
+    ascending = (d[1:] > d[:-1]) | same_d & ((dst[1:] > dst[:-1]) | same_dst & (src[1:] >= src[:-1]))
+    if not ascending.all():  # chain, layered and alpha-mixed emit them in this order already
+        key = np.lexsort((src, dst, d))
+        src, dst = src[key], dst[key]
+    return np.column_stack((src, dst))
 
 
 def chain(m: int, q: int, h: int) -> Instance:
@@ -45,14 +53,8 @@ def chain(m: int, q: int, h: int) -> Instance:
     n = n_chains * h
     p = np.ones(n, dtype=np.int64)
     depth = np.tile(np.arange(1, h + 1, dtype=np.int64), n_chains)
-    arcs = []
-    if h > 1:
-        base = np.arange(n_chains, dtype=np.int64) * h
-        for pos in range(1, h):
-            src = base + pos
-            for s in src:
-                arcs.append((int(s), int(s) + 1))
-    arcs_arr = _sort_arcs(arcs, depth)
+    src = (np.arange(1, h, dtype=np.int64)[:, None] + np.arange(n_chains, dtype=np.int64) * h).ravel()
+    arcs_arr = _sort_arcs(src, src + 1, depth)  # position 1 of every chain, then position 2, ...
     meta = {"family": "chain", "m": m, "q": q, "h": h, "c": 1, "alpha": 1.0, "cstar": q * h}
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)
 
@@ -65,20 +67,11 @@ def layered(shape: list[int], c: int, m: int, seed: int = 0) -> Instance:
         raise ParamError("layered family needs c >= 1")
     rng = np.random.default_rng(seed)
     n = int(sum(shape))
-    depth = np.concatenate(
-        [np.full(cnt, d + 1, dtype=np.int64) for d, cnt in enumerate(shape)]
-    )
+    depth = np.repeat(np.arange(1, len(shape) + 1, dtype=np.int64), shape)
     p = rng.integers(1, c + 1, size=n).astype(np.int64)
-    arcs = []
-    start = shape[0]
-    prev_ids = np.arange(1, shape[0] + 1)
-    for cnt in shape[1:]:
-        ids = np.arange(start + 1, start + cnt + 1)
-        parents = rng.choice(prev_ids, size=cnt)
-        arcs.extend((int(a), int(b)) for a, b in zip(parents, ids))
-        prev_ids = ids
-        start += cnt
-    arcs_arr = _sort_arcs(arcs, depth)
+    ends = np.cumsum([0, *shape])  # layer d holds ids ends[d-1]+1 .. ends[d]
+    parents = [rng.choice(np.arange(ends[d - 1] + 1, ends[d] + 1), size=shape[d]) for d in range(1, len(shape))]
+    arcs_arr = _sort_arcs(np.concatenate([NO_IDS, *parents]), np.arange(shape[0] + 1, n + 1), depth)
     meta = {"family": "layered", "shape": list(shape), "c": c, "h": len(shape), "seed": seed}
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)
 
@@ -90,16 +83,8 @@ def big_jobs(n: int, alpha: float, c: int) -> int:
     return ceil_div(int(round(alpha * n * 10**9)), 10**9)
 
 
-def alpha_mixed(
-    n: int,
-    alpha: float,
-    c: int,
-    p_big: int,
-    m: int = 1,
-    h: int = 1,
-    seed: int = 0,
-    small: int | None = None,
-) -> Instance:
+def alpha_mixed(n: int, alpha: float, c: int, p_big: int, m: int = 1, h: int = 1, seed: int = 0,
+                small: int | None = None) -> Instance:
     """Exactly ceil(alpha*n) jobs in [ceil(p_big/c), p_big]; the rest smaller.
 
     ``small`` fixes every small job's processing time (needed for
@@ -127,29 +112,16 @@ def alpha_mixed(
             p[n_big:] = small
         else:
             p[n_big:] = rng.integers(1, big_lo, size=n - n_big)
-    perm = rng.permutation(n)
-    p = p[perm]
+    p = p[rng.permutation(n)]
     depth = np.ones(n, dtype=np.int64)
     if h > 1:
         depth = rng.integers(1, h + 1, size=n).astype(np.int64)
         depth[rng.permutation(n)[:h]] = np.arange(1, h + 1)  # every level occupied
-    arcs = []
-    if h > 1:
-        by_depth = [np.nonzero(depth == d)[0] + 1 for d in range(1, h + 1)]
-        for d in range(2, h + 1):
-            parents = rng.choice(by_depth[d - 2], size=by_depth[d - 1].size)
-            arcs.extend((int(a), int(b)) for a, b in zip(parents, by_depth[d - 1]))
-    arcs_arr = _sort_arcs(arcs, depth)
-    meta = {
-        "family": "alpha-mixed",
-        "n": n,
-        "alpha": n_big / n,
-        "c": c,
-        "p_big": p_big,
-        "h": h,
-        "seed": seed,
-        "n_big": n_big,
-    }
+    by_depth = [np.nonzero(depth == d)[0] + 1 for d in range(1, h + 1)]
+    parents = [rng.choice(by_depth[d - 2], size=by_depth[d - 1].size) for d in range(2, h + 1)]
+    arcs_arr = _sort_arcs(np.concatenate([NO_IDS, *parents]), np.concatenate([NO_IDS, *by_depth[1:]]), depth)
+    meta = {"family": "alpha-mixed", "n": n, "alpha": n_big / n, "c": c, "p_big": p_big, "h": h, "seed": seed,
+            "n_big": n_big}
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)
 
 
@@ -164,13 +136,10 @@ def random_dag(n: int, h: int, density: float, m: int, c: int = 3, seed: int = 0
     rng = np.random.default_rng(seed)
     levels = rng.integers(1, h + 1, size=n)
     p = rng.integers(1, c + 1, size=n).astype(np.int64)
-    arcs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if levels[i - 1] < levels[j - 1] and rng.random() < density:
-                arcs.append((i, j))
+    pairs = np.flatnonzero(levels[:, None] < levels[None, :])  # level-increasing (i, j), i-major as a loop draws
+    arcs = np.column_stack(np.divmod(pairs[rng.random(pairs.size) < density], n)) + 1
     depth = compute_depths(arcs, n)
-    arcs_arr = _sort_arcs(arcs, depth)
+    arcs_arr = _sort_arcs(arcs[:, 0], arcs[:, 1], depth)
     meta = {"family": "random-dag", "n": n, "h_target": h, "h": int(depth.max()) if n else 0,
             "density": density, "c": c, "seed": seed}
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)

@@ -19,30 +19,38 @@ from .core import ceil_div
 from .errors import CycleSuspicionError, ParamError
 from .model import Instance
 from .schedule import ConcreteSchedule, check_completion
+from .sketch import raise_in_rounds
 
 EXACT_MAX_JOBS = 12
 EXACT_MAX_MACHINES = 3
+KAHN_NS_PER_ARC = 350  # Kahn's loop an arc, its per-job work included: a 20k-job chain, on `sketch`'s cost-model VM
 
 
-def longest_paths(src, dst, n: int, weights=None) -> list[int]:
+def _heaviest_paths(src, dst, n: int, weights=None) -> np.ndarray:
     """Weight of the heaviest path ending at each job 1..n, over the arcs ``src[i] -> dst[i]``.
 
-    A path weighs the sum of its jobs' weights (1 each when ``weights``
-    is None), in exact integers.  Runs Kahn's algorithm; an arc end
-    outside 1..n raises `ParamError`, and a cycle raises
-    `CycleSuspicionError` naming one edge on it.
+    A path weighs the sum of its jobs' int64 weights (1 each when ``weights`` is None, else each >= 1).
+    While no sum can pass int64, `raise_in_rounds` runs at most n rounds, and their int64 array is the
+    answer once they settle; else Kahn's algorithm finishes from there in Python ints, in an object
+    array.  An arc end outside 1..n raises `ParamError`, and a cycle, which no round settles, raises
+    `CycleSuspicionError` naming an edge on it.
     """
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    bad = (src < 1) | (src > n) | (dst < 1) | (dst > n)
-    if bad.any():  # name the first such arc
+    src, dst = np.ascontiguousarray(src, dtype=np.int64), np.ascontiguousarray(dst, dtype=np.int64)
+    if src.size and (min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n):
+        bad = (src < 1) | (src > n) | (dst < 1) | (dst > n)  # name the first such arc
         raise ParamError(f"arc ({src[bad][0]}, {dst[bad][0]}) has an end outside 1..{n}")
+    w = np.ones(n + 1, dtype=np.int64)
+    w[1:] = 1 if weights is None else weights
+    best = w.copy()
+    # after r < n rounds a value weighs a walk of r + 1 jobs at most, cycles included
+    if not src.size or (int(w.max()) * (n + 1) < 2**63 and raise_in_rounds(best, src, dst, w[dst], KAHN_NS_PER_ARC, n)):
+        return best[1:]
+    w, best = w.tolist(), best.tolist()
     succs: list[list[int]] = [[] for _ in range(n + 1)]
     indeg = [0] * (n + 1)
     for a, b in zip(src.tolist(), dst.tolist()):
         succs[a].append(b)
         indeg[b] += 1
-    w = [0] + ([1] * n if weights is None else np.asarray(weights).tolist())
-    best = w[:]
     queue = [j for j in range(1, n + 1) if indeg[j] == 0]
     for j in queue:  # the loop also visits the jobs it appends
         for s in succs[j]:
@@ -55,18 +63,23 @@ def longest_paths(src, dst, n: int, weights=None) -> list[int]:
         stuck = next(j for j in range(1, n + 1) if indeg[j] > 0)
         back = next(s for s in range(1, n + 1) if stuck in succs[s] and indeg[s] > 0)
         raise CycleSuspicionError(f"cycle detected; edge ({back}, {stuck}) lies on a cycle")
-    return best[1:]
+    return np.array(best[1:], dtype=object)
+
+
+def longest_paths(src, dst, n: int, weights=None) -> list[int]:
+    """`_heaviest_paths` as a list of Python ints."""
+    return _heaviest_paths(src, dst, n, weights).tolist()
 
 
 def compute_depths(arcs, n: int) -> np.ndarray:
     """Depth of each job: 1 for sources, else 1 + max predecessor depth."""
     arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
-    return np.array(longest_paths(arcs[:, 0], arcs[:, 1], n), dtype=np.int64)
+    return _heaviest_paths(arcs[:, 0], arcs[:, 1], n).astype(np.int64)
 
 
 def critical_path_length(inst: Instance) -> int:
     """Length of the heaviest precedence path (sum of processing times)."""
-    return max(longest_paths(inst.arcs[:, 0], inst.arcs[:, 1], inst.n, inst.p), default=0)
+    return int(_heaviest_paths(inst.arcs[:, 0], inst.arcs[:, 1], inst.n, inst.p).max(initial=0))
 
 
 def list_schedule(inst: Instance, order=None) -> ConcreteSchedule:

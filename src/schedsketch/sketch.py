@@ -269,12 +269,28 @@ class DepthTable:
         self._rec[job_id] = (new_depth, u)
 
 
-# `DepthColumns._settle`'s cost model, from a 2-core x86_64 VM (Python 3.11, numpy 2.4): the per-arc
-# walk takes ~65 ns an arc; a round takes ~2.5 us plus ~3.5 ns an arc
+# `raise_in_rounds`'s cost model, from a 2-core x86_64 VM (Python 3.11, numpy 2.4): a round takes ~2.5 us
+# plus ~3.5 ns an arc; `DepthColumns._settle`'s per-arc walk takes ~65 ns an arc
 LOOP_NS_PER_ARC, ROUND_NS, ROUND_NS_PER_ARC = 65, 2500, 3.5
 # The first-source position of a job that no arc has left yet: int32's largest value while every arc
 # position lies below it, after that `NO_SOURCE` in an int64 column
 FIRST_BOUND, NO_SOURCE = 2**31 - 1, 2**63 - 1
+
+
+def raise_in_rounds(best: np.ndarray, s: np.ndarray, t: np.ndarray, add, loop_ns_per_arc: float, most=2**62) -> bool:
+    """Raise each ``best[t[i]]`` to ``best[s[i]] + add`` (a scalar, or ``add[i]``) in rounds of `np.maximum.at`.
+
+    At most ``most`` rounds run, while they cost less than a per-arc loop
+    of ``loop_ns_per_arc``.  True at the fixpoint, which on a DAG the
+    longest path's arcs plus one rounds reach; else every value lies
+    between its old and final one, and that loop can finish from there.
+    """
+    for _ in range(min(most, int(loop_ns_per_arc * s.size / (ROUND_NS + ROUND_NS_PER_ARC * s.size)))):
+        candidate = best[s] + add
+        if not (candidate > best[t]).any():
+            return True
+        np.maximum.at(best, t, candidate)
+    return False
 
 
 class DepthColumns:
@@ -394,21 +410,13 @@ class DepthColumns:
     def _settle(self, s: np.ndarray, t: np.ndarray) -> None:
         """Raise each ``depth[t[i]]`` to ``depth[s[i]] + 1`` along valid arcs, to the per-arc walk's final depths.
 
-        No arc ends at the source of an earlier one, so a job's depth is
-        final before its first out-arc, and the walk's depths are the
-        fixpoint of `np.maximum.at` rounds over all the arcs: the
-        longest path of the chunk, at most h arcs, plus one rounds reach
-        it.  Rounds run while they cost less than the walk would; past
-        that the walk takes over from where they stopped, which gives
-        the same depths, as every round's depths lie between the old
-        and the final ones.
+        No arc ends at the source of an earlier one, so a job's depth is final before its first
+        out-arc, and the walk's depths are the fixpoint of `raise_in_rounds` over all the arcs, which
+        the chunk's longest path, at most h arcs, bounds.  Past the rounds' cost the walk finishes.
         """
-        depth, k = self.depth, s.size
-        for _ in range(int(LOOP_NS_PER_ARC * k / (ROUND_NS + ROUND_NS_PER_ARC * k))):
-            candidate = depth[s] + 1
-            if not (candidate > depth[t]).any():
-                return
-            np.maximum.at(depth, t, candidate)
+        depth = self.depth
+        if raise_in_rounds(depth, s, t, 1, LOOP_NS_PER_ARC):
+            return
         view = memoryview(depth)  # Python ints, without a copy
         for a, b in zip(s.tolist(), t.tolist()):
             if view[a] >= view[b]:

@@ -259,6 +259,24 @@ class TestBucketIndex:
                 u_prev = u
                 assert b**u <= p < b ** (u + 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.sampled_from([0.1, 0.05 / 3, 1e-4]), data=st.data())
+    def test_array_route_matches_bisection(self, delta, data):
+        """`index_array`'s float estimate and two steps give the bisection's bucket, at and next to every kind of edge."""
+        gb = ss.buckets_for(delta)
+        top = gb.index(2**63 - 1)
+        edges = [gb.bound(u) + d for u in data.draw(st.lists(st.integers(0, top), max_size=20)) for d in (-1, 0, 1)]
+        near_2_53 = [2**53 + d for d in data.draw(st.lists(st.integers(-4, 4), max_size=5))]
+        p = [x for x in edges + near_2_53 + [2**63 - 1, 1] if 1 <= x < 2**63]
+        p = sorted(p) if data.draw(st.booleans()) else data.draw(st.permutations(p))
+        assert gb.index_array(np.array(p, dtype=np.int64)).tolist() == [gb.index(x) for x in p]
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05 / 3, 1e-4])
+    def test_array_route_on_a_two_entry_table(self, delta):
+        gb = ss.GeometricBuckets(delta)
+        assert gb.index_array(np.ones(5, dtype=np.int64)).tolist() == [0] * 5
+        assert gb._np_cache.tolist() == [1, 2]  # bounds 0 and 1 only
+
 
 class TestFloorLog:
     def test_capped_window_bounds(self):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -343,6 +344,7 @@ GENERATED = {
 class TestChunkedReader:
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=instance_text(), block=st.integers(4, 64))
+    @example(text="# sched-stream v1\rJ 1 1\n", block=4)  # a comment's pattern must not run past a "\r"
     def test_matches_line_parser(self, tmp_path, text, block):
         path = tmp_path / "inst.txt"
         path.write_bytes(text.encode())
@@ -393,7 +395,7 @@ class TestChunkedReader:
         block, fields, mutated = drawn
         for arcs, has_depth in READER_STATES:
             reader = _reader((arcs, has_depth))
-            chunks = reader.bulk(block)
+            chunks = reader.bulk(block.encode())
             if chunks is None:
                 assert vars(reader) == vars(_reader((arcs, has_depth)))  # a declined block moves no state
                 assert mutated or (block[0] == "J" and (arcs or has_depth not in (None, fields == 3)))
@@ -406,7 +408,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("state", READER_STATES, ids=lambda state: "arcs{}-depth{}".format(*state))
     def test_a_trailing_space_before_glued_digits_is_declined(self, block, state):
         """Less its digits the block is a depth job and an arc, and five values read; the space at the line's end declines it."""
-        assert _reader(state).bulk(block) is None
+        assert _reader(state).bulk(block.encode()) is None
         with pytest.raises(ss.InputContractError):
             list(_reader(state).replay(block))
 
@@ -428,6 +430,20 @@ class TestChunkedReader:
             assert sum(c.ids.size for c in chunks if isinstance(c, JobChunk)) == inst.n
             assert sum(c.src.size for c in chunks if isinstance(c, ArcChunk)) == len(inst.arcs)
             assert len(chunks) > 2 or block == fileio.BLOCK_CHARS  # small blocks cut the file many times
+
+    @pytest.mark.parametrize("block", [fileio.BLOCK_CHARS, 64])
+    def test_a_pipe_reads_as_its_file(self, tmp_path, monkeypatch, block):
+        """A pipe's size reads 0, so its blocks are not cut to the size: the same chunks as from a file."""
+        monkeypatch.setattr(fileio, "BLOCK_CHARS", block)
+        path, pipe = tmp_path / "inst.txt", tmp_path / "pipe"
+        fileio.write_instance(ss.layered([40, 30], c=9, m=2, seed=1), str(path))
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            assert _chunk_rows(str(pipe)) == _chunk_rows(str(path))
+        finally:
+            writer.join()
 
     def test_large_ids_allocate_nothing_by_id(self, tmp_path):
         path = tmp_path / "inst.txt"

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import schedsketch as ss
 from conftest import random_instance
+from schedsketch import oracles
 from schedsketch.oracles import longest_paths
+from schedsketch.sketch import raise_in_rounds
 
 
 class TestComputeDepths:
@@ -62,6 +64,37 @@ class TestLongestPaths:
         assert longest_paths(src, dst, n, weights) == [ending_at(j) for j in range(1, n + 1)]
         assert longest_paths(dst, src, n, np.array(weights)) == [starting_at(j) for j in range(1, n + 1)]
         assert longest_paths(src, dst, n) == longest_paths(src, dst, n, [1] * n)
+
+    def test_deep_chain_hands_over_to_kahn(self, monkeypatch):
+        """A 20k-job chain, its arcs given last to first: the rounds stop at their cap and Kahn's loop finishes."""
+        settled = []
+
+        def spy(*args):
+            settled.append(raise_in_rounds(*args))
+            return settled[-1]
+
+        monkeypatch.setattr(oracles, "raise_in_rounds", spy)
+        n = 20_000
+        src = np.arange(n - 1, 0, -1)
+        got = longest_paths(src, src + 1, n)
+        assert settled == [False]
+        assert got == list(range(1, n + 1)) and all(type(x) is int for x in got)
+        assert longest_paths(src, src + 1, n, np.full(n, 3)) == list(range(3, 3 * n + 1, 3))
+
+    @pytest.mark.parametrize("weights", [None, [1, 2, 3, 4], [2**62] * 4])
+    def test_cycle_names_an_edge(self, weights):
+        with pytest.raises(ss.CycleSuspicionError, match=r"^cycle detected; edge \(3, 2\) lies on a cycle$"):
+            longest_paths([1, 2, 3, 3], [2, 3, 2, 4], 4, weights)
+
+    def test_past_int64_is_exact(self):
+        got = longest_paths([1], [2], 2, [2**62, 2**62])
+        assert got == [2**62, 2**63] and all(type(x) is int for x in got)
+
+    def test_no_arcs(self):
+        got = longest_paths([], [], 3, np.array([4, 5, 6]))
+        assert got == [4, 5, 6] and all(type(x) is int for x in got)
+        assert longest_paths(np.empty(0, dtype=np.int64), [], 2) == [1, 1]
+        assert longest_paths([], [], 0) == []
 
     def test_critical_path_past_int64_is_exact(self):
         inst = ss.Instance(p=[2**62, 2**62], depth=None, arcs=[(1, 2)], m=1)
