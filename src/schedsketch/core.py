@@ -11,10 +11,11 @@ bucket membership is never decided with floating point alone.  The
 value ``1+delta`` (for the IEEE double ``delta``) is an exact rational
 whose denominator is a power of two; `GeometricBuckets` keeps a table of
 exact integer bucket boundaries, bisects it for one lookup, and steps an
-array's float logarithms (each within a bucket) against it.  The table
-is built in linear time from a truncated fixed-point power whose error
-is tracked, so a boundary is read off it wherever that error cannot
-change the ceiling, and computed exactly elsewhere.
+array's float logarithms (each within a bucket) against it.  Below
+`FLOAT_TOP` the table's boundaries come from float powers in one numpy
+pass, each read off where the float's error bound cannot change the
+ceiling; past it they come from a truncated fixed-point power whose
+error is tracked.  A boundary that neither settles is computed exactly.
 `GeometricBuckets.floor_log` (and `GeometricBuckets.floor_log_array`,
 its form for an int64 array) trusts a float logarithm only where its
 error provably cannot change the floor and decides the rest with exact
@@ -63,8 +64,11 @@ NEEDS = {
 #: close to an integer are snapped up before flooring.
 FLOOR_SNAP = 1e-9
 
-#: Fraction bits of the fixed-point power that builds the bucket table.
+#: Fraction bits of the fixed-point powers that build the bucket table past `FLOAT_TOP`.
 FIX_BITS = 160
+
+#: Bucket bounds below this come from float powers, checked against an error band.
+FLOAT_TOP = 2.0**36
 
 
 def snapped_floor(x: float) -> int:
@@ -143,11 +147,14 @@ class GeometricBuckets:
     `index_array` takes O(1) an entry.  Growth takes a lock and
     publishes a new table, so threads (the CLI's trials) may share one.
 
-    The table grows in linear time from a fixed-point power: ``_x`` is
-    base**u * 2**FIX_BITS, truncated after each multiplication by the
-    base, and ``_err`` bounds its error.  Where that error cannot change
-    the ceiling, the boundary is the integer part of ``_x`` plus one;
-    elsewhere it is computed exactly (see `_extend_past`).
+    Below `FLOAT_TOP` the table grows by one numpy pass of float powers
+    exp(u * log1p(delta)): a boundary is the float's floor plus one where
+    the float's error band cannot change the ceiling, else it is settled
+    by `_fixed_power`, a fixed-point power by squaring.  Past the top a
+    fixed-point power (``_fixed``: base**u * 2**FIX_BITS, truncated after
+    each multiplication by the base, and a bound on its error) steps up
+    one boundary at a time.  Where neither error bound settles the
+    ceiling, the boundary is computed exactly (see `_ceil`).
     """
 
     def __init__(self, delta: float):
@@ -163,40 +170,99 @@ class GeometricBuckets:
         # 1+delta is exact, so log1p(delta) is its log to about 1 ulp;
         # log(self.base) would carry the rounding of self.base as well
         self._ln_base = math.log1p(delta)
-        # _x <= base**u * 2**FIX_BITS <= _x + _err for u = len(_bounds) - 1
+        # the float route gives bounds 1 .. _float_end - 1, those with base**u <= FLOAT_TOP (to a rounding)
+        self._float_end = int(math.log(FLOAT_TOP) / self._ln_base) + 1
         self._bounds: list[int] = [1]
-        self._x, self._err = 1 << FIX_BITS, 0
+        # (x, err) with x <= base**u * 2**FIX_BITS <= x + err for u = len(_bounds) - 1, or None
+        self._fixed: tuple[int, int] | None = None
         self._np_cache = np.array(self._bounds, dtype=np.int64)
         self._lock = threading.Lock()
 
+    def _fixed_power(self, u: int) -> tuple[int, int]:
+        """(x, err) with x <= base**u * 2**FIX_BITS <= x + err, by squaring and multiplying, each product truncated.
+
+        With A <= a + e and B <= b + f (in units of 2**-F), AB / 2**F < floor(ab / 2**F) + 1 +
+        floor((eb + fa + ef) / 2**F) + 1, which gives each step's err.  A squaring about doubles the
+        relative error, so it stays near 3 * (u + 1) * 2**-F, and err far below 2**F in any table.
+        """
+        x, err = 1 << FIX_BITS, 0
+        sq, sq_err = (self._bnum << FIX_BITS) >> self._shift, 1  # base**(2**i) as i rises
+        while u:
+            if u & 1:
+                x, err = (x * sq) >> FIX_BITS, ((err * sq + sq_err * x + err * sq_err) >> FIX_BITS) + 2
+            u >>= 1
+            if u:
+                sq, sq_err = (sq * sq) >> FIX_BITS, ((2 * sq_err * sq + sq_err * sq_err) >> FIX_BITS) + 2
+        return x, err
+
+    def _ceil(self, u: int, x: int, err: int) -> int:
+        """ceil(base**u) from x <= base**u * 2**FIX_BITS <= x + err.
+
+        Write x = q * 2**F + f.  If f > 0 and f + err <= 2**F, then q < x / 2**F <= base**u <=
+        (x + err) / 2**F <= q + 1, so the ceiling is q + 1.  Otherwise (an integer base, whose f
+        is 0, or a power within err of an integer) it is computed exactly.
+        """
+        f = x & ((1 << FIX_BITS) - 1)
+        if 0 < f and f + err <= 1 << FIX_BITS:
+            return (x >> FIX_BITS) + 1
+        return -((-(self._bnum**u)) >> (self._shift * u))
+
     def _extend_past(self, p: int) -> None:
-        # With X = base**u * 2**F (F = FIX_BITS) and x its truncation, the
-        # step x' = floor(x * base) has X' - x' = base * (X - x) + frac <
-        # base * err + 1 <= floor(base * err) + 2, the next err; so err bounds
-        # an error below 2 * sum_{k<u} base**k units of 2**-F.  Write x =
-        # q * 2**F + f.  If f > 0 and f + err <= 2**F, then q < x / 2**F <=
-        # base**u < (x + err) / 2**F <= q + 1, so ceil(base**u) = q + 1.
-        # Otherwise (an integer base, whose f is always 0, or a power so
-        # large that err nears 2**F) the bound is computed exactly.
+        # Bounds u < _float_end come from est = exp(u * log1p(delta)) in one numpy pass.  With eps =
+        # 2**-53 (1 ulp is at most 2*eps relative) and t = u * ln(base), assuming math.log1p and np.exp
+        # each within 4 ulp (glibc documents log1p within 1 ulp; NumPy's float64 exp read within 0.65 ulp
+        # of 40-digit mpmath on 20k x86-64 samples): log1p is off by 8*eps relative and the product by
+        # eps more, so u * log1p(delta) is off by under 10*eps*t; exp turns that into a relative error
+        # under 11*eps*t and adds 8*eps; so, with t <= ln FLOAT_TOP < 25, |est - base**u| < (9 + 11*t) *
+        # eps * base**u < 2**-44 * est < 2**-44 * (floor(est) + 1).  The band is twice that, about 2**-7
+        # at FLOAT_TOP.  Where est - floor(est) (exact in floats) keeps a band away from 0 and 1,
+        # floor(est) < base**u < floor(est) + 1 and the bound is floor(est) + 1; the few entries inside
+        # the band take `_fixed_power`.
+        # Past those a fixed-point power steps up one bound at a time: with X = base**u * 2**F
+        # and x its truncation, the step x' = floor(x * base) has X' - x' = base * (X - x) + frac <
+        # base * err + 1 <= floor(base * err) + 2, the next err.  It is seeded by `_fixed_power`
+        # when a p first needs a bound past the float route, so no big power is taken below it.
         if self._bounds[-1] > p:
             return
         with self._lock:
             if self._bounds[-1] > p:  # another thread extended it meanwhile
                 return
-            bounds, x, err = self._bounds[:], self._x, self._err
-            bnum, shift, one = self._bnum, self._shift, 1 << FIX_BITS
-            while bounds[-1] <= p:
-                x, err = (x * bnum) >> shift, ((err * bnum) >> shift) + 2
-                f = x & (one - 1)
-                if 0 < f and f + err <= one:
-                    bounds.append((x >> FIX_BITS) + 1)
-                else:  # ceil(bnum**u / 2**(shift*u)) for the new boundary u
-                    u = len(bounds)
-                    bounds.append(-((-(bnum**u)) >> (shift * u)))
-            # a bound past int64 exceeds every entry, so leaving it out changes no index;
+            # readers may be bisecting the published list, so each route below builds a new one
+            bounds, fixed, table = self._bounds, self._fixed, self._np_cache
+            if len(bounds) < self._float_end:
+                u0 = len(bounds)
+                est = np.arange(u0, min(int(math.log(p) / self._ln_base) + 2, self._float_end), dtype=np.float64)
+                est *= self._ln_base
+                np.exp(est, out=est)
+                new = np.floor(est)
+                est -= new  # now the fractional part
+                new += 1.0
+                band = new * 2.0**-43  # new > est
+                settle = est <= band
+                settle |= est >= np.subtract(1.0, band, out=band)
+                new = new.astype(np.int64)
+                for i in np.flatnonzero(settle).tolist():
+                    new[i] = self._ceil(u0 + i, *self._fixed_power(u0 + i))
+                end = bisect_right(new, p) + 1  # to the first bound past p
+                bounds = bounds + new[:end].tolist()
+                table = np.concatenate((table, new[:end]))
+                fixed = None
+            if bounds[-1] <= p:
+                bounds = bounds[:] if bounds is self._bounds else bounds
+                u = len(bounds) - 1
+                x, err = fixed or self._fixed_power(u)
+                bnum, shift, one = self._bnum, self._shift, 1 << FIX_BITS
+                while bounds[-1] <= p:
+                    u += 1
+                    x, err = (x * bnum) >> shift, ((err * bnum) >> shift) + 2
+                    f = x & (one - 1)  # `_ceil`'s first case, inline
+                    bounds.append((x >> FIX_BITS) + 1 if 0 < f and f + err <= one else self._ceil(u, x, err))
+                fixed = x, err
+                # a bound past int64 exceeds every entry, so leaving it out changes no index
+                table = np.array(bounds[: bisect_left(bounds, 2**63)], dtype=np.int64)
             # the array goes out before the list, so a reader seeing the new bounds sees it too
-            self._np_cache = np.array(bounds[: bisect_left(bounds, 2**63)], dtype=np.int64)
-            self._bounds, self._x, self._err = bounds, x, err
+            self._np_cache = table
+            self._bounds, self._fixed = bounds, fixed
 
     def index(self, p: int) -> int:
         """Bucket of integer ``p >= 1``: the unique u with base**u <= p < base**(u+1)."""
@@ -335,10 +401,10 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
     if mode not in NEEDS:
         raise ParamError(f"unknown algorithm mode {mode!r}")
     params.require(*NEEDS[mode])
-    bounded = mode in GIVEN and mode not in CAPPED  # every job within a factor c: buckets 0..k, k = index(c)
+    bounded = mode in GIVEN and mode not in CAPPED  # every job within a factor c: buckets 0..k, k = floor_log(c)
     delta = params.epsilon / (20.0 if mode in SAMPLED else 3.0)
     gb = buckets_for(delta)
-    k = gb.index(params.c) if bounded else None
+    k = gb.floor_log(params.c) if bounded else None  # index(c), without growing the table to a loose c
     if mode not in SAMPLED:
         return DerivedParams(delta=delta, k=k)
     if bounded:  # the alpha scheme's sizes with alpha = 1 and c in place of c^2

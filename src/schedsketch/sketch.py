@@ -3,7 +3,8 @@
 `TreeSketch` keeps the nodes as int64 columns ``u`` (bucket), ``d``
 (depth) and ``count``, sorted by (u, d) and never holding a count of 0,
 for all four stream modes.  Every batch of distinct pairs merges in
-through one stable lexsort of the nodes and the pairs together, which
+through one stable sort of an int64 (u, d) key over the nodes and the
+pairs together, which
 adds each pair into its node or makes one for it; every reader
 (`entries`, `depth_loads`, `top_bucket`) takes the columns as they stand.
 
@@ -118,20 +119,48 @@ class TreeSketch:
     def _merge(self, u: np.ndarray, d: np.ndarray, count: np.ndarray) -> np.ndarray:
         """Add count[i] into the node at the distinct pair (u[i], d[i]), made if none is held; drop counts of 0.
 
-        One stable lexsort orders the nodes with the pairs after them, so a held node sorts just
-        before its pair.  Returns which pairs a node held.
+        One stable sort of the key (u - lo) * width + d orders the nodes with the pairs after them,
+        so a held node sorts just before its pair; a lexsort of the two columns stands in where that
+        key would pass int64, as in `pair_counts`.  Returns which pairs a node held.
         """
         nodes = self.u.size
-        us, ds = np.concatenate((self.u, u)), np.concatenate((self.d, d))
-        order = np.lexsort((ds, us))
-        us, ds, counts = us[order], ds[order], np.concatenate((self.count, count))[order]
-        match = np.flatnonzero((us[1:] == us[:-1]) & (ds[1:] == ds[:-1])) + 1  # a pair just after its node
+        lo, hi, width = int(u.min()), int(u.max()), int(d.max()) + 1
+        if nodes:
+            lo, hi, width = min(lo, int(self.u[0])), max(hi, int(self.u[-1])), max(width, int(self.d.max()) + 1)
+        wide = (hi - lo + 1) * width > 1 << 63
+        if wide:
+            us, ds = np.concatenate((self.u, u)), np.concatenate((self.d, d))
+            order = np.lexsort((ds, us))
+            us, ds = us[order], ds[order]
+            same = (us[1:] == us[:-1]) & (ds[1:] == ds[:-1])
+        else:
+            key = np.concatenate((self.u, u))
+            key -= lo
+            key *= width
+            key[:nodes] += self.d
+            key[nodes:] += d
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            same = key[1:] == key[:-1]
+        match = np.flatnonzero(same) + 1  # a pair just after its node
+        del same
+        counts = np.concatenate((self.count, count))[order]
+        held = np.zeros(u.size, dtype=bool)
+        held[order[match] - nodes] = True
+        del order
         counts[match - 1] += counts[match]
         keep = counts != 0
         keep[match] = False
-        self.u, self.d, self.count = us[keep], ds[keep], counts[keep]
-        held = np.zeros(u.size, dtype=bool)
-        held[order[match] - nodes] = True
+        self.count = counts[keep]
+        del counts
+        if wide:
+            self.u, self.d = us[keep], ds[keep]
+        else:
+            key = key[keep]
+            self.d = np.empty_like(key)
+            np.divmod(key, width, out=(key, self.d))
+            key += lo
+            self.u = key
         return held
 
     def add(self, d: int, u: int) -> bool:

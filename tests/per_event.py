@@ -24,9 +24,10 @@ sketch times, the machine bound and the report), but the capped
 modes' bucket window, the per-depth loads and the extras are computed
 here.
 Only `stream3` reports a peak node count.
-Tests hold the engine's results and errors to this walk, and
+Tests hold the engine's results and errors to this walk,
 `DepthColumns.freeze`, which keeps no id column while the ids run
-1, 2, 3, ..., to `freeze_by_id_column`, which keeps every id.
+1, 2, 3, ..., to `freeze_by_id_column`, which keeps every id, and
+`TreeSketch._merge`, which sorts one int64 key, to `merge_by_lexsort`.
 """
 
 from __future__ import annotations
@@ -119,6 +120,26 @@ class LazySketch:
                 raise InputContractError(f"bucket {u} outside [{u_lo}, {u_hi}]")
             loads[d - 1] += cnt * (float(top) if u == u_hi else gb.base ** (u + 1))
         return np.array(loads)
+
+
+def merge_by_lexsort(sk, u: np.ndarray, d: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """`TreeSketch._merge` by one stable lexsort of the two columns, as the sketch merged before its int64 key.
+
+    Adds count[i] into the node of ``sk`` at the distinct pair (u[i], d[i]), made if none is held,
+    drops counts of 0, and returns which pairs a node held.
+    """
+    nodes = sk.u.size
+    us, ds = np.concatenate((sk.u, u)), np.concatenate((sk.d, d))
+    order = np.lexsort((ds, us))
+    us, ds, counts = us[order], ds[order], np.concatenate((sk.count, count))[order]
+    match = np.flatnonzero((us[1:] == us[:-1]) & (ds[1:] == ds[:-1])) + 1  # a pair just after its node
+    counts[match - 1] += counts[match]
+    keep = counts != 0
+    keep[match] = False
+    sk.u, sk.d, sk.count = us[keep], ds[keep], counts[keep]
+    held = np.zeros(u.size, dtype=bool)
+    held[order[match] - nodes] = True
+    return held
 
 
 class _Table(DepthTable):

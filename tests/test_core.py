@@ -1,5 +1,6 @@
 """Parameter derivation and geometric bucketing."""
 
+import bisect
 import math
 import sys
 import threading
@@ -14,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schedsketch as ss
+from schedsketch import core
 from schedsketch.core import (
     CAPPED,
+    FLOAT_TOP,
     GIVEN,
     NEEDS,
     SAMPLE_ALPHA,
@@ -58,6 +61,23 @@ class TestDeriveParams:
         mpmath.mp.dps = 50
         expected = mpmath.ceil(mpmath.mpf(3) / mpmath.mpf(d.beta) ** 2 * mpmath.log(mpmath.mpf(2) / mpmath.mpf(d.gamma)))
         assert d.n_prime == int(expected) == 3681156
+
+    @pytest.mark.parametrize("c", [1, 2, 50, 4 * 10**8, 10**12, 2**62])
+    @pytest.mark.parametrize("delta", [0.1, 0.05 / 3, 0.01 / 3])
+    def test_floor_log_of_c_is_its_bucket(self, c, delta):
+        assert ss.GeometricBuckets(delta).floor_log(c) == ss.GeometricBuckets(delta).index(c)
+
+    def test_a_loose_c_leaves_the_table_at_the_largest_p(self):
+        """stream1 at c = 2**62 with every p <= 50 grows the table only past 50, yet k is c's bucket."""
+        core._buckets_for.cache_clear()
+        jobs = [ss.Job(i, 1 + i % 50, 1 + i % 2) for i in range(1, 201)]
+        rep = ss.stream_known(jobs, ss.AlgoParams(epsilon=0.05, m=1, c=2**62, h=2))
+        base, k = exact_base(0.05 / 3), rep.extras["k"]
+        assert k == 2599 and base**k <= 2**62 < base ** (k + 1)
+        fresh = ss.GeometricBuckets(0.05 / 3)
+        fresh.index(50)
+        assert ss.buckets_for(0.05 / 3)._bounds == fresh._bounds
+        assert len(fresh._bounds) == 238
 
     def test_confidence_scale_shrinks_sample(self):
         params = ss.AlgoParams(epsilon=0.5, m=1, c=1, h=1, n=10**7, confidence_scale=1 / 16)
@@ -392,6 +412,92 @@ class TestFloorLog:
                 assert got == [(want.index(10**12), want.index_array(probes).tolist())] * 4
         finally:
             sys.setswitchinterval(old)
+
+
+def exact_bounds(delta: float, count: int) -> list[int]:
+    """ceil(base**u) for u < count, from exact integer powers of the base's numerator (its denominator is 2**s)."""
+    base = exact_base(delta)
+    s = base.denominator.bit_length() - 1
+    power, out = 1, []
+    for u in range(count):
+        out.append(-((-power) >> (s * u)))
+        power *= base.numerator
+    return out
+
+
+class TestFloatRoute:
+    """Bounds below `FLOAT_TOP` come from float powers checked against an error band, past it from a fixed-point power."""
+
+    TOP = int(FLOAT_TOP)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05 / 3, 0.005])
+    @pytest.mark.parametrize("start", [1, TOP - 1, TOP, TOP + 1])
+    def test_handover_at_the_top(self, delta, start):
+        """A table grown in steps across the top, from p = 1 or one of top - 1, top, top + 1, is exact throughout."""
+        gb = ss.GeometricBuckets(delta)
+        for p in sorted({start, self.TOP - 1, self.TOP, self.TOP + 1, 2**40}):
+            if p >= start:
+                assert gb.index(p) == bisect.bisect_right(exact_bounds(delta, len(gb._bounds)), p) - 1
+                assert gb._bounds[-1] > p and gb._bounds[-2] <= p  # the table ends at the first bound past p
+                assert (gb._fixed is None) == (len(gb._bounds) <= gb._float_end)  # seeded past the float route
+        assert gb._bounds == exact_bounds(delta, len(gb._bounds))
+        assert gb._np_cache.tolist() == gb._bounds
+
+    @pytest.mark.parametrize("delta", [1.0, 3.0])
+    def test_integer_bases_take_the_exact_route(self, delta, monkeypatch):
+        """Every power of an integer base is an integer, so every float-route estimate falls in the band."""
+        seen = []
+        fixed_power = ss.GeometricBuckets._fixed_power
+        monkeypatch.setattr(ss.GeometricBuckets, "_fixed_power", lambda gb, u: seen.append(u) or fixed_power(gb, u))
+        gb = ss.GeometricBuckets(delta)
+        gb.index(2**63)
+        assert gb._bounds == [int(1 + delta) ** u for u in range(len(gb._bounds))]
+        assert gb._bounds[gb._float_end - 1] == FLOAT_TOP  # the float route ends at the top
+        assert seen[: gb._float_end - 1] == list(range(1, gb._float_end))  # and settled each entry past its estimate
+
+    def test_small_delta(self):
+        """delta = 1e-4: 690k bounds to past the top, a hundred or so in the band; checked near the top and at random."""
+        delta, gb = 1e-4, ss.GeometricBuckets(1e-4)
+        gb.index(2**20)
+        gb.index(self.TOP + 1)
+        bounds, rng = gb._bounds, np.random.default_rng(4)
+        checked = list(range(len(bounds) - 200, len(bounds))) + rng.integers(0, len(bounds), size=200).tolist()
+        with mpmath.workprec(320):
+            base = mpmath.mpf(1) + mpmath.mpf(delta)  # exact: the double 1e-4 has 53 bits
+            for u in checked:
+                power = mpmath.power(base, u)  # within 2**-280 of base**u, relative
+                assert abs(power - mpmath.nint(power)) > 2.0**-200  # so its ceiling is the exact one
+                assert bounds[u] == int(mpmath.ceil(power))
+        assert gb._np_cache.tolist() == bounds
+
+    def test_exp_within_the_assumed_ulps(self):
+        """np.exp over the float route's domain [0, ln FLOAT_TOP], held to 40-digit mpmath: within the 4 ulp assumed."""
+        rng = np.random.default_rng(5)
+        ln_top = math.log(FLOAT_TOP)
+        y = np.concatenate([rng.uniform(0.0, ln_top, size=20_000),
+                            np.arange(int(ln_top / math.log1p(0.05 / 3)) + 1) * math.log1p(0.05 / 3)])
+        est = np.exp(y)
+        with mpmath.workdps(40):
+            worst = max(abs(mpmath.mpf(e) - mpmath.exp(mpmath.mpf(x))) / float(np.spacing(e))
+                        for x, e in zip(y.tolist(), est.tolist()))
+        assert worst <= 4.0
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05 / 3, 0.01 / 3, 0.05 / 20, 1e-4, 1.0])
+    def test_log1p_within_the_assumed_ulps(self, delta):
+        with mpmath.workdps(40):
+            exact = mpmath.log(1 + mpmath.mpf(delta))
+            assert abs(mpmath.mpf(math.log1p(delta)) - exact) <= 4 * math.ulp(math.log1p(delta))
+
+    @pytest.mark.parametrize("u", [0, 1, 2, 3, 100, 1201, 5001])
+    @pytest.mark.parametrize("delta", [0.05 / 3, 1e-4, 1e-300, 3.0])
+    def test_fixed_power_brackets_the_power(self, delta, u):
+        gb = ss.GeometricBuckets(delta)
+        x, err = gb._fixed_power(u)
+        base = exact_base(delta)
+        exact = base.numerator**u << core.FIX_BITS
+        den = base.denominator**u
+        assert x * den <= exact <= (x + err) * den
+        assert err << core.FIX_BITS <= 4 * (u + 1) * x  # relative error under 4 * (u + 1) * 2**-FIX_BITS
 
 
 class TestFloorLogArray:

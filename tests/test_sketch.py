@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from per_event import LazySketch, freeze_by_id_column
+from per_event import LazySketch, freeze_by_id_column, merge_by_lexsort
 
 import schedsketch as ss
 from schedsketch import sketch
@@ -344,6 +344,63 @@ def test_nodes_are_held_in_columns():
         tracemalloc.stop()
     assert sk.node_count == 2_300
     assert size <= 32 * sk.node_count
+
+
+@st.composite
+def _merge_case(draw) -> tuple:
+    """Held nodes and distinct new pairs, counts of either sign; with ``wide``, buckets so far apart that no int64 key fits."""
+    wide = draw(st.booleans())
+    spread = 2**62 if wide else draw(st.sampled_from([1, 1000]))
+    pair = st.tuples(st.integers(-1, 1).map(lambda i: i * spread) | st.integers(-3, 6), st.integers(1, 5))
+    count = st.integers(-3, 3).filter(bool)
+    held = draw(st.dictionaries(pair, count, max_size=12))
+    new = draw(st.dictionaries(pair, st.integers(-3, 3), min_size=1, max_size=12))
+    if wide:  # buckets -2**62 and 2**62, so (hi - lo + 1) * width passes 2**63
+        held.setdefault((-spread, 1), 1)
+        new.setdefault((spread, 5), 1)
+    return held, draw(st.permutations(list(new.items())))
+
+
+def _merge_sketch(held: dict) -> TreeSketch:
+    sk = TreeSketch()
+    keys = sorted(held)
+    sk.u, sk.d = (np.array([k[i] for k in keys], dtype=np.int64) for i in (0, 1))
+    sk.count = np.array([held[k] for k in keys], dtype=np.int64)
+    return sk
+
+
+class TestMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_merge_case())
+    def test_equals_the_lexsort_merge(self, case):
+        """The one-key merge gives the lexsort merge's nodes, counts and held flags, on either route."""
+        held, pairs = case
+        u, d, count = (np.array(col, dtype=np.int64) for col in ([k[0] for k, _ in pairs], [k[1] for k, _ in pairs],
+                                                                 [c for _, c in pairs]))
+        sk, ref = _merge_sketch(held), _merge_sketch(held)
+        got, want = sk._merge(u, d, count), merge_by_lexsort(ref, u, d, count)
+        assert got.tolist() == want.tolist()
+        for col in ("u", "d", "count"):
+            assert getattr(sk, col).dtype == np.int64
+            assert getattr(sk, col).tolist() == getattr(ref, col).tolist()
+
+    def test_peak_per_row(self):
+        """100k held nodes and 100k new pairs, half of them held, merge within 40 B a row; the lexsort merge took 56."""
+        rng = np.random.default_rng(3)
+        keys = rng.permutation(300_000)
+        held, new = np.sort(keys[:100_000]), np.sort(keys[50_000:150_000])
+        sk = TreeSketch()
+        sk.u, sk.d, sk.count = held // 400, held % 400 + 1, np.ones(held.size, dtype=np.int64)
+        u, d, count = new // 400, new % 400 + 1, np.full(new.size, 2, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sk._merge(u, d, count)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sk.node_count == 150_000
+        assert peak <= 40 * (held.size + new.size)
 
 
 class TestRestrict:
