@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import fileio
@@ -216,9 +215,11 @@ def _run_trials(fn, access, base_params: AlgoParams, trials: int, tight: bool):
         return fn(access, replace(base_params, seed=seed), tight=tight)
 
     seeds = [base_params.seed + i for i in range(trials)]
-    workers = _worker_count()
-    if workers == 1:
+    workers = min(_worker_count(), trials)  # the count first, so a bad SCHEDSKETCH_THREADS exits 2 for any trials
+    if workers <= 1:
         return [run(s) for s in seeds]
+    from concurrent.futures import ThreadPoolExecutor  # only where a pool runs: the import is ~5 ms
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, seeds))
 

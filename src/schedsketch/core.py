@@ -274,7 +274,9 @@ class GeometricBuckets:
 
     def bound(self, u: int) -> int:
         """ceil(base**u) for u >= 0: every integer in bucket u is at least this."""
-        while len(self._bounds) <= u:
+        if len(self._bounds) <= u:  # one extension, to a p above base**u: exp's relative error is far below 2**-32
+            self._extend_past(int(math.exp(min(u * self._ln_base, 700.0)) * (1.0 + 2.0**-32)) + 1)
+        while len(self._bounds) <= u:  # only past exp's range
             self._extend_past(self._bounds[-1])
         return self._bounds[u]
 

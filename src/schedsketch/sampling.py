@@ -32,20 +32,27 @@ jobs exactly once; the estimates are then exact and the thresholding
 still applies.
 
 Draws are taken in batches of 2**16 (`_CHUNK`): each batch's ids are
-drawn, fetched and keyed while its int64 columns stay in cache, where
-one batch of 2**20 draws made each column an 8-MiB temporary.
+drawn, fetched and keyed while its columns stay in cache, where one
+batch of 2**20 draws made each int64 column an 8-MiB temporary.
 `Generator.integers` gives the same ids however the draws are split,
-so no batch size changes the sample.  While the call could hold no
-more (p, depth) pairs than it draws, and at most 2**20 (`_HELD`),
-judged by the largest p and depth drawn so far, one table tallies the
-pairs across the batches (a batch is never smaller than the table, so
-adding it in costs no more than its draws) and each distinct p is
-bucketed once, at the end; once it could hold more, every later draw
-is bucketed and each batch's (bucket, depth) pairs are counted by
-`pair_counts`.  One lexsort merges the parts at the end, and folds
-them into one whenever they pass 2**20 rows and twice the last fold,
-so they grow with the distinct pairs, not with the draws; the counts
-come back in increasing (u, d) for any batch size.
+so no batch size changes the sample.  Each column is held in the
+narrowest dtype that holds its values: ids are uint32 while n < 2**32
+(`Generator.integers` draws the same ids from the same state as in
+int64), an implicit family's p and depth are small unsigned columns,
+or read-only broadcast views where they are constant, and the tally's
+key is built in one intp buffer kept for the whole call.
+
+While the call could hold no more (p, depth) pairs than it draws, and
+at most 2**20 (`_HELD`), judged by the largest p and depth drawn so
+far, one table tallies the pairs across the batches (a batch is never
+smaller than the table, so adding it in costs no more than its draws)
+and each distinct p is bucketed once, at the end; once it could hold
+more, every later draw is bucketed and each batch's (bucket, depth)
+pairs are counted by `pair_counts`.  One lexsort merges the parts at
+the end, and folds them into one whenever they pass 2**20 rows and
+twice the last fold, so they grow with the distinct pairs, not with
+the draws; the counts come back in increasing (u, d) for any batch
+size.
 """
 
 from __future__ import annotations
@@ -81,7 +88,8 @@ class SampleAccess(Protocol):
     n: int
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return int64 (p, depth) arrays for the given job ids, every entry >= 1."""
+        """(p, depth) for the given job ids, every entry >= 1: integer arrays of the ids' shape, or read-only
+        broadcast views where a column is constant, each in any dtype but uint64 that holds its values."""
         ...
 
 
@@ -97,7 +105,8 @@ class ArrayAccess:
         self._depth = inst.depth
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = ids - 1
+        idx = ids.astype(np.intp)  # numpy would cast a uint32 index to intp once per gather
+        idx -= 1
         return self._p[idx], self._depth[idx]
 
 
@@ -114,10 +123,10 @@ class ChainAccess:
         self.cstar = q * h
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        depth = ids - 1
+        depth = ids - 1  # in the ids' dtype, which holds h <= n
         depth %= self.h
         depth += 1
-        return np.ones(ids.size, dtype=np.int64), depth
+        return np.broadcast_to(np.uint8(1), ids.shape), depth
 
 
 class TwoValueAccess:
@@ -136,16 +145,18 @@ class TwoValueAccess:
         self.n_big = n_big
         self.p_big = p_big
         self.p_small = p_small
+        # the smallest unsigned dtype that holds p_big, but int64 past uint32, so no uint64 meets an int64
+        self._p_dtype = np.min_scalar_type(p_big) if p_big >> 32 == 0 else np.dtype(np.int64)
 
     @property
     def total_p(self) -> int:
         return self.n_big * self.p_big + (self.n - self.n_big) * self.p_small
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = (ids <= self.n_big).astype(np.int64)  # 0 or 1, scaled in place: cheaper than np.where
+        p = (ids <= self.n_big).astype(self._p_dtype)  # 0 or 1, scaled in place: cheaper than np.where
         p *= self.p_big - self.p_small
         p += self.p_small
-        return p, np.ones(ids.size, dtype=np.int64)
+        return p, np.broadcast_to(np.uint8(1), ids.shape)
 
 
 class CountingAccess:
@@ -186,6 +197,8 @@ def estimate_counts(
     n = access.n
     full_scan = n_draws >= n
     draws = n if full_scan else n_draws
+    id_dtype = _id_dtype(n)
+    key = np.empty(0, dtype=np.intp)  # the tally's key, one buffer for every batch
     rows = width = 0  # one more than the largest p and depth drawn so far
     table = np.zeros((0, 0), dtype=np.int64)  # draws at each (p, d), while the few-values route holds
     parts = []  # (u, d, count) columns: the per-draw route's, a batch each, then the table's
@@ -194,9 +207,9 @@ def estimate_counts(
     while done < draws:
         take = min(max(_CHUNK, table.size), draws - done)  # no smaller than the tally it is added to
         if full_scan:
-            ids = np.arange(done + 1, done + take + 1, dtype=np.int64)
+            ids = np.arange(done + 1, done + take + 1, dtype=id_dtype)
         else:
-            ids = rng.integers(1, n + 1, size=take, dtype=np.int64)
+            ids = rng.integers(1, n + 1, size=take, dtype=id_dtype)
         p, depth = access.fetch(ids)
         done += take
         p_max, d_max = int(p.max()), int(depth.max())
@@ -210,15 +223,18 @@ def estimate_counts(
                 grown = np.zeros((rows, width), dtype=np.int64)
                 grown[: table.shape[0], : table.shape[1]] = table
                 table = grown
-            key = p * width
-            key += depth
-            table += np.bincount(key, minlength=table.size).reshape(rows, width)
+            if key.size < take:
+                key = np.empty(take, dtype=np.intp)
+            # dtype=intp: a uint8 p times a Python int would stay uint8 and wrap
+            at = np.multiply(p, width, out=key[:take], dtype=np.intp)
+            at += depth
+            table += np.bincount(at, minlength=table.size).reshape(rows, width)
             continue
         if min_p is not None:
             keep = p > min_p
             p, depth = p[keep], depth[keep]
         if p.size:
-            parts.append(pair_counts(buckets.index_array(p), depth))
+            parts.append(pair_counts(buckets.index_array(p.astype(np.int64, copy=False)), depth))
             held += parts[-1][0].size
             if held > fold_at:  # so the rows held grow with the distinct pairs, not with the draws
                 parts = [_merge(parts)]
@@ -254,9 +270,14 @@ def estimate_wmax(access: SampleAccess, n0: int, rng: np.random.Generator) -> in
     """Largest processing time among n0 uniform draws."""
     if n0 < 1:
         raise InputContractError(f"need at least one draw, got {n0}")
-    ids = rng.integers(1, access.n + 1, size=n0, dtype=np.int64)
+    ids = rng.integers(1, access.n + 1, size=n0, dtype=_id_dtype(access.n))
     p, _ = access.fetch(ids)
     return int(p.max())
+
+
+def _id_dtype(n: int) -> type:
+    """uint32 for the ids 1..n while they fit, else int64: `Generator.integers` draws the same ids in either."""
+    return np.uint32 if n >> 32 == 0 else np.int64
 
 
 def _scaled_estimates(

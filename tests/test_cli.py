@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -551,6 +552,35 @@ class TestWorkerCount:
         assert _worker_count() == 3
         monkeypatch.delenv("SCHEDSKETCH_THREADS")
         assert _worker_count() >= 1
+
+    def test_one_trial_starts_no_pool(self, tmp_path):
+        """One trial runs in the calling thread, for `sample1` and for `bench`: `concurrent.futures` is never imported."""
+        code = (
+            "import sys\n"
+            "import schedsketch.cli as cli\n"
+            "spec = ['--epsilon', '0.5', '--m', '1', '--c', '1', '--h', '3', '--in', 'chain:m=1,q=100,h=3',"
+            " '--confidence-scale', '0.0625', '--trials', '1', '--out', sys.argv[1]]\n"
+            "assert cli.main(['sample1', *spec]) == 0\n"
+            "assert cli.main(['bench', '--algo', 'sample1', *spec]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True,
+                              env={**os.environ, "SCHEDSKETCH_THREADS": "4"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_trials_equal_single_runs(self, monkeypatch, tmp_path, threads):
+        """`--trials 3`, in one thread or a pool, gives the rows of three one-trial runs at seeds s, s + 1, s + 2."""
+        monkeypatch.setenv("SCHEDSKETCH_THREADS", threads)
+        argv = ["sample2", "--epsilon", "0.5", "--m", "1", "--c", "10", "--h", "1", "--alpha", "0.5",
+                "--in", "alpha-mixed:n=100000,alpha=0.5,pbig=10,small=1", "--confidence-scale", "1e-9"]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--seed", "4", "--trials", "3", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["trials"]
+        for seed, row in zip((4, 5, 6), rows, strict=True):
+            assert main(argv + ["--seed", str(seed), "--trials", "1", "--out", str(out)]) == 0
+            assert row == json.loads(out.read_text())
 
 
 class TestArgparse:

@@ -455,6 +455,22 @@ class TestFloatRoute:
         assert gb._bounds[gb._float_end - 1] == FLOAT_TOP  # the float route ends at the top
         assert seen[: gb._float_end - 1] == list(range(1, gb._float_end))  # and settled each entry past its estimate
 
+    @pytest.mark.parametrize("delta", [0.05 / 3, 1.0])
+    def test_bound_grows_the_table_in_one_step(self, delta, monkeypatch):
+        """`bound(u)` on a fresh table gives the bounds `index` builds, in at most two extensions, up to past the top."""
+        asked = []
+        extend = ss.GeometricBuckets._extend_past
+        monkeypatch.setattr(ss.GeometricBuckets, "_extend_past", lambda gb, p: asked.append(p) or extend(gb, p))
+        end = ss.GeometricBuckets(delta)._float_end
+        for u in [0, 1, 2, 5, end // 2, end - 1, end, end + 1, end + 40]:
+            gb, ref = ss.GeometricBuckets(delta), ss.GeometricBuckets(delta)
+            asked.clear()
+            top = gb.bound(u)
+            assert len(asked) <= 2
+            ref.index(top)
+            assert gb._bounds[: u + 1] == ref._bounds[: u + 1] == exact_bounds(delta, u + 1)
+            assert top == gb._bounds[u]
+
     def test_small_delta(self):
         """delta = 1e-4: 690k bounds to past the top, a hundred or so in the band; checked near the top and at random."""
         delta, gb = 1e-4, ss.GeometricBuckets(1e-4)

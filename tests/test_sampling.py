@@ -169,13 +169,77 @@ class TestEstimateCountsPerDraw:
         assert max(asked) == 1 << 16 and sum(asked) == draws == 3 << 19
         assert [(d, u) for d, u in got] == [(1, 0), (1, gb.index(1 << 19))] and sum(got.values()) == draws
 
-    @pytest.mark.parametrize("n", [10**6, 2**32 - 1, 2**32 + 1, 2**40, 2**63 - 2])
+    @pytest.mark.parametrize("n", [1, 5, 10**6, 10**7, 2**32 - 1, 2**32 + 1, 2**40, 2**63 - 2])
     def test_batched_draws_equal_one_call(self, n):
-        """`Generator.integers` gives the same ids however the draws are split, so no batch size changes the sample."""
+        """`Generator.integers` gives the same ids however the draws are split, so no batch size changes the sample;
+        below 2**32 it gives them in uint32 too, and leaves the generator in the same state."""
         whole = np.random.default_rng(7).integers(1, n + 1, size=4099, dtype=np.int64)
-        rng = np.random.default_rng(7)
-        parts = [rng.integers(1, n + 1, size=k, dtype=np.int64) for k in (1, 3, 1024, 3071)]
-        assert np.array_equal(np.concatenate(parts), whole)
+        states = []
+        for dtype in (np.int64, np.uint32) if n < 2**32 else (np.int64,):
+            rng = np.random.default_rng(7)
+            parts = [rng.integers(1, n + 1, size=k, dtype=dtype) for k in (1, 3, 1024, 3071)]
+            assert np.array_equal(np.concatenate(parts), whole)
+            states.append(rng.bit_generator.state)
+        assert sampling._id_dtype(n) == (np.uint32 if n < 2**32 else np.int64)
+        assert all(state == states[0] for state in states)
+
+    @pytest.mark.parametrize(
+        "access",
+        [
+            # few (p, d) values, the tally; a uint8 p, whose key p * 2 + d passes 255
+            ss.TwoValueAccess(n=2**32 - 1, n_big=2**31, p_big=200, p_small=1),
+            ss.TwoValueAccess(n=2**32 + 1, n_big=2**31, p_big=200, p_small=1),
+            ss.TwoValueAccess(n=2**32 - 1, n_big=2**31, p_big=2**40, p_small=1),  # p past the draws: per draw
+            ss.TwoValueAccess(n=2**32 + 1, n_big=2**31, p_big=2**40, p_small=1),
+            ss.ChainAccess(m=1, q=(2**32 - 1) // 3, h=3),
+            ss.ChainAccess(m=1, q=6700417, h=641),  # 2**32 + 1 jobs
+        ],
+    )
+    @pytest.mark.parametrize("min_p", [None, 1.5])
+    def test_counts_either_side_of_the_id_switch(self, monkeypatch, access, min_p):
+        """uint32 ids up to n = 2**32 - 1, int64 from 2**32 on: the counts are those of the int64 ids, on both routes."""
+        monkeypatch.setattr(sampling, "_CHUNK", 7)
+        gb, n = ss.buckets_for(0.025), access.n
+        got, draws = ss.estimate_counts(access, 500, gb, np.random.default_rng(3), min_p=min_p)
+        tally = Counter()
+        for i in np.random.default_rng(3).integers(1, n + 1, size=500, dtype=np.int64).tolist():
+            if isinstance(access, ss.TwoValueAccess):
+                p, d = (access.p_big if i <= access.n_big else access.p_small), 1
+            else:
+                p, d = 1, (i - 1) % access.h + 1
+            if min_p is None or p > min_p:
+                tally[gb.index(p), d] += 1
+        assert list(got.items()) == [((d, u), tally[u, d]) for u, d in sorted(tally)]
+        assert draws == 500
+
+
+class TestNarrowColumns:
+    """`fetch` returns each column in a narrow dtype, or as a broadcast view, equal to the int64 column."""
+
+    @pytest.mark.parametrize(
+        "p_big,dtype",
+        [(1, np.uint8), (255, np.uint8), (256, np.uint16), (2**16, np.uint32), (2**32 - 1, np.uint32),
+         (2**32, np.int64), (2**62, np.int64)],
+    )
+    @pytest.mark.parametrize("n", [10**7, 2**40])  # uint32 ids, int64 ids
+    @pytest.mark.parametrize("small", ["one", "p_big"])
+    def test_two_value_columns(self, p_big, dtype, n, small):
+        p_small = 1 if small == "one" else p_big
+        n_big = n // 3
+        access = ss.TwoValueAccess(n=n, n_big=n_big, p_big=p_big, p_small=p_small)
+        ids = np.array([1, n_big, n_big + 1, n], dtype=sampling._id_dtype(n))
+        p, depth = access.fetch(ids)
+        want = np.where(ids.astype(np.int64) <= n_big, np.int64(p_big), np.int64(p_small))
+        assert p.dtype == dtype and p.shape == ids.shape and p.tolist() == want.tolist()
+        assert depth.shape == ids.shape and depth.tolist() == [1] * 4 and not depth.flags.writeable
+
+    @pytest.mark.parametrize("n,h", [(2**32 - 1, 3), (2**32 + 1, 641)])
+    def test_chain_columns(self, n, h):
+        access = ss.ChainAccess(m=1, q=n // h, h=h)
+        ids = np.array([1, h - 1, h, h + 1, n], dtype=sampling._id_dtype(n))
+        p, depth = access.fetch(ids)
+        assert p.shape == ids.shape and p.tolist() == [1] * 5 and not p.flags.writeable
+        assert depth.dtype == ids.dtype and depth.tolist() == [1, h - 1, h, 1, h]
 
 
 @pytest.mark.parametrize(
