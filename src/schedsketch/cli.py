@@ -18,10 +18,10 @@ import sys
 from dataclasses import replace
 
 from . import fileio
-from .core import GIVEN, NEEDS, AlgoParams, ceil_div
+from .core import GIVEN, AlgoParams, ceil_div
 from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
 from .generators import FAMILIES, generate
-from .model import Instance, JobChunk
+from .model import Instance
 from .oracles import critical_path_length, exact_makespan, list_schedule
 from .sampling import SAMPLING_ALGORITHMS, ArrayAccess, ChainAccess, TwoValueAccess
 from .schedule import schedule_instance, validate_schedule
@@ -151,14 +151,9 @@ def _run_stream(args) -> int:
     path = None  # the file streamed, if any
     if fileio.looks_like_gen_spec(args.infile):
         inst = fileio.instance_from_spec(args.infile)
-        events = inst.chunks(with_depth=args.cmd in GIVEN)
-        n = inst.n
-    else:
-        path, n = args.infile, args.n
-        if n is None and "n" in NEEDS[args.cmd]:
-            # a convenience pre-scan; pass --n to stay one-pass
-            n = sum(len(chunk.ids) for chunk in fileio.iter_chunks(path) if isinstance(chunk, JobChunk))
-        events = fileio.iter_chunks(path)
+        events, n = inst.chunks(with_depth=args.cmd in GIVEN), inst.n
+    else:  # one pass, which a pipe allows: the modes that cut by n count it as they read
+        path, n, events = args.infile, None, fileio.iter_chunks(args.infile)
     try:
         report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
     except InputContractError as exc:  # an error of one row: name its line

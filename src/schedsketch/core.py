@@ -9,12 +9,12 @@ algorithms to ``epsilon/20``.
 Powers of ``1+delta`` are irrational for the deltas we care about, so
 bucket membership is never decided with floating point alone.  The
 value ``1+delta`` (for the IEEE double ``delta``) is an exact rational
-whose denominator is a power of two; `GeometricBuckets` keeps a table of
-exact integer bucket boundaries, bisects it for one lookup, and steps an
-array's float logarithms (each within a bucket) against it.  Below
-`FLOAT_TOP` the table's boundaries come from float powers in one numpy
-pass, each read off where the float's error bound cannot change the
-ceiling; past it they come from a truncated fixed-point power whose
+whose denominator is a power of two; `GeometricBuckets` keeps one int64
+array of exact integer bucket boundaries, searches it for one lookup,
+and steps an array's float logarithms (each within a bucket) against it.
+Below `FLOAT_TOP` the table's boundaries come from float powers in one
+numpy pass, each read off where the float's error bound cannot change
+the ceiling; past it they come from a truncated fixed-point power whose
 error is tracked.  A boundary that neither settles is computed exactly.
 `GeometricBuckets.floor_log` (and `GeometricBuckets.floor_log_array`,
 its form for an int64 array) trusts a float logarithm only where its
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,8 +51,8 @@ SAMPLED = (SAMPLE_BOUNDED, SAMPLE_ALPHA)
 NEEDS = {
     STREAM_KNOWN: ("c", "h"),
     STREAM_UNKNOWN: (),
-    STREAM_ALPHA_KNOWN: ("c", "h", "n"),
-    STREAM_ALPHA_UNKNOWN: ("n",),
+    STREAM_ALPHA_KNOWN: ("c", "h"),
+    STREAM_ALPHA_UNKNOWN: (),
     SAMPLE_BOUNDED: ("c", "h"),
     SAMPLE_ALPHA: ("c", "h", "n"),
 }
@@ -141,20 +140,22 @@ class GeometricBuckets:
     """Exact geometric bucket index for positive integers.
 
     The base is the exact rational value of ``1 + delta`` where
-    ``delta`` is the given IEEE double.  Boundary ``u`` of the internal
-    table is ceil(base**u), the smallest integer in bucket ``u``; the
-    table grows lazily, `index` is a bisection, O(log u) a call, and
-    `index_array` takes O(1) an entry.  Growth takes a lock and
-    publishes a new table, so threads (the CLI's trials) may share one.
+    ``delta`` is the given IEEE double.  Bound ``u`` of the table, one
+    int64 array, is ceil(base**u), the smallest integer in bucket ``u``.
+    It grows lazily to the first bound past the largest ``p`` asked for,
+    or to its last bound below 2**63 (``_full``).  `index` is one search
+    of it and `index_array` O(1) an entry; past it, `index` is
+    `floor_log` and `bound` one `_fixed_power`.  Growth takes a lock and
+    publishes a new array, so threads (the CLI's trials) may share one.
 
     Below `FLOAT_TOP` the table grows by one numpy pass of float powers
     exp(u * log1p(delta)): a boundary is the float's floor plus one where
     the float's error band cannot change the ceiling, else it is settled
-    by `_fixed_power`, a fixed-point power by squaring.  Past the top a
-    fixed-point power (``_fixed``: base**u * 2**FIX_BITS, truncated after
-    each multiplication by the base, and a bound on its error) steps up
-    one boundary at a time.  Where neither error bound settles the
-    ceiling, the boundary is computed exactly (see `_ceil`).
+    by `_fixed_power`, a fixed-point power by squaring.  Past the top
+    each extension takes `_fixed_power` at the table's end and steps it
+    up one boundary at a time, truncated after each multiplication by
+    the base.  Where neither error bound settles the ceiling, the
+    boundary is computed exactly (see `_ceil`).
     """
 
     def __init__(self, delta: float):
@@ -172,10 +173,8 @@ class GeometricBuckets:
         self._ln_base = math.log1p(delta)
         # the float route gives bounds 1 .. _float_end - 1, those with base**u <= FLOAT_TOP (to a rounding)
         self._float_end = int(math.log(FLOAT_TOP) / self._ln_base) + 1
-        self._bounds: list[int] = [1]
-        # (x, err) with x <= base**u * 2**FIX_BITS <= x + err for u = len(_bounds) - 1, or None
-        self._fixed: tuple[int, int] | None = None
-        self._np_cache = np.array(self._bounds, dtype=np.int64)
+        self._table = np.ones(1, dtype=np.int64)  # bound 0
+        self._full = False  # the next bound lies past int64
         self._lock = threading.Lock()
 
     def _fixed_power(self, u: int) -> tuple[int, int]:
@@ -208,6 +207,7 @@ class GeometricBuckets:
         return -((-(self._bnum**u)) >> (self._shift * u))
 
     def _extend_past(self, p: int) -> None:
+        """Grow the table to its first bound past ``p < 2**63``, or to its last bound below 2**63."""
         # Bounds u < _float_end come from est = exp(u * log1p(delta)) in one numpy pass.  With eps =
         # 2**-53 (1 ulp is at most 2*eps relative) and t = u * ln(base), assuming math.log1p and np.exp
         # each within 4 ulp (glibc documents log1p within 1 ulp; NumPy's float64 exp read within 0.65 ulp
@@ -220,18 +220,17 @@ class GeometricBuckets:
         # the band take `_fixed_power`.
         # Past those a fixed-point power steps up one bound at a time: with X = base**u * 2**F
         # and x its truncation, the step x' = floor(x * base) has X' - x' = base * (X - x) + frac <
-        # base * err + 1 <= floor(base * err) + 2, the next err.  It is seeded by `_fixed_power`
-        # when a p first needs a bound past the float route, so no big power is taken below it.
-        if self._bounds[-1] > p:
+        # base * err + 1 <= floor(base * err) + 2, the next err.  Each extension seeds it with
+        # `_fixed_power` at the table's end, so no big power is taken below the float route's end.
+        if self._full or self._table[-1] > p:
             return
         with self._lock:
-            if self._bounds[-1] > p:  # another thread extended it meanwhile
+            table = self._table
+            if self._full or table[-1] > p:  # another thread extended it meanwhile
                 return
-            # readers may be bisecting the published list, so each route below builds a new one
-            bounds, fixed, table = self._bounds, self._fixed, self._np_cache
-            if len(bounds) < self._float_end:
-                u0 = len(bounds)
-                est = np.arange(u0, min(int(math.log(p) / self._ln_base) + 2, self._float_end), dtype=np.float64)
+            u = table.size
+            if u < self._float_end:
+                est = np.arange(u, min(int(math.log(p) / self._ln_base) + 2, self._float_end), dtype=np.float64)
                 est *= self._ln_base
                 np.exp(est, out=est)
                 new = np.floor(est)
@@ -242,43 +241,39 @@ class GeometricBuckets:
                 settle |= est >= np.subtract(1.0, band, out=band)
                 new = new.astype(np.int64)
                 for i in np.flatnonzero(settle).tolist():
-                    new[i] = self._ceil(u0 + i, *self._fixed_power(u0 + i))
-                end = bisect_right(new, p) + 1  # to the first bound past p
-                bounds = bounds + new[:end].tolist()
-                table = np.concatenate((table, new[:end]))
-                fixed = None
-            if bounds[-1] <= p:
-                bounds = bounds[:] if bounds is self._bounds else bounds
-                u = len(bounds) - 1
-                x, err = fixed or self._fixed_power(u)
-                bnum, shift, one = self._bnum, self._shift, 1 << FIX_BITS
-                while bounds[-1] <= p:
+                    new[i] = self._ceil(u + i, *self._fixed_power(u + i))
+                table = np.concatenate((table, new[: new.searchsorted(p, "right") + 1]))  # to the first bound past p
+            u, last, full = table.size - 1, int(table[-1]), False
+            if last <= p:
+                x, err = self._fixed_power(u)
+                bnum, shift, one, more = self._bnum, self._shift, 1 << FIX_BITS, []
+                while last <= p:
                     u += 1
                     x, err = (x * bnum) >> shift, ((err * bnum) >> shift) + 2
                     f = x & (one - 1)  # `_ceil`'s first case, inline
-                    bounds.append((x >> FIX_BITS) + 1 if 0 < f and f + err <= one else self._ceil(u, x, err))
-                fixed = x, err
-                # a bound past int64 exceeds every entry, so leaving it out changes no index
-                table = np.array(bounds[: bisect_left(bounds, 2**63)], dtype=np.int64)
-            # the array goes out before the list, so a reader seeing the new bounds sees it too
-            self._np_cache = table
-            self._bounds, self._fixed = bounds, fixed
+                    last = (x >> FIX_BITS) + 1 if 0 < f and f + err <= one else self._ceil(u, x, err)
+                    more.append(last)
+                full = last >> 63 > 0  # the bound past p is past int64: the table ends before it
+                table = np.concatenate((table, np.array(more[:-1] if full else more, dtype=np.int64)))
+            self._table = table  # before the flag, so a reader that sees the flag sees the whole table
+            self._full = full
 
     def index(self, p: int) -> int:
         """Bucket of integer ``p >= 1``: the unique u with base**u <= p < base**(u+1)."""
         p = int(p)
         if p < 1:
             raise ParamError(f"processing time must be >= 1, got {p}")
+        if p >> 63:  # past the table
+            return self.floor_log(p)
         self._extend_past(p)
-        return bisect_right(self._bounds, p) - 1
+        return int(self._table.searchsorted(p, "right")) - 1
 
     def bound(self, u: int) -> int:
         """ceil(base**u) for u >= 0: every integer in bucket u is at least this."""
-        if len(self._bounds) <= u:  # one extension, to a p above base**u: exp's relative error is far below 2**-32
-            self._extend_past(int(math.exp(min(u * self._ln_base, 700.0)) * (1.0 + 2.0**-32)) + 1)
-        while len(self._bounds) <= u:  # only past exp's range
-            self._extend_past(self._bounds[-1])
-        return self._bounds[u]
+        if u >= self._table.size:  # one extension, to a p above base**u: exp's relative error is far below 2**-32
+            self._extend_past(min(int(math.exp(min(u * self._ln_base, 44.0)) * (1.0 + 2.0**-32)) + 1, 2**63 - 1))
+        table = self._table
+        return int(table[u]) if u < table.size else self._ceil(u, *self._fixed_power(u))
 
     def index_array(self, p: np.ndarray) -> np.ndarray:
         """Vectorized `index` for an int64 array with entries >= 1, which callers check first.
@@ -289,7 +284,7 @@ class GeometricBuckets:
         if p.size == 0:
             return np.empty(0, dtype=np.int64)
         self._extend_past(int(p.max()))
-        table = self._np_cache  # bounds 0 and 1 at least, as the table now ends past p >= 1
+        table = self._table  # bounds 0 and 1 at least, as bound 1 lies below 2**63 and past p = 1
         est = np.log(p, dtype=np.float64)
         est /= self._ln_base
         u = np.minimum(est, table.size - 2, out=est).astype(np.int64)  # est >= 0: the cast floors it

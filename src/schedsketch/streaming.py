@@ -20,7 +20,7 @@ The variants differ in two policies, fixed by the mode (`core.GIVEN`,
   (`stream_alpha_known`, `stream_alpha_unknown`), where only the
   largest alpha*n jobs need be within a factor c: smaller jobs are
   skipped, the nodes below that cutoff are evicted, and one
-  ceil(p_max/n) term pays for both.
+  ceil(p_max/n) term pays for both (without n, one cut at the end).
 
 `stream_alpha_known` evicts eagerly: each rise of the cutoff drops
 every node below it.  The paper's lazy rule, at most the smallest node
@@ -259,7 +259,13 @@ def _count_chunk(p: np.ndarray, u: np.ndarray, depth: np.ndarray, sk: TreeSketch
 
 
 def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str, tight: bool) -> RunReport:
-    """The one-pass engine behind all four modes; see the module docstring."""
+    """The one-pass engine behind all four modes; see the module docstring.
+
+    A capped mode without n reads as the uncapped ones do, then cuts once at floor_log(p_max / n^2) for the counted
+    n.  Beyond the declared-n route it counts the jobs of the cutoff's bucket that arrived below the running
+    p_max/n^2: real jobs, each rounded up by at most 1+delta, so C* <= A <= (1+delta)C* + padding still holds.
+    Its ``peak_node_count`` is the uncut sketch's, the larger.
+    """
     given = mode in GIVEN  # depths on the job events
     capped = mode in CAPPED  # skip/evict below p_max/n^2
     drv = derive_params(params, mode)
@@ -268,8 +274,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
     columns = None if given else DepthColumns()
     h, c = params.h if given else 1, params.c  # the arc modes find h from the depths
     held = np.zeros(h + 1, dtype=bool)  # held[d]: some job has depth d
-    # the uncapped modes skip no job: an n^2 past int64, and a cutoff below every bucket
-    n_sq = params.n * params.n if capped else 1 << 63
+    # the uncapped modes, and the capped ones without n, skip no job: an n^2 past int64, and a cutoff below every bucket
+    n_sq = params.n * params.n if capped and params.n is not None else 1 << 63
     p_cap = math.inf if capped else c  # only the uncapped modes bound p by c
     p_max_run = 1
     cutoff = gb.floor_log(p_max_run, n_sq)
@@ -326,6 +332,8 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         raise InputContractError("empty job stream")
     if params.n is not None and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
+    if capped and params.n is None:  # the one cut, at the final p_max over the counted n^2
+        cutoff = gb.floor_log(sk.p_max, n * n)
 
     if given and not capped:  # the factor-c mode: buckets 0..k, the top pinned to c
         top, u_lo, u_hi = c, 0, drv.k

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -51,9 +52,45 @@ class TestGenAndStream:
         assert main(["stream3", "--epsilon", "0.3", "--m", "200", "--c", "1", "--h", "3",
                      "--n", "3000", "--in", str(inst_path), "--out", str(out3)]) == 0
         assert main(["stream4", "--epsilon", "0.3", "--m", "200",
-                     "--in", str(inst_path), "--out", str(out4)]) == 0  # n pre-scanned
+                     "--in", str(inst_path), "--out", str(out4)]) == 0  # no --n: one pass, cut at the end
         d3, d4 = json.loads(out3.read_text()), json.loads(out4.read_text())
         assert d3["A"] == d4["A"] == 18 + 1  # + ceil(p_max/n)
+
+    @pytest.mark.parametrize("argv", [
+        ["stream1", "--c", "50", "--h", "3"],
+        ["stream2"],
+        ["stream3", "--c", "50", "--h", "3"],
+        ["stream3", "--c", "50", "--h", "3", "--n", "6000"],
+        ["stream4"],
+        ["stream4", "--n", "6000"],
+    ])
+    def test_a_pipe_streams_as_its_file(self, tmp_path, capsys, argv):
+        """Every stream mode, with and without --n, reads a pipe in one pass: the same exit code and output as its file."""
+        path = tmp_path / "inst.txt"
+        fileio.write_instance(ss.layered([2000, 2000, 2000], c=50, m=2, seed=1), str(path))
+        data = path.read_bytes()  # past a pipe's 64-KiB buffer, so the writer waits on the reader
+        argv = argv + ["--epsilon", "0.3", "--m", "100", "--alpha", "0.5"]
+        rc_file = main(argv + ["--in", str(path)])
+        from_file = capsys.readouterr()
+        read_end, write_end = os.pipe()
+
+        def write():
+            try:
+                with os.fdopen(write_end, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:  # the run stopped reading
+                pass
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            rc_pipe = main(argv + ["--in", f"/dev/fd/{read_end}"])
+        finally:
+            os.close(read_end)
+            writer.join()
+        from_pipe = capsys.readouterr()
+        assert rc_file == 0 and json.loads(from_file.out)["algorithm"] == argv[0]
+        assert (rc_pipe, from_pipe.out, from_pipe.err) == (rc_file, from_file.out, from_file.err)
 
     def test_alpha_mixed_spec_for_stream3(self, capsys):
         rc = main(["stream3", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1",

@@ -76,8 +76,8 @@ class TestDeriveParams:
         assert k == 2599 and base**k <= 2**62 < base ** (k + 1)
         fresh = ss.GeometricBuckets(0.05 / 3)
         fresh.index(50)
-        assert ss.buckets_for(0.05 / 3)._bounds == fresh._bounds
-        assert len(fresh._bounds) == 238
+        assert ss.buckets_for(0.05 / 3)._table.tolist() == fresh._table.tolist()
+        assert fresh._table.size == 238
 
     def test_confidence_scale_shrinks_sample(self):
         params = ss.AlgoParams(epsilon=0.5, m=1, c=1, h=1, n=10**7, confidence_scale=1 / 16)
@@ -264,7 +264,7 @@ class TestBucketIndex:
         lo = 2**63 - 2**20
         rng = np.random.default_rng(0)
         p = np.concatenate([[lo, 2**63 - 1], lo + rng.integers(0, 2**20, size=500)])
-        gb = ss.GeometricBuckets(delta)  # the table's last bound lies past 2**63 - 1
+        gb = ss.GeometricBuckets(delta)  # the table ends at its last bound below 2**63
         assert gb.index_array(p).tolist() == [gb.index(int(x)) for x in p]
 
     def test_dense_range_small(self):
@@ -295,7 +295,7 @@ class TestBucketIndex:
     def test_array_route_on_a_two_entry_table(self, delta):
         gb = ss.GeometricBuckets(delta)
         assert gb.index_array(np.ones(5, dtype=np.int64)).tolist() == [0] * 5
-        assert gb._np_cache.tolist() == [1, 2]  # bounds 0 and 1 only
+        assert gb._table.tolist() == [1, 2]  # bounds 0 and 1 only
 
 
 class TestFloorLog:
@@ -369,7 +369,7 @@ class TestFloorLog:
             want.append(math.ceil(power))
             power *= b
         gb.index(want[-1])
-        assert gb._bounds[:2001] == want
+        assert gb._table[:2001].tolist() == want
 
     # 1.0 and 3.0 give integer bases: their fixed-point fraction is always 0, so
     # every boundary comes from the exact fallback
@@ -378,15 +378,15 @@ class TestFloorLog:
     @settings(max_examples=200, deadline=None)
     @given(delta=st.sampled_from(TABLE_DELTAS), data=st.data())
     def test_fixed_point_table_is_exact(self, delta, data):
-        # a fresh table grown in two steps, to a drawn p and then past 2**63,
-        # checked at a drawn boundary and at its last one
+        # a fresh table grown in two steps, to a drawn p and then to the int64 edge,
+        # checked at a drawn boundary, at its last one and at the first one past it
         gb = ss.GeometricBuckets(delta)
         gb.index(data.draw(st.integers(min_value=1, max_value=2**63)))
-        gb.index(2**63)
-        last = len(gb._bounds) - 1
-        assert gb._bounds[last] > 2**63
-        for u in (data.draw(st.integers(min_value=0, max_value=last)), last):
-            assert gb._bounds[u] == math.ceil(exact_base(delta) ** u)
+        gb.index(2**63 - 1)
+        last = gb._table.size - 1
+        assert gb._full and gb._table[last] <= 2**63 - 1 < gb.bound(last + 1)
+        for u in (data.draw(st.integers(min_value=0, max_value=last)), last, last + 1):
+            assert gb.bound(u) == math.ceil(exact_base(delta) ** u)
 
     def test_threads_extending_one_table_agree_with_one_thread(self):
         # CLI trials run on threads and share `buckets_for(delta)`; thread
@@ -407,8 +407,8 @@ class TestFloorLog:
 
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     got = [f.result() for f in [pool.submit(extend) for _ in range(4)]]
-                assert gb._bounds == want._bounds
-                assert gb._np_cache.tolist() == want._np_cache.tolist()
+                assert gb._table.tolist() == want._table.tolist()
+                assert gb._full == want._full
                 assert got == [(want.index(10**12), want.index_array(probes).tolist())] * 4
         finally:
             sys.setswitchinterval(old)
@@ -432,16 +432,24 @@ class TestFloatRoute:
 
     @pytest.mark.parametrize("delta", [0.1, 0.05 / 3, 0.005])
     @pytest.mark.parametrize("start", [1, TOP - 1, TOP, TOP + 1])
-    def test_handover_at_the_top(self, delta, start):
+    def test_handover_at_the_top(self, delta, start, monkeypatch):
         """A table grown in steps across the top, from p = 1 or one of top - 1, top, top + 1, is exact throughout."""
+        seen = []
+        fixed_power = ss.GeometricBuckets._fixed_power
+        monkeypatch.setattr(ss.GeometricBuckets, "_fixed_power", lambda gb, u: seen.append(u) or fixed_power(gb, u))
         gb = ss.GeometricBuckets(delta)
+        end = gb._float_end
         for p in sorted({start, self.TOP - 1, self.TOP, self.TOP + 1, 2**40}):
             if p >= start:
-                assert gb.index(p) == bisect.bisect_right(exact_bounds(delta, len(gb._bounds)), p) - 1
-                assert gb._bounds[-1] > p and gb._bounds[-2] <= p  # the table ends at the first bound past p
-                assert (gb._fixed is None) == (len(gb._bounds) <= gb._float_end)  # seeded past the float route
-        assert gb._bounds == exact_bounds(delta, len(gb._bounds))
-        assert gb._np_cache.tolist() == gb._bounds
+                seen.clear()
+                size = gb._table.size
+                assert gb.index(p) == bisect.bisect_right(exact_bounds(delta, gb._table.size), p) - 1
+                assert gb._table[-1] > p and gb._table[-2] <= p  # the table ends at the first bound past p
+                if gb._table.size > max(size, end):  # grown past the float route: seeded once, at its end
+                    assert seen[-1] == max(size, end) - 1 and all(u < end for u in seen[:-1])
+                else:  # the float route alone, settling its entries in the band
+                    assert all(size <= u < end for u in seen)
+        assert gb._table.tolist() == exact_bounds(delta, gb._table.size)
 
     @pytest.mark.parametrize("delta", [1.0, 3.0])
     def test_integer_bases_take_the_exact_route(self, delta, monkeypatch):
@@ -450,14 +458,14 @@ class TestFloatRoute:
         fixed_power = ss.GeometricBuckets._fixed_power
         monkeypatch.setattr(ss.GeometricBuckets, "_fixed_power", lambda gb, u: seen.append(u) or fixed_power(gb, u))
         gb = ss.GeometricBuckets(delta)
-        gb.index(2**63)
-        assert gb._bounds == [int(1 + delta) ** u for u in range(len(gb._bounds))]
-        assert gb._bounds[gb._float_end - 1] == FLOAT_TOP  # the float route ends at the top
+        gb.index(2**63 - 1)
+        assert gb._table.tolist() == [int(1 + delta) ** u for u in range(gb._table.size)]
+        assert gb._table[gb._float_end - 1] == FLOAT_TOP  # the float route ends at the top
         assert seen[: gb._float_end - 1] == list(range(1, gb._float_end))  # and settled each entry past its estimate
 
     @pytest.mark.parametrize("delta", [0.05 / 3, 1.0])
     def test_bound_grows_the_table_in_one_step(self, delta, monkeypatch):
-        """`bound(u)` on a fresh table gives the bounds `index` builds, in at most two extensions, up to past the top."""
+        """`bound(u)` on a fresh table gives the bounds `index` builds, in one extension, up to past the top."""
         asked = []
         extend = ss.GeometricBuckets._extend_past
         monkeypatch.setattr(ss.GeometricBuckets, "_extend_past", lambda gb, p: asked.append(p) or extend(gb, p))
@@ -466,17 +474,18 @@ class TestFloatRoute:
             gb, ref = ss.GeometricBuckets(delta), ss.GeometricBuckets(delta)
             asked.clear()
             top = gb.bound(u)
-            assert len(asked) <= 2
-            ref.index(top)
-            assert gb._bounds[: u + 1] == ref._bounds[: u + 1] == exact_bounds(delta, u + 1)
-            assert top == gb._bounds[u]
+            assert len(asked) <= 1
+            ref.index(min(top, 2**63 - 1))
+            want, k = exact_bounds(delta, u + 1), min(u + 1, gb._table.size)  # bounds past int64 are off the table
+            assert gb._table[:k].tolist() == ref._table[:k].tolist() == want[:k]
+            assert top == want[u]
 
     def test_small_delta(self):
         """delta = 1e-4: 690k bounds to past the top, a hundred or so in the band; checked near the top and at random."""
         delta, gb = 1e-4, ss.GeometricBuckets(1e-4)
         gb.index(2**20)
         gb.index(self.TOP + 1)
-        bounds, rng = gb._bounds, np.random.default_rng(4)
+        bounds, rng = gb._table.tolist(), np.random.default_rng(4)
         checked = list(range(len(bounds) - 200, len(bounds))) + rng.integers(0, len(bounds), size=200).tolist()
         with mpmath.workprec(320):
             base = mpmath.mpf(1) + mpmath.mpf(delta)  # exact: the double 1e-4 has 53 bits
@@ -484,7 +493,7 @@ class TestFloatRoute:
                 power = mpmath.power(base, u)  # within 2**-280 of base**u, relative
                 assert abs(power - mpmath.nint(power)) > 2.0**-200  # so its ceiling is the exact one
                 assert bounds[u] == int(mpmath.ceil(power))
-        assert gb._np_cache.tolist() == bounds
+        assert gb._table.dtype == np.int64
 
     def test_exp_within_the_assumed_ulps(self):
         """np.exp over the float route's domain [0, ln FLOAT_TOP], held to 40-digit mpmath: within the 4 ulp assumed."""
@@ -514,6 +523,42 @@ class TestFloatRoute:
         den = base.denominator**u
         assert x * den <= exact <= (x + err) * den
         assert err << core.FIX_BITS <= 4 * (u + 1) * x  # relative error under 4 * (u + 1) * 2**-FIX_BITS
+
+
+class TestInt64Edge:
+    """The table ends at its last bound below 2**63; past it `index` is `floor_log` and `bound` a fixed-point power."""
+
+    DELTAS = [0.1, 0.05 / 3, 0.005, 0.14, 1.0, 3.0]
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_table_ends_at_the_last_int64_bound(self, delta):
+        gb = ss.GeometricBuckets(delta)
+        last = gb.index(2**63 - 1)
+        want = exact_bounds(delta, last + 2)
+        assert want[last] <= 2**63 - 1 < want[last + 1]  # the last bucket
+        assert gb._full and gb._table.tolist() == want[:-1]
+        top = np.array([2**63 - 1], dtype=np.int64)
+        assert gb.index_array(top).tolist() == ss.GeometricBuckets(delta).index_array(top).tolist() == [last]
+        assert gb.index(2**63 - 1) == last and gb._table.size == last + 1  # a full table grows no further
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_first_bound_past_int64(self, delta):
+        """`bound` of the first bucket past the table is ceil(base**u), on a full table and on a fresh one."""
+        full = ss.GeometricBuckets(delta)
+        u = full.index(2**63 - 1) + 1
+        want = math.ceil(exact_base(delta) ** u)
+        assert want > 2**63 - 1
+        assert full.bound(u) == ss.GeometricBuckets(delta).bound(u) == want
+        assert full.bound(u + 7) == math.ceil(exact_base(delta) ** (u + 7))
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("p", [2**63, 2**63 + 1, 2**70])
+    def test_index_past_int64_is_floor_log(self, delta, p):
+        gb = ss.GeometricBuckets(delta)
+        u = gb.index(p)
+        assert u == gb.floor_log(p)
+        assert exact_base(delta) ** u <= p < exact_base(delta) ** (u + 1)
+        assert gb._table.size == 1  # past the table, so it is not grown
 
 
 class TestFloorLogArray:

@@ -238,6 +238,26 @@ def test_new_maxima_rarely_need_exact_powers(mode, monkeypatch):
     assert len(calls) <= 5
 
 
+@pytest.mark.parametrize("mode", ["stream3", "stream4"])
+def test_without_n_the_capped_modes_cut_once_at_the_end(mode):
+    """Without n nothing is skipped while reading; the one cut at the end keeps the cutoff's bucket whole."""
+    # n = 10 and p_max = 10**4 put the cutoff at bucket 48 (delta 0.1), which holds 98..106.  With n
+    # declared, 98 and 99 arrive below the running p_max/n^2 = 100 and are skipped; without it they count.
+    p = [10**4, 98, 99, 1, 1, 1, 1, 1, 1, 200]
+    if mode == "stream3":
+        run, events, kw = ss.stream_alpha_known, [ss.Job(j + 1, x, 1) for j, x in enumerate(p)], dict(c=10**4, h=1)
+    else:
+        run, events, kw = ss.stream_alpha_unknown, [ss.Job(j + 1, x) for j, x in enumerate(p)], {}
+    declared, counted = (run(events, P(epsilon=0.3, m=1, n=n, **kw)) for n in (10, None))
+    assert declared.extras["counted"] == 2 and counted.extras["counted"] == 4
+    assert counted.extras["n"] == 10 and counted.params.n is None
+    assert (declared.sketch_node_count, counted.sketch_node_count) == (2, 3)  # and bucket 48's node
+    if mode == "stream3":  # the uncut sketch held bucket 0 too
+        assert (declared.extras["peak_node_count"], counted.extras["peak_node_count"]) == (2, 4)
+    cstar, padding = sum(p), 10**4 + 10**3  # m = 1 at one depth: C* is the sum; p_max per depth and ceil(p_max/n)
+    assert cstar <= declared.A <= counted.A <= 1.1 * cstar + padding
+
+
 def _columns(entries: list) -> tuple:
     """(u, d, weight) rows as the columns `bucket_loads` takes."""
     u, d, weight = zip(*entries) if entries else ((), (), ())
