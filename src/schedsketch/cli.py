@@ -151,9 +151,12 @@ def _run_stream(args) -> int:
     path = None  # the file streamed, if any
     if fileio.looks_like_gen_spec(args.infile):
         inst = fileio.instance_from_spec(args.infile)
-        events, n = inst.chunks(with_depth=args.cmd in GIVEN), inst.n
+        events = inst.chunks(with_depth=args.cmd in GIVEN)
+        n = inst.n
     else:  # one pass, which a pipe allows: the modes that cut by n count it as they read
-        path, n, events = args.infile, None, fileio.iter_chunks(args.infile)
+        path = args.infile
+        n = None  # `_params` takes --n when it is given
+        events = fileio.iter_chunks(path)
     try:
         report = STREAMING_ALGORITHMS[args.cmd](events, _params(args, n=n), tight=args.tight)
     except InputContractError as exc:  # an error of one row: name its line

@@ -243,20 +243,21 @@ class GeometricBuckets:
                 for i in np.flatnonzero(settle).tolist():
                     new[i] = self._ceil(u + i, *self._fixed_power(u + i))
                 table = np.concatenate((table, new[: new.searchsorted(p, "right") + 1]))  # to the first bound past p
-            u, last, full = table.size - 1, int(table[-1]), False
+            u = table.size - 1
+            last = int(table[-1])
             if last <= p:
                 x, err = self._fixed_power(u)
-                bnum, shift, one, more = self._bnum, self._shift, 1 << FIX_BITS, []
+                bnum, shift, one = self._bnum, self._shift, 1 << FIX_BITS
+                more = []
                 while last <= p:
                     u += 1
                     x, err = (x * bnum) >> shift, ((err * bnum) >> shift) + 2
                     f = x & (one - 1)  # `_ceil`'s first case, inline
                     last = (x >> FIX_BITS) + 1 if 0 < f and f + err <= one else self._ceil(u, x, err)
                     more.append(last)
-                full = last >> 63 > 0  # the bound past p is past int64: the table ends before it
-                table = np.concatenate((table, np.array(more[:-1] if full else more, dtype=np.int64)))
+                table = np.concatenate((table, np.array(more[:-1] if last >> 63 else more, dtype=np.int64)))
             self._table = table  # before the flag, so a reader that sees the flag sees the whole table
-            self._full = full
+            self._full = last >> 63 > 0  # the bound past p is past int64: the table ends before it
 
     def index(self, p: int) -> int:
         """Bucket of integer ``p >= 1``: the unique u with base**u <= p < base**(u+1)."""
@@ -270,8 +271,6 @@ class GeometricBuckets:
 
     def bound(self, u: int) -> int:
         """ceil(base**u) for u >= 0: every integer in bucket u is at least this."""
-        if u >= self._table.size:  # one extension, to a p above base**u: exp's relative error is far below 2**-32
-            self._extend_past(min(int(math.exp(min(u * self._ln_base, 44.0)) * (1.0 + 2.0**-32)) + 1, 2**63 - 1))
         table = self._table
         return int(table[u]) if u < table.size else self._ceil(u, *self._fixed_power(u))
 

@@ -332,14 +332,12 @@ def _stream(events: Iterable[StreamEvent | Chunk], params: AlgoParams, mode: str
         raise InputContractError("empty job stream")
     if params.n is not None and n != params.n:
         raise InputContractError(f"stream carried {n} jobs but n={params.n} was declared")
-    if capped and params.n is None:  # the one cut, at the final p_max over the counted n^2
-        cutoff = gb.floor_log(sk.p_max, n * n)
 
     if given and not capped:  # the factor-c mode: buckets 0..k, the top pinned to c
         top, u_lo, u_hi = c, 0, drv.k
-    else:  # sk.p_max == p_max_run: the largest job is never skipped
+    else:  # the capped modes cut at floor_log(p_max / n^2), the running cutoff at the end when n is declared
         top = sk.p_max
-        u_lo, u_hi = (cutoff if capped else gb.index(sk.p_min)), gb.index(top)
+        u_lo, u_hi = (gb.floor_log(top, n * n) if capped else gb.index(sk.p_min)), gb.index(top)
     final = sk.restrict(u_lo, u_hi) if capped else sk
     extras = {"delta": drv.delta, "k": drv.k, "p_max": sk.p_max, "input_sketch": final}
     if not given:  # the c and h the arc modes discover

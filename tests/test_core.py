@@ -464,21 +464,17 @@ class TestFloatRoute:
         assert seen[: gb._float_end - 1] == list(range(1, gb._float_end))  # and settled each entry past its estimate
 
     @pytest.mark.parametrize("delta", [0.05 / 3, 1.0])
-    def test_bound_grows_the_table_in_one_step(self, delta, monkeypatch):
-        """`bound(u)` on a fresh table gives the bounds `index` builds, in one extension, up to past the top."""
+    def test_bound_leaves_a_fresh_table_alone(self, delta, monkeypatch):
+        """`bound(u)` on a fresh table gives the exact bounds, up to past the top, and grows no table."""
         asked = []
         extend = ss.GeometricBuckets._extend_past
         monkeypatch.setattr(ss.GeometricBuckets, "_extend_past", lambda gb, p: asked.append(p) or extend(gb, p))
         end = ss.GeometricBuckets(delta)._float_end
+        want = exact_bounds(delta, end + 41)
         for u in [0, 1, 2, 5, end // 2, end - 1, end, end + 1, end + 40]:
-            gb, ref = ss.GeometricBuckets(delta), ss.GeometricBuckets(delta)
-            asked.clear()
-            top = gb.bound(u)
-            assert len(asked) <= 1
-            ref.index(min(top, 2**63 - 1))
-            want, k = exact_bounds(delta, u + 1), min(u + 1, gb._table.size)  # bounds past int64 are off the table
-            assert gb._table[:k].tolist() == ref._table[:k].tolist() == want[:k]
-            assert top == want[u]
+            gb = ss.GeometricBuckets(delta)
+            assert gb.bound(u) == want[u]
+            assert asked == [] and gb._table.tolist() == [1]
 
     def test_small_delta(self):
         """delta = 1e-4: 690k bounds to past the top, a hundred or so in the band; checked near the top and at random."""
