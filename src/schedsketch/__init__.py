@@ -13,101 +13,38 @@ The package has three layers:
 Ground truth for testing comes from an exact brute-force oracle (tiny
 instances), Graham list scheduling, and instance families with known
 optima.
+
+Importing the package imports none of its modules: each public name
+below imports its module on first use (PEP 562).
 """
 
-from .core import (
-    AlgoParams,
-    DerivedParams,
-    GeometricBuckets,
-    buckets_for,
-    derive_params,
-)
-from .errors import (
-    CycleSuspicionError,
-    InputContractError,
-    InvariantViolationError,
-    ParamError,
-    SketchInfeasibleError,
-)
-from .generators import alpha_mixed, chain, generate, layered, random_dag
-from .model import Arc, Instance, Job, RunReport, ScheduleSketch
-from .oracles import compute_depths, critical_path_length, exact_makespan, list_schedule
-from .sampling import (
-    ArrayAccess,
-    ChainAccess,
-    CountingAccess,
-    TwoValueAccess,
-    estimate_counts,
-    estimate_wmax,
-    rand_approx_alpha,
-    rand_approx_bounded,
-)
-from .schedule import (
-    ConcreteSchedule,
-    Violation,
-    schedule_instance,
-    sketch_to_schedule,
-    validate_schedule,
-)
-from .sketch import (
-    DepthTable,
-    TreeSketch,
-    sketch_from_json,
-    sketch_to_json,
-)
-from .streaming import (
-    stream_alpha_known,
-    stream_alpha_unknown,
-    stream_known,
-    stream_unknown,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgoParams",
-    "Arc",
-    "ArrayAccess",
-    "ChainAccess",
-    "ConcreteSchedule",
-    "CountingAccess",
-    "CycleSuspicionError",
-    "DepthTable",
-    "DerivedParams",
-    "GeometricBuckets",
-    "InputContractError",
-    "Instance",
-    "InvariantViolationError",
-    "Job",
-    "ParamError",
-    "RunReport",
-    "ScheduleSketch",
-    "SketchInfeasibleError",
-    "TreeSketch",
-    "TwoValueAccess",
-    "Violation",
-    "alpha_mixed",
-    "buckets_for",
-    "chain",
-    "compute_depths",
-    "critical_path_length",
-    "derive_params",
-    "estimate_counts",
-    "estimate_wmax",
-    "exact_makespan",
-    "generate",
-    "layered",
-    "list_schedule",
-    "rand_approx_alpha",
-    "rand_approx_bounded",
-    "random_dag",
-    "schedule_instance",
-    "sketch_from_json",
-    "sketch_to_json",
-    "sketch_to_schedule",
-    "stream_alpha_known",
-    "stream_alpha_unknown",
-    "stream_known",
-    "stream_unknown",
-    "validate_schedule",
-]
+_EXPORTS = {  # module -> the public names it gives the package
+    "core": ("AlgoParams", "DerivedParams", "GeometricBuckets", "buckets_for", "derive_params"),
+    "errors": ("CycleSuspicionError", "InputContractError", "InvariantViolationError", "ParamError",
+               "SketchInfeasibleError"),
+    "generators": ("alpha_mixed", "chain", "generate", "layered", "random_dag"),
+    "model": ("Arc", "Instance", "Job", "RunReport", "ScheduleSketch"),
+    "oracles": ("compute_depths", "critical_path_length", "exact_makespan", "list_schedule"),
+    "sampling": ("ArrayAccess", "ChainAccess", "CountingAccess", "TwoValueAccess", "estimate_counts",
+                 "estimate_wmax", "rand_approx_alpha", "rand_approx_bounded"),
+    "schedule": ("ConcreteSchedule", "Violation", "schedule_instance", "sketch_to_schedule", "validate_schedule"),
+    "sketch": ("DepthTable", "TreeSketch", "sketch_to_json"),
+    "streaming": ("stream_alpha_known", "stream_alpha_unknown", "stream_known", "stream_unknown"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,19 +18,17 @@ import sys
 from dataclasses import replace
 
 from . import fileio
-from .core import GIVEN, AlgoParams, ceil_div
+from .core import GIVEN, SAMPLED, AlgoParams, ceil_div
 from .errors import InputContractError, InvariantViolationError, ParamError, SketchInfeasibleError
-from .generators import FAMILIES, generate
 from .model import Instance
-from .oracles import critical_path_length, exact_makespan, list_schedule
-from .sampling import SAMPLING_ALGORITHMS, ArrayAccess, ChainAccess, TwoValueAccess
 from .schedule import schedule_instance, validate_schedule
 from .sketch import sketch_to_json
 from .streaming import STREAMING_ALGORITHMS
 
 STREAM_CMDS = tuple(STREAMING_ALGORITHMS)
-SAMPLE_CMDS = tuple(SAMPLING_ALGORITHMS)
+SAMPLE_CMDS = SAMPLED  # from core, so that naming the commands imports no sampler
 COMMANDS = STREAM_CMDS + SAMPLE_CMDS + ("schedule", "oracle", "gen", "bench")
+GEN_KEYS = ("m", "q", "h", "n", "alpha", "c", "pbig", "small", "shape", "density", "seed")  # gen's flags: spec keys
 EXIT_CODES = {ParamError: 2, OSError: 2, InputContractError: 3, SketchInfeasibleError: 4, InvariantViolationError: 5}
 
 
@@ -71,6 +69,8 @@ def _add_command(sub, cmd: str) -> None:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--m", type=int)
     elif cmd == "gen":
+        from .generators import FAMILIES
+
         p = sub.add_parser("gen", help="write an instance file")
         p.add_argument("--family", required=True, choices=tuple(FAMILIES))
         p.add_argument("--out", required=True)
@@ -179,12 +179,16 @@ def _load_instance(path: str, m: int | None = None) -> Instance:
 
 
 def _access_for(args):
+    from .sampling import ArrayAccess
+
     if fileio.looks_like_gen_spec(args.infile):
         return fileio.access_from_spec(args.infile)
     return ArrayAccess(_load_instance(args.infile))
 
 
 def _run_sample(args) -> int:
+    from .sampling import SAMPLING_ALGORITHMS
+
     access = _access_for(args)
     fn = SAMPLING_ALGORITHMS[args.cmd]
     if args.trials <= 1:
@@ -238,52 +242,28 @@ def _run_schedule(args) -> int:
 
 
 def _run_oracle(args) -> int:
+    from .oracles import exact_makespan, list_schedule
+
     inst = _load_instance(args.infile, m=args.m)
     print(exact_makespan(inst) if args.which == "exact" else list_schedule(inst).makespan)
     return 0
 
 
 def _run_gen(args) -> int:
-    def given(value, default):  # an explicit 0 is a value, not a missing flag
-        return default if value is None else value
-
-    if args.family == "chain":
-        kwargs = {"m": args.m, "q": args.q, "h": args.h}
-    elif args.family == "layered":
-        try:
-            shape = [int(x) for x in args.shape.split("/")]
-        except (AttributeError, ValueError):  # no --shape, or a count that is no integer
-            raise ParamError(f"layered needs --shape counts like 3/4/5, got {args.shape!r}") from None
-        kwargs = {"shape": shape, "c": given(args.c, 3), "m": args.m}
-    elif args.family == "alpha-mixed":
-        kwargs = {
-            "n": args.n,
-            "alpha": given(args.alpha, 0.5),
-            "c": given(args.c, 2),
-            "p_big": given(args.pbig, 10),
-            "m": args.m,
-            "h": given(args.h, 1),
-        }
-        if args.small is not None:
-            kwargs["small"] = args.small
-    else:
-        kwargs = {
-            "n": args.n,
-            "h": given(args.h, 3),
-            "density": given(args.density, 0.2),
-            "m": args.m,
-            "c": given(args.c, 3),
-        }
-    missing = [k for k, v in kwargs.items() if v is None]
-    if missing:
-        raise ParamError(f"gen --family {args.family} needs values for: {', '.join(missing)}")
-    inst = generate(args.family, seed=args.seed, **kwargs)
+    """Write the family's instance: the flags given are its spec keys, and the family function holds the defaults."""
+    kwargs = {key: getattr(args, key) for key in GEN_KEYS if getattr(args, key) is not None}
+    if "shape" in kwargs:
+        kwargs["shape"] = fileio.spec_value("shape", kwargs["shape"])
+    inst = fileio.build_instance(args.family, kwargs, f"gen --family {args.family}")
     fileio.write_instance(inst, args.out, with_depths=not args.no_depths)
     print(f"wrote {inst.n} jobs, {inst.arcs.shape[0]} arcs to {args.out}")
     return 0
 
 
 def _known_cstar(args, access_or_inst) -> tuple[str, float]:
+    from .oracles import critical_path_length
+    from .sampling import ChainAccess, TwoValueAccess
+
     if isinstance(access_or_inst, ChainAccess):
         a = access_or_inst
         # independent unit chains pack perfectly: optimum is max(h, ceil(total/m))
@@ -299,6 +279,8 @@ def _known_cstar(args, access_or_inst) -> tuple[str, float]:
 
 
 def _run_bench(args) -> int:
+    from .sampling import SAMPLING_ALGORITHMS, ArrayAccess
+
     rows = []
     if args.algo in SAMPLE_CMDS:
         access = _access_for(args)

@@ -69,6 +69,9 @@ FIX_BITS = 160
 #: Bucket bounds below this come from float powers, checked against an error band.
 FLOAT_TOP = 2.0**36
 
+#: Most bounds a bucket table up to 2**63 - 1 may hold (32 MiB of int64): it sets each mode's smallest epsilon.
+TABLE_MAX = 2**22
+
 
 def snapped_floor(x: float) -> int:
     """Floor ``x``, snapping values within `FLOOR_SNAP` of an integer upward."""
@@ -398,7 +401,12 @@ def derive_params(params: AlgoParams, mode: str) -> DerivedParams:
         raise ParamError(f"unknown algorithm mode {mode!r}")
     params.require(*NEEDS[mode])
     bounded = mode in GIVEN and mode not in CAPPED  # every job within a factor c: buckets 0..k, k = floor_log(c)
-    delta = params.epsilon / (20.0 if mode in SAMPLED else 3.0)
+    divisor = 20.0 if mode in SAMPLED else 3.0
+    delta = params.epsilon / divisor
+    if math.log(2**63) > TABLE_MAX * math.log1p(delta):  # checked before any table is built
+        floor = divisor * math.expm1(math.log(2**63) / TABLE_MAX)
+        raise ParamError(f"epsilon {params.epsilon:g} is below {mode}'s smallest, about {floor:.3g}: its bucket "
+                         f"table up to 2**63 - 1 would hold more than {TABLE_MAX} bounds")
     gb = buckets_for(delta)
     k = gb.floor_log(params.c) if bounded else None  # index(c), without growing the table to a loose c
     if mode not in SAMPLED:

@@ -31,23 +31,23 @@ also serve the chain and constant alpha-mixed families implicitly, so
 from __future__ import annotations
 
 import contextlib
-import inspect
 import json
 import os
 import re
 import warnings
 from dataclasses import asdict
 from itertools import repeat
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import CycleSuspicionError, InputContractError, InvariantViolationError, ParamError
 from .model import Arc, ArcChunk, Chunk, Instance, Job, JobChunk, RunReport, ScheduleSketch, StreamEvent
-from .generators import FAMILIES, big_jobs, generate
-from .sampling import ChainAccess, SampleAccess, TwoValueAccess
-from .schedule import ConcreteSchedule, Violation
 from .sketch import DepthColumns
+
+if TYPE_CHECKING:  # the generators, the samplers and the second pass load only where a command uses them
+    from .sampling import SampleAccess
+    from .schedule import ConcreteSchedule, Violation
 
 HEADER = "# sched-stream v1"
 P_LIMIT = 2**63 - 1  # every field is held as int64
@@ -452,7 +452,11 @@ def write_violations(violations: list[Violation], path: str) -> None:
 
 
 def looks_like_gen_spec(text: str) -> bool:
-    return ":" in text and not os.path.exists(text) and text.split(":", 1)[0] in FAMILIES
+    if ":" not in text or os.path.exists(text):
+        return False
+    from .generators import FAMILIES
+
+    return text.split(":", 1)[0] in FAMILIES
 
 
 def parse_gen_spec(text: str) -> tuple[str, dict]:
@@ -465,18 +469,31 @@ def parse_gen_spec(text: str) -> tuple[str, dict]:
             if not _:
                 raise ParamError(f"bad generator spec item {item!r}")
             key = key.strip()
-            try:
-                if key == "shape":
-                    kwargs[key] = [int(x) for x in val.split("/")]
-                else:
-                    kwargs[key] = float(val) if key in ("alpha", "density") else int(val)
-            except ValueError:
-                raise ParamError(f"bad generator spec item {item!r}") from None
+            kwargs[key] = spec_value(key, val)
     return family, kwargs
+
+
+def spec_value(key: str, text: str) -> int | float | list[int]:
+    """A generator key's value: counts like 3/4/5 for ``shape``, a float for ``alpha`` and ``density``, else an int."""
+    try:
+        if key == "shape":
+            return [int(x) for x in text.split("/")]
+        return float(text) if key in ("alpha", "density") else int(text)
+    except ValueError:
+        raise ParamError(f"bad generator value {key}={text!r}") from None
 
 
 def instance_from_spec(text: str) -> Instance:
     family, kwargs = parse_gen_spec(text)
+    return build_instance(family, kwargs, f"generator spec {text!r}")
+
+
+def build_instance(family: str, kwargs: dict, source: str) -> Instance:
+    """The family's instance for spec keys ``kwargs``; its function holds the defaults, and ``source`` names errors."""
+    import inspect
+
+    from .generators import FAMILIES, generate
+
     seed = kwargs.pop("seed", 0)
     if "pbig" in kwargs:  # the key `access_from_spec` reads, so one spec serves both
         kwargs["p_big"] = kwargs.pop("pbig")
@@ -484,7 +501,7 @@ def instance_from_spec(text: str) -> Instance:
         if family in FAMILIES:  # else `generate` names the unknown family
             inspect.signature(FAMILIES[family]).bind(**kwargs)
     except TypeError as exc:  # a key missing, or one the family does not take
-        raise ParamError(f"generator spec {text!r}: {exc}") from None
+        raise ParamError(f"{source}: {exc}") from None
     return generate(family, seed=seed, **kwargs)
 
 
@@ -493,6 +510,9 @@ IMPLICIT_KEYS = {"chain": {"m", "q", "h", "seed"}, "alpha-mixed": {"n", "alpha",
 
 def access_from_spec(text: str) -> SampleAccess:
     """Implicit sample access for the families that support it."""
+    from .generators import big_jobs
+    from .sampling import ChainAccess, TwoValueAccess
+
     family, kwargs = parse_gen_spec(text)
     unknown = sorted(set(kwargs) - IMPLICIT_KEYS.get(family, set(kwargs)))
     if unknown:

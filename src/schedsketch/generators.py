@@ -59,7 +59,7 @@ def chain(m: int, q: int, h: int) -> Instance:
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)
 
 
-def layered(shape: list[int], c: int, m: int, seed: int = 0) -> Instance:
+def layered(shape: list[int], m: int, c: int = 3, seed: int = 0) -> Instance:
     """Per-depth job counts; each non-source depends on one previous-layer job."""
     if not shape or any(s < 1 for s in shape):
         raise ParamError("layered family needs at least one job per layer")
@@ -83,7 +83,7 @@ def big_jobs(n: int, alpha: float, c: int) -> int:
     return ceil_div(int(round(alpha * n * 10**9)), 10**9)
 
 
-def alpha_mixed(n: int, alpha: float, c: int, p_big: int, m: int = 1, h: int = 1, seed: int = 0,
+def alpha_mixed(n: int, alpha: float = 0.5, c: int = 2, p_big: int = 10, m: int = 1, h: int = 1, seed: int = 0,
                 small: int | None = None) -> Instance:
     """Exactly ceil(alpha*n) jobs in [ceil(p_big/c), p_big]; the rest smaller.
 
@@ -125,7 +125,7 @@ def alpha_mixed(n: int, alpha: float, c: int, p_big: int, m: int = 1, h: int = 1
     return Instance(p=p, depth=depth, arcs=arcs_arr, m=m, meta=meta)
 
 
-def random_dag(n: int, h: int, density: float, m: int, c: int = 3, seed: int = 0) -> Instance:
+def random_dag(n: int, m: int, h: int = 3, density: float = 0.2, c: int = 3, seed: int = 0) -> Instance:
     """Random level-respecting DAG; depths recomputed from the arcs."""
     if n < 1 or h < 1:
         raise ParamError("random-dag family needs n, h >= 1")

@@ -256,18 +256,6 @@ def sketch_to_json(sk: TreeSketch) -> str:
     return json.dumps({"entries": entries, "p_min": sk.p_min, "p_max": sk.p_max})
 
 
-def sketch_from_json(text: str) -> TreeSketch:
-    """The sketch that `sketch_to_json` wrote; entries in another order are sorted by (u, d)."""
-    doc = json.loads(text)
-    sk = TreeSketch()
-    cols = np.array([[int(e[key]) for e in doc["entries"]] for key in "udn"], dtype=np.int64).reshape(3, -1)
-    sk.u, sk.d, sk.count = cols.take(np.lexsort(cols[1::-1]), axis=1)
-    sk.total_counted = int(sk.count.sum())
-    sk.p_min, sk.p_max = doc.get("p_min"), doc.get("p_max")
-    sk.peak_node_count = sk.node_count
-    return sk
-
-
 # The engine keeps per-job depths in `DepthColumns`.  This dict form stays:
 # the tests' per-event reference walks arcs with it, and perfbench/tracer.py
 # still patches its methods by name.

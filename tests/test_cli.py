@@ -565,6 +565,20 @@ class TestGenFamilies:
         rc = main(["gen", "--family", "alpha-mixed", "--out", str(tmp_path / "i.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv,defaults,spec", [
+        (["--family", "layered", "--shape", "3/4/5"], ["--c", "3"], "layered:shape=3/4/5,m=1"),
+        (["--family", "alpha-mixed", "--n", "60"], ["--alpha", "0.5", "--c", "2", "--pbig", "10", "--h", "1"],
+         "alpha-mixed:n=60"),
+        (["--family", "random-dag", "--n", "20"], ["--h", "3", "--density", "0.2", "--c", "3"], "random-dag:n=20,m=1"),
+    ], ids=["layered", "alpha-mixed", "random-dag"])
+    def test_family_defaults_are_declared_once(self, tmp_path, argv, defaults, spec):
+        """`gen` without a family's flags writes the file that the flags' old defaults wrote, as a spec does."""
+        bare, given, from_spec = (tmp_path / name for name in ("bare.txt", "given.txt", "spec.txt"))
+        assert main(["gen", *argv, "--out", str(bare)]) == 0
+        assert main(["gen", *argv, *defaults, "--out", str(given)]) == 0
+        fileio.write_instance(fileio.instance_from_spec(spec), str(from_spec))
+        assert bare.read_bytes() == given.read_bytes() == from_spec.read_bytes()
+
 
 class TestSketchOut:
     def test_stream_persists_input_sketch(self, chain_files):
@@ -618,6 +632,81 @@ class TestWorkerCount:
         for seed, row in zip((4, 5, 6), rows, strict=True):
             assert main(argv + ["--seed", str(seed), "--trials", "1", "--out", str(out)]) == 0
             assert row == json.loads(out.read_text())
+
+
+TWO_JOBS = "# sched-stream v1\nJ 1 3 1\nJ 2 5 2\nA 1 2\n"
+_FILE_RUNS = {  # a command on {tmp}/two.txt, and the --sks result file of `schedule`
+    "stream1": ["stream1", "--epsilon", "0.3", "--m", "1", "--c", "5", "--h", "2"],
+    "stream2": ["stream2", "--epsilon", "0.3", "--m", "1"],
+    "stream3": ["stream3", "--epsilon", "0.3", "--m", "1", "--c", "5", "--h", "2", "--n", "2"],
+    "stream4": ["stream4", "--epsilon", "0.3", "--m", "1"],
+    "schedule": ["schedule", "--sks", "{tmp}/r.json", "--m", "1"],
+}
+
+
+class TestImportOnUse:
+    @pytest.mark.parametrize("cmd", sorted(_FILE_RUNS))
+    def test_file_runs_load_no_generator_oracle_or_sampler(self, tmp_path, cmd):
+        """A fresh `streamN` or `schedule` process on a file imports none of the modules other commands need."""
+        (tmp_path / "two.txt").write_text(TWO_JOBS)
+        (tmp_path / "r.json").write_text('{"sks": [3, 8]}')
+        argv = [a.format(tmp=tmp_path) for a in _FILE_RUNS[cmd]] + ["--in", str(tmp_path / "two.txt"),
+                                                                     "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "import schedsketch.cli as cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "loaded = ('schedsketch.generators', 'schedsketch.oracles', 'schedsketch.sampling', 'concurrent.futures')\n"
+            "print([name for name in loaded if name in sys.modules], file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
+    def test_package_import_loads_no_module(self):
+        code = "import sys, schedsketch\nprint(sorted(m for m in sys.modules if m.startswith('schedsketch.')))\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_every_public_name_is_its_modules(self):
+        assert ss.__all__ and set(ss.__all__) <= set(dir(ss))
+        for name in ss.__all__:
+            module = __import__(f"schedsketch.{ss._MODULE_OF[name]}", fromlist=[name])
+            assert getattr(ss, name) is getattr(module, name)
+
+    def test_star_import_binds_every_name(self):
+        names: dict = {}
+        exec("from schedsketch import *", names)
+        assert {name: names[name] for name in ss.__all__} == {name: getattr(ss, name) for name in ss.__all__}
+
+    @pytest.mark.parametrize("name", ["no_such_name", "sketch_from_json"])
+    def test_an_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ss, name)
+
+
+_RUNS = {**_FILE_RUNS, **{cmd: [cmd, "--epsilon", "0.3", "--m", "1", "--c", "5", "--h", "2", "--confidence-scale",
+                                 "1e-9"] for cmd in ("sample1", "sample2")}}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["1e-300", "just-below"])
+@pytest.mark.parametrize("cmd", ["stream1", "stream2", "stream3", "stream4", "sample1", "sample2"])
+def test_epsilon_below_the_bucket_table_floor_exits_2(tmp_path, capsys, cmd, below):
+    """An epsilon whose bucket table would pass 2**22 bounds exits 2 with one line, before any table is built."""
+    from schedsketch import core
+
+    floor = 2.0823e-4 if cmd in core.SAMPLED else 3.1234e-5  # 20 or 3 times expm1(log(2**63) / 2**22)
+    (tmp_path / "two.txt").write_text(TWO_JOBS)
+    argv = _RUNS[cmd] + ["--in", str(tmp_path / "two.txt")]
+    argv[2] = f"{floor * (1 - 1e-4):.6g}" if below else "1e-300"
+    tables = core._buckets_for.cache_info().currsize
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: epsilon ") and f"about {floor:.3g}" in err
+    assert core._buckets_for.cache_info().currsize == tables
+    argv[2] = f"{floor * (1 + 1e-4):.6g}"  # just above the floor the same run succeeds
+    assert main(argv) == 0
 
 
 class TestArgparse:
@@ -726,6 +815,10 @@ MALFORMED_INPUTS = {
                       2, None, None),
     "gen c 0": (["gen", "--family", "layered", "--shape", "3/3", "--c", "0", "--out", "{tmp}/g.txt"], 2, None, None),
     "gen shape not integers": (["gen", "--family", "layered", "--shape", "3/x", "--out", "{tmp}/g.txt"], 2, None, None),
+    "gen flag the family does not take": (
+        ["gen", "--family", "chain", "--q", "1", "--h", "1", "--c", "3", "--out", "{tmp}/g.txt"], 2, None, None
+    ),
+    "gen layered without shape": (["gen", "--family", "layered", "--out", "{tmp}/g.txt"], 2, None, None),
     "result not JSON": (_SCHEDULE, 3, "not json", None),
     "result a JSON list": (_SCHEDULE, 3, "[6, 12]", None),
     "result without sks": (_SCHEDULE, 3, '{"A": 12}', None),

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import schedsketch as ss
-from schedsketch import fileio
+from schedsketch import fileio, generators
 from schedsketch.cli import main
 from schedsketch.model import ArcChunk, JobChunk
 from schedsketch.schedule import schedule_instance
@@ -419,7 +419,7 @@ class TestChunkedReader:
         def replay(reader, block):
             raise AssertionError(f"{family}: the block after line {reader.lineno} left the bulk route")
 
-        assert set(GENERATED) == set(fileio.FAMILIES)
+        assert set(GENERATED) == set(generators.FAMILIES)
         inst = ss.generate(family, **GENERATED[family])
         monkeypatch.setattr(fileio, "BLOCK_CHARS", block)
         monkeypatch.setattr(fileio._Reader, "replay", replay)

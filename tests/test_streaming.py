@@ -1,6 +1,7 @@
 """One-pass streaming algorithms: traced values, contracts, invariants."""
 
 import gc
+import json
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -386,13 +387,12 @@ class TestConditionalQuality:
 
 class TestSketchPersistence:
     def test_final_sketch_serializes(self):
-        from schedsketch.sketch import sketch_from_json, sketch_to_json
-
         inst = ss.chain(m=2, q=3, h=2)
         rep = ss.stream_unknown(inst.events(with_depth=False), P(epsilon=0.3, m=2))
-        text = sketch_to_json(rep.extras["input_sketch"])
-        back = sketch_from_json(text)
-        assert list(back.entries()) == list(rep.extras["input_sketch"].entries())
+        sk = rep.extras["input_sketch"]
+        doc = json.loads(ss.sketch_to_json(sk))
+        assert [(e["d"], e["u"], e["n"]) for e in doc["entries"]] == list(sk.entries())
+        assert (doc["p_min"], doc["p_max"]) == (sk.p_min, sk.p_max) == (1, 1)
 
 
 def _ascending_instance() -> ss.Instance:
