@@ -490,40 +490,42 @@ def instance_from_spec(text: str) -> Instance:
 
 def build_instance(family: str, kwargs: dict, source: str) -> Instance:
     """The family's instance for spec keys ``kwargs``; its function holds the defaults, and ``source`` names errors."""
-    import inspect
-
     from .generators import FAMILIES, generate
 
     seed = kwargs.pop("seed", 0)
-    if "pbig" in kwargs:  # the key `access_from_spec` reads, so one spec serves both
-        kwargs["p_big"] = kwargs.pop("pbig")
-    try:
-        if family in FAMILIES:  # else `generate` names the unknown family
-            inspect.signature(FAMILIES[family]).bind(**kwargs)
-    except TypeError as exc:  # a key missing, or one the family does not take
-        raise ParamError(f"{source}: {exc}") from None
+    if family in FAMILIES:  # else `generate` names the unknown family
+        kwargs = _bind(family, kwargs, source)
     return generate(family, seed=seed, **kwargs)
 
 
-IMPLICIT_KEYS = {"chain": {"m", "q", "h", "seed"}, "alpha-mixed": {"n", "alpha", "pbig", "small", "c", "m", "h", "seed"}}
+def _bind(family: str, kwargs: dict, source: str) -> dict:
+    """The family function's arguments, less the seed, for spec keys ``kwargs`` (``pbig`` is ``p_big``) and defaults."""
+    import inspect
+
+    from .generators import FAMILIES
+
+    kwargs = {("p_big" if key == "pbig" else key): val for key, val in kwargs.items() if key != "seed"}
+    try:
+        bound = inspect.signature(FAMILIES[family]).bind(**kwargs)
+    except TypeError as exc:  # a key missing, or one the family does not take
+        raise ParamError(f"{source}: {exc}") from None
+    bound.apply_defaults()
+    bound.arguments.pop("seed", None)
+    return bound.arguments
 
 
 def access_from_spec(text: str) -> SampleAccess:
-    """Implicit sample access for the families that support it."""
+    """Implicit sample access for the families that support it, its keys bound as `build_instance` binds them."""
     from .generators import big_jobs
     from .sampling import ChainAccess, TwoValueAccess
 
     family, kwargs = parse_gen_spec(text)
-    unknown = sorted(set(kwargs) - IMPLICIT_KEYS.get(family, set(kwargs)))
-    if unknown:
-        raise ParamError(f"generator spec {text!r}: family {family!r} takes no key {unknown[0]!r}")
-    kwargs.pop("seed", None)
-    try:
-        if family == "chain":
-            return ChainAccess(m=kwargs["m"], q=kwargs["q"], h=kwargs.get("h", 1))
-        if family == "alpha-mixed":
-            n_big = big_jobs(kwargs["n"], kwargs["alpha"], kwargs.get("c", 1))
-            return TwoValueAccess(n=kwargs["n"], n_big=n_big, p_big=kwargs["pbig"], p_small=kwargs["small"])
-    except KeyError as exc:
-        raise ParamError(f"generator spec {text!r} needs {exc.args[0]}= for implicit access") from None
-    raise ParamError(f"family {family!r} has no implicit form; materialize it with gen")
+    if family not in ("chain", "alpha-mixed"):
+        raise ParamError(f"family {family!r} has no implicit form; materialize it with gen")
+    args = _bind(family, kwargs, f"generator spec {text!r}")
+    if family == "chain":
+        return ChainAccess(m=args["m"], q=args["q"], h=args["h"])
+    if args["small"] is None:  # small jobs drawn at random have no implicit form
+        raise ParamError(f"generator spec {text!r} needs small= for implicit access")
+    n_big = big_jobs(args["n"], args["alpha"], args["c"])
+    return TwoValueAccess(n=args["n"], n_big=n_big, p_big=args["p_big"], p_small=args["small"])

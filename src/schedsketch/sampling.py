@@ -32,27 +32,37 @@ jobs exactly once; the estimates are then exact and the thresholding
 still applies.
 
 Draws are taken in batches of 2**16 (`_CHUNK`): each batch's ids are
-drawn, fetched and keyed while its columns stay in cache, where one
+drawn, fetched and counted while its columns stay in cache, where one
 batch of 2**20 draws made each int64 column an 8-MiB temporary.
 `Generator.integers` gives the same ids however the draws are split,
 so no batch size changes the sample.  Each column is held in the
 narrowest dtype that holds its values: ids are uint32 while n < 2**32
 (`Generator.integers` draws the same ids from the same state as in
-int64), an implicit family's p and depth are small unsigned columns,
-or read-only broadcast views where they are constant, and the tally's
-key is built in one intp buffer kept for the whole call.
+int64), and an implicit family's p and depth are small unsigned
+columns, or read-only stride-0 broadcast views where they are constant.
 
 While the call could hold no more (p, depth) pairs than it draws, and
 at most 2**20 (`_HELD`), judged by the largest p and depth drawn so
 far, one table tallies the pairs across the batches (a batch is never
 smaller than the table, so adding it in costs no more than its draws)
-and each distinct p is bucketed once, at the end; once it could hold
-more, every later draw is bucketed and each batch's (bucket, depth)
-pairs are counted by `pair_counts`.  One lexsort merges the parts at
-the end, and folds them into one whenever they pass 2**20 rows and
-twice the last fold, so they grow with the distinct pairs, not with
-the draws; the counts come back in increasing (u, d) for any batch
-size.
+and each distinct p is bucketed once, at the end.  A batch with a
+constant column reads that column's largest value from its one value
+and is counted into that value's row or column of the table by a
+bincount of the other column; a batch with none, by a bincount of an
+intp key p * width + depth built in one buffer kept for the call.  The
+nonzero cells of that row or column are then held while there are at
+most `_FEW`, and each later batch with the same constant is counted by
+one ``count_nonzero(column == v)`` per held cell, with no max pass and
+no key.  Distinct cells are disjoint, so the counts cover the batch
+exactly when they sum to its size; a batch that falls short holds a
+value the cells lack, so it takes the bincount, which refreshes the
+cells, and once a row or column passes `_FEW` cells none are held
+again.  Once the table could hold more, every later draw is bucketed
+and each batch's (bucket, depth) pairs are counted by `pair_counts`.
+One lexsort merges the parts at the end, and folds them into one
+whenever they pass 2**20 rows and twice the last fold, so they grow
+with the distinct pairs, not with the draws; the counts come back in
+increasing (u, d) for any batch size.
 """
 
 from __future__ import annotations
@@ -80,6 +90,8 @@ from .streaming import finish
 N_MAX = 2**63 - 2  # the largest job count sampled: the ids 1..n and the draw bound n + 1 are int64
 _CHUNK = 1 << 16  # draws a batch: 2**14 to 2**17 time alike, 2**19 and up ~2x slower (sample2, 2-core x86_64 VM)
 _HELD = 1 << 20  # the most (p, d) cells tallied, and the per-draw route's pair rows held before they are merged
+_FEW = 8  # the most held cells counted one by one: a count_nonzero(column == v) of 2**16 draws took 9-17 us,
+# a bincount 132-177 us (2-core x86_64 VM)
 
 
 class SampleAccess(Protocol):
@@ -89,7 +101,7 @@ class SampleAccess(Protocol):
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(p, depth) for the given job ids, every entry >= 1: integer arrays of the ids' shape, or read-only
-        broadcast views where a column is constant, each in any dtype but uint64 that holds its values."""
+        stride-0 broadcast views where a column is constant, each in any dtype but uint64 that holds its values."""
         ...
 
 
@@ -123,9 +135,10 @@ class ChainAccess:
         self.cstar = q * h
 
     def fetch(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        depth = ids - 1  # in the ids' dtype, which holds h <= n
-        depth %= self.h
-        depth += 1
+        depth = ids - 1  # (ids - 1) % h + 1 as ids - h * ((ids - 1) // h), in the ids' dtype, which holds h <= n:
+        depth //= self.h  # numpy divides by one integer in place far faster than it takes its remainder
+        depth *= self.h
+        np.subtract(ids, depth, out=depth)
         return np.broadcast_to(np.uint8(1), ids.shape), depth
 
 
@@ -190,7 +203,7 @@ def estimate_counts(
     are discarded after being drawn: they reduce the counted jobs, not
     the number of draws.  Returns ({(d, u): count}, draws_performed),
     the keys in increasing (u, d); the module docstring gives the
-    batches, the one tally and the merge.
+    batches, the one tally, its held cells and the merge.
     """
     if n_draws < 1:
         raise InputContractError(f"need at least one draw, got {n_draws}")
@@ -203,6 +216,7 @@ def estimate_counts(
     table = np.zeros((0, 0), dtype=np.int64)  # draws at each (p, d), while the few-values route holds
     parts = []  # (u, d, count) columns: the per-draw route's, a batch each, then the table's
     held, fold_at = 0, _HELD  # the rows in parts; past fold_at they are merged into one part
+    cells, few = None, True  # (axis, value, line, others): the held cells; few until a line passes _FEW cells
     done = 0
     while done < draws:
         take = min(max(_CHUNK, table.size), draws - done)  # no smaller than the tally it is added to
@@ -212,7 +226,17 @@ def estimate_counts(
             ids = rng.integers(1, n + 1, size=take, dtype=id_dtype)
         p, depth = access.fetch(ids)
         done += take
-        p_max, d_max = int(p.max()), int(depth.max())
+        axis = 0 if p.strides == (0,) else 1 if depth.strides == (0,) else None  # a constant column, if any
+        value = None if axis is None else int((p, depth)[axis][0])
+        if cells is not None and cells[:2] == (axis, value):
+            line, others = cells[2:]
+            counts = [np.count_nonzero((p, depth)[1 - axis] == v) for v in others]
+            if sum(counts) == take:  # distinct cells are disjoint: every draw is in one of them
+                line[others] += counts
+                continue
+        cells = None
+        p_max = value if axis == 0 else int(p.max())
+        d_max = value if axis == 1 else int(depth.max())
         if p_cap is not None and p_max > p_cap:
             raise InputContractError(f"sampled job has p={p_max} > c={p_cap}")
         if h_cap is not None and d_max > h_cap:
@@ -223,12 +247,20 @@ def estimate_counts(
                 grown = np.zeros((rows, width), dtype=np.int64)
                 grown[: table.shape[0], : table.shape[1]] = table
                 table = grown
-            if key.size < take:
-                key = np.empty(take, dtype=np.intp)
-            # dtype=intp: a uint8 p times a Python int would stay uint8 and wrap
-            at = np.multiply(p, width, out=key[:take], dtype=np.intp)
-            at += depth
-            table += np.bincount(at, minlength=table.size).reshape(rows, width)
+            if axis is None:
+                if key.size < take:
+                    key = np.empty(take, dtype=np.intp)
+                # dtype=intp: a uint8 p times a Python int would stay uint8 and wrap
+                at = np.multiply(p, width, out=key[:take], dtype=np.intp)
+                at += depth
+                table += np.bincount(at, minlength=table.size).reshape(rows, width)
+                continue
+            line = table[value] if axis == 0 else table[:, value]  # the constant column's row or column
+            line += np.bincount(depth if axis == 0 else p, minlength=line.size)
+            if few:
+                others = np.flatnonzero(line).tolist()
+                few = len(others) <= _FEW
+                cells = (axis, value, line, others) if few else None
             continue
         if min_p is not None:
             keep = p > min_p

@@ -768,6 +768,9 @@ MALFORMED_INPUTS = {
     "implicit chain key missing": (
         ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:q=1,h=2"], 2, None, None
     ),
+    "implicit chain h missing": (  # h binds as the chain family's own key, with no default
+        ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:m=1,q=5"], 2, None, None
+    ),
     "implicit chain key unknown": (
         ["sample1", "--epsilon", "0.3", "--m", "1", "--c", "1", "--h", "2", "--in", "chain:m=1,q=1,h=2,bogus=3"],
         2, None, None
@@ -778,7 +781,7 @@ MALFORMED_INPUTS = {
     ),
     "implicit alpha-mixed key missing": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",
-         "--in", "alpha-mixed:n=100,alpha=0.5,small=1"], 2, None, None
+         "--in", "alpha-mixed:alpha=0.5,pbig=10,small=1"], 2, None, None
     ),
     "implicit alpha-mixed pbig past int64": (
         ["sample2", "--epsilon", "0.3", "--m", "1", "--c", "2", "--h", "1", "--n", "100",

@@ -241,6 +241,94 @@ class TestNarrowColumns:
         assert p.shape == ids.shape and p.tolist() == [1] * 5 and not p.flags.writeable
         assert depth.dtype == ids.dtype and depth.tolist() == [1, h - 1, h, 1, h]
 
+    @pytest.mark.parametrize(
+        "access,axis",
+        [(ss.ChainAccess(m=1, q=10**6, h=3), 0), (ss.ChainAccess(m=1, q=2**33, h=3), 0),
+         (ss.TwoValueAccess(n=10**7, n_big=10, p_big=9, p_small=1), 1),
+         (ss.TwoValueAccess(n=2**40, n_big=10, p_big=2**40, p_small=1), 1)],
+    )
+    def test_constant_column_is_a_stride_0_view(self, access, axis):
+        """The tally counts a batch by the other column's values only when the constant one is a stride-0 view."""
+        ids = np.array([1, 2, 3, 11, 12], dtype=sampling._id_dtype(access.n))
+        cols = access.fetch(ids)
+        assert cols[axis].strides == (0,) and cols[axis].tolist() == [1] * 5 and cols[1 - axis].strides != (0,)
+
+
+class _PeriodicAccess:
+    """Job i has p = ps[(i - 1) % len(ps)] and depth = ds[(i - 1) % len(ds)]; a one-value column comes back as a
+    broadcast view when ``broadcast`` is set, else as a plain array."""
+
+    def __init__(self, n, ps, ds, dtype, broadcast):
+        self.n, self._ps, self._ds = n, np.array(ps, dtype=dtype), np.array(ds, dtype=dtype)
+        self._broadcast = broadcast
+
+    def fetch(self, ids):
+        return tuple(
+            np.broadcast_to(vals[0], ids.shape) if self._broadcast and vals.size == 1 else vals[(ids - 1) % vals.size]
+            for vals in (self._ps, self._ds)
+        )
+
+
+def _bincount_counts(access, n_draws: int, gb, rng, min_p) -> tuple:
+    """`estimate_counts` by one bincount of every batch's (p, d) key: the counts in increasing (u, d), and the draws."""
+    n = access.n
+    draws = min(n, n_draws)
+    tally = Counter()
+    for lo in range(0, draws, 5):
+        take = min(5, draws - lo)
+        ids = np.arange(lo + 1, lo + take + 1) if n_draws >= n else rng.integers(1, n + 1, size=take, dtype=np.int64)
+        p, d = (np.asarray(col, dtype=np.int64) for col in access.fetch(ids))
+        width = int(d.max()) + 1
+        cnt = np.bincount(p * width + d)
+        tally.update({divmod(int(key), width): int(cnt[key]) for key in np.flatnonzero(cnt)})
+    bucketed = Counter()
+    for (p, d), cnt in tally.items():
+        if min_p is None or p > min_p:
+            bucketed[gb.index(p), d] += cnt
+    return {(d, u): bucketed[u, d] for u, d in sorted(bucketed)}, draws
+
+
+class TestHeldCells:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([30, 1000, 2**32 + 7]),  # full scans of 30 jobs, and int64 ids past 2**32
+        ps=st.lists(st.integers(1, 40), min_size=1, max_size=14),
+        ds=st.lists(st.integers(1, 12), min_size=1, max_size=14),
+        dtype=st.sampled_from([np.uint8, np.int64]),
+        broadcast=st.booleans(),
+        draws=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+        min_p=st.sampled_from([None, 2.5]),
+        chunk=st.sampled_from([1, 4, 64]),
+        few=st.sampled_from([1, 3, 8]),
+    )
+    def test_equals_a_bincount_of_every_batch(self, n, ps, ds, dtype, broadcast, draws, seed, min_p, chunk, few):
+        """Constant p or depth, as views or arrays; a rare value lets the alphabet grow after the first batch; more
+        cells than _FEW; min_p; full scans; int64 ids: the counts and draws of a bincount of every batch."""
+        access, gb = _PeriodicAccess(n, ps, ds, dtype, broadcast), ss.buckets_for(0.025)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_CHUNK", chunk)
+            mp.setattr(sampling, "_FEW", few)
+            got = ss.estimate_counts(access, draws, gb, np.random.default_rng(seed), min_p=min_p)
+        want = _bincount_counts(access, draws, gb, np.random.default_rng(seed), min_p)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize(
+        "access,bincounts",
+        [(ss.TwoValueAccess(n=10**7, n_big=5 * 10**6, p_big=10, p_small=1), 1),  # two cells from the first batch
+         (ss.ChainAccess(m=1, q=10**6, h=3), 1),
+         (ss.ChainAccess(m=1, q=10**6, h=8), 1),
+         (ss.ChainAccess(m=1, q=10**6, h=9), 16)],  # nine cells, one past _FEW: a bincount a batch
+    )
+    def test_later_batches_skip_the_bincount(self, monkeypatch, access, bincounts):
+        """Past the first batch, a batch whose draws all fall in the held cells is counted cell by cell."""
+        calls, bincount = [], np.bincount
+        monkeypatch.setattr(sampling.np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        monkeypatch.setattr(sampling, "_CHUNK", 1 << 10)
+        ss.estimate_counts(access, 16 << 10, ss.buckets_for(0.025), np.random.default_rng(0))
+        assert len(calls) == bincounts
+
 
 @pytest.mark.parametrize(
     "fn,keys",
